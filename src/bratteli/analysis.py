@@ -113,7 +113,7 @@ def af_region(x: EventuallyPeriodicPath, depth: int) -> list[AlgebraicNumber]:
     return decode(x.prefix(depth)).puncture_positions()
 
 
-def minimality_horizon(diagram: BratteliDiagram, n: int | None = None) -> int:
+def minimality_horizon(diagram: BratteliDiagram) -> int:
     """Generations needed for any vertex to connect to every vertex: the
     primitivity index of the collared abelianization (stationarity makes the
     starting generation irrelevant)."""

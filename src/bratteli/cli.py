@@ -153,7 +153,7 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def _prefix_of(args, diagram, path, default_depth=None):
+def _prefix_of(args, path, default_depth=None):
     if isinstance(path, EventuallyPeriodicPath):
         depth = args.depth or default_depth or (len(path.pre) + len(path.cycle) + 1)
         return path.prefix(depth)
@@ -163,7 +163,7 @@ def _prefix_of(args, diagram, path, default_depth=None):
 def cmd_decode(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    gamma = _prefix_of(args, diagram, path)
+    gamma = _prefix_of(args, path)
     patch = decode_collared(gamma) if args.collared else decode(gamma)
     print(f"path: {render_path(gamma)}")
     print(f"word: {patch.word_marked()}")
@@ -244,7 +244,7 @@ def cmd_rb(args) -> int:
 def cmd_analyze(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    gamma = _prefix_of(args, diagram, path, default_depth=args.depth)
+    gamma = _prefix_of(args, path, default_depth=args.depth)
     prof = gap_profile(gamma)
     print(f"path: {render_path(path)}")
     print("generation | g_L | g_R")

@@ -102,7 +102,7 @@ class BratteliDiagram:
             self._edge_multiplicity[k] = self._edge_multiplicity.get(k, 0) + 1
 
     def vertical_by_ends(self, src: int, rng: int, pos: int | None = None) -> VerticalTemplate:
-        cands = [e for e in self.verticals if e.src == src and e.rng == rng]
+        cands = [e for e in self.out_edges[src] if e.rng == rng]
         if pos is not None:
             cands = [e for e in cands if e.pos == pos]
         if not cands:
@@ -149,8 +149,11 @@ class BratteliDiagram:
             if kind != "af":
                 kind = "cyclic" if s.key() in cyclic_keys else "transient"
             relabeled.append(DiagramTemplate(s.h_top, s.e_left, s.e_right, s.h_bot, kind))
+        usum_sign = {
+            s.key(): self.square_usum(s).sign() for s in relabeled if self.mirror_key(s) != s.key()
+        }
         self.squares = [
-            DiagramTemplate(s.h_top, s.e_left, s.e_right, s.h_bot, s.kind, self._is_canonical(s, relabeled))
+            DiagramTemplate(s.h_top, s.e_left, s.e_right, s.h_bot, s.kind, self._is_canonical(s, usum_sign))
             for s in relabeled
         ]
         self.canonical_squares = [s for s in self.squares if s.canonical]
@@ -165,13 +168,14 @@ class BratteliDiagram:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale."""
         return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
 
-    def _is_canonical(self, s: DiagramTemplate, squares) -> bool:
+    def _is_canonical(self, s: DiagramTemplate, usum_sign: dict) -> bool:
+        """usum_sign: key -> square_usum sign of every square that is not its
+        own mirror (a usum depends only on the key)."""
         mk = self.mirror_key(s)
         if mk == s.key():
             return True
-        sgn = self.square_usum(s).sign()
-        mirror = next(t for t in squares if t.key() == mk)
-        msgn = self.square_usum(mirror).sign()
+        sgn = usum_sign[s.key()]
+        msgn = usum_sign[mk]
         if sgn < 0 and msgn >= 0:
             return True
         if msgn < 0 and sgn >= 0:
@@ -259,17 +263,24 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
 
 
 def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
-    """Exhaustive scan for incident quadruples with exactly zero residual."""
-    lam = diagram.lam
+    """Exhaustive scan for incident quadruples with exactly zero residual.
+
+    The residual is tested in its multiplied form,
+    lambda * c(h_bot) - (c(h_top) + c(e_right) - c(e_left)), which is zero
+    at lambda exactly when the residual divided by lambda is (lambda > 1),
+    so no inverse is taken; lambda * c(h_bot) is formed once per horizontal.
+    """
+    lam_bot = [diagram.lam * h.coeff for h in diagram.horizontals]
     out = []
     for ht in diagram.horizontals:
         for el in diagram.out_edges[ht.src]:
+            top_left = ht.coeff - el.coeff
             for er in diagram.out_edges[ht.rng]:
-                target = (ht.coeff + er.coeff - el.coeff) / lam
+                target = top_left + er.coeff
                 matches = [
                     hb
                     for hb in diagram.h_by_ends.get((el.rng, er.rng), [])
-                    if (hb.coeff - target).is_zero()
+                    if (lam_bot[hb.index] - target).is_zero()
                 ]
                 assert len(matches) <= 1
                 for hb in matches:

@@ -7,11 +7,21 @@ irreducible, so the quotient ring can contain zero divisors; every
 predicate here (zero test, sign, comparison) is decided for the *value at
 lambda*, which is what all the translation-label bookkeeping needs:
 
-* zero test: a(lambda) = 0  iff  gcd(a, m) still has the isolated root,
-  decided by a Sturm count over the isolating interval -- no numerics;
-* sign: after a failed zero test, bisect the isolating interval and
-  evaluate with exact rational interval arithmetic until 0 is excluded
-  (termination is guaranteed because a(lambda) != 0);
+* enclosure first: the field keeps a monotone bisection level, the finest
+  level at which some sign has been decided so far.  Both predicates first
+  evaluate the element over the isolating interval at that level with
+  exact rational interval arithmetic; an enclosure that excludes 0 decides
+  "nonzero" and gives the sign.  Any starting level is sound: the cached
+  intervals are nested and interval Horner evaluation is inclusion-isotone,
+  so an enclosure excludes 0 at a level only if the value is nonzero, and
+  then it excludes 0 at every finer level too;
+* zero test: when the enclosure contains 0, a(lambda) = 0 iff gcd(a, m)
+  still has the isolated root, decided by a Sturm count over the isolating
+  interval -- no numerics.  A value that is zero at lambda always reaches
+  this certificate;
+* sign: after a failed zero test, bisect further up from the field's level
+  until 0 is excluded (termination is guaranteed because a(lambda) != 0),
+  and raise the level to where the sign was decided;
 * division: divide modulo m with the factors of m that vanish away from
   lambda deflated out, which is always possible and keeps the quotient a
   valid representative of the quotient value.
@@ -22,7 +32,8 @@ all the desk-scale cases, but correctness never relies on that.
 
 Decimal output is floor truncation certified by exact comparisons, so it is
 monotone with respect to compare().  All values are immutable; the only
-mutable state is a monotone cache of interval refinements on the field.
+mutable state on the field is monotone: the cache of interval refinements
+and the level that last decided a sign.
 """
 
 from __future__ import annotations
@@ -62,6 +73,8 @@ class ModulusField:
         assert rp.count_roots_halfopen(self._reduced, self.lo, self.hi) == 1
         # Monotone bisection cache; entry k has width (hi-lo)/2^k.
         self._intervals: list[tuple[Fraction, Fraction]] = [(self.lo, self.hi)]
+        # Finest refinement level at which a sign has been decided; only grows.
+        self._level = 0
 
     # -- interval refinement -------------------------------------------------
 
@@ -250,28 +263,41 @@ class AlgebraicNumber:
 
     # -- decision procedures ---------------------------------------------------
 
+    def _sign_at(self, k: int) -> int | None:
+        """+1 or -1 if the enclosure over the level-k interval excludes 0,
+        None if it does not decide."""
+        lo, hi = self.field.refined(k)
+        vlo, vhi = rp.eval_interval(self.coeffs, lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        return None
+
     def is_zero(self) -> bool:
-        p = rp.poly(self.coeffs)
+        p = self.coeffs
         if not p:
             return True
+        if len(p) == 1 or self._sign_at(self.field._level) is not None:
+            return False
         g = rp.gcd(p, self.field._reduced)
         if rp.degree(g) < 1:
             return False
         return rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1
 
     def sign(self) -> int:
+        f = self.field
+        s = self._sign_at(f._level)
+        if s is not None:
+            return s
         if self.is_zero():
             return 0
-        p = list(self.coeffs)
-        k = 0
-        while True:
-            lo, hi = self.field.refined(k)
-            vlo, vhi = rp.eval_interval(p, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
+        k = f._level
+        while s is None:
             k += 1
+            s = self._sign_at(k)
+        f._level = k
+        return s
 
     def compare(self, other) -> int:
         return (self - other).sign()
@@ -290,15 +316,6 @@ class AlgebraicNumber:
 
     def __ge__(self, other):
         return self.compare(other) >= 0
-
-    def as_fraction(self) -> Fraction:
-        """The value as an exact rational, if lambda itself is rational."""
-        r = self.field.rational_root
-        if r is None and rp.degree(list(self.coeffs)) >= 1:
-            raise ValueError("value is not rational")
-        return rp.eval_at(list(self.coeffs), r) if r is not None else (
-            self.coeffs[0] if self.coeffs else Fraction(0)
-        )
 
     def to_decimal(self, digits: int) -> str:
         """Certified floor truncation to `digits` places."""
@@ -344,42 +361,10 @@ def _ext_gcd_inverse(a: rp.Poly, m: rp.Poly) -> rp.Poly:
     return rp.rem(rp.scale(s0, 1 / r0[0]), m)
 
 
-def add(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    return a + b
-
-
-def sub(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    return a - b
-
-
-def mul(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
-    return a * b
-
-
-def neg(a: AlgebraicNumber) -> AlgebraicNumber:
-    return -a
-
-
-def scale(a: AlgebraicNumber, q) -> AlgebraicNumber:
-    return a.scale(q)
-
-
 def lambda_pow(field: ModulusField, k: int) -> AlgebraicNumber:
     if k < 0:
         raise ValueError("k must be >= 0")
     return field.lam() ** k
-
-
-def sign(a: AlgebraicNumber) -> int:
-    return a.sign()
-
-
-def compare(a: AlgebraicNumber, b: AlgebraicNumber) -> int:
-    return a.compare(b)
-
-
-def to_decimal(a: AlgebraicNumber, digits: int) -> str:
-    return a.to_decimal(digits)
 
 
 # -- L-polynomial text format -------------------------------------------------

@@ -126,8 +126,8 @@ def brute_force_squares(diagram):
     return found
 
 
-def test_squares_match_brute_force(fib, tm, dyadic):
-    for diagram in (fib, tm, dyadic):
+def test_squares_match_brute_force(fib, tm, dyadic, rand3):
+    for diagram in (fib, tm, dyadic, rand3):
         got = {s.key() for s in diagram.squares}
         assert got == brute_force_squares(diagram)
 

@@ -224,3 +224,84 @@ def test_decimal_monotone(data):
         assert da >= db
     else:
         assert da == db
+
+
+# -- reducible modulus and the monotone refinement level -----------------------
+
+# (x^2 - x - 1)(x^2 - 2): lambda = phi, and the quotient ring has zero divisors
+GOLDEN_TIMES_SQRT2 = [2, 2, -3, -1, 1]
+
+
+def reference_sign(a) -> int:
+    """The sign decided without the field's level: gcd + Sturm certificate
+    for zero, then bisection from level 0."""
+    from bratteli import ratpoly as rp
+
+    f = a.field
+    p = list(a.coeffs)
+    if not p:
+        return 0
+    g = rp.gcd(p, f._reduced)
+    if rp.degree(g) >= 1 and rp.count_roots_halfopen(g, f.lo, f.hi) >= 1:
+        return 0
+    k = 0
+    while True:
+        vlo, vhi = rp.eval_interval(p, *f.refined(k))
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        k += 1
+
+
+def golden_convergent(n: int) -> Fraction:
+    """F(n+2)/F(n+1), within 1/F(n+1)^2 of phi."""
+    a, b = 1, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return Fraction(b, a)
+
+
+def test_reducible_modulus_zero_divisors():
+    f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    assert len(f.modulus) == 5  # kept whole: no rational roots to strip
+    lam = f.lam()
+    assert lam.to_decimal(6) in ("1.618033", "1.618034")
+    sqrt2_factor = lam * lam - 2
+    assert sqrt2_factor.coeffs and sqrt2_factor.sign() == 1  # phi^2 - 2 > 0
+    inv = sqrt2_factor.inverse()
+    assert (inv * sqrt2_factor).equals(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reducible_modulus_annihilator(data):
+    from bratteli import ratpoly as rp
+
+    f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    lam = f.lam()
+    a = data.draw(elements(f))
+    z = (lam * lam - lam - 1) * a
+    assert z.is_zero() and z.sign() == 0
+    # the representative vanishes only when (x^2 - 2) divides a
+    assert bool(z.coeffs) == bool(rp.rem(list(a.coeffs), rp.poly([-2, 0, 1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decisions_after_hard_sign_match_reference(data):
+    charpoly = data.draw(st.sampled_from([GOLDEN, GOLDEN_TIMES_SQRT2]))
+    f = field_from_charpoly(charpoly)
+    lam = f.lam()
+    n = data.draw(st.integers(min_value=10, max_value=30))
+    hard = lam - golden_convergent(n)
+    assert hard.sign() == reference_sign(hard) != 0
+    assert f._level >= n  # |phi - F(n+2)/F(n+1)| < 1/F(n+1)^2 needs ~1.4 n bisections
+    annihilator = lam * lam - lam - 1
+    a = data.draw(elements(f))
+    b = data.draw(elements(f))
+    near = lam - golden_convergent(data.draw(st.integers(min_value=1, max_value=n + 5)))
+    for x in (a, a + annihilator * b, annihilator * b, near, near * a):
+        expected = reference_sign(x)
+        assert x.is_zero() == (expected == 0)
+        assert x.sign() == expected
