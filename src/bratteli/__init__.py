@@ -10,6 +10,7 @@ from .errors import (
     NoRootAboveOne,
     NotPrimitive,
     ParseError,
+    PatchTooLarge,
     PeriodicDetected,
     SingularSystem,
     UnknownLetter,
@@ -55,6 +56,7 @@ from .paths import (
     extremal_paths,
     pair_extremes,
     parse_path,
+    patch_size,
     rb_base_member,
     rb_base_translation,
     rb_equiv,

@@ -44,6 +44,16 @@ class PeriodicDetected(BratteliError):
         self.complexity = complexity
 
 
+class PatchTooLarge(BratteliError):
+    """A decode would produce more tiles than the library allows."""
+
+    def __init__(self, depth: int, tiles: int, limit: int):
+        super().__init__(f"decode at depth {depth} would produce {tiles} tiles, above the limit of {limit}")
+        self.depth = depth
+        self.tiles = tiles
+        self.limit = limit
+
+
 class NoRootAboveOne(BratteliError):
     pass
 

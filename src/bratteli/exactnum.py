@@ -7,14 +7,18 @@ irreducible, so the quotient ring can contain zero divisors; every
 predicate here (zero test, sign, comparison) is decided for the *value at
 lambda*, which is what all the translation-label bookkeeping needs:
 
-* enclosure first: the field keeps a monotone bisection level, the finest
-  level at which some sign has been decided so far.  Both predicates first
-  evaluate the element over the isolating interval at that level with
+* refinement: the reduced modulus (below) is square-free, has no rational
+  root and exactly one root in (lo, hi], a simple sign change that is never
+  a dyadic point; so bisection keeps the half whose midpoint sign differs
+  from the lower endpoint's, with no Sturm count per level, and caches it;
+* enclosure first: the field keeps one monotone bisection level, the finest
+  at which a sign or decimal has been decided so far.  Every decision first
+  evaluates the element over the isolating interval at that level with
   exact rational interval arithmetic; an enclosure that excludes 0 decides
   "nonzero" and gives the sign.  Any starting level is sound: the cached
   intervals are nested and interval Horner evaluation is inclusion-isotone,
-  so an enclosure excludes 0 at a level only if the value is nonzero, and
-  then it excludes 0 at every finer level too;
+  so an enclosure excludes 0 only if the value is nonzero, and then it
+  excludes 0 at every finer level too;
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff gcd(a, m)
   still has the isolated root, decided by a Sturm count over the isolating
   interval -- no numerics.  A value that is zero at lambda always reaches
@@ -30,10 +34,14 @@ Internally every element is reduced modulo a deflated modulus (rational
 roots of m other than lambda stripped), so representatives are canonical in
 all the desk-scale cases, but correctness never relies on that.
 
-Decimal output is floor truncation certified by exact comparisons, so it is
-monotone with respect to compare().  All values are immutable; the only
-mutable state on the field is monotone: the cache of interval refinements
-and the level that last decided a sign.
+Decimal output is floor truncation (-phi prints as -1.618034), monotone
+with respect to compare().  It refines up from the field's level until the
+enclosure lies in one grid cell, m <= vlo*10^d and vhi*10^d < m + 1, so m
+is the certified floor, and raises the level to where it stopped.  Only an
+enclosure still straddling a grid point when 2^8 times narrower than a cell
+(a value on or very near the grid) falls back to exact signs of the value
+minus m/10^d and (m+1)/10^d.  All values are immutable; the only mutable
+state on the field is monotone: the interval cache and the shared level.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from fractions import Fraction
 from . import ratpoly as rp
 from .errors import FieldMismatch, NoRootAboveOne, ParseError
 
-_DECIMAL_GUARD = 8  # extra bisection digits before switching to exact floor search
+_DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to exact floor search
 
 
 class ModulusField:
@@ -73,7 +81,9 @@ class ModulusField:
         assert rp.count_roots_halfopen(self._reduced, self.lo, self.hi) == 1
         # Monotone bisection cache; entry k has width (hi-lo)/2^k.
         self._intervals: list[tuple[Fraction, Fraction]] = [(self.lo, self.hi)]
-        # Finest refinement level at which a sign has been decided; only grows.
+        # Sign of the reduced modulus at every lower endpoint in the cache.
+        self._lo_positive = rp.eval_at(self._reduced, self.lo) > 0
+        # Finest level at which a sign or a decimal has been decided; only grows.
         self._level = 0
 
     # -- interval refinement -------------------------------------------------
@@ -87,10 +97,10 @@ class ModulusField:
             mid = (lo + hi) / 2
             v = rp.eval_at(self._reduced, mid)
             assert v != 0, "reduced modulus has no rational roots"
-            if rp.count_roots_halfopen(self._reduced, lo, mid) == 1:
-                cache.append((lo, mid))
-            else:
+            if (v > 0) == self._lo_positive:
                 cache.append((mid, hi))
+            else:
+                cache.append((lo, mid))
         return cache[k]
 
     # -- element factories ---------------------------------------------------
@@ -319,22 +329,24 @@ class AlgebraicNumber:
 
     def to_decimal(self, digits: int) -> str:
         """Certified floor truncation to `digits` places."""
+        f = self.field
         scale = 10**digits
-        k = 0
+        k = f._level
         while True:
-            lo, hi = self.field.refined(k)
-            vlo, vhi = rp.eval_interval(list(self.coeffs), lo, hi)
-            if (vhi - vlo) * scale < 1:
+            vlo, vhi = rp.eval_interval(self.coeffs, *f.refined(k))
+            m = (vlo * scale).__floor__()
+            inside = vhi * scale < m + 1  # m <= vlo*scale <= vhi*scale < m+1
+            narrow = (vhi - vlo) * (scale << _DECIMAL_GUARD) < 1
+            if inside or narrow or k > 64 * (digits + _DECIMAL_GUARD):
                 break
             k += 1
-            if k > 64 * (digits + _DECIMAL_GUARD):
-                break
-        m = (vlo * scale).__floor__()
-        # the bisection estimate can be off by one ulp; fix it exactly
-        while (self - Fraction(m + 1, scale)).sign() >= 0:
-            m += 1
-        while (self - Fraction(m, scale)).sign() < 0:
-            m -= 1
+        f._level = k
+        if not inside:
+            # the enclosure straddles a grid point; settle the floor exactly
+            while (self - Fraction(m + 1, scale)).sign() >= 0:
+                m += 1
+            while (self - Fraction(m, scale)).sign() < 0:
+                m -= 1
         sign = "-" if m < 0 else ""
         q, r = divmod(abs(m), scale)
         return f"{sign}{q}.{r:0{digits}d}" if digits else f"{sign}{q}"

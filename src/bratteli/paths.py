@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .diagram import BratteliDiagram, VerticalTemplate
-from .errors import IncompatibleHorizontal, ParseError, UnpairedExtreme
+from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from .exactnum import AlgebraicNumber
 
 
@@ -259,6 +259,43 @@ class DecodedPatch:
         return [t.center for t in self.tiles]
 
 
+# Most tiles decode and decode_collared build.  The tile count grows like
+# lambda^depth (fibonacci at depth 40 would be 1.7e8 tiles), so it is computed
+# from the abelianizations first and a larger patch is refused before any
+# tile is allocated.
+MAX_DECODE_TILES = 10**6
+
+
+def _expanded_length(matrix: list[list[int]], letter: int, steps: int) -> int:
+    """Length of the steps-fold expansion of a letter; matrix[x][y] counts
+    the letter y in the rule of x."""
+    counts = [0] * len(matrix)
+    counts[letter] = 1
+    for _ in range(steps):
+        counts = [sum(c * row[y] for c, row in zip(counts, matrix)) for y in range(len(matrix))]
+    return sum(counts)
+
+
+def patch_size(gamma: PathPrefix, collared: bool = False) -> int:
+    """Number of tiles of decode(gamma), or of decode_collared(gamma) if
+    collared, computed without decoding."""
+    csub = gamma.diagram.csub
+    top = gamma.top_vertex()
+    steps = gamma.length - 1
+    tiles = _expanded_length(csub.collared_abelianization, top, steps)
+    if collared:
+        cl = csub.collared_alphabet[top]
+        m = csub.base.abelianization
+        tiles += _expanded_length(m, cl.left, steps) + _expanded_length(m, cl.right, steps)
+    return tiles
+
+
+def _refuse_large(gamma: PathPrefix, collared: bool) -> None:
+    tiles = patch_size(gamma, collared)
+    if tiles > MAX_DECODE_TILES:
+        raise PatchTooLarge(gamma.length, tiles, MAX_DECODE_TILES)
+
+
 def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
     """Expand the top vertex to generation 1, tracking the puncture index
     through block offsets."""
@@ -282,7 +319,9 @@ def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
 def decode(gamma: PathPrefix) -> DecodedPatch:
     """The generation-1 patch carried by a finite path: the full expansion
     of its top vertex, with the puncture tile centered at 0 and the core
-    supertile centered at u(gamma)."""
+    supertile centered at u(gamma).  Raises PatchTooLarge above
+    MAX_DECODE_TILES tiles."""
+    _refuse_large(gamma, collared=False)
     d = gamma.diagram
     csub = d.csub
     f = d.field
@@ -327,7 +366,9 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
 
 def decode_collared(gamma: PathPrefix) -> DecodedPatch:
     """Like decode, but expands the whole 3-tile collar of the top vertex;
-    the contexts expand through the plain substitution and stay undecorated."""
+    the contexts expand through the plain substitution and stay undecorated.
+    Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
+    _refuse_large(gamma, collared=True)
     d = gamma.diagram
     csub = d.csub
     base = csub.base

@@ -115,8 +115,13 @@ def eval_at(p: Sequence[Fraction], x) -> Fraction:
 
 
 def eval_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi} exactly."""
+    """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi} exactly.
+    For lo >= 0 the signs of alo and ahi pick the extreme endpoint products."""
     alo, ahi = Fraction(0), Fraction(0)
+    if lo >= 0:
+        for c in reversed(p):
+            alo, ahi = alo * (lo if alo >= 0 else hi) + c, ahi * (hi if ahi >= 0 else lo) + c
+        return alo, ahi
     for c in reversed(p):
         prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(prods) + c, max(prods) + c

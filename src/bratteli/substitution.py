@@ -103,15 +103,28 @@ def primitivity_index(matrix: list[list[int]]) -> int:
     if any(c < 0 for row in matrix for c in row):
         raise ValueError("matrix must be nonnegative")
     bound = (n - 1) ** 2 + 1
-    power = [row[:] for row in matrix]
+    # only the zero pattern matters: row i of M^k is kept as a bitmask of
+    # its positive entries, and row i of M^(k+1) is the OR of the rows of M
+    # that the bits of row i of M^k select
+    rows = [sum(1 << j for j, c in enumerate(row) if c) for row in matrix]
+    full = (1 << n) - 1
+    power = rows
     for k in range(1, bound + 1):
-        if all(c > 0 for row in power for c in row):
+        if all(r == full for r in power):
             return k
-        power = [
-            [sum(power[i][t] * matrix[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        power = [_or_selected(r, rows) for r in power]
     raise NotPrimitive(f"no strictly positive power up to the Wielandt bound {bound}")
+
+
+def _or_selected(mask: int, rows: list[int]) -> int:
+    out = 0
+    t = 0
+    while mask:
+        if mask & 1:
+            out |= rows[t]
+        mask >>= 1
+        t += 1
+    return out
 
 
 def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bratteli.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -89,6 +95,23 @@ def test_decode_collared(capsys):
 def test_decode_bad_literal_exits_2(capsys):
     code, _, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; zz")
     assert code == 2 and "error" in err
+
+
+def test_decode_too_deep_exits_2(capsys):
+    code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "40")
+    assert code == 2 and out == ""
+    assert err == "error: decode at depth 40 would produce 165580141 tiles, above the limit of 1000000\n"
+
+
+def test_python_m_bratteli(capsys):
+    argv = ["decode", "--fixture", "fibonacci", "--x", "root=a; ac ca ab"]
+    _, expected, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", *argv], env=env, capture_output=True, encoding="utf-8", timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_extremes(capsys):

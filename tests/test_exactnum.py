@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bratteli import ratpoly as rp
 from bratteli.errors import FieldMismatch, NoRootAboveOne
 from bratteli.exactnum import (
     field_from_charpoly,
@@ -26,7 +28,7 @@ def fib_field():
 def test_field_from_golden_charpoly(fib_field):
     assert [c for c in fib_field.modulus] == [Fraction(-1), Fraction(-1), Fraction(1)]
     assert fib_field.lo == 1 and fib_field.hi == 2
-    assert fib_field.lam().to_decimal(6) in ("1.618033", "1.618034")
+    assert fib_field.lam().to_decimal(6) == "1.618033"
 
 
 def test_field_from_reducible_charpoly():
@@ -46,7 +48,7 @@ def test_field_degree_one():
 def test_field_from_cubic_with_root_at_one():
     # (x-1)(x^2-x-1): deflation at the lower endpoint plus reduced modulus
     f = field_from_charpoly([1, 0, -2, 1])
-    assert f.lam().to_decimal(6) in ("1.618033", "1.618034")
+    assert f.lam().to_decimal(6) == "1.618033"
     assert (f.lam() * f.lam() - f.lam() - 1).is_zero()
 
 
@@ -79,7 +81,7 @@ def test_scale_and_decimal(fib_field):
     half_phi = phi.scale(Fraction(1, 2))
     oracle = bisect_root(GOLDEN, 1, 2, 8) / 2
     got = half_phi.to_decimal(6)
-    assert got in ("0.809016", "0.809017")
+    assert got == "0.809016"
     assert abs(Fraction(got) - oracle) < Fraction(1, 10**6)
 
 
@@ -102,8 +104,8 @@ def test_compare_examples(fib_field):
 
 def test_to_decimal_certified(fib_field):
     phi = fib_field.lam()
-    assert phi.to_decimal(6) in ("1.618033", "1.618034")
-    assert (-phi).to_decimal(6) in ("-1.618034", "-1.618033")
+    assert phi.to_decimal(6) == "1.618033"
+    assert (-phi).to_decimal(6) == "-1.618034"
     assert fib_field.rational(Fraction(1, 2)).to_decimal(3) == "0.500"
     assert fib_field.rational(Fraction(-1, 2)).to_decimal(3) == "-0.500"
     assert fib_field.rational(3).to_decimal(0) == "3"
@@ -235,8 +237,6 @@ GOLDEN_TIMES_SQRT2 = [2, 2, -3, -1, 1]
 def reference_sign(a) -> int:
     """The sign decided without the field's level: gcd + Sturm certificate
     for zero, then bisection from level 0."""
-    from bratteli import ratpoly as rp
-
     f = a.field
     p = list(a.coeffs)
     if not p:
@@ -246,7 +246,7 @@ def reference_sign(a) -> int:
         return 0
     k = 0
     while True:
-        vlo, vhi = rp.eval_interval(p, *f.refined(k))
+        vlo, vhi = reference_eval_interval(p, *f.refined(k))
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -266,7 +266,7 @@ def test_reducible_modulus_zero_divisors():
     f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
     assert len(f.modulus) == 5  # kept whole: no rational roots to strip
     lam = f.lam()
-    assert lam.to_decimal(6) in ("1.618033", "1.618034")
+    assert lam.to_decimal(6) == "1.618033"
     sqrt2_factor = lam * lam - 2
     assert sqrt2_factor.coeffs and sqrt2_factor.sign() == 1  # phi^2 - 2 > 0
     inv = sqrt2_factor.inverse()
@@ -305,3 +305,92 @@ def test_decisions_after_hard_sign_match_reference(data):
         expected = reference_sign(x)
         assert x.is_zero() == (expected == 0)
         assert x.sign() == expected
+
+
+# -- refinement, interval evaluation and decimals against their references ------
+
+# x^3 - x^2 - 2x - 2, the field of the rand3 diagram in conftest.py
+RAND3_CHARPOLY = [-2, -2, -1, 1]
+# (characteristic polynomial, minimal polynomial of its lambda)
+REFERENCE_FIELDS = [(GOLDEN, GOLDEN), (GOLDEN_TIMES_SQRT2, GOLDEN), (RAND3_CHARPOLY, RAND3_CHARPOLY)]
+
+
+def reference_levels(f, k: int) -> list:
+    """Isolating intervals of levels 0..k, bisected by Sturm counts."""
+    out = [(f.lo, f.hi)]
+    while len(out) <= k:
+        lo, hi = out[-1]
+        mid = (lo + hi) / 2
+        out.append((lo, mid) if rp.count_roots_halfopen(f._reduced, lo, mid) == 1 else (mid, hi))
+    return out
+
+
+def reference_eval_interval(p, lo, hi):
+    """Interval Horner evaluation with all four endpoint products."""
+    alo = ahi = Fraction(0)
+    for c in reversed(p):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi
+
+
+def reference_decimal(a, digits: int) -> str:
+    """Floor truncation by search: bisect from level 0 until the enclosure is
+    narrower than 10^-digits, then settle the floor with exact signs."""
+    scale = 10**digits
+    k = 0
+    while True:
+        vlo, vhi = reference_eval_interval(a.coeffs, *a.field.refined(k))
+        if (vhi - vlo) * scale < 1:
+            break
+        k += 1
+    m = floor(vlo * scale)
+    while reference_sign(a - Fraction(m + 1, scale)) >= 0:
+        m += 1
+    while reference_sign(a - Fraction(m, scale)) < 0:
+        m -= 1
+    q, r = divmod(abs(m), scale)
+    return ("-" if m < 0 else "") + str(q) + (f".{r:0{digits}d}" if digits else "")
+
+
+def test_rand3_charpoly(rand3):
+    assert field_from_charpoly(RAND3_CHARPOLY) == rand3.field
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REFERENCE_FIELDS), st.integers(min_value=0, max_value=40))
+def test_refined_matches_sturm_bisection(charpolys, k):
+    f = field_from_charpoly(charpolys[0])
+    expected = reference_levels(f, k)
+    assert f.refined(k) == expected[k]
+    assert [f.refined(j) for j in range(k + 1)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, max_size=6), rationals.map(abs), rationals.map(abs))
+def test_eval_interval_matches_four_products(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    assert rp.eval_interval(p, lo, hi) == reference_eval_interval(p, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_to_decimal_matches_search(data):
+    charpoly, minimal = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    f = field_from_charpoly(charpoly)
+    lam = f.lam()
+    # grid values, with a non-constant representative where the modulus is
+    # reducible: their enclosures straddle the grid point at every level
+    zero = f.element(minimal)
+    grid = st.sampled_from([0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 8)])
+    on_grid = st.tuples(grid, elements(f)).map(lambda t: zero * t[1] + t[0])
+    large = elements(f).map(lambda x: x * lam**6)
+    a = data.draw(st.one_of(on_grid, elements(f), large))
+    if data.draw(st.booleans()):
+        # lambda - c with c the lower end of the level-n interval decides
+        # only above level n, so the field's level ends up above n
+        n = data.draw(st.integers(min_value=30, max_value=40))
+        assert (lam - f.refined(n)[0]).sign() == 1
+        assert f._level > n
+    for d in data.draw(st.permutations(range(9))):
+        assert a.to_decimal(d) == reference_decimal(a, d)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bratteli.errors import IncompatibleHorizontal, ParseError
+from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge
 from bratteli.paths import (
+    MAX_DECODE_TILES,
     PathPrefix,
     af_equiv,
     decode,
@@ -13,6 +14,7 @@ from bratteli.paths import (
     enumerate_paths,
     extremal_paths,
     parse_path,
+    patch_size,
     rb_base_member,
     rb_base_translation,
     rb_equiv,
@@ -135,6 +137,25 @@ def test_decode_collared_single_letter(dyadic):
     # one supertile of padding on each side
     assert len(collared.tiles) == 3 * len(plain.tiles)
     assert collared.puncture_index == len(plain.tiles) + plain.puncture_index
+
+
+def test_patch_size_matches_decode(fib, tm):
+    for diagram in (fib, tm):
+        mins, maxs = extremal_paths(diagram)
+        for x in (mins[0], maxs[0]):
+            for n in range(1, 13):
+                gamma = x.prefix(n)
+                assert patch_size(gamma) == len(decode(gamma).tiles)
+                assert patch_size(gamma, collared=True) == len(decode_collared(gamma).tiles)
+
+
+def test_decode_refuses_large_patch(fib):
+    gamma = parse_path(fib, "root=a; (ab bd da)").prefix(40)
+    for fn, collared in ((decode, False), (decode_collared, True)):
+        tiles = patch_size(gamma, collared)
+        assert tiles > MAX_DECODE_TILES
+        with pytest.raises(PatchTooLarge, match=f"depth 40 .* {tiles} tiles, .* limit of {MAX_DECODE_TILES}$"):
+            fn(gamma)
 
 
 # -- tail equivalence --------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bratteli.errors import (
     EmptyRule,
@@ -93,14 +95,27 @@ def test_comments_and_blank_lines():
     assert len(sub.alphabet) == 2
 
 
-def test_primitivity_index_oracle():
-    m_fib = [[1, 1], [1, 0]]
-    assert primitivity_index(m_fib) == 2 == primitivity_by_powers(m_fib, 5)
-    with pytest.raises(NotPrimitive):
-        primitivity_index([[1, 0], [0, 1]])
-    csub = collared_substitution(load_fixture("fibonacci"))
-    m = csub.collared_abelianization
-    assert primitivity_index(m) == primitivity_by_powers(m, (len(m) - 1) ** 2 + 1)
+# nonnegative n x n matrices, n = 1..7, sparse enough that many are
+# imprimitive or reducible
+square_matrices = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices)
+@example([[1, 1], [1, 0]])
+@example([[1, 0], [0, 1]])
+@example(collared_substitution(load_fixture("fibonacci")).collared_abelianization)
+def test_primitivity_index_oracle(m):
+    expected = primitivity_by_powers(m, (len(m) - 1) ** 2 + 1)  # None: not primitive
+    if expected is None:
+        with pytest.raises(NotPrimitive):
+            primitivity_index(m)
+    else:
+        assert primitivity_index(m) == expected
 
 
 def test_legal_words_fibonacci():
