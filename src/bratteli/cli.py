@@ -33,6 +33,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "depth", None) is not None and args.depth < 1:
+            raise BratteliError(f"--depth must be at least 1, got {args.depth}")
+        if getattr(args, "steps", 0) < 0:
+            raise BratteliError(f"--steps must be at least 0, got {args.steps}")
         return args.func(args)
     except BratteliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -153,9 +157,9 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def _prefix_of(args, path, default_depth=None):
+def _prefix_of(args, path):
     if isinstance(path, EventuallyPeriodicPath):
-        depth = args.depth or default_depth or (len(path.pre) + len(path.cycle) + 1)
+        depth = args.depth if args.depth is not None else (len(path.pre) + len(path.cycle) + 1)
         return path.prefix(depth)
     return path
 
@@ -244,7 +248,7 @@ def cmd_rb(args) -> int:
 def cmd_analyze(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    gamma = _prefix_of(args, path, default_depth=args.depth)
+    gamma = _prefix_of(args, path)
     prof = gap_profile(gamma)
     print(f"path: {render_path(path)}")
     print("generation | g_L | g_R")

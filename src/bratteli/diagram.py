@@ -14,6 +14,14 @@ incident and whose labels satisfy, after dividing out lambda^(n-2),
 
     c(e_left) + lambda * c(h_bot) = c(h_top) + c(e_right).
 
+The census sums each side once per incident pair: L(e_left, h_bot) on the
+left, kept on the diagram as the square's `square_usum`, and R(h_top,
+e_right) on the right.  An incident triple (h_top, e_left, e_right) whose
+bottom ends no horizontal joins is skipped before any arithmetic, and each
+candidate h_bot is decided by the exact test L.equals(R), with no inverse
+of lambda.  The scan order fixes the order of `squares` and of the JSON
+export.
+
 The full zero-residual square set drives the extended-equivalence decision
 procedure.  Squares whose two horizontals are trivial realize tail
 equivalence; the remaining ones split into transient squares (every chain
@@ -75,6 +83,8 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
+        # (e_left, h_bot) -> c(e_left) + lambda * c(h_bot), filled by the census
+        self.usums: dict[tuple[int, int], AlgebraicNumber] = {}
         self.squares = enumerate_squares(self)
         self._classify_squares()
         self._pairing = None
@@ -165,8 +175,9 @@ class BratteliDiagram:
         return (ht, s.e_right, s.e_left, hb)
 
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
-        """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale."""
-        return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
+        """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
+        (the left side L of the census's square equation)."""
+        return self.usums[s.e_left, s.h_bot]
 
     def _is_canonical(self, s: DiagramTemplate, usum_sign: dict) -> bool:
         """usum_sign: key -> square_usum sign of every square that is not its
@@ -263,25 +274,31 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
 
 
 def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
-    """Exhaustive scan for incident quadruples with exactly zero residual.
-
-    The residual is tested in its multiplied form,
-    lambda * c(h_bot) - (c(h_top) + c(e_right) - c(e_left)), which is zero
-    at lambda exactly when the residual divided by lambda is (lambda > 1),
-    so no inverse is taken; lambda * c(h_bot) is formed once per horizontal.
-    """
-    lam_bot = [diagram.lam * h.coeff for h in diagram.horizontals]
+    """Exhaustive scan for incident quadruples with exactly zero residual,
+    by the pair sums L and R of the module docstring; fills `diagram.usums`."""
+    lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
+    for h in diagram.horizontals:
+        if h.coeff.coeffs not in lam_c:
+            lam_c[h.coeff.coeffs] = diagram.lam * h.coeff
+    usums = diagram.usums
     out = []
     for ht in diagram.horizontals:
+        rsums: dict[int, AlgebraicNumber] = {}  # e_right -> c(h_top) + c(e_right)
         for el in diagram.out_edges[ht.src]:
-            top_left = ht.coeff - el.coeff
             for er in diagram.out_edges[ht.rng]:
-                target = top_left + er.coeff
-                matches = [
-                    hb
-                    for hb in diagram.h_by_ends.get((el.rng, er.rng), [])
-                    if (lam_bot[hb.index] - target).is_zero()
-                ]
+                cands = diagram.h_by_ends.get((el.rng, er.rng))
+                if not cands:
+                    continue
+                rsum = rsums.get(er.index)
+                if rsum is None:
+                    rsum = rsums[er.index] = ht.coeff + er.coeff
+                matches = []
+                for hb in cands:
+                    lsum = usums.get((el.index, hb.index))
+                    if lsum is None:
+                        lsum = usums[el.index, hb.index] = el.coeff + lam_c[hb.coeff.coeffs]
+                    if lsum.equals(rsum):
+                        matches.append(hb)
                 assert len(matches) <= 1
                 for hb in matches:
                     kind = "af" if (ht.trivial and hb.trivial) else "nontrivial"

@@ -186,12 +186,16 @@ class AlgebraicNumber:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: ModulusField, coeffs):
-        p = rp.poly(coeffs)
-        if rp.degree(p) >= rp.degree(field._reduced):
-            p = rp.rem(p, field._reduced)
+    def __init__(self, field: ModulusField, coeffs, normalised: bool = False):
+        """`normalised=True` takes `coeffs` as given: a tuple of Fractions with
+        no trailing zero and fewer entries than the reduced modulus has."""
+        if not normalised:
+            p = rp.poly(coeffs)
+            if rp.degree(p) >= rp.degree(field._reduced):
+                p = rp.rem(p, field._reduced)
+            coeffs = tuple(p)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(p))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *args):
         raise AttributeError("AlgebraicNumber is immutable")
@@ -208,21 +212,23 @@ class AlgebraicNumber:
             return other
         return AlgebraicNumber(self.field, [Fraction(other)])
 
+    # +, -, negation and scale cannot raise the degree: no reduction needed
     def __add__(self, other) -> AlgebraicNumber:
         other = self._coerce(other)
-        return AlgebraicNumber(self.field, rp.add(list(self.coeffs), list(other.coeffs)))
+        return AlgebraicNumber(self.field, _sum(self.coeffs, other.coeffs), normalised=True)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> AlgebraicNumber:
         other = self._coerce(other)
-        return AlgebraicNumber(self.field, rp.sub(list(self.coeffs), list(other.coeffs)))
+        minus = tuple(-c for c in other.coeffs)
+        return AlgebraicNumber(self.field, _sum(self.coeffs, minus), normalised=True)
 
     def __rsub__(self, other) -> AlgebraicNumber:
         return self._coerce(other) - self
 
     def __neg__(self) -> AlgebraicNumber:
-        return AlgebraicNumber(self.field, rp.neg(list(self.coeffs)))
+        return AlgebraicNumber(self.field, tuple(-c for c in self.coeffs), normalised=True)
 
     def __mul__(self, other) -> AlgebraicNumber:
         other = self._coerce(other)
@@ -231,7 +237,8 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def scale(self, q) -> AlgebraicNumber:
-        return AlgebraicNumber(self.field, rp.scale(list(self.coeffs), Fraction(q)))
+        q = Fraction(q)
+        return AlgebraicNumber(self.field, tuple(q * c for c in self.coeffs) if q else (), normalised=True)
 
     def __truediv__(self, other) -> AlgebraicNumber:
         other = self._coerce(other)
@@ -313,7 +320,10 @@ class AlgebraicNumber:
         return (self - other).sign()
 
     def equals(self, other) -> bool:
-        return (self - self._coerce(other)).is_zero()
+        """Equal at lambda: identical representatives are, in any modulus;
+        others (possible in a reducible modulus) take the exact zero test."""
+        other = self._coerce(other)
+        return self.coeffs == other.coeffs or (self - other).is_zero()
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -358,6 +368,15 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"<{self.render()}>"
+
+
+def _sum(p: tuple, q: tuple) -> tuple:
+    """p + q of normalised coefficient tuples, normalised."""
+    out = [a + b for a, b in zip(p, q)]
+    out.extend(p[len(q) :] or q[len(p) :])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _ext_gcd_inverse(a: rp.Poly, m: rp.Poly) -> rp.Poly:

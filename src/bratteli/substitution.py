@@ -209,28 +209,32 @@ def _solve_exact(rows, k):
 def legal_words(sub: Substitution, n: int) -> set[Word]:
     """All length-n factors of the subshift.
 
-    Iterates the substitution on every letter and harvests factors until the
-    set is unchanged for two consecutive rounds; for a primitive
-    substitution these sets are nondecreasing and eventually constant.
+    The legal 2-words are the closure, under w -> 2-factors of sigma(w), of
+    the 2-factors of the rule images; it ends because there are at most
+    |A|^2 of them.  The n-words are then the n-factors of sigma^k(xy) over
+    legal 2-words xy, with k the least power at which every |sigma^k(a)| >=
+    n - 1: an n-word inside sigma^k(u) for a long legal u then meets at most
+    two consecutive blocks sigma^k(x) sigma^k(y) (Anderson & Putnam, ETDS
+    18, 1998).  Such a k exists because a primitive substitution with
+    lambda > 1 makes every |sigma^k(a)| grow without bound.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    words = {(a.id,) for a in sub.alphabet}
-    current = {(a.id,) for a in sub.alphabet}
-    factors: set[Word] = set()
-    stable_rounds = 0
-    while stable_rounds < 2:
-        current = {sub.apply(w) for w in current}
-        new_factors = set()
-        for w in current:
-            for i in range(len(w) - n + 1):
-                new_factors.add(w[i : i + n])
-        if new_factors <= factors and all(len(w) >= n for w in current):
-            stable_rounds += 1
-        else:
-            stable_rounds = 0
-        factors |= new_factors
-    return factors
+    pairs: set[Word] = set()
+    todo = [w for a in sub.alphabet for w in _factors(sub.rules[a.id], 2)]
+    while todo:
+        w = todo.pop()
+        if w not in pairs:
+            pairs.add(w)
+            todo.extend(_factors(sub.apply(w), 2))
+    blocks = {a.id: (a.id,) for a in sub.alphabet}
+    while min(map(len, blocks.values())) < n - 1:
+        blocks = {a: sub.apply(w) for a, w in blocks.items()}
+    return {f for x, y in pairs for f in _factors(blocks[x] + blocks[y], n)}
+
+
+def _factors(w: Word, n: int) -> list[Word]:
+    return [w[i : i + n] for i in range(len(w) - n + 1)]
 
 
 def aperiodicity_screen(sub: Substitution, limit: int = 12) -> int | None:

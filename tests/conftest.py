@@ -31,6 +31,20 @@ def draw_random_spec(seed: int) -> str:
         return text
 
 
+# Seeds of the random family that the properties below are also checked on.
+RANDOM_FAMILY_SEEDS = range(20)
+
+
+@pytest.fixture(scope="session")
+def random_specs():
+    return [draw_random_spec(seed) for seed in RANDOM_FAMILY_SEEDS]
+
+
+@pytest.fixture(scope="session")
+def random_diagrams(random_specs):
+    return [build_diagram(parse_spec(text)) for text in random_specs]
+
+
 @pytest.fixture(scope="session")
 def fib():
     return build_diagram(load_fixture("fibonacci"))

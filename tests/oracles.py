@@ -24,6 +24,33 @@ def string_factors(s: str, n: int) -> set[str]:
     return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
+def legal_words_fixed_point(sub, n: int) -> set:
+    """All length-n factors of the subshift.
+
+    Iterates the substitution on every letter and harvests factors until the
+    set is unchanged for two consecutive rounds; for a primitive
+    substitution these sets are nondecreasing and eventually constant.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    words = {(a.id,) for a in sub.alphabet}
+    current = {(a.id,) for a in sub.alphabet}
+    factors: set = set()
+    stable_rounds = 0
+    while stable_rounds < 2:
+        current = {sub.apply(w) for w in current}
+        new_factors = set()
+        for w in current:
+            for i in range(len(w) - n + 1):
+                new_factors.add(w[i : i + n])
+        if new_factors <= factors and all(len(w) >= n for w in current):
+            stable_rounds += 1
+        else:
+            stable_rounds = 0
+        factors |= new_factors
+    return factors
+
+
 # -- numerics by plain bisection --------------------------------------------------
 
 

@@ -2,19 +2,88 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
+
+import pytest
 
 from bratteli.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
+
+# SHA-256 of the stdout of every README command (and of the file that --out
+# writes), recorded before the pair-sum census, the one-pass add/sub and the
+# bounded legal words replaced the code they run.
+README_SHA256 = {
+    "bratteli collar --fixture fibonacci": "39c772d596f9a25624c7f640871f6bffc63caf32fa91c4d27854615c9ca4aa92",
+    "bratteli diagram --fixture fibonacci --format json": "0cb1e8b59ec63342c375771c400891fde351d06fa0bbdddc3877d5d9f8224b32",
+    "bratteli diagram --fixture thue-morse --depth 3 --format dot --out tm.dot": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        " 121fa48dd4a84c73289724b984a746f4937a92a3680db0b4317cc077ae6fcc1c"
+    ),
+    'bratteli decode --fixture fibonacci --x "root=a; ac ca ab"': "7a4f335c6597caeb60725502177a342e09a959bee78b23d59ecac2c0786d0bae",
+    'bratteli decode --fixture fibonacci --collared --x "root=a;"': "fb046f966b02689881281bc0f842ac18da76136834b30349192b026787ee4dd6",
+    "bratteli extremes --fixture fibonacci": "4fdb9656cd4d0a5abc0a2a2cdfef54d24c6e7add7d00376f4dc1d557ead5ca94",
+    'bratteli vershik --fixture fibonacci --x "root=b; (bd db)" --steps 5': "fae7e0164dae23964cbc57e0fc811eda5bab661f852d6681ca35d4406764351a",
+    'bratteli rb --fixture fibonacci --x "root=a; (ac ca)" --y "root=b; (bd db)"': "af0d2a4114ea4792349acf4f5f1d324aec7e8a4755c747df2bd3a99920bb52c0",
+    'bratteli analyze --fixture fibonacci --x "root=a; (ab bd da)"': "a798ce74a9b79ea6d66236084fe0c15f41ffdc505a91ae75a6db0b0e000bbb27",
+    "bratteli verify-paper fibonacci": "98934a6937f892def2f3ad7acdafb3c27581c208b4b2e0afc0e1d17b7c8443ef",
+    "bratteli verify-paper thue-morse": "e5b1d57947098aa2e9af0626ad52e64c804df969a4b1ded007e57ab42611febc",
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_commands() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("  #")[0].strip() for line in block.strip().splitlines()]
+
+
+def test_readme_commands_byte_identical(capsys, tmp_path):
+    commands = readme_commands()
+    assert sorted(commands) == sorted(README_SHA256)
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        out_file = None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            out_file = argv[i] = str(tmp_path / argv[i])
+        code, out, _ = run(capsys, *argv)
+        digest = sha256(out.encode()).hexdigest()
+        if out_file:
+            digest += " " + sha256(Path(out_file).read_bytes()).hexdigest()
+        assert (code, digest) == (0, README_SHA256[command]), command
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decode", "--x", "root=a; (ab bd da)", "--depth", "-3"], "--depth must be at least 1, got -3"),
+        (["decode", "--x", "root=a; (ab bd da)", "--depth", "0"], "--depth must be at least 1, got 0"),
+        (["analyze", "--x", "root=a; (ab bd da)", "--depth", "0"], "--depth must be at least 1, got 0"),
+        (["diagram", "--format", "dot", "--depth", "0"], "--depth must be at least 1, got 0"),
+        (["vershik", "--x", "root=b; (bd db)", "--steps", "-1"], "--steps must be at least 0, got -1"),
+    ],
+)
+def test_bad_depth_or_steps_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--fixture", "fibonacci")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_smallest_depth_and_steps(capsys):
+    code, out, _ = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "1")
+    assert code == 0 and "word: a\u0307\n" in out
+    code, out, _ = run(capsys, "vershik", "--fixture", "fibonacci", "--x", "root=b; (bd db)", "--steps", "0")
+    assert code == 0 and out == "start: root=b; (bd db)\n"
 
 
 def test_collar_fibonacci(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from hashlib import sha256
 
 from bratteli.diagram import (
     DiagramTemplate,
@@ -126,10 +127,25 @@ def brute_force_squares(diagram):
     return found
 
 
-def test_squares_match_brute_force(fib, tm, dyadic, rand3):
-    for diagram in (fib, tm, dyadic, rand3):
+def test_squares_match_brute_force(fib, tm, dyadic, rand3, random_diagrams):
+    for diagram in (fib, tm, dyadic, rand3, *random_diagrams):
         got = {s.key() for s in diagram.squares}
         assert got == brute_force_squares(diagram)
+
+
+# SHA-256 of export_json, recorded before the census summed each side of the
+# square equation once per incident pair; pins template and square order.
+EXPORT_JSON_SHA256 = {
+    "fibonacci": "0cb1e8b59ec63342c375771c400891fde351d06fa0bbdddc3877d5d9f8224b32",
+    "thue-morse": "934c6fe36d3721cd30ede9bcc4f1fa2bbf4a12d9da8e3547f40098202d09d00e",
+    "doubling": "b13575e993906ebb6c257df049619719b8a6ae1bc53c737123e78db7ba6fc856",
+    "rand3": "5bcddb20daca33abbb042311e9a1539fb9077315a7a515cd182e66e634e7ea35",
+}
+
+
+def test_export_json_byte_identical(all_diagrams):
+    for name, diagram in all_diagrams.items():
+        assert sha256(export_json(diagram).encode()).hexdigest() == EXPORT_JSON_SHA256[name], name
 
 
 def test_fibonacci_square_census(fib):

@@ -394,3 +394,43 @@ def test_to_decimal_matches_search(data):
         assert f._level > n
     for d in data.draw(st.permutations(range(9))):
         assert a.to_decimal(d) == reference_decimal(a, d)
+
+
+# -- one-pass linear operations and equals -------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_ops_match_normalising_constructor(data):
+    f = field_from_charpoly(data.draw(st.sampled_from([GOLDEN, RAND3_CHARPOLY, GOLDEN_TIMES_SQRT2])))
+    wide = st.lists(rationals, max_size=len(f.modulus) + 1).map(f.element)
+    a, b, q = data.draw(wide), data.draw(wide), data.draw(rationals)
+    pa, pb = list(a.coeffs), list(b.coeffs)
+    cases = [
+        (a + b, rp.add(pa, pb)),
+        (a - b, rp.sub(pa, pb)),
+        (a - a, []),
+        (-a, rp.neg(pa)),
+        (a.scale(q), rp.scale(pa, q)),
+        (a + q, rp.add(pa, [q])),
+        (q - a, rp.sub([q], pa)),
+    ]
+    for got, p in cases:
+        assert got.coeffs == f.element(p).coeffs
+        assert not got.coeffs or got.coeffs[-1] != 0
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equals_across_representatives(data):
+    f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    lam = f.lam()
+    a = data.draw(elements(f))
+    c = data.draw(st.lists(rationals, max_size=2).map(f.element))
+    # (x^2 - x - 1) c has degree <= 3 < deg(modulus): no reduction, so b is
+    # another representative of a's value unless c = 0
+    b = a + (lam * lam - lam - 1) * c
+    assert (b.coeffs != a.coeffs) == bool(c.coeffs)
+    assert a.equals(b) and b.equals(a)
+    assert not a.equals(b + 1) and not (a + Fraction(1, 3)).equals(b)

@@ -21,7 +21,7 @@ from bratteli.substitution import (
     primitivity_index,
 )
 
-from oracles import expand_word, primitivity_by_powers, string_factors
+from oracles import expand_word, legal_words_fixed_point, primitivity_by_powers, string_factors
 
 FIB_RULES = {"0": "01", "1": "0"}
 TM_RULES = {"0": "01", "1": "10"}
@@ -141,6 +141,13 @@ def test_legal_words_truncation_invariant():
             bigger = legal_words(sub, n + 1)
             truncated = {w[i : i + n] for w in bigger for i in range(2)}
             assert truncated == legal_words(sub, n)
+
+
+def test_legal_words_match_fixed_point_on_random_family(random_specs):
+    for text in random_specs:
+        sub = parse_spec(text)
+        for n in (1, 2, 3, 4, 5, 6, 12):
+            assert legal_words(sub, n) == legal_words_fixed_point(sub, n), (text, n)
 
 
 def test_aperiodicity_screen_values():
