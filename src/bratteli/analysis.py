@@ -108,8 +108,6 @@ def escape_depth(x: EventuallyPeriodicPath, bound) -> int:
 def af_region(x: EventuallyPeriodicPath, depth: int) -> list[AlgebraicNumber]:
     """Exact puncture positions of all tiles of the depth-n patch around the
     origin: the finite-depth approximation of the tail-equivalence region."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     return decode(x.prefix(depth)).puncture_positions()
 
 

@@ -29,6 +29,15 @@ through them falls into the trivial ones) and the finitely many recurrent
 squares that can be composed indefinitely.  The recurrent squares, stored
 once per orientation, are the diagram's commutative-diagram templates: for
 the Fibonacci and Thue-Morse systems there are exactly 2 and 4 of them.
+
+Square t composes after square s when t.h_top = s.h_bot, so the
+composability graph of the nontrivial squares is the line graph of a much
+smaller one: its nodes are the horizontals, and each nontrivial square is
+an arc h_top -> h_bot.  A chain s, t_1, ..., t_k, s of composable squares
+is the same thing as a walk t_1 ... t_k from s.h_bot back to s.h_top, so a
+square is recurrent exactly when its h_bot reaches its h_top (a square
+with h_top = h_bot composes with itself).  One reachability search per
+distinct h_bot classifies every square, with no graph over square pairs.
 """
 
 from __future__ import annotations
@@ -85,8 +94,7 @@ class BratteliDiagram:
         self._index_templates()
         # (e_left, h_bot) -> c(e_left) + lambda * c(h_bot), filled by the census
         self.usums: dict[tuple[int, int], AlgebraicNumber] = {}
-        self.squares = enumerate_squares(self)
-        self._classify_squares()
+        self._classify_squares(enumerate_squares(self))
         self._pairing = None
 
     # -- lookups ---------------------------------------------------------------
@@ -141,57 +149,52 @@ class BratteliDiagram:
 
     # -- square classification ---------------------------------------------------
 
-    def _classify_squares(self):
+    def _classify_squares(self, keys: list[tuple[int, int, int, int]]):
+        hs = self.horizontals
         self.square_table: dict[tuple[int, int, int], int] = {}
-        for s in self.squares:
-            key = (s.h_top, s.e_left, s.e_right)
-            assert key not in self.square_table
-            self.square_table[key] = s.h_bot
-        nontrivial = [s for s in self.squares if s.kind != "af"]
-        # composability graph over directed nontrivial squares
-        arcs = {
-            s.key(): [t.key() for t in nontrivial if t.h_top == s.h_bot] for s in nontrivial
-        }
-        cyclic_keys = _recurrent_nodes(arcs)
-        relabeled = []
-        for s in self.squares:
-            kind = s.kind
-            if kind != "af":
-                kind = "cyclic" if s.key() in cyclic_keys else "transient"
-            relabeled.append(DiagramTemplate(s.h_top, s.e_left, s.e_right, s.h_bot, kind))
-        usum_sign = {
-            s.key(): self.square_usum(s).sign() for s in relabeled if self.mirror_key(s) != s.key()
-        }
-        self.squares = [
-            DiagramTemplate(s.h_top, s.e_left, s.e_right, s.h_bot, s.kind, self._is_canonical(s, usum_sign))
-            for s in relabeled
-        ]
+        arcs: dict[int, list[int]] = {h.index: [] for h in hs}  # nontrivial squares as arcs h_top -> h_bot
+        for ht, el, er, hb in keys:
+            assert (ht, el, er) not in self.square_table
+            self.square_table[ht, el, er] = hb
+            if not (hs[ht].trivial and hs[hb].trivial):
+                arcs[ht].append(hb)
+        reach: dict[int, set[int]] = {}  # h_bot -> the horizontals it reaches
+        usum_sign = {k: self.usums[k[1], k[3]].sign() for k in keys if self._mirror_key(k) != k}
+        self.squares = []
+        for k in keys:
+            ht, hb = k[0], k[3]
+            if hs[ht].trivial and hs[hb].trivial:
+                kind = "af"
+            else:
+                if hb not in reach:
+                    reach[hb] = _reachable(hb, arcs.__getitem__)
+                kind = "cyclic" if ht in reach[hb] else "transient"
+            self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k, usum_sign)))
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
 
-    def mirror_key(self, s: DiagramTemplate) -> tuple[int, int, int, int]:
-        ht = self.horizontals[s.h_top].opposite
-        hb = self.horizontals[s.h_bot].opposite
-        return (ht, s.e_right, s.e_left, hb)
+    def _mirror_key(self, k: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        ht, el, er, hb = k
+        return (self.horizontals[ht].opposite, er, el, self.horizontals[hb].opposite)
 
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
         (the left side L of the census's square equation)."""
         return self.usums[s.e_left, s.h_bot]
 
-    def _is_canonical(self, s: DiagramTemplate, usum_sign: dict) -> bool:
+    def _is_canonical(self, k: tuple[int, int, int, int], usum_sign: dict) -> bool:
         """usum_sign: key -> square_usum sign of every square that is not its
         own mirror (a usum depends only on the key)."""
-        mk = self.mirror_key(s)
-        if mk == s.key():
+        mk = self._mirror_key(k)
+        if mk == k:
             return True
-        sgn = usum_sign[s.key()]
+        sgn = usum_sign[k]
         msgn = usum_sign[mk]
         if sgn < 0 and msgn >= 0:
             return True
         if msgn < 0 and sgn >= 0:
             return False
-        return s.key() < mk
+        return k < mk
 
     def cyclic_diagrams(self) -> list[DiagramTemplate]:
         return list(self.diagrams)
@@ -273,9 +276,10 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     return out
 
 
-def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
-    """Exhaustive scan for incident quadruples with exactly zero residual,
-    by the pair sums L and R of the module docstring; fills `diagram.usums`."""
+def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
+    """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
+    incident quadruples with exactly zero residual, by the pair sums L and R
+    of the module docstring; fills `diagram.usums`."""
     lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
     for h in diagram.horizontals:
         if h.coeff.coeffs not in lam_c:
@@ -300,72 +304,20 @@ def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
                     if lsum.equals(rsum):
                         matches.append(hb)
                 assert len(matches) <= 1
-                for hb in matches:
-                    kind = "af" if (ht.trivial and hb.trivial) else "nontrivial"
-                    out.append(
-                        DiagramTemplate(
-                            h_top=ht.index,
-                            e_left=el.index,
-                            e_right=er.index,
-                            h_bot=hb.index,
-                            kind=kind,
-                        )
-                    )
+                out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
     return out
 
 
-def _recurrent_nodes(arcs: dict) -> set:
-    """Nodes of a digraph lying on at least one cycle (Tarjan SCCs)."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    recurrent: set = set()
-
-    def strongconnect(v):
-        work = [(v, iter(arcs[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(arcs[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1:
-                    recurrent.update(comp)
-                elif comp and comp[0] in arcs[comp[0]]:
-                    recurrent.add(comp[0])
-
-    for v in arcs:
-        if v not in index:
-            strongconnect(v)
-    return recurrent
+def _reachable(start, successors) -> set:
+    """Nodes reachable from start along successors(node), start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in successors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def diagram_chains(diagram: BratteliDiagram):
@@ -404,27 +356,13 @@ def hypothesis_check(diagram: BratteliDiagram) -> int | None:
     Sufficient exact check: each vertex is reachable from the root (every
     vertex has an incoming edge at every generation) and the forward
     template graph from each vertex reaches a vertex with >= 2 outgoing
-    verticals.  Returns a violating vertex index, or None.
+    verticals (a vertex with no outgoing vertical reaches only itself).
+    Returns the lowest violating vertex index, or None.
     """
-    n = len(diagram.vertices)
-    for v in range(n):
-        if not diagram.in_edges[v] or not diagram.out_edges[v]:
-            return v
-        seen = {v}
-        frontier = [v]
-        ok = False
-        while frontier and not ok:
-            nxt = []
-            for w in frontier:
-                if len(diagram.out_edges[w]) >= 2:
-                    ok = True
-                    break
-                for e in diagram.out_edges[w]:
-                    if e.rng not in seen:
-                        seen.add(e.rng)
-                        nxt.append(e.rng)
-            frontier = nxt
-        if not ok:
+    out_edges = diagram.out_edges
+    for v in range(len(diagram.vertices)):
+        forward = _reachable(v, lambda w: (e.rng for e in out_edges[w]))
+        if not diagram.in_edges[v] or all(len(out_edges[w]) < 2 for w in forward):
             return v
     return None
 

@@ -141,15 +141,13 @@ def render_poly_x(p: rp.Poly) -> str:
     return _render(p, "x")
 
 
-def field_from_charpoly(charpoly, which_root: str = "perron") -> ModulusField:
+def field_from_charpoly(charpoly) -> ModulusField:
     """Field carrying the largest real root (> 1) of a characteristic polynomial.
 
     The modulus is the square-free part of the input; the isolating interval
     is found by bisecting down from the Cauchy bound until the Sturm count
     over (lo, hi] is exactly 1.
     """
-    if which_root != "perron":
-        raise ValueError(f"unsupported root selector: {which_root!r}")
     p = rp.poly(charpoly)
     if rp.degree(p) < 1:
         raise ValueError("charpoly must have degree >= 1")

@@ -145,6 +145,8 @@ class EventuallyPeriodicPath:
         return self.template_at(n).rng
 
     def prefix(self, n: int) -> PathPrefix:
+        if n < 1:
+            raise ValueError("depth must be >= 1")
         return PathPrefix(
             self.diagram, self.root, [self.edge_index_at(k) for k in range(2, n + 1)]
         )
@@ -316,6 +318,23 @@ def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
     return word, idx
 
 
+def _lay_out(csub, word, collared: bool, start: AlgebraicNumber) -> list[PatchTile]:
+    """Tiles of a generation-1 word laid end to end rightward from start:
+    collared letters of csub if collared, else letters of its base."""
+    base = csub.base
+    tiles = []
+    for w in word:
+        if collared:
+            cl = csub.collared_alphabet[w]
+            name, core, length = cl.name, cl.core, csub.length_of(w)
+        else:
+            name, core, length = base.alphabet[w].name, w, base.lengths[w]
+        end = start + length
+        tiles.append(PatchTile(name=name, base=base.alphabet[core].name, collared=collared, left=start, right=end))
+        start = end
+    return tiles
+
+
 def decode(gamma: PathPrefix) -> DecodedPatch:
     """The generation-1 patch carried by a finite path: the full expansion
     of its top vertex, with the puncture tile centered at 0 and the core
@@ -324,26 +343,11 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
     _refuse_large(gamma, collared=False)
     d = gamma.diagram
     csub = d.csub
-    f = d.field
     word, idx = _trace(gamma)
-    lengths = [csub.length_of(w) for w in word]
-    # cumulative layout, then shift the puncture tile's center to 0
-    cum = [f.zero]
-    for ln in lengths:
-        cum.append(cum[-1] + ln)
-    shift = cum[idx] + lengths[idx].scale("1/2")
-    tiles = []
-    for i, w in enumerate(word):
-        cl = csub.collared_alphabet[w]
-        tiles.append(
-            PatchTile(
-                name=cl.name,
-                base=csub.base.alphabet[cl.core].name,
-                collared=True,
-                left=cum[i] - shift,
-                right=cum[i + 1] - shift,
-            )
-        )
+    shift = csub.length_of(word[idx]).scale("1/2")  # puncture center from the patch's left end
+    for w in word[:idx]:
+        shift = shift + csub.length_of(w)
+    tiles = _lay_out(csub, word, True, -shift)
     offset = u_of_prefix(gamma)
     top = gamma.top_vertex()
     span = d.lam ** (gamma.length - 1) * csub.length_of(top)
@@ -369,59 +373,26 @@ def decode_collared(gamma: PathPrefix) -> DecodedPatch:
     the contexts expand through the plain substitution and stay undecorated.
     Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
     _refuse_large(gamma, collared=True)
-    d = gamma.diagram
-    csub = d.csub
+    csub = gamma.diagram.csub
     base = csub.base
     core = decode(gamma)
     cl = csub.collared_alphabet[gamma.top_vertex()]
-    n = gamma.length
-
-    def plain_expand(letter: int) -> list[int]:
-        word = (letter,)
-        for _ in range(n - 1):
-            word = base.apply(word)
-        return list(word)
-
-    left_word = plain_expand(cl.left)
-    right_word = plain_expand(cl.right)
-    tiles: list[PatchTile] = []
-    cursor = core.left
-    for w in reversed(left_word):
-        ln = base.lengths[w]
-        tiles.insert(
-            0,
-            PatchTile(
-                name=base.alphabet[w].name,
-                base=base.alphabet[w].name,
-                collared=False,
-                left=cursor - ln,
-                right=cursor,
-            ),
-        )
-        cursor = cursor - ln
-    patch_left = cursor
-    tiles.extend(core.tiles)
-    cursor = core.right
-    for w in right_word:
-        ln = base.lengths[w]
-        tiles.append(
-            PatchTile(
-                name=base.alphabet[w].name,
-                base=base.alphabet[w].name,
-                collared=False,
-                left=cursor,
-                right=cursor + ln,
-            )
-        )
-        cursor = cursor + ln
+    left_word, right_word = (cl.left,), (cl.right,)
+    for _ in range(gamma.length - 1):
+        left_word, right_word = base.apply(left_word), base.apply(right_word)
+    width = base.field.zero
+    for w in left_word:
+        width = width + base.lengths[w]
+    left_tiles = _lay_out(csub, left_word, False, core.left - width)
+    right_tiles = _lay_out(csub, right_word, False, core.right)
     return DecodedPatch(
-        tiles=tiles,
+        tiles=left_tiles + core.tiles + right_tiles,
         puncture_index=len(left_word) + core.puncture_index,
         offset=core.offset,
         top_vertex=core.top_vertex,
-        depth=n,
-        left=patch_left,
-        right=cursor,
+        depth=gamma.length,
+        left=left_tiles[0].left,
+        right=right_tiles[-1].right,
         core_left=core.left,
         core_right=core.right,
     )
@@ -445,36 +416,19 @@ def extremal_paths(diagram: BratteliDiagram):
 
 
 def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodicPath]:
+    """With f(w) = pick(w).src, v roots an extremal path iff its f-orbit
+    returns to v; going up the path runs backward through that orbit."""
     pick = diagram.min_edge_into if minimal else diagram.max_edge_into
     n = len(diagram.vertices)
-    f = {v: pick(v).src for v in range(n)}
-    on_cycle: set[int] = set()
-    for v in range(n):
-        seen = {}
-        w = v
-        while w not in seen:
-            seen[w] = True
-            w = f[w]
-        # w is on a cycle; walk it
-        cyc = [w]
-        u = f[w]
-        while u != w:
-            cyc.append(u)
-            u = f[u]
-        on_cycle.update(cyc)
     paths = []
-    for v in sorted(on_cycle):
-        # going up the path runs backward through the f-orbit
-        pred = {f[w]: w for w in on_cycle if f[w] in on_cycle}
-        cyc_templates = []
-        cur = v
-        while True:
-            up = pred[cur]
-            cyc_templates.append(pick(up).index)
-            cur = up
-            if cur == v:
-                break
-        paths.append(EventuallyPeriodicPath(diagram, v, [], cyc_templates))
+    for v in range(n):
+        orbit = [v]
+        w = pick(v).src
+        while w != v and len(orbit) < n:
+            orbit.append(w)
+            w = pick(w).src
+        if w == v:
+            paths.append(EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit)]))
     return paths
 
 

@@ -25,10 +25,6 @@ def degree(p: Sequence[Fraction]) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Sequence[Fraction]) -> bool:
-    return not p
-
-
 def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     n = max(len(p), len(q))
     out = [Fraction(0)] * n

@@ -141,6 +141,69 @@ def connects_everywhere(diagram, k: int) -> bool:
     return True
 
 
+# -- square recurrence and extremal paths ---------------------------------------------
+
+
+def recurrent_squares_by_definition(diagram) -> set:
+    """Keys of the nontrivial squares that reach themselves in the square
+    composability graph (arc s -> t iff t.h_top == s.h_bot), by a search
+    over squares rather than over horizontals."""
+    hs = diagram.horizontals
+    nontrivial = [s for s in diagram.squares if not (hs[s.h_top].trivial and hs[s.h_bot].trivial)]
+    arcs = {s.key(): [t.key() for t in nontrivial if t.h_top == s.h_bot] for s in nontrivial}
+    recurrent = set()
+    for s in arcs:
+        seen = set()
+        frontier = list(arcs[s])
+        while frontier:
+            t = frontier.pop()
+            if t not in seen:
+                seen.add(t)
+                frontier.extend(arcs[t])
+        if s in seen:
+            recurrent.add(s)
+    return recurrent
+
+
+def extremes_by_predecessor_map(diagram, minimal: bool):
+    """All-minimal (or all-maximal) paths: collect the vertices on cycles of
+    v -> source of the extremal edge into v, then walk each cycle backward
+    through a predecessor map."""
+    from bratteli.paths import EventuallyPeriodicPath
+
+    pick = diagram.min_edge_into if minimal else diagram.max_edge_into
+    n = len(diagram.vertices)
+    f = {v: pick(v).src for v in range(n)}
+    on_cycle: set[int] = set()
+    for v in range(n):
+        seen = {}
+        w = v
+        while w not in seen:
+            seen[w] = True
+            w = f[w]
+        # w is on a cycle; walk it
+        cyc = [w]
+        u = f[w]
+        while u != w:
+            cyc.append(u)
+            u = f[u]
+        on_cycle.update(cyc)
+    paths = []
+    for v in sorted(on_cycle):
+        # going up the path runs backward through the f-orbit
+        pred = {f[w]: w for w in on_cycle if f[w] in on_cycle}
+        cyc_templates = []
+        cur = v
+        while True:
+            up = pred[cur]
+            cyc_templates.append(pick(up).index)
+            cur = up
+            if cur == v:
+                break
+        paths.append(EventuallyPeriodicPath(diagram, v, [], cyc_templates))
+    return paths
+
+
 # -- tail comparison and gluing -----------------------------------------------------
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from hashlib import sha256
+from types import SimpleNamespace
 
 from bratteli.diagram import (
     DiagramTemplate,
@@ -15,7 +16,7 @@ from bratteli.diagram import (
 )
 from bratteli.fixtures import doubling
 
-from oracles import paths_through
+from oracles import paths_through, recurrent_squares_by_definition
 
 
 def coeffs_by_label(diagram):
@@ -158,6 +159,15 @@ def test_fibonacci_square_census(fib):
     assert len(fib.diagrams) == 2  # canonical orientation only
 
 
+def test_recurrent_squares_match_definition(all_diagrams, random_diagrams):
+    for diagram in (*all_diagrams.values(), *random_diagrams):
+        hs = diagram.horizontals
+        for s in diagram.squares:
+            assert (s.kind == "af") == (hs[s.h_top].trivial and hs[s.h_bot].trivial)
+        cyclic = {s.key() for s in diagram.squares if s.kind == "cyclic"}
+        assert cyclic == recurrent_squares_by_definition(diagram)
+
+
 def test_fibonacci_diagram_usums(fib):
     phi = fib.lam
     sums = [fib.square_usum(s) for s in fib.diagrams]
@@ -211,6 +221,40 @@ def test_chains_empty_without_composable_pair(fib):
 def test_hypothesis_check(all_diagrams):
     for diagram in all_diagrams.values():
         assert hypothesis_check(diagram) is None
+
+
+def stub_diagram(n, edges):
+    """Just the vertex count and the (src, rng) verticals hypothesis_check reads."""
+    verticals = [SimpleNamespace(src=a, rng=b) for a, b in edges]
+    return SimpleNamespace(
+        vertices=list(range(n)),
+        out_edges={v: [e for e in verticals if e.src == v] for v in range(n)},
+        in_edges={v: [e for e in verticals if e.rng == v] for v in range(n)},
+    )
+
+
+def test_hypothesis_check_vertex_without_out_edge():
+    # 0 branches to 0 and 1, but 1 has nowhere to go
+    assert hypothesis_check(stub_diagram(2, [(0, 0), (0, 1)])) == 1
+
+
+def test_hypothesis_check_vertex_without_in_edge():
+    # 0 branches and 1 leads back to 0, but nothing enters 2
+    assert hypothesis_check(stub_diagram(3, [(0, 0), (0, 1), (1, 0), (2, 0)])) == 2
+
+
+def test_hypothesis_check_forward_closure_never_branches():
+    # 0 branches; the forward closure {1, 2} of 1 has single out-edges only
+    assert hypothesis_check(stub_diagram(3, [(0, 0), (0, 1), (1, 2), (2, 1)])) == 1
+    # 1 lies on no cycle but branches itself; only the closure {2} of 2 fails
+    assert hypothesis_check(stub_diagram(3, [(0, 0), (0, 1), (1, 2), (1, 2), (2, 2)])) == 2
+
+
+def test_hypothesis_check_returns_lowest_violator():
+    # nothing enters 1 and 2 has no out-edge: 1 is returned
+    assert hypothesis_check(stub_diagram(3, [(0, 0), (0, 2), (1, 0)])) == 1
+    # 1 has no out-edge and nothing enters 2: 1 is returned
+    assert hypothesis_check(stub_diagram(3, [(0, 0), (0, 1), (2, 0)])) == 1
 
 
 def test_hypothesis_path_count_oracle(fib, tm):

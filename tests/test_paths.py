@@ -24,7 +24,7 @@ from bratteli.paths import (
     vershik_successor,
 )
 
-from oracles import af_equiv_window, glued_translation
+from oracles import af_equiv_window, extremes_by_predecessor_map, glued_translation
 
 
 def h_index(diagram, srcname, rngname, sign):
@@ -64,6 +64,15 @@ def test_decode_thue_morse_word(tm):
     patch = decode(parse_path(tm, "root=a; ad dc cb"))
     assert patch.word() == "ecdefabc"
     assert patch.puncture_index == 5
+
+
+def test_prefix_depth_below_one_raises(fib):
+    x = parse_path(fib, "root=a; (ab bd da)")
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            x.prefix(depth)
+    gamma = x.prefix(1)
+    assert gamma.edges == () and gamma.top_vertex() == x.root
 
 
 def test_decode_root_only(fib):
@@ -221,6 +230,13 @@ def test_extremal_paths_doubling(dyadic):
     pairing = dyadic.pair_extremes()
     assert len(pairing.pairs) == 1
     assert pairing.pairs[0] == (maxs[0], mins[0])
+
+
+def test_extremal_paths_match_predecessor_oracle(all_diagrams, random_diagrams):
+    for diagram in (*all_diagrams.values(), *random_diagrams):
+        mins, maxs = extremal_paths(diagram)
+        assert [p.key() for p in mins] == [p.key() for p in extremes_by_predecessor_map(diagram, True)]
+        assert [p.key() for p in maxs] == [p.key() for p in extremes_by_predecessor_map(diagram, False)]
 
 
 def test_pairing_bijection(fib, tm):
