@@ -107,7 +107,11 @@ def _load(args):
     if getattr(args, "fixture", None):
         return load_fixture(args.fixture)
     with open(args.spec, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BratteliError(f"{args.spec} is not UTF-8 (byte {exc.start}: {exc.reason})") from None
+    return parse_spec(text)
 
 
 def _dec(value) -> str:

@@ -50,6 +50,8 @@ from .errors import ParseError
 from .exactnum import AlgebraicNumber
 from .substitution import CollaredSubstitution, Substitution, collared_substitution, legal_words, parse_spec
 
+_HALF = Fraction(1, 2)
+
 
 @dataclass(frozen=True)
 class VerticalTemplate:
@@ -222,7 +224,6 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
     """
     f = csub.base.field
     lam = f.lam()
-    half = Fraction(1, 2)
     out = []
     for w, rule in sorted(csub.collared_rules.items()):
         total = lam * csub.length_of(w)
@@ -230,9 +231,9 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
         for u in rule:
             layout_sum = layout_sum + csub.length_of(u)
         assert (layout_sum - total).is_zero(), "eigen-equation violated in layout"
-        cum = total.scale(-half)
+        cum = total.scale(-_HALF)
         for pos, u in enumerate(rule):
-            center = cum + csub.length_of(u).scale(half)
+            center = cum + csub.length_of(u).scale(_HALF)
             out.append(
                 VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=-center)
             )
@@ -267,7 +268,7 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
                 continue
             if (t.left, t.core, u.core, u.right) not in legal4:
                 continue
-            d = (base.lengths[t.core] + base.lengths[u.core]) * f.rational("1/2")
+            d = (base.lengths[t.core] + base.lengths[u.core]).scale(_HALF)
             i = len(out)
             emit(t.index, u.index, d, False, i + 1)
             emit(u.index, t.index, -d, False, i)

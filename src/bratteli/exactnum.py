@@ -13,12 +13,13 @@ lambda*, which is what all the translation-label bookkeeping needs:
   from the lower endpoint's, with no Sturm count per level, and caches it;
 * enclosure first: the field keeps one monotone bisection level, the finest
   at which a sign or decimal has been decided so far.  Every decision first
-  evaluates the element over the isolating interval at that level with
-  exact rational interval arithmetic; an enclosure that excludes 0 decides
-  "nonzero" and gives the sign.  Any starting level is sound: the cached
-  intervals are nested and interval Horner evaluation is inclusion-isotone,
-  so an enclosure excludes 0 only if the value is nonzero, and then it
-  excludes 0 at every finer level too;
+  encloses the element over the isolating interval at that level by
+  interval Horner evaluation in integers (`ratpoly.enclose`: numerators
+  over one common denominator, no Fraction built); an enclosure that
+  excludes 0 decides "nonzero" and gives the sign.  Any starting level is
+  sound: the cached intervals are nested and interval Horner evaluation is
+  inclusion-isotone, so an enclosure excludes 0 only if the value is
+  nonzero, and then it excludes 0 at every finer level too;
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff gcd(a, m)
   still has the isolated root, decided by a Sturm count over the isolating
   interval -- no numerics.  A value that is zero at lambda always reaches
@@ -36,12 +37,13 @@ all the desk-scale cases, but correctness never relies on that.
 
 Decimal output is floor truncation (-phi prints as -1.618034), monotone
 with respect to compare().  It refines up from the field's level until the
-enclosure lies in one grid cell, m <= vlo*10^d and vhi*10^d < m + 1, so m
-is the certified floor, and raises the level to where it stopped.  Only an
-enclosure still straddling a grid point when 2^8 times narrower than a cell
-(a value on or very near the grid) falls back to exact signs of the value
-minus m/10^d and (m+1)/10^d.  All values are immutable; the only mutable
-state on the field is monotone: the interval cache and the shared level.
+integer enclosure [vlo/den, vhi/den] lies in one grid cell, m = vlo*10^d //
+den and vhi*10^d < (m + 1)*den, so m is the certified floor, and raises the
+level to where it stopped.  Only an enclosure still straddling a grid point
+when 2^8 times narrower than a cell (a value on or very near the grid)
+falls back to exact signs of the value minus m/10^d and (m+1)/10^d.  All
+values are immutable; the only mutable state on the field is monotone: the
+interval cache and the shared level.
 """
 
 from __future__ import annotations
@@ -281,8 +283,7 @@ class AlgebraicNumber:
     def _sign_at(self, k: int) -> int | None:
         """+1 or -1 if the enclosure over the level-k interval excludes 0,
         None if it does not decide."""
-        lo, hi = self.field.refined(k)
-        vlo, vhi = rp.eval_interval(self.coeffs, lo, hi)
+        vlo, vhi, _ = rp.enclose(self.coeffs, *self.field.refined(k))
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -341,10 +342,10 @@ class AlgebraicNumber:
         scale = 10**digits
         k = f._level
         while True:
-            vlo, vhi = rp.eval_interval(self.coeffs, *f.refined(k))
-            m = (vlo * scale).__floor__()
-            inside = vhi * scale < m + 1  # m <= vlo*scale <= vhi*scale < m+1
-            narrow = (vhi - vlo) * (scale << _DECIMAL_GUARD) < 1
+            vlo, vhi, den = rp.enclose(self.coeffs, *f.refined(k))
+            m = vlo * scale // den
+            inside = vhi * scale < (m + 1) * den  # m <= vlo*scale/den <= vhi*scale/den < m+1
+            narrow = (vhi - vlo) * (scale << _DECIMAL_GUARD) < den
             if inside or narrow or k > 64 * (digits + _DECIMAL_GUARD):
                 break
             k += 1

@@ -9,6 +9,7 @@ Euclidean algorithms are fine.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Poly = list[Fraction]
@@ -110,18 +111,34 @@ def eval_at(p: Sequence[Fraction], x) -> Fraction:
     return acc
 
 
-def eval_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses {p(x) : lo <= x <= hi} exactly.
-    For lo >= 0 the signs of alo and ahi pick the extreme endpoint products."""
-    alo, ahi = Fraction(0), Fraction(0)
-    if lo >= 0:
-        for c in reversed(p):
-            alo, ahi = alo * (lo if alo >= 0 else hi) + c, ahi * (hi if ahi >= 0 else lo) + c
-        return alo, ahi
+def enclose(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """Interval Horner evaluation in integers: {p(x) : lo <= x <= hi} lies in
+    [vlo/den, vhi/den].  With p = a/D and x = t/q over common denominators,
+    each step is the Fraction step times the positive D*q^(d-i), so the
+    enclosure is the same.  For lo >= 0 the signs of the accumulators pick
+    the extreme endpoint products."""
+    if not p:
+        return 0, 0, 1
+    den = lcm(*(c.denominator for c in p))
+    q = lcm(lo.denominator, hi.denominator)
+    l, h = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    alo = ahi = 0
+    qk = 1
     for c in reversed(p):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
-    return alo, ahi
+        a = c.numerator * (den // c.denominator) * qk
+        if l >= 0:
+            alo, ahi = alo * (l if alo >= 0 else h) + a, ahi * (h if ahi >= 0 else l) + a
+        else:
+            prods = (alo * l, alo * h, ahi * l, ahi * h)
+            alo, ahi = min(prods) + a, max(prods) + a
+        qk *= q
+    return alo, ahi, den * qk // q
+
+
+def eval_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """`enclose` as a pair of Fractions."""
+    vlo, vhi, den = enclose(p, Fraction(lo), Fraction(hi))
+    return Fraction(vlo, den), Fraction(vhi, den)
 
 
 def squarefree_part(p: Sequence[Fraction]) -> Poly:
@@ -177,18 +194,11 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     p = poly(p)
     if degree(p) < 1:
         return []
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = lcm(*(c.denominator for c in p))
     ip = [int(c * den) for c in p]
-    while ip and ip[0] == 0:
-        ip = ip[1:]  # factor x; root 0 recorded below
-    roots = []
-    if eval_at(p, 0) == 0:
-        roots.append(Fraction(0))
-    if not ip:
-        return roots
-    for num in _divisors(abs(ip[0])):
+    roots = [Fraction(0)] if ip[0] == 0 else []
+    low = next(c for c in ip if c)  # the constant term once x^k is factored out
+    for num in _divisors(abs(low)):
         for d in _divisors(abs(ip[-1])):
             for cand in (Fraction(num, d), Fraction(-num, d)):
                 if cand not in roots and eval_at(p, cand) == 0:
@@ -196,41 +206,29 @@ def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
-def charpoly(matrix: Sequence[Sequence[int]]) -> Poly:
-    """Characteristic polynomial det(xI - M), by Faddeev-LeVerrier.
+def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:
+    """det(xI - M) and adj(xI - M) of an integer matrix, by Faddeev-LeVerrier.
 
-    Exact over the rationals; for an integer matrix the result is monic with
-    integer coefficients.
+    Returns the ascending coefficients of the monic characteristic polynomial
+    c_0 + ... + x^n and the integer matrices B_0..B_(n-1) with adj(xI - M) =
+    sum B_k x^(n-1-k): B_0 = I, B_k = M B_(k-1) + c_(n-k) I, c_(n-k) =
+    -tr(M B_(k-1))/k.  Every division is exact: the c's are integers.
     """
     n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    a = [row[:] for row in m]
+    coeffs = [0] * n + [1]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    adjugate = []
     for k in range(1, n + 1):
-        c = -sum(a[i][i] for i in range(n)) / k
+        adjugate.append(b)
+        a = [[sum(matrix[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c = -sum(a[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-        if k == n:
-            break
         for i in range(n):
             a[i][i] += c
-        a = [[sum(m[i][t] * a[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return poly(coeffs)
+        b = a
+    return coeffs, adjugate

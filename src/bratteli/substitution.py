@@ -2,10 +2,12 @@
 
 A substitution replaces each letter by a nonempty word; tiles are closed
 intervals with punctures at their centers, and the exact tile lengths are
-the entries of the Perron eigenvector of the abelianization matrix,
-normalized so the first letter has length 1.  A collared letter decorates a
-letter with its two neighbors (the legal 3-words), which is what makes the
-diagram construction force its border.
+the entries of the Perron eigenvector of the abelianization matrix M,
+normalized so the first letter has length 1: column 0 of the integer
+adjugate adj(lambda I - M), which Perron-Frobenius makes positive for
+primitive M.  A collared letter decorates a letter with its two neighbors
+(the legal 3-words), which is what makes the diagram construction force
+its border.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class Substitution:
             for y in self.rules[x]:
                 self.abelianization[x][y] += 1
         self.primitivity = primitivity_index(self.abelianization)
-        self.field: ModulusField = field_from_charpoly(rp.charpoly(self.abelianization))
+        charpoly, self.adjugate = rp.charpoly(self.abelianization)
+        self.field: ModulusField = field_from_charpoly(charpoly)
         self.lengths: dict[int, AlgebraicNumber] = perron_lengths(self)
 
     # -- basic word machinery -------------------------------------------------
@@ -128,30 +131,25 @@ def _or_selected(mask: int, rows: list[int]) -> int:
 
 
 def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:
-    """Exact tile lengths: solve sum_y M[x][y] l(y) = lambda l(x), l(0) = 1.
+    """Exact tile lengths: sum_y M[x][y] l(y) = lambda l(x), l(0) = 1.
 
-    The system has rank n-1 at the Perron root; the first length is pinned
-    to 1 and the rest solved by Gaussian elimination over Q(lambda).  All
-    equations are re-checked afterwards and positivity is asserted.
+    (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0, so every
+    column of the adjugate is a right eigenvector; its entries are integer
+    polynomials in lambda read off `sub.adjugate`.  For primitive M the
+    adjugate at the Perron root is entrywise positive (Perron-Frobenius), so
+    column 0 divided by its first entry gives the lengths with one inverse.
+    All equations are re-checked afterwards and positivity is asserted.
     """
     f = sub.field
     lam = f.lam()
     n = len(sub.alphabet)
-    m = sub.abelianization
-    if n == 1:
-        lengths = {0: f.one}
-    else:
-        # unknowns l(1)..l(n-1); rows: the eigen-equations for every letter
-        rows = []
-        for x in range(n):
-            coeff = [f.rational(m[x][y]) - (lam if x == y else f.zero) for y in range(n)]
-            rows.append((coeff[1:], -coeff[0]))
-        sol = _solve_exact(rows, n - 1)
-        if sol is None:
-            raise SingularSystem("length system is singular; modulus/eigenvalue mismatch")
-        lengths = {0: f.one}
-        for y in range(1, n):
-            lengths[y] = sol[y - 1]
+    b = sub.adjugate
+    col = [f.element([b[n - 1 - j][x][0] for j in range(n)]) for x in range(n)]
+    try:
+        inv = col[0].inverse()
+    except ZeroDivisionError:
+        raise SingularSystem("adjugate column vanishes at lambda; modulus/eigenvalue mismatch") from None
+    lengths = {x: col[x] * inv if x else f.one for x in range(n)}
     for x in range(n):
         total = f.zero
         for y in sub.rules[x]:
@@ -162,48 +160,6 @@ def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:
         if lengths[y].sign() != 1:
             raise SingularSystem(f"non-positive tile length for letter {y}")
     return lengths
-
-
-def _solve_exact(rows, k):
-    """Solve an overdetermined consistent linear system over Q(lambda).
-
-    rows: (coefficients list of length k, rhs).  Returns the solution or
-    None if the equations are inconsistent / rank-deficient.
-    """
-    rows = [([c for c in coeff], rhs) for coeff, rhs in rows]
-    pivots = []
-    for col in range(k):
-        pivot = None
-        for i, (coeff, _) in enumerate(rows):
-            if i in [p for p, _ in pivots]:
-                continue
-            if not coeff[col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        pivots.append((pivot, col))
-        pc = rows[pivot][0][col]
-        inv = pc.inverse()
-        rows[pivot] = ([c * inv for c in rows[pivot][0]], rows[pivot][1] * inv)
-        for i, (coeff, rhs) in enumerate(rows):
-            if i == pivot or coeff[col].is_zero():
-                continue
-            factor = coeff[col]
-            rows[i] = (
-                [c - factor * p for c, p in zip(coeff, rows[pivot][0])],
-                rhs - factor * rows[pivot][1],
-            )
-    sol = [None] * k
-    for pivot, col in pivots:
-        sol[col] = rows[pivot][1]
-    for coeff, rhs in rows:
-        acc = rhs
-        for c, s in zip(coeff, sol):
-            acc = acc - c * s
-        if not acc.is_zero():
-            return None
-    return sol
 
 
 def legal_words(sub: Substitution, n: int) -> set[Word]:
@@ -239,7 +195,11 @@ def _factors(w: Word, n: int) -> list[Word]:
 
 def aperiodicity_screen(sub: Substitution, limit: int = 12) -> int | None:
     """Morse-Hedlund screen: return the first n <= limit with p(n) <= n, or
-    None when the screen passes.  A pass is evidence, not a proof."""
+    None when the screen passes.  A pass is evidence, not a proof.
+
+    `parse_spec` runs it only for integer lambda: a periodic fixed point has
+    rational letter frequencies, a rational eigenvector of M for lambda, so
+    an irrational lambda is itself a proof of aperiodicity."""
     top = legal_words(sub, limit)
     for n in range(1, limit + 1):
         p_n = len({w[i : i + n] for w in top for i in range(limit - n + 1)})
@@ -373,6 +333,9 @@ def collared_substitution(sub: Substitution) -> CollaredSubstitution:
 
 
 def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
+    """Parse a spec.  With `check_aperiodicity`, a spec whose Perron root is
+    an integer must pass `aperiodicity_screen`; an irrational root already
+    proves the fixed point aperiodic, so no screen runs."""
     letters: list[Letter] | None = None
     rules: dict[int, Word] = {}
     rule_lines: dict[int, int] = {}
@@ -428,7 +391,7 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
     if letters is None:
         raise ParseError("missing letters line")
     sub = Substitution(letters, rules, collar_names)
-    if check_aperiodicity:
+    if check_aperiodicity and sub.field.rational_root is not None:
         n = aperiodicity_screen(sub)
         if n is not None:
             raise PeriodicDetected(n, len(legal_words(sub, n)))

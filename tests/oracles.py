@@ -8,6 +8,10 @@ comparison) so the tests never assert an implementation against itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
+from bratteli.errors import SingularSystem
+from bratteli.ratpoly import Poly, poly
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -104,6 +108,110 @@ def primitivity_by_powers(m, bound: int) -> int | None:
         if all_positive(mat_pow(m, k)):
             return k
     return None
+
+
+# -- Perron data by the former Fraction routes -----------------------------------
+
+
+def charpoly_by_fractions(matrix: Sequence[Sequence[int]]) -> Poly:
+    """Characteristic polynomial det(xI - M), by Faddeev-LeVerrier over Fractions.
+
+    Exact over the rationals; for an integer matrix the result is monic with
+    integer coefficients.
+    """
+    n = len(matrix)
+    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    a = [row[:] for row in m]
+    for k in range(1, n + 1):
+        c = -sum(a[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        if k == n:
+            break
+        for i in range(n):
+            a[i][i] += c
+        a = [[sum(m[i][t] * a[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return poly(coeffs)
+
+
+def perron_lengths_by_elimination(sub) -> dict:
+    """Exact tile lengths: solve sum_y M[x][y] l(y) = lambda l(x), l(0) = 1.
+
+    The system has rank n-1 at the Perron root; the first length is pinned
+    to 1 and the rest solved by Gaussian elimination over Q(lambda).  All
+    equations are re-checked afterwards and positivity is asserted.
+    """
+    f = sub.field
+    lam = f.lam()
+    n = len(sub.alphabet)
+    m = sub.abelianization
+    if n == 1:
+        lengths = {0: f.one}
+    else:
+        # unknowns l(1)..l(n-1); rows: the eigen-equations for every letter
+        rows = []
+        for x in range(n):
+            coeff = [f.rational(m[x][y]) - (lam if x == y else f.zero) for y in range(n)]
+            rows.append((coeff[1:], -coeff[0]))
+        sol = _solve_exact(rows, n - 1)
+        if sol is None:
+            raise SingularSystem("length system is singular; modulus/eigenvalue mismatch")
+        lengths = {0: f.one}
+        for y in range(1, n):
+            lengths[y] = sol[y - 1]
+    for x in range(n):
+        total = f.zero
+        for y in sub.rules[x]:
+            total = total + lengths[y]
+        if not (total - lam * lengths[x]).is_zero():
+            raise SingularSystem("eigen-equation residual nonzero")
+    for y in range(n):
+        if lengths[y].sign() != 1:
+            raise SingularSystem(f"non-positive tile length for letter {y}")
+    return lengths
+
+
+def _solve_exact(rows, k):
+    """Solve an overdetermined consistent linear system over Q(lambda).
+
+    rows: (coefficients list of length k, rhs).  Returns the solution or
+    None if the equations are inconsistent / rank-deficient.
+    """
+    rows = [([c for c in coeff], rhs) for coeff, rhs in rows]
+    pivots = []
+    for col in range(k):
+        pivot = None
+        for i, (coeff, _) in enumerate(rows):
+            if i in [p for p, _ in pivots]:
+                continue
+            if not coeff[col].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            return None
+        pivots.append((pivot, col))
+        pc = rows[pivot][0][col]
+        inv = pc.inverse()
+        rows[pivot] = ([c * inv for c in rows[pivot][0]], rows[pivot][1] * inv)
+        for i, (coeff, rhs) in enumerate(rows):
+            if i == pivot or coeff[col].is_zero():
+                continue
+            factor = coeff[col]
+            rows[i] = (
+                [c - factor * p for c, p in zip(coeff, rows[pivot][0])],
+                rhs - factor * rows[pivot][1],
+            )
+    sol = [None] * k
+    for pivot, col in pivots:
+        sol[col] = rows[pivot][1]
+    for coeff, rhs in rows:
+        acc = rhs
+        for c, s in zip(coeff, sol):
+            acc = acc - c * s
+        if not acc.is_zero():
+            return None
+    return sol
 
 
 # -- path counting ---------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_collar_periodic_spec_exits_2(capsys, tmp_path):
     assert "periodic" in err
 
 
+def test_non_utf8_spec_exits_2(capsys, tmp_path):
+    spec = tmp_path / "latin1.sub"
+    spec.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "collar", "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {spec} is not UTF-8") and "Traceback" not in err
+
+
 def test_diagram_json_counts(capsys):
     code, out, _ = run(capsys, "diagram", "--fixture", "fibonacci", "--format", "json")
     assert code == 0

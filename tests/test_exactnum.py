@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bratteli import ratpoly as rp
@@ -367,7 +367,9 @@ def test_refined_matches_sturm_bisection(charpolys, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(rationals, max_size=6), rationals.map(abs), rationals.map(abs))
+@given(st.lists(rationals, max_size=6), rationals, rationals)
+@example([Fraction(1), Fraction(-2), Fraction(3)], Fraction(-3, 2), Fraction(1, 3))
+@example([Fraction(-1, 3), Fraction(0), Fraction(5, 7)], Fraction(-2), Fraction(-1, 5))
 def test_eval_interval_matches_four_products(p, a, b):
     lo, hi = min(a, b), max(a, b)
     assert rp.eval_interval(p, lo, hi) == reference_eval_interval(p, lo, hi)
@@ -394,6 +396,7 @@ def test_to_decimal_matches_search(data):
         assert f._level > n
     for d in data.draw(st.permutations(range(9))):
         assert a.to_decimal(d) == reference_decimal(a, d)
+        assert f._level < 64 * (d + 8)  # decided before the refinement cap
 
 
 # -- one-pass linear operations and equals -------------------------------------

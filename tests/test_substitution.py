@@ -1,27 +1,44 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bratteli import substitution
 from bratteli.errors import (
     EmptyRule,
     NotPrimitive,
     ParseError,
     PeriodicDetected,
+    SingularSystem,
     UnknownLetter,
 )
-from bratteli.fixtures import doubling, load_fixture
+from bratteli.fixtures import DOUBLING_SPEC, FIXTURES, doubling, load_fixture
+from bratteli.ratpoly import charpoly
 from bratteli.substitution import (
+    Letter,
+    Substitution,
     aperiodicity_screen,
     collar_alphabet,
     collared_substitution,
     legal_words,
     parse_spec,
+    perron_lengths,
     primitivity_index,
 )
 
-from oracles import expand_word, legal_words_fixed_point, primitivity_by_powers, string_factors
+from conftest import RAND3_SPEC
+from oracles import (
+    charpoly_by_fractions,
+    expand_word,
+    legal_words_fixed_point,
+    mat_mul,
+    perron_lengths_by_elimination,
+    primitivity_by_powers,
+    string_factors,
+)
 
 FIB_RULES = {"0": "01", "1": "0"}
 TM_RULES = {"0": "01", "1": "10"}
@@ -116,6 +133,79 @@ def test_primitivity_index_oracle(m):
             primitivity_index(m)
     else:
         assert primitivity_index(m) == expected
+
+
+primitive_matrices = square_matrices.filter(lambda m: primitivity_by_powers(m, (len(m) - 1) ** 2 + 1))
+
+
+def substitution_of(m):
+    """The substitution whose rule for x lists the letter y M[x][y] times."""
+    n = len(m)
+    rules = {x: tuple(y for y in range(n) for _ in range(m[x][y])) for x in range(n)}
+    return Substitution([Letter(id=x, name=str(x)) for x in range(n)], rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_matrices)
+@example([[1, 1], [1, 0]])
+@example([[2]])
+@example(collared_substitution(load_fixture("thue-morse")).collared_abelianization)
+def test_charpoly_and_adjugate_match_fraction_oracle(m):
+    n = len(m)
+    coeffs, adjugate = charpoly(m)
+    assert coeffs == charpoly_by_fractions(m)
+    assert all(type(c) is int for c in coeffs)
+    # (xI - M) adj(xI - M) = det(xI - M) I, power by power of x:
+    # B_0 = I, B_k - M B_(k-1) = c_(n-k) I for k < n, and -M B_(n-1) = c_0 I
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert len(adjugate) == n and adjugate[0] == ident
+    for k in range(1, n + 1):
+        b = adjugate[k] if k < n else [[0] * n for _ in range(n)]
+        mb = mat_mul(m, adjugate[k - 1])
+        assert [[b[i][j] - mb[i][j] for j in range(n)] for i in range(n)] == [
+            [coeffs[n - k] * e for e in row] for row in ident
+        ]
+    if n > 1 or m[0][0] > 1:  # a Perron root above 1
+        sub = substitution_of(m)
+        expected = perron_lengths_by_elimination(sub)
+        assert all(sub.lengths[x].equals(expected[x]) for x in range(n))
+
+
+def test_perron_lengths_match_elimination_oracle(all_diagrams, random_specs):
+    subs = [d.csub.base for d in all_diagrams.values()] + [parse_spec(t) for t in random_specs]
+    for sub in subs:
+        expected = perron_lengths_by_elimination(sub)
+        assert sub.lengths[0].coeffs == (1,)
+        assert all(sub.lengths[x].equals(expected[x]) for x in range(len(sub.alphabet)))
+
+
+def test_perron_lengths_zero_pivot_is_singular():
+    sub = load_fixture("fibonacci")
+    vanishing = SimpleNamespace(
+        field=sub.field, alphabet=sub.alphabet, rules=sub.rules, adjugate=[[[0, 0], [0, 0]]] * 2
+    )
+    with pytest.raises(SingularSystem):
+        perron_lengths(vanishing)
+
+
+def test_irrational_lambda_skips_the_screen(monkeypatch, random_specs):
+    calls = []
+    screen = substitution.aperiodicity_screen
+    monkeypatch.setattr(substitution, "aperiodicity_screen", lambda sub: calls.append(sub) or screen(sub))
+    irrational = 0
+    for text in [*FIXTURES.values(), RAND3_SPEC, *random_specs]:
+        calls.clear()
+        sub = parse_spec(text)
+        if sub.field.rational_root is None:
+            irrational += 1
+            assert screen(sub) is None and calls == [], text
+        else:
+            assert calls == [sub], text
+    assert irrational >= 10  # fibonacci, rand3 and most of the random family
+    calls.clear()
+    with pytest.raises(PeriodicDetected):
+        parse_spec(DOUBLING_SPEC)  # integer lambda: still screened
+    assert len(calls) == 1
 
 
 def test_legal_words_fibonacci():
