@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .diagram import BratteliDiagram
 from .exactnum import AlgebraicNumber
 from .paths import EventuallyPeriodicPath, PathPrefix, decode
-from .substitution import primitivity_index
 
 
 @dataclass
@@ -25,10 +24,6 @@ class GapProfile:
     """Per-generation gaps (g_L(n), g_R(n)) for n = 1 .. depth."""
 
     gaps: list[tuple[AlgebraicNumber, AlgebraicNumber]]
-
-    def boundary_distance(self, n: int) -> AlgebraicNumber:
-        gl, gr = self.gaps[n - 1]
-        return gl if gl.compare(gr) <= 0 else gr
 
 
 def gap_profile(gamma: PathPrefix) -> GapProfile:
@@ -115,4 +110,4 @@ def minimality_horizon(diagram: BratteliDiagram) -> int:
     """Generations needed for any vertex to connect to every vertex: the
     primitivity index of the collared abelianization (stationarity makes the
     starting generation irrelevant)."""
-    return primitivity_index(diagram.csub.collared_abelianization)
+    return diagram.csub.collared_primitivity

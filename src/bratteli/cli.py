@@ -144,7 +144,7 @@ def cmd_diagram(args) -> int:
     elif args.format == "json":
         text = export_json(diagram)
     else:
-        n_cyclic = len(diagram.cyclic_diagrams())
+        n_cyclic = len(diagram.diagrams)
         n_h = sum(1 for h in diagram.horizontals if not h.trivial)
         text = (
             f"vertices: {' '.join(diagram.vertices)}\n"

@@ -198,9 +198,6 @@ class BratteliDiagram:
             return False
         return k < mk
 
-    def cyclic_diagrams(self) -> list[DiagramTemplate]:
-        return list(self.diagrams)
-
     def pair_extremes(self):
         from .paths import pair_extremes
 
@@ -468,11 +465,17 @@ def diagram_from_json(text: str) -> BratteliDiagram:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad diagram JSON: {exc}") from exc
-    spec = payload["spec"]
-    lines = ["letters: " + " ".join(spec["letters"])]
-    for name in spec["letters"]:
-        lines.append(f"rule {name}: " + " ".join(spec["rules"][name]))
-    lines.append("collar-names: " + " ".join(spec["collar-names"]))
+    if not isinstance(payload, dict):
+        raise ParseError("bad diagram JSON: top level must be an object")
+    spec = _field(payload, "spec", dict)
+    for key in ("vertices", "verticals", "horizontals", "diagrams"):
+        _field(payload, key, list)
+    letters = _field(spec, "letters", list, True, "spec.")
+    rules = _field(spec, "rules", dict, where="spec.")
+    lines = ["letters: " + " ".join(letters)]
+    for name in letters:
+        lines.append(f"rule {name}: " + " ".join(_field(rules, name, list, True, "spec.rules.")))
+    lines.append("collar-names: " + " ".join(_field(spec, "collar-names", list, True, "spec.")))
     sub = parse_spec("\n".join(lines), check_aperiodicity=False)
     diagram = build_diagram(sub)
     rebuilt = json.loads(export_json(diagram))
@@ -480,3 +483,16 @@ def diagram_from_json(text: str) -> BratteliDiagram:
         if rebuilt[key] != payload[key]:
             raise ParseError(f"diagram JSON does not round-trip on {key!r}")
     return diagram
+
+
+def _field(obj: dict, key: str, kind: type, strings: bool = False, where: str = ""):
+    """obj[key], or a ParseError naming where + key if it is missing or is
+    not a JSON object (kind dict) or array (kind list; of strings if strings)."""
+    name = repr(where + key)
+    if key not in obj:
+        raise ParseError(f"bad diagram JSON: missing key {name}")
+    value = obj[key]
+    if not isinstance(value, kind) or (strings and not all(isinstance(w, str) for w in value)):
+        shape = "an object" if kind is dict else "an array of strings" if strings else "an array"
+        raise ParseError(f"bad diagram JSON: {name} must be {shape}")
+    return value

@@ -8,6 +8,14 @@ repeating template cycle.  Every object of the worked examples -- extremal
 paths, their pairing, Vershik orbits, the extended-equivalence generators
 -- lives in this class.
 
+The pairing psi composes the recurrent commutative diagrams down the
+extremal columns.  down(h), the top of the square with the maximal edge on
+the left, the minimal edge on the right and h at the bottom, is unique: the
+square equation fixes its coefficient.  Each cycle of down pairs its left
+(maximal) column with its right (minimal) one; none is made of trivial
+loops alone, which primitivity with lambda > 1 forbids.  Extremal paths, psi
+and the extended-equivalence automaton share one walk to a repeated state.
+
 Tail (AF) equivalence of two eventually periodic paths is decided exactly
 from their normal forms.  The extended relation is decided by running a
 synchronized automaton whose states are horizontal templates linking the
@@ -20,7 +28,7 @@ infinite run exists iff the walk from some seed state revisits a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .diagram import BratteliDiagram, VerticalTemplate
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
@@ -37,24 +45,14 @@ class PathPrefix:
         self.diagram = diagram
         self.root = root
         self.edges = tuple(int(e) for e in edges)
-        v = root
-        for i, ei in enumerate(self.edges):
-            e = diagram.verticals[ei]
-            if e.src != v:
-                raise ParseError(
-                    f"edge {diagram.edge_label(e)} at generation {i + 2} "
-                    f"does not start at {diagram.vertices[v]}"
-                )
-            v = e.rng
+        _composed_range(diagram, root, self.edges)
 
     @property
     def length(self) -> int:
         return len(self.edges) + 1
 
     def top_vertex(self) -> int:
-        if not self.edges:
-            return self.root
-        return self.diagram.verticals[self.edges[-1]].rng
+        return self.vertex_at(self.length)
 
     def vertex_at(self, n: int) -> int:
         if n == 1:
@@ -77,6 +75,21 @@ class PathPrefix:
 
     def __repr__(self):
         return f"PathPrefix({render_path(self)})"
+
+
+def _composed_range(diagram: BratteliDiagram, root: int, edges) -> int:
+    """Range vertex of the edges laid upward from root; raises ParseError
+    at the first edge that does not start where the previous one ends."""
+    v = root
+    for i, ei in enumerate(edges):
+        e = diagram.verticals[ei]
+        if e.src != v:
+            raise ParseError(
+                f"edge {diagram.edge_label(e)} at generation {i + 2} "
+                f"does not start at {diagram.vertices[v]}"
+            )
+        v = e.rng
+    return v
 
 
 def u_of_prefix(gamma: PathPrefix) -> AlgebraicNumber:
@@ -113,18 +126,7 @@ class EventuallyPeriodicPath:
         self.pre = tuple(pre)
         self.cycle = tuple(cycle)
         # composability across preamble, into the cycle, and around it
-        v = root
-        for i, ei in enumerate(self.pre + self.cycle):
-            e = diagram.verticals[ei]
-            if e.src != v:
-                raise ParseError(
-                    f"edge {diagram.edge_label(e)} at generation {i + 2} "
-                    f"does not start at {diagram.vertices[v]}"
-                )
-            v = e.rng
-        if diagram.verticals[self.cycle[0]].src != self.diagram.verticals[
-            self.cycle[-1]
-        ].rng:
+        if diagram.verticals[self.cycle[0]].src != _composed_range(diagram, root, self.pre + self.cycle):
             raise ParseError("cycle does not close up")
 
     def key(self):
@@ -168,10 +170,7 @@ class EventuallyPeriodicPath:
 
     def is_maximal(self) -> bool:
         d = self.diagram
-        return all(
-            d.verticals[e].pos == len(d.in_edges[d.verticals[e].rng]) - 1
-            for e in self.pre + self.cycle
-        )
+        return all(e == d.max_edge_into(d.verticals[e].rng).index for e in self.pre + self.cycle)
 
     def __eq__(self, other):
         return (
@@ -253,9 +252,6 @@ class DecodedPatch:
         for i, t in enumerate(self.tiles):
             out.append(t.name + ("̇" if i == self.puncture_index else ""))
         return "".join(out)
-
-    def puncture_tile(self) -> PatchTile:
-        return self.tiles[self.puncture_index]
 
     def puncture_positions(self) -> list[AlgebraicNumber]:
         return [t.center for t in self.tiles]
@@ -419,17 +415,28 @@ def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodi
     """With f(w) = pick(w).src, v roots an extremal path iff its f-orbit
     returns to v; going up the path runs backward through that orbit."""
     pick = diagram.min_edge_into if minimal else diagram.max_edge_into
-    n = len(diagram.vertices)
     paths = []
-    for v in range(n):
-        orbit = [v]
-        w = pick(v).src
-        while w != v and len(orbit) < n:
-            orbit.append(w)
-            w = pick(w).src
-        if w == v:
+    for v in range(len(diagram.vertices)):
+        orbit, start = _cycle_walk(v, lambda w: pick(w).src)
+        if start == 0:
             paths.append(EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit)]))
     return paths
+
+
+def _cycle_walk(start, step):
+    """Walk start, step(start), ... until a state repeats.  Returns the walk
+    and the index in it where the cycle starts, or None if step returns
+    None first."""
+    seen: dict = {}
+    walk = []
+    state = start
+    while state not in seen:
+        seen[state] = len(walk)
+        walk.append(state)
+        state = step(state)
+        if state is None:
+            return None
+    return walk, seen[state]
 
 
 @dataclass
@@ -445,42 +452,43 @@ class Pairing:
 
 def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     """Pair each maximal path with a minimal path by composing the recurrent
-    commutative diagrams: each simple cycle of diagrams, started at each of
-    its phases, assembles one extremal path down each vertical column."""
-    from .diagram import diagram_chains
+    commutative diagrams down the extremal columns.
 
-    _, cycles = diagram_chains(diagram)
+    down(h) is the top horizontal of the square (h_top, max edge into h.src,
+    min edge into h.rng, h).  There is at most one: the edges fix the ends
+    of h_top and the square equation its coefficient, and horizontals with
+    equal ends have distinct coefficients.  Each h on a cycle of down is one
+    phase of a chain of squares: read upward from h, the left column is a
+    maximal path and the right column a minimal one.  No cycle of down is
+    made of trivial loops alone: two trivial loops in a row need a vertex
+    whose collared rule is one letter, and a cycle of such vertices would
+    be closed under the substitution, which primitivity with lambda > 1
+    rules out.
+    """
+    hs = diagram.horizontals
+    max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
+    down: dict[int, int] = {}
+    for (ht, el, er), hb in diagram.square_table.items():
+        h = hs[hb]
+        if el == max_in(h.src).index and er == min_in(h.rng).index:
+            assert hb not in down
+            down[hb] = ht
     mins, maxs = extremal_paths(diagram)
     min_set = {p.key(): p for p in mins}
     max_set = {p.key(): p for p in maxs}
     pairs: dict = {}
-    for cyc in cycles:
-        k = len(cyc)
-        for phase in range(k):
-            order = [cyc[(phase + j) % k] for j in range(k)]
-            left = [diagram.verticals[s.e_left].index for s in order]
-            right = [diagram.verticals[s.e_right].index for s in order]
-            lpath = EventuallyPeriodicPath(
-                diagram, diagram.verticals[left[0]].src, [], left
-            )
-            rpath = EventuallyPeriodicPath(
-                diagram, diagram.verticals[right[0]].src, [], right
-            )
-            lmin, lmax = lpath.is_minimal(), lpath.is_maximal()
-            rmin, rmax = rpath.is_minimal(), rpath.is_maximal()
-            if lmin and rmax and not (lmax and rmin):
-                mx, mn = rpath, lpath
-            elif rmin and lmax:
-                mx, mn = lpath, rpath
-            else:
-                raise UnpairedExtreme(
-                    f"diagram cycle columns are not extremal: {render_path(lpath)} / {render_path(rpath)}"
-                )
-            if mx.key() not in max_set or mn.key() not in min_set:
-                raise UnpairedExtreme("cycle column is not one of the extremal paths")
-            if mx.key() in pairs and pairs[mx.key()] != mn:
-                raise UnpairedExtreme("maximal path paired twice inconsistently")
-            pairs[mx.key()] = mn
+    for h in down:
+        found = _cycle_walk(h, down.get)
+        if found is None or found[1] != 0:
+            continue
+        column = [hs[g] for g in reversed(found[0])]
+        mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])
+        mn = EventuallyPeriodicPath(diagram, hs[h].rng, [], [min_in(g.rng).index for g in column])
+        if mx.key() not in max_set or mn.key() not in min_set:
+            raise UnpairedExtreme("cycle column is not one of the extremal paths")
+        if mx.key() in pairs and pairs[mx.key()] != mn:
+            raise UnpairedExtreme("maximal path paired twice inconsistently")
+        pairs[mx.key()] = mn
     if set(pairs) != set(max_set):
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if {p.key() for p in pairs.values()} != set(min_set):
@@ -493,26 +501,21 @@ def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
     """Successor in the left-to-right edge order; the decoded puncture moves
     exactly one tile to the right.  Maximal paths jump through the pairing."""
     d = x.diagram
-    horizon = len(x.pre) + len(x.cycle) + 1
-    change = None
-    for n in range(2, horizon + 1):
-        e = x.template_at(n)
-        if e.pos < len(d.in_edges[e.rng]) - 1:
-            change = n
-            break
-    if change is None:
+    if x.is_maximal():
         return d.pair_extremes().psi(x)
-    e = x.template_at(change)
+    flat = x.pre + x.cycle
+    # index in flat of the lowest edge that is not maximal: the changed edge
+    i = next(k for k, ei in enumerate(flat) if ei != d.max_edge_into(d.verticals[ei].rng).index)
+    e = d.verticals[flat[i]]
     new_e = d.in_edges[e.rng][e.pos + 1]
     refill: list[int] = []
     v = new_e.src
-    for _ in range(change - 2):
+    for _ in range(i):
         me = d.min_edge_into(v)
         refill.append(me.index)
         v = me.src
     refill.reverse()
     root = v
-    i = change - 2  # index of the changed edge in the flattened sequence
     if i < len(x.pre):
         pre = refill + [new_e.index] + list(x.pre[i + 1 :])
         cycle = list(x.cycle)
@@ -551,58 +554,33 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
     _same_diagram(x, y)
     d = x.diagram
     p0 = max(len(x.pre), len(y.pre)) + 2
-    period = _lcm(len(x.cycle), len(y.cycle))
+    period = lcm(len(x.cycle), len(y.cycle))
 
-    def step(phase: int, h: int) -> int | None:
+    def step(state: tuple[int, int]) -> tuple[int, int] | None:
+        phase, h = state
         n_next = p0 + phase + 1
-        el = x.edge_index_at(n_next)
-        er = y.edge_index_at(n_next)
-        return d.square_table.get((h, el, er))
+        nxt = d.square_table.get((h, x.edge_index_at(n_next), y.edge_index_at(n_next)))
+        return None if nxt is None else ((phase + 1) % period, nxt)
 
     best = None
     for phase in range(period):
         vx = x.vertex_at(p0 + phase)
         vy = y.vertex_at(p0 + phase)
         for h in d.h_by_ends.get((vx, vy), []):
-            seen: dict[tuple[int, int], int] = {}
-            walk: list[int] = []
-            p, cur = phase, h.index
-            dead = False
-            while (p, cur) not in seen:
-                seen[(p, cur)] = len(walk)
-                walk.append(cur)
-                nxt = step(p, cur)
-                if nxt is None:
-                    dead = True
-                    break
-                p, cur = (p + 1) % period, nxt
-            if dead:
+            found = _cycle_walk((phase, h.index), step)
+            if found is None:
                 continue
-            start = seen[(p, cur)]
-            cyc = walk[start:]
-            n0 = p0 + phase + start
-            cand = (n0, tuple(cyc))
+            walk, start = found
+            cand = (p0 + phase + start, tuple(cur for _, cur in walk[start:]))
             if best is None or cand < best:
                 best = cand
     if best is None:
         return None
     n0, chain = best
-    a0 = _chain_translation(x, y, n0, chain[0])
-    a1 = _chain_translation(x, y, n0 + len(chain), chain[0])
+    a0 = rb_base_translation(x.prefix(n0), y.prefix(n0), chain[0])
+    a1 = rb_base_translation(x.prefix(n0 + len(chain)), y.prefix(n0 + len(chain)), chain[0])
     assert (a0 - a1).is_zero(), "translation must be generation independent"
-    return RbWitness(n0=n0, chain=chain, translation=a0)
-
-
-def _chain_translation(x, y, n: int, h_index: int) -> AlgebraicNumber:
-    d = x.diagram
-    ux = u_of_prefix(x.prefix(n))
-    uy = u_of_prefix(y.prefix(n))
-    uh = d.horizontals[h_index].coeff * d.lam ** (n - 1)
-    return -(ux - uy + uh)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+    return RbWitness(n0=n0, chain=chain, translation=-a0)
 
 
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:
@@ -624,9 +602,8 @@ def rb_base_translation(gamma: PathPrefix, gamma2: PathPrefix, h_index: int) -> 
     """The translation a = u(gamma) - u(gamma') + u(h) attached to a base
     set of the extended relation; h must link the two range vertices at
     their common generation."""
+    _same_diagram(gamma, gamma2)
     d = gamma.diagram
-    if gamma.diagram is not gamma2.diagram:
-        raise ParseError("prefixes live on different diagrams")
     if gamma.length != gamma2.length:
         raise IncompatibleHorizontal("prefixes must have equal length")
     h = d.horizontals[h_index]
@@ -690,20 +667,16 @@ def parse_path(diagram: BratteliDiagram, text: str):
         cycle_part, trailing = after.split(")", 1)
         if trailing.strip():
             raise ParseError("unexpected text after the cycle")
+    pre_tokens = pre_part.split()
+    edges = []
     v = root
-    pre_edges = []
-    for tok in pre_part.split():
+    for tok in pre_tokens + cycle_part.split():
         e = _parse_edge_token(diagram, tok, v)
-        pre_edges.append(e.index)
+        edges.append(e.index)
         v = e.rng
     if not cycle_part.strip():
-        return PathPrefix(diagram, root, pre_edges)
-    cyc_edges = []
-    for tok in cycle_part.split():
-        e = _parse_edge_token(diagram, tok, v)
-        cyc_edges.append(e.index)
-        v = e.rng
-    return EventuallyPeriodicPath(diagram, root, pre_edges, cyc_edges)
+        return PathPrefix(diagram, root, edges)
+    return EventuallyPeriodicPath(diagram, root, edges[: len(pre_tokens)], edges[len(pre_tokens) :])
 
 
 def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> VerticalTemplate:

@@ -78,12 +78,6 @@ class Substitution:
 
     # -- basic word machinery -------------------------------------------------
 
-    def letter_by_name(self, name: str) -> Letter:
-        for a in self.alphabet:
-            if a.name == name:
-                return a
-        raise UnknownLetter(f"unknown letter {name!r}")
-
     def apply(self, word: Word) -> Word:
         out: list[int] = []
         for x in word:
@@ -92,9 +86,6 @@ class Substitution:
 
     def word_name(self, word: Word) -> str:
         return "".join(self.alphabet[x].name for x in word)
-
-    def lam(self) -> AlgebraicNumber:
-        return self.field.lam()
 
 
 def primitivity_index(matrix: list[list[int]]) -> int:
@@ -289,21 +280,6 @@ class CollaredSubstitution:
             for y in self.collared_rules[x]:
                 m[x][y] += 1
         return m
-
-    def by_name(self, name: str) -> CollaredLetter:
-        for cl in self.collared_alphabet:
-            if cl.name == name:
-                return cl
-        raise UnknownLetter(f"unknown collared letter {name!r}")
-
-    def by_triple(self, triple: tuple[int, int, int]) -> CollaredLetter:
-        return self.collared_alphabet[self._by_triple[triple]]
-
-    def apply(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in word:
-            out.extend(self.collared_rules[x])
-        return tuple(out)
 
     def name_of(self, index: int) -> str:
         return self.collared_alphabet[index].name

@@ -173,7 +173,7 @@ def _fibonacci_battery(diagram: BratteliDiagram) -> list[CheckResult]:
     _check(results, "horizontal adjacencies and labels", check_horizontals)
 
     def check_diagrams():
-        diags = diagram.cyclic_diagrams()
+        diags = diagram.diagrams
         _assert(len(diags) == 2, f"{len(diags)} recurrent commutative diagrams")
         sums = sorted(diagram.square_usum(s).to_decimal(6) for s in diags)
         expected = sorted(
@@ -293,7 +293,7 @@ def _thue_morse_battery(diagram: BratteliDiagram) -> list[CheckResult]:
     _check(results, "horizontal adjacencies all carry |c| = 2^(n-1)", check_horizontals)
 
     def check_diagrams():
-        diags = diagram.cyclic_diagrams()
+        diags = diagram.diagrams
         _assert(len(diags) == 4, f"{len(diags)} recurrent commutative diagrams")
         for s in diags:
             _assert(

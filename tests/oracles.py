@@ -312,6 +312,54 @@ def extremes_by_predecessor_map(diagram, minimal: bool):
     return paths
 
 
+def pairing_by_diagram_cycles(diagram):
+    """The pairing psi by enumerating every simple cycle of composable
+    canonical recurrent squares and sorting each cycle's two columns into
+    max and min, at each phase of the cycle."""
+    from bratteli.diagram import diagram_chains
+    from bratteli.errors import UnpairedExtreme
+    from bratteli.paths import EventuallyPeriodicPath, Pairing, extremal_paths, render_path
+
+    _, cycles = diagram_chains(diagram)
+    mins, maxs = extremal_paths(diagram)
+    min_set = {p.key(): p for p in mins}
+    max_set = {p.key(): p for p in maxs}
+    pairs: dict = {}
+    for cyc in cycles:
+        k = len(cyc)
+        for phase in range(k):
+            order = [cyc[(phase + j) % k] for j in range(k)]
+            left = [diagram.verticals[s.e_left].index for s in order]
+            right = [diagram.verticals[s.e_right].index for s in order]
+            lpath = EventuallyPeriodicPath(
+                diagram, diagram.verticals[left[0]].src, [], left
+            )
+            rpath = EventuallyPeriodicPath(
+                diagram, diagram.verticals[right[0]].src, [], right
+            )
+            lmin, lmax = lpath.is_minimal(), lpath.is_maximal()
+            rmin, rmax = rpath.is_minimal(), rpath.is_maximal()
+            if lmin and rmax and not (lmax and rmin):
+                mx, mn = rpath, lpath
+            elif rmin and lmax:
+                mx, mn = lpath, rpath
+            else:
+                raise UnpairedExtreme(
+                    f"diagram cycle columns are not extremal: {render_path(lpath)} / {render_path(rpath)}"
+                )
+            if mx.key() not in max_set or mn.key() not in min_set:
+                raise UnpairedExtreme("cycle column is not one of the extremal paths")
+            if mx.key() in pairs and pairs[mx.key()] != mn:
+                raise UnpairedExtreme("maximal path paired twice inconsistently")
+            pairs[mx.key()] = mn
+    if set(pairs) != set(max_set):
+        raise UnpairedExtreme("pairing does not cover every maximal path")
+    if {p.key() for p in pairs.values()} != set(min_set):
+        raise UnpairedExtreme("pairing does not cover every minimal path")
+    ordered = [(max_set[k], pairs[k]) for k in sorted(pairs)]
+    return Pairing(pairs=ordered)
+
+
 # -- tail comparison and gluing -----------------------------------------------------
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from hashlib import sha256
 from types import SimpleNamespace
 
+import pytest
+
 from bratteli.diagram import (
     DiagramTemplate,
     build_diagram,
@@ -14,6 +16,7 @@ from bratteli.diagram import (
     export_json,
     hypothesis_check,
 )
+from bratteli.errors import ParseError
 from bratteli.fixtures import doubling
 
 from oracles import paths_through, recurrent_squares_by_definition
@@ -312,6 +315,19 @@ def test_json_roundtrip_fixed_point(all_diagrams):
         blob = export_json(diagram)
         rebuilt = diagram_from_json(blob)
         assert export_json(rebuilt) == blob
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "missing key 'spec'"),
+        ("[]", "top level must be an object"),
+        ('{"spec": {"letters": ["a"], "rules": {"a": ["a"]}, "collar-names": []}}', "missing key 'vertices'"),
+    ],
+)
+def test_json_malformed_shape_is_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        diagram_from_json(text)
 
 
 def test_json_counts(fib):

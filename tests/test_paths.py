@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge
+from bratteli.diagram import build_diagram
+from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
+from bratteli.fixtures import load_fixture
 from bratteli.paths import (
     MAX_DECODE_TILES,
     PathPrefix,
@@ -13,6 +15,7 @@ from bratteli.paths import (
     decode_collared,
     enumerate_paths,
     extremal_paths,
+    pair_extremes,
     parse_path,
     patch_size,
     rb_base_member,
@@ -24,7 +27,12 @@ from bratteli.paths import (
     vershik_successor,
 )
 
-from oracles import af_equiv_window, extremes_by_predecessor_map, glued_translation
+from oracles import (
+    af_equiv_window,
+    extremes_by_predecessor_map,
+    glued_translation,
+    pairing_by_diagram_cycles,
+)
 
 
 def h_index(diagram, srcname, rngname, sign):
@@ -239,8 +247,8 @@ def test_extremal_paths_match_predecessor_oracle(all_diagrams, random_diagrams):
         assert [p.key() for p in maxs] == [p.key() for p in extremes_by_predecessor_map(diagram, False)]
 
 
-def test_pairing_bijection(fib, tm):
-    for diagram in (fib, tm):
+def test_pairing_bijection(all_diagrams, random_diagrams):
+    for diagram in (*all_diagrams.values(), *random_diagrams):
         mins, maxs = extremal_paths(diagram)
         pairing = diagram.pair_extremes()
         assert sorted(render_path(mx) for mx, _ in pairing.pairs) == sorted(
@@ -249,6 +257,32 @@ def test_pairing_bijection(fib, tm):
         assert sorted(render_path(mn) for _, mn in pairing.pairs) == sorted(
             render_path(p) for p in mins
         )
+
+
+def test_pairing_matches_diagram_cycle_oracle(all_diagrams, random_diagrams):
+    for diagram in (*all_diagrams.values(), *random_diagrams):
+        got = [(mx.key(), mn.key()) for mx, mn in pair_extremes(diagram).pairs]
+        want = [(mx.key(), mn.key()) for mx, mn in pairing_by_diagram_cycles(diagram).pairs]
+        assert got == want
+
+
+def test_psi_of_non_maximal_path_is_unpaired(fib):
+    with pytest.raises(UnpairedExtreme, match="not a known maximal path"):
+        fib.pair_extremes().psi(parse_path(fib, "root=a; (ac ca)"))
+
+
+def test_pairing_without_a_recurrent_square_does_not_cover():
+    diagram = build_diagram(load_fixture("fibonacci"))
+    lost = next(
+        s
+        for s in diagram.squares
+        if s.kind == "cyclic"
+        and s.e_left == diagram.max_edge_into(diagram.horizontals[s.h_bot].src).index
+        and s.e_right == diagram.min_edge_into(diagram.horizontals[s.h_bot].rng).index
+    )
+    del diagram.square_table[lost.h_top, lost.e_left, lost.e_right]
+    with pytest.raises(UnpairedExtreme, match="does not cover"):
+        pair_extremes(diagram)
 
 
 def test_vershik_of_max_is_paired_min(fib, tm):
