@@ -13,6 +13,8 @@ leftmost or all rightmost edges; otherwise both gaps run to infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .diagram import BratteliDiagram
 from .exactnum import AlgebraicNumber
@@ -29,14 +31,22 @@ class GapProfile:
 def gap_profile(gamma: PathPrefix) -> GapProfile:
     """Exact gaps for every prefix length, accumulated from the layout
     offsets of the chosen edges (no full decode needed)."""
-    d = gamma.diagram
+    return GapProfile(gaps=list(islice(_gaps(gamma), gamma.length)))
+
+
+def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
+    """(g_L(n), g_R(n)) for n = 1, 2, ... along a prefix or an eventually
+    periodic path, one generation at a time."""
+    d = path.diagram
     csub = d.csub
     f = d.field
-    gaps = [(f.zero, f.zero)]
     gl, gr = f.zero, f.zero
     power = f.one  # lambda^(n-2) at generation n
-    for n in range(2, gamma.length + 1):
-        e = gamma.template_at(n)
+    n = 1
+    while True:
+        yield gl, gr
+        n += 1
+        e = path.template_at(n)
         rule = csub.collared_rules[e.rng]
         left_off = f.zero
         for u in rule[: e.pos]:
@@ -47,8 +57,6 @@ def gap_profile(gamma: PathPrefix) -> GapProfile:
         gl = gl + left_off * power
         gr = gr + right_off * power
         power = power * d.lam
-        gaps.append((gl, gr))
-    return GapProfile(gaps=gaps)
 
 
 @dataclass
@@ -87,16 +95,15 @@ def classify_GF(x: EventuallyPeriodicPath) -> GFVerdict:
 
 
 def escape_depth(x: EventuallyPeriodicPath, bound) -> int:
-    """Smallest depth at which dist(t_1, boundary of t_n) exceeds `bound`
-    on both sides; only terminates for G-classified paths."""
+    """Smallest depth len(pre) + 1 + k * len(cycle), k >= 1, at which
+    dist(t_1, boundary of t_n) exceeds `bound` on both sides, found in one
+    pass over the generations; only terminates for G-classified paths."""
     if classify_GF(x).kind != "G":
         raise ValueError("only G-classified paths escape every bound")
     b = x.diagram.field.rational(bound)
-    depth = len(x.pre) + 1
-    while True:
-        depth += len(x.cycle)
-        gl, gr = gap_profile(x.prefix(depth)).gaps[-1]
-        if gl.compare(b) > 0 and gr.compare(b) > 0:
+    first, step = len(x.pre) + 1, len(x.cycle)
+    for depth, (gl, gr) in enumerate(_gaps(x), start=1):
+        if depth > first and (depth - first) % step == 0 and gl.compare(b) > 0 and gr.compare(b) > 0:
             return depth
 
 

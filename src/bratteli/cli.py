@@ -7,6 +7,7 @@ output is deterministic; exact values print first, 6-place decimals second.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import classify_GF, gap_profile
@@ -46,7 +47,9 @@ def main(argv=None) -> int:
         return 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="bratteli",
         description="Collared Bratteli diagrams of 1-d primitive substitution tilings",

@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DotTooLarge, ParseError
 from .exactnum import AlgebraicNumber
 from .substitution import CollaredSubstitution, Substitution, collared_substitution, legal_words, parse_spec
 
@@ -368,15 +368,31 @@ def hypothesis_check(diagram: BratteliDiagram) -> int | None:
 # -- exports ---------------------------------------------------------------------
 
 
+# Most lines export_dot writes.  Every generation adds a rank line plus its
+# vertical and nontrivial horizontal edges, all held in memory, so the count
+# is computed from the template counts and a larger export is refused first.
+MAX_DOT_LINES = 10**5
+
+
+def dot_line_count(diagram: BratteliDiagram, depth: int) -> int:
+    """Number of lines of export_dot(diagram, depth), computed without exporting."""
+    nontrivial = sum(1 for h in diagram.horizontals if not h.trivial)
+    return 4 + len(diagram.vertices) + depth * (1 + nontrivial) + (depth - 1) * len(diagram.verticals)
+
+
 def export_dot(diagram: BratteliDiagram, depth: int) -> str:
     """DOT digraph with `depth` generations unrolled.
 
     Vertical edges are solid and carry the exact label as an L-polynomial
     scaled by the generation law; horizontal edges are dashed, drawn within
-    each rank (trivial loops omitted).
+    each rank (trivial loops omitted).  Raises DotTooLarge above
+    MAX_DOT_LINES lines.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    count = dot_line_count(diagram, depth)
+    if count > MAX_DOT_LINES:
+        raise DotTooLarge(depth, count, MAX_DOT_LINES)
     lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point label=""];']
     names = diagram.vertices
 

@@ -54,6 +54,16 @@ class PatchTooLarge(BratteliError):
         self.limit = limit
 
 
+class DotTooLarge(BratteliError):
+    """A DOT export would have more lines than the library allows."""
+
+    def __init__(self, depth: int, lines: int, limit: int):
+        super().__init__(f"dot export at depth {depth} would have {lines} lines, above the limit of {limit}")
+        self.depth = depth
+        self.lines = lines
+        self.limit = limit
+
+
 class NoRootAboveOne(BratteliError):
     pass
 

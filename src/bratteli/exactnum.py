@@ -1,49 +1,44 @@
 """Exact arithmetic in Q(lambda) for a Perron inflation factor lambda.
 
-Elements live in Q[x]/(m) where m is the square-free part of a
-characteristic polynomial, together with an isolating interval that pins
-down which real root of m the symbol stands for.  m need not be
-irreducible, so the quotient ring can contain zero divisors; every
-predicate here (zero test, sign, comparison) is decided for the *value at
-lambda*, which is what all the translation-label bookkeeping needs:
+Elements live in Q[x]/(m), m the square-free part of a characteristic
+polynomial, with an isolating interval (lo, hi] that pins down which real
+root of m the symbol stands for.  m need not be irreducible, so the ring can
+have zero divisors; every predicate (zero test, sign, comparison) is decided
+for the *value at lambda*:
 
-* refinement: the reduced modulus (below) is square-free, has no rational
-  root and exactly one root in (lo, hi], a simple sign change that is never
-  a dyadic point; so bisection keeps the half whose midpoint sign differs
+* Sturm certificate: one integer Sturm sequence (`ratpoly.sturm_sequence`)
+  isolates the root when the field is built and certifies that m is
+  square-free with exactly one root in (lo, hi];
+* refinement: the reduced modulus (m with its rational roots other than
+  lambda divided out) is square-free, has no rational root and exactly one
+  root in (lo, hi], an irrational simple sign change; so bisection keeps
+  the half whose midpoint sign (an integer homogeneous evaluation) differs
   from the lower endpoint's, with no Sturm count per level, and caches it;
-* enclosure first: the field keeps one monotone bisection level, the finest
-  at which a sign or decimal has been decided so far.  Every decision first
-  encloses the element over the isolating interval at that level by
-  interval Horner evaluation in integers (`ratpoly.enclose`: numerators
-  over one common denominator, no Fraction built); an enclosure that
-  excludes 0 decides "nonzero" and gives the sign.  Any starting level is
-  sound: the cached intervals are nested and interval Horner evaluation is
-  inclusion-isotone, so an enclosure excludes 0 only if the value is
-  nonzero, and then it excludes 0 at every finer level too;
+* enclosure first: the field keeps one monotone level, the finest at which
+  a sign or decimal has been decided.  A decision first encloses the
+  element over that level's interval by interval Horner evaluation in
+  integers (`ratpoly.enclose`); an enclosure that excludes 0 decides
+  "nonzero" and the sign.  Any level is sound: the intervals are nested and
+  the evaluation is inclusion-isotone;
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff gcd(a, m)
-  still has the isolated root, decided by a Sturm count over the isolating
-  interval -- no numerics.  A value that is zero at lambda always reaches
-  this certificate;
-* sign: after a failed zero test, bisect further up from the field's level
-  until 0 is excluded (termination is guaranteed because a(lambda) != 0),
-  and raise the level to where the sign was decided;
-* division: divide modulo m with the factors of m that vanish away from
-  lambda deflated out, which is always possible and keeps the quotient a
-  valid representative of the quotient value.
+  still has the isolated root, decided by an integer Sturm count over
+  (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
+* sign: after a failed zero test, bisect up from the field's level until 0
+  is excluded (a(lambda) != 0 guarantees termination), then raise the level;
+* division: modulo m with the factors of m that vanish away from lambda
+  deflated out, which keeps the quotient a valid representative.
 
-Internally every element is reduced modulo a deflated modulus (rational
-roots of m other than lambda stripped), so representatives are canonical in
-all the desk-scale cases, but correctness never relies on that.
+Elements are reduced modulo the reduced modulus, so representatives are
+canonical in all the desk-scale cases, but correctness never relies on that.
 
-Decimal output is floor truncation (-phi prints as -1.618034), monotone
-with respect to compare().  It refines up from the field's level until the
-integer enclosure [vlo/den, vhi/den] lies in one grid cell, m = vlo*10^d //
-den and vhi*10^d < (m + 1)*den, so m is the certified floor, and raises the
-level to where it stopped.  Only an enclosure still straddling a grid point
-when 2^8 times narrower than a cell (a value on or very near the grid)
-falls back to exact signs of the value minus m/10^d and (m+1)/10^d.  All
-values are immutable; the only mutable state on the field is monotone: the
-interval cache and the shared level.
+Decimal output is floor truncation (-phi prints as -1.618034), monotone with
+compare().  It refines up from the field's level until the enclosure
+[vlo/den, vhi/den] lies in one grid cell, m = vlo*10^d // den and
+vhi*10^d < (m + 1)*den, so m is the certified floor, and raises the level
+to where it stopped.  Only an enclosure still straddling a grid point when
+2^8 times narrower than a cell falls back to exact signs of the value minus
+m/10^d and (m+1)/10^d.  Values are immutable; the field's only mutable
+state is monotone: the interval cache and the shared level.
 """
 
 from __future__ import annotations
@@ -58,33 +53,37 @@ _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to
 
 
 class ModulusField:
-    """Q[x]/(modulus) with one marked real root in (lo, hi), the Perron root."""
+    """Q[x]/(modulus) with one marked real root in (lo, hi], the Perron root."""
 
-    def __init__(self, modulus: rp.Poly, lo: Fraction, hi: Fraction):
+    def __init__(self, modulus: rp.Poly, lo: Fraction, hi: Fraction, sturm: list[rp.IntPoly] | None = None):
+        """`sturm`, if given, is the integer Sturm sequence of the modulus."""
         self.modulus = rp.poly(modulus)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         if rp.degree(self.modulus) < 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if rp.gcd(self.modulus, rp.derivative(self.modulus)) != [Fraction(1)]:
+        sturm = sturm or rp.sturm_sequence(rp.integer_primitive(self.modulus))
+        if len(sturm[-1]) > 1:
             raise ValueError("modulus must be square-free")
-        if rp.count_roots_halfopen(self.modulus, self.lo, self.hi) != 1:
+        if rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) != 1:
             raise ValueError("isolating interval must contain exactly one root")
         self.rational_root: Fraction | None = None
         reduced = self.modulus
         for r in rp.rational_roots(self.modulus):
-            if self.lo < r < self.hi:
-                self.rational_root = r
-            else:
-                reduced = rp.divmod_poly(reduced, rp.poly([-r, 1]))[0]
-        if self.rational_root is not None:
-            reduced = rp.poly([-self.rational_root, 1])
+            if self.lo < r <= self.hi:  # lambda is rational: x - lambda is the reduced modulus
+                self.rational_root, reduced = r, rp.poly([-r, 1])
+                break
+            reduced = rp.divmod_poly(reduced, rp.poly([-r, 1]))[0]
         self._reduced = reduced
-        assert rp.count_roots_halfopen(self._reduced, self.lo, self.hi) == 1
+        # integer multiple of the reduced modulus, for signs at rational points
+        self._reduced_z = rp.integer_primitive(reduced)
+        if reduced is not self.modulus:
+            sturm = rp.sturm_sequence(self._reduced_z)
+        assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
         # Monotone bisection cache; entry k has width (hi-lo)/2^k.
         self._intervals: list[tuple[Fraction, Fraction]] = [(self.lo, self.hi)]
         # Sign of the reduced modulus at every lower endpoint in the cache.
-        self._lo_positive = rp.eval_at(self._reduced, self.lo) > 0
+        self._lo_positive = rp.eval_scaled(self._reduced_z, self.lo) > 0
         # Finest level at which a sign or a decimal has been decided; only grows.
         self._level = 0
 
@@ -97,7 +96,7 @@ class ModulusField:
         while len(cache) <= k:
             lo, hi = cache[-1]
             mid = (lo + hi) / 2
-            v = rp.eval_at(self._reduced, mid)
+            v = rp.eval_scaled(self._reduced_z, mid)
             assert v != 0, "reduced modulus has no rational roots"
             if (v > 0) == self._lo_positive:
                 cache.append((mid, hi))
@@ -125,12 +124,8 @@ class ModulusField:
         return AlgebraicNumber(self, [Fraction(0), Fraction(1)])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModulusField)
-            and self.modulus == other.modulus
-            and self.lo == other.lo
-            and self.hi == other.hi
-        )
+        mine = (self.modulus, self.lo, self.hi)
+        return isinstance(other, ModulusField) and mine == (other.modulus, other.lo, other.hi)
 
     def __hash__(self):
         return hash((tuple(self.modulus), self.lo, self.hi))
@@ -146,36 +141,40 @@ def render_poly_x(p: rp.Poly) -> str:
 def field_from_charpoly(charpoly) -> ModulusField:
     """Field carrying the largest real root (> 1) of a characteristic polynomial.
 
-    The modulus is the square-free part of the input; the isolating interval
-    is found by bisecting down from the Cauchy bound until the Sturm count
-    over (lo, hi] is exactly 1.
+    The modulus is the square-free part of the input, by exact division with
+    the last entry of the input's integer Sturm sequence.  The modulus's own
+    sequence (the same one if the input is square-free) is built once: it
+    isolates the root, bisecting down from the Cauchy bound until (lo, hi]
+    holds exactly one, and the field's checks read it.
     """
-    p = rp.poly(charpoly)
-    if rp.degree(p) < 1:
+    p = rp.integer_primitive(rp.poly(charpoly))
+    if len(p) < 2:
         raise ValueError("charpoly must have degree >= 1")
-    m = rp.squarefree_part(p)
-    for c in m:
-        if c.denominator != 1:
-            raise ValueError("charpoly must have integer coefficients")
-    lo = Fraction(1)
-    hi = Fraction(1) + max(abs(c) for c in m[:-1]) if rp.degree(m) >= 1 else Fraction(2)
-    if hi <= lo:
-        hi = lo + 1
-    if rp.count_roots_halfopen(m, lo, hi) == 0:
+    seq = rp.sturm_sequence(p)
+    m = rp.squarefree_part(seq)
+    if abs(m[-1]) != 1:  # else the monic square-free part has a fractional coefficient
+        raise ValueError("charpoly must have integer coefficients")
+    m = [c * m[-1] for c in m]
+    if len(seq[-1]) > 1:
+        seq = rp.sturm_sequence(m)
+    lo, hi = Fraction(1), Fraction(1 + max(1, *(abs(c) for c in m[:-1])))
+    vlo, vhi = rp.sign_variations(seq, lo), rp.sign_variations(seq, hi)
+    if vlo == vhi:
         raise NoRootAboveOne(f"{render_poly_x(m)} has no real root above 1")
-    while rp.count_roots_halfopen(m, lo, hi) > 1:
+    while vlo - vhi > 1:
         mid = _cut_avoiding_roots(m, lo, hi)
-        if rp.count_roots_halfopen(m, mid, hi) >= 1:
-            lo = mid
+        vmid = rp.sign_variations(seq, mid)
+        if vmid > vhi:
+            lo, vlo = mid, vmid
         else:
-            hi = mid
-    return ModulusField(m, lo, hi)
+            hi, vhi = mid, vmid
+    return ModulusField(m, lo, hi, seq)
 
 
-def _cut_avoiding_roots(m: rp.Poly, lo: Fraction, hi: Fraction) -> Fraction:
+def _cut_avoiding_roots(m: rp.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     for den in (2, 3, 5, 7, 11):
         cut = lo + (hi - lo) / den
-        if rp.eval_at(m, cut) != 0:
+        if rp.eval_scaled(m, cut) != 0:
             return cut
     raise AssertionError("could not find a cut avoiding roots")  # > deg(m) tries
 

@@ -667,6 +667,8 @@ def parse_path(diagram: BratteliDiagram, text: str):
         cycle_part, trailing = after.split(")", 1)
         if trailing.strip():
             raise ParseError("unexpected text after the cycle")
+        if not cycle_part.strip():
+            raise ParseError("path literal has an empty cycle '()'")
     pre_tokens = pre_part.split()
     edges = []
     v = root

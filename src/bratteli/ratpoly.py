@@ -1,18 +1,23 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals and the integers.
 
-Polynomials are lists of Fractions in ascending degree order, with no
-trailing zeros (the zero polynomial is the empty list).  Everything here is
-exact; no floats anywhere.  Degrees stay desk-scale (<= ~10), so plain
-Euclidean algorithms are fine.
+Polynomials are lists in ascending degree order, with no trailing zeros
+(the zero polynomial is the empty list).  Element arithmetic uses lists of
+Fractions.  The modulus side is in integers: a Sturm sequence is a
+primitive pseudo-remainder sequence evaluated at rational points by
+homogeneous Horner, and the square-free part is an exact integer division.
+Everything is exact; no floats.  Degrees stay desk-scale (<= ~10).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as igcd
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Poly = list[Fraction]
+IntPoly = list[int]
 
 
 def poly(coeffs: Iterable) -> Poly:
@@ -27,13 +32,7 @@ def degree(p: Sequence[Fraction]) -> int:
 
 
 def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly(out)
+    return poly(a + b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def neg(p: Sequence[Fraction]) -> Poly:
@@ -46,9 +45,7 @@ def sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
 
 def scale(p: Sequence[Fraction], c) -> Poly:
     c = Fraction(c)
-    if c == 0:
-        return []
-    return [c * a for a in p]
+    return [c * a for a in p] if c else []
 
 
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
@@ -86,29 +83,11 @@ def rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
     return divmod_poly(a, b)[1]
 
 
-def monic(p: Sequence[Fraction]) -> Poly:
-    if not p:
-        return []
-    return [c / p[-1] for c in p]
-
-
 def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
     a, b = poly(a), poly(b)
     while b:
         a, b = b, rem(a, b)
-    return monic(a)
-
-
-def derivative(p: Sequence[Fraction]) -> Poly:
-    return poly(i * c for i, c in enumerate(p) if i >= 1)
-
-
-def eval_at(p: Sequence[Fraction], x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    return [c / a[-1] for c in a] if a else []  # monic
 
 
 def enclose(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -141,67 +120,89 @@ def eval_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fr
     return Fraction(vlo, den), Fraction(vhi, den)
 
 
-def squarefree_part(p: Sequence[Fraction]) -> Poly:
-    p = poly(p)
-    if degree(p) < 1:
-        return monic(p)
-    g = gcd(p, derivative(p))
-    q, r = divmod_poly(p, g)
-    assert not r
-    return monic(q)
+def integer_primitive(p: Sequence) -> IntPoly:
+    """The primitive integer polynomial that is a positive multiple of the
+    rational p: same roots, same signs."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = igcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
-def sturm_chain(p: Sequence[Fraction]) -> list[Poly]:
-    chain = [poly(p), derivative(p)]
-    while chain[-1]:
-        chain.append(neg(rem(chain[-2], chain[-1])))
-    chain.pop()
-    return chain
+def eval_scaled(p: Sequence[int], x) -> int:
+    """d^deg(p) * p(n/d) for an integer polynomial p at x = n/d, d > 0, by
+    homogeneous Horner evaluation: an integer with the sign of p(x)."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
 
 
-def _variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
+    """p, p', then each negated pseudo-remainder made primitive (Collins'
+    primitive remainder sequence) for a nonzero integer p.  Each entry is a
+    positive multiple of the classical Sturm chain's, so sign variations
+    agree; the last is gcd(p, p') up to a constant: p is square-free iff it
+    is constant."""
+    seq = [list(p)]
+    b = integer_primitive([i * c for i, c in enumerate(p)][1:])
+    while b:
+        r, lead, unit = list(seq[-1]), abs(b[-1]), 1 if b[-1] > 0 else -1
+        seq.append(b)
+        while len(r) >= len(b):  # r <- |lc(b)| r - sign(lc(b)) lc(r) x^k b
+            c, k = unit * r[-1], len(r) - len(b)
+            r = [lead * a for a in r]
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+            while r and not r[-1]:
+                r.pop()
+        b = integer_primitive([-a for a in r])
+    return seq
+
+
+def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
+    """Sign changes along the sequence at the rational x, zeros skipped.
+    For the Sturm sequence of a square-free p, V(a) - V(b) counts the roots
+    in (a, b] with no deflation: at a root c, p is skipped and p' has the
+    sign p takes just above c, so V(c) is V just above c."""
+    signs = [v > 0 for v in (eval_scaled(q, x) for q in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(p: Sequence[Fraction], a, b) -> int:
-    """Number of distinct real roots of p in (a, b].
-
-    p must be square-free.  Roots at the endpoints are deflated away first,
-    which keeps the classical Sturm count applicable; a root exactly at b is
-    added back, one at a is discarded (half-open convention).
-    """
-    p = poly(p)
+def count_roots_halfopen(p: Sequence, a, b) -> int:
+    """Number of distinct real roots of the square-free rational p in (a, b]:
+    a root at b counts, one at a does not, as if both were deflated first."""
     a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        return 0
-    extra = 0
-    if p and eval_at(p, a) == 0:
-        p = divmod_poly(p, poly([-a, 1]))[0]
-    if p and eval_at(p, b) == 0:
-        p = divmod_poly(p, poly([-b, 1]))[0]
-        extra = 1
-    if degree(p) < 1:
-        return extra
-    chain = sturm_chain(p)
-    va = _variations([eval_at(q, a) for q in chain])
-    vb = _variations([eval_at(q, b) for q in chain])
-    return va - vb + extra
+    seq = sturm_sequence(integer_primitive(p))
+    return sign_variations(seq, a) - sign_variations(seq, b) if a < b else 0
 
 
-def rational_roots(p: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots, found by clearing denominators and trying p/q."""
-    p = poly(p)
-    if degree(p) < 1:
+def squarefree_part(seq: list[IntPoly]) -> IntPoly:
+    """p / gcd(p, p') for the Sturm sequence seq of the integer p, by exact
+    division: the last entry is primitive, so the quotient is integral."""
+    r, g = list(seq[0]), seq[-1]
+    q = [0] * (len(r) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for i, gc in enumerate(g):
+            r[k + i] -= q[k] * gc
+    assert not any(r), "the last Sturm entry divides p"
+    return q
+
+
+def rational_roots(p: Sequence) -> list[Fraction]:
+    """All rational roots, found by clearing denominators and trying n/d."""
+    ip = integer_primitive(p)
+    if len(ip) < 2:
         return []
-    den = lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
     roots = [Fraction(0)] if ip[0] == 0 else []
     low = next(c for c in ip if c)  # the constant term once x^k is factored out
     for num in _divisors(abs(low)):
         for d in _divisors(abs(ip[-1])):
             for cand in (Fraction(num, d), Fraction(-num, d)):
-                if cand not in roots and eval_at(p, cand) == 0:
+                if cand not in roots and eval_scaled(ip, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
 

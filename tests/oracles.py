@@ -8,10 +8,11 @@ comparison) so the tests never assert an implementation against itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from bratteli.errors import SingularSystem
-from bratteli.ratpoly import Poly, poly
+from bratteli.ratpoly import Poly, divmod_poly, gcd, poly, rem
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -81,6 +82,93 @@ def bisect_root(coeffs, lo, hi, digits: int) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# -- Sturm counts and fields over the rationals ------------------------------------
+#
+# The Fraction route that ratpoly and exactnum took before their integer Sturm
+# sequences: a classical Sturm chain of Fraction polynomials, endpoint roots
+# deflated before counting, the square-free part by a Fraction gcd.
+
+
+def _derivative(p) -> Poly:
+    return poly(i * c for i, c in enumerate(p) if i >= 1)
+
+
+def _monic(p) -> Poly:
+    return [c / p[-1] for c in p]
+
+
+def sturm_chain_by_fractions(p) -> list[Poly]:
+    chain = [poly(p), _derivative(p)]
+    while chain[-1]:
+        chain.append([-c for c in rem(chain[-2], chain[-1])])
+    chain.pop()
+    return chain
+
+
+def count_roots_by_fractions(p, a, b) -> int:
+    """Distinct real roots of the square-free p in (a, b]: a root at a is
+    deflated and dropped, one at b deflated and added back."""
+    p, a, b = poly(p), Fraction(a), Fraction(b)
+    if a >= b:
+        return 0
+    extra = 0
+    if p and eval_poly(p, a) == 0:
+        p = divmod_poly(p, poly([-a, 1]))[0]
+    if p and eval_poly(p, b) == 0:
+        p = divmod_poly(p, poly([-b, 1]))[0]
+        extra = 1
+    if len(p) < 2:
+        return extra
+
+    def variations(x):
+        signs = [v > 0 for v in (eval_poly(q, x) for q in sturm_chain_by_fractions(p)) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(a) - variations(b) + extra
+
+
+def squarefree_by_fractions(p) -> Poly:
+    """Monic p / gcd(p, p') over the rationals."""
+    p = poly(p)
+    q, r = divmod_poly(p, gcd(p, _derivative(p)))
+    assert not r
+    return _monic(q)
+
+
+def field_by_fractions(charpoly) -> tuple[Poly, Fraction, Fraction]:
+    """(modulus, lo, hi) of the field of the largest root above 1: the monic
+    square-free part, and bisection from the Cauchy bound by Fraction Sturm
+    counts, cutting at the first of lo + (hi - lo)/k, k = 2, 3, 5, 7, 11, that
+    is not a root."""
+    m = squarefree_by_fractions(charpoly)
+    lo, hi = Fraction(1), 1 + max(abs(c) for c in m[:-1])
+    if hi <= lo:
+        hi = lo + 1
+    assert count_roots_by_fractions(m, lo, hi) >= 1
+    while count_roots_by_fractions(m, lo, hi) > 1:
+        mid = next(c for c in (lo + (hi - lo) / k for k in (2, 3, 5, 7, 11)) if eval_poly(m, c) != 0)
+        if count_roots_by_fractions(m, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return m, lo, hi
+
+
+def levels_by_fractions(m, lo, hi, k: int) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of levels 0..k for the root of the monic integer m
+    in (lo, hi]: (r, r) at every level if that root is an integer r (the only
+    rational roots m can have), else bisection by Fraction Sturm counts."""
+    for n in range(floor(lo) + 1, ceil(hi)):
+        if eval_poly(m, n) == 0:
+            return [(Fraction(n), Fraction(n))] * (k + 1)
+    out = [(lo, hi)]
+    while len(out) <= k:
+        a, b = out[-1]
+        mid = (a + b) / 2
+        out.append((a, mid) if count_roots_by_fractions(m, a, mid) == 1 else (mid, b))
+    return out
 
 
 # -- matrices -------------------------------------------------------------------
@@ -424,3 +512,20 @@ def glued_translation(x, y, witness, depth: int, full_decode: bool = False):
             y_left_glued = x_left - (y_right - y_left)
     y_punct_in_x = y_left_glued + y_punct_offset
     return -y_punct_in_x
+
+
+# -- boundary distances ---------------------------------------------------------
+
+
+def escape_depth_by_profiles(x, bound) -> int:
+    """escape_depth as it was first written: a fresh gap_profile of the
+    whole prefix at every cycle, O(depth^2) generations in all."""
+    from bratteli.analysis import gap_profile
+
+    b = x.diagram.field.rational(bound)
+    depth = len(x.pre) + 1
+    while True:
+        depth += len(x.cycle)
+        gl, gr = gap_profile(x.prefix(depth)).gaps[-1]
+        if gl.compare(b) > 0 and gr.compare(b) > 0:
+            return depth

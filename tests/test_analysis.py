@@ -9,7 +9,7 @@ from bratteli.errors import NotPrimitive
 from bratteli.paths import decode, enumerate_paths, extremal_paths, parse_path
 from bratteli.substitution import primitivity_index
 
-from oracles import connects_everywhere
+from oracles import connects_everywhere, escape_depth_by_profiles
 
 
 def test_gap_profile_examples(fib):
@@ -79,6 +79,18 @@ def test_escape_bounds(fib, tm):
         gl, gr = gap_profile(x.prefix(depths[-1])).gaps[-1]
         assert gl.compare(diagram.field.rational(100)) > 0
         assert gr.compare(diagram.field.rational(100)) > 0
+
+
+def test_escape_depth_matches_profiles(all_diagrams, random_diagrams):
+    diagrams = list(all_diagrams.values()) + random_diagrams
+    checked = 0
+    for diagram in diagrams:
+        g_paths = [x for x in enumerate_paths(diagram, 1, 2) if classify_GF(x).kind == "G"][:3]
+        for x in g_paths:
+            for bound in (1, 10, 100):
+                assert escape_depth(x, bound) == escape_depth_by_profiles(x, bound)
+            checked += 1
+    assert checked >= 40
 
 
 def test_af_region_depth_one(fib):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bratteli.cli import main
+from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -125,6 +126,20 @@ def test_diagram_dot_depth(capsys):
     assert out.startswith("digraph")
 
 
+def test_dot_line_count(all_diagrams):
+    for diagram in all_diagrams.values():
+        for depth in (1, 2, 5):
+            assert dot_line_count(diagram, depth) == export_dot(diagram, depth).count("\n")
+
+
+def test_diagram_dot_too_deep_exits_2(capsys):
+    code, out, err = run(capsys, "diagram", "--fixture", "fibonacci", "--depth", str(10**9), "--format", "dot")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: dot export at depth 1000000000 would have 18000000001 lines, above the limit of {MAX_DOT_LINES}\n"
+    )
+
+
 def test_diagram_out_file(capsys, tmp_path):
     target = tmp_path / "d.json"
     code, out, _ = run(capsys, "diagram", "--fixture", "thue-morse", "--format", "json", "--out", str(target))
@@ -189,6 +204,36 @@ def test_python_m_bratteli(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_decode_empty_cycle_exits_2(capsys):
+    code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; ab ()")
+    assert code == 2 and out == ""
+    assert err == "error: path literal has an empty cycle '()'\n"
+
+
+def run_alone(argv) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bratteli", *argv], env=env, capture_output=True, encoding="utf-8", timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_for_a_sequence_of_calls(capsys):
+    # main() reuses one parser per process; a call must not see an earlier one
+    x = ["decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)"]
+    calls = [x + ["--depth", "8"], x, x[:-1] + ["root=a; ()"], x + ["--depth", "eight"]]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the call
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == run_alone(argv), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 2]
 
 
 def test_extremes(capsys):

@@ -4,18 +4,26 @@ from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bratteli import ratpoly as rp
 from bratteli.errors import FieldMismatch, NoRootAboveOne
 from bratteli.exactnum import (
+    ModulusField,
     field_from_charpoly,
     lambda_pow,
     parse_algebraic,
 )
 
-from oracles import bisect_root
+from oracles import (
+    bisect_root,
+    charpoly_by_fractions,
+    count_roots_by_fractions,
+    field_by_fractions,
+    levels_by_fractions,
+    squarefree_by_fractions,
+)
 
 GOLDEN = [-1, -1, 1]  # x^2 - x - 1
 
@@ -437,3 +445,95 @@ def test_equals_across_representatives(data):
     assert (b.coeffs != a.coeffs) == bool(c.coeffs)
     assert a.equals(b) and b.equals(a)
     assert not a.equals(b + 1) and not (a + Fraction(1, 3)).equals(b)
+
+
+# -- integer Sturm sequences against the Fraction route ------------------------
+
+# integer polynomials of degree 1..2 with a nonzero leading coefficient
+factors = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=2), st.sampled_from([-3, -2, -1, 1, 2, 3])).map(
+    lambda t: t[0] + [t[1]]
+)
+
+
+def int_product(polys) -> list[int]:
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@st.composite
+def squarefree_with_points(draw):
+    """A square-free integer polynomial of degree <= 6 and rational points,
+    among them its rational roots: products of linear factors d x - n and
+    small factors of degree <= 2."""
+    linear = st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda t: [-t[0], t[1]])
+    parts = draw(st.lists(st.one_of(linear, factors), min_size=1, max_size=4))
+    p = int_product(parts)
+    assume(len(p) <= 7 and len(squarefree_by_fractions(p)) == len(p))
+    roots = [Fraction(-f[0], f[1]) for f in parts if len(f) == 2]
+    return p, roots + draw(st.lists(rationals, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(squarefree_with_points())
+@example(([0, -1, 0, 1], [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]))  # x^3 - x
+def test_integer_sturm_count_matches_fractions(case):
+    p, points = case
+    seq = rp.sturm_sequence(p)
+    assert len(seq[-1]) == 1  # square-free: the last entry is a constant
+    for a in points:
+        for b in points:
+            expected = count_roots_by_fractions(p, a, b)
+            assert rp.count_roots_halfopen(p, a, b) == expected
+            assert rp.count_roots_halfopen([Fraction(c, 3) for c in p], a, b) == expected
+            if a < b:
+                assert rp.sign_variations(seq, a) - rp.sign_variations(seq, b) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3))
+def test_integer_squarefree_part_matches_fractions(powers):
+    p = int_product([f for f, e in powers for _ in range(e)])
+    expected = squarefree_by_fractions(p)
+    seq = rp.sturm_sequence(rp.integer_primitive(p))
+    part = rp.squarefree_part(seq)
+    assert [Fraction(c, part[-1]) for c in part] == expected
+    assert (len(seq[-1]) == 1) == (len(expected) == len(p))
+
+
+def test_fields_match_fraction_construction(all_diagrams, random_diagrams):
+    named = list(all_diagrams.items()) + [(f"random {i}", d) for i, d in enumerate(random_diagrams)]
+    cases = [(name, charpoly_by_fractions(d.csub.base.abelianization), d) for name, d in named]
+    for name, charpoly, diagram in cases + [("golden times sqrt2", GOLDEN_TIMES_SQRT2, None)]:
+        f = field_from_charpoly(charpoly)
+        m, lo, hi = field_by_fractions(charpoly)
+        assert (f.modulus, f.lo, f.hi) == (m, lo, hi), name
+        assert [f.refined(k) for k in range(41)] == levels_by_fractions(m, lo, hi, 40), name
+        if diagram is not None:
+            assert diagram.field == f, name
+
+
+@pytest.mark.parametrize(
+    "modulus, lo, hi, message",
+    [
+        ([1, 2], 0, 1, "monic"),  # 2x + 1
+        ([1, -2, 1], 0, 2, "square-free"),  # (x - 1)^2
+        (GOLDEN, 2, 3, "exactly one root"),  # no root in (2, 3]
+        ([2, -3, 1], 0, 3, "exactly one root"),  # roots 1 and 2
+    ],
+)
+def test_modulus_field_rejects(modulus, lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        ModulusField(modulus, lo, hi)
+
+
+def test_modulus_field_rational_root_at_hi():
+    # (lo, hi] is half-open: a rational lambda may sit at hi
+    f = ModulusField([2, -3, 1], Fraction(3, 2), 2)
+    assert f.rational_root == 2 and f.refined(5) == (2, 2)
+    assert f.lam().equals(2) and f.lam().to_decimal(3) == "2.000"

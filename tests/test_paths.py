@@ -507,6 +507,12 @@ def test_parse_path_errors(fib, dyadic):
         parse_path(dyadic, "root=a; aa")  # ambiguous without #pos
 
 
+@pytest.mark.parametrize("literal", ["root=a; ()", "root=a; ab ()", "root=a; ab | ( )"])
+def test_parse_path_empty_cycle(fib, literal):
+    with pytest.raises(ParseError, match=r"empty cycle '\(\)'"):
+        parse_path(fib, literal)
+
+
 def test_normalization_absorbs_preamble(fib):
     x = parse_path(fib, "root=a; ac (ca ac)")
     assert render_path(x) == "root=a; (ac ca)"
