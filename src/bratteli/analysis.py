@@ -39,23 +39,17 @@ def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
     periodic path, one generation at a time."""
     d = path.diagram
     csub = d.csub
-    f = d.field
-    gl, gr = f.zero, f.zero
-    power = f.one  # lambda^(n-2) at generation n
+    layouts = csub.base.layouts
+    gl, gr = d.field.zero, d.field.zero
+    power = d.field.one  # lambda^(n-2) at generation n
     n = 1
     while True:
         yield gl, gr
         n += 1
         e = path.template_at(n)
-        rule = csub.collared_rules[e.rng]
-        left_off = f.zero
-        for u in rule[: e.pos]:
-            left_off = left_off + csub.length_of(u)
-        right_off = f.zero
-        for u in rule[e.pos + 1 :]:
-            right_off = right_off + csub.length_of(u)
-        gl = gl + left_off * power
-        gr = gr + right_off * power
+        layout = layouts[csub.core_of(e.rng)]
+        gl = gl + layout.left[e.pos] * power
+        gr = gr + layout.right[e.pos] * power
         power = power * d.lam
 
 

@@ -13,6 +13,7 @@ import sys
 from .analysis import classify_GF, gap_profile
 from .diagram import build_diagram, export_dot, export_json
 from .errors import BratteliError
+from .exactnum import HALF
 from .fixtures import FIXTURES, load_fixture
 from .paths import (
     EventuallyPeriodicPath,
@@ -220,7 +221,7 @@ def cmd_vershik(args) -> int:
         nxt = vershik_successor(path)
         tile0 = diagram.csub.length_of(path.root)
         tile1 = diagram.csub.length_of(nxt.root)
-        delta = (tile0 + tile1).scale("1/2")
+        delta = (tile0 + tile1).scale(HALF)
         pos = pos + delta
         crossing = " [psi]" if path.is_maximal() else ""
         print(

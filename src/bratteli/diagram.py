@@ -14,13 +14,15 @@ incident and whose labels satisfy, after dividing out lambda^(n-2),
 
     c(e_left) + lambda * c(h_bot) = c(h_top) + c(e_right).
 
-The census sums each side once per incident pair: L(e_left, h_bot) on the
-left, kept on the diagram as the square's `square_usum`, and R(h_top,
-e_right) on the right.  An incident triple (h_top, e_left, e_right) whose
-bottom ends no horizontal joins is skipped before any arithmetic, and each
-candidate h_bot is decided by the exact test L.equals(R), with no inverse
-of lambda.  The scan order fixes the order of `squares` and of the JSON
-export.
+A collar adds combinatorics, not geometry, so a vertical coefficient
+depends only on (core of its range, position) and a horizontal one on its
+two cores; templates with one key share one coefficient object.  The census
+sums each side once per distinct pair of such objects: L(e_left, h_bot) on
+the left, kept for every square as its `square_usum`, and R(h_top, e_right)
+on the right.  An incident triple whose bottom ends no horizontal joins is
+skipped before any arithmetic, and each candidate h_bot is decided by the
+exact test L.equals(R), once per distinct (L, R), with no inverse of
+lambda.  The scan order fixes the order of `squares` and of the JSON export.
 
 The full zero-residual square set drives the extended-equivalence decision
 procedure.  Squares whose two horizontals are trivial realize tail
@@ -42,15 +44,13 @@ distinct h_bot classifies every square, with no graph over square pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DotTooLarge, ParseError
-from .exactnum import AlgebraicNumber
+from .exactnum import HALF, AlgebraicNumber
 from .substitution import CollaredSubstitution, Substitution, collared_substitution, legal_words, parse_spec
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
-        # (e_left, h_bot) -> c(e_left) + lambda * c(h_bot), filled by the census
+        # (e_left, h_bot) of each square -> c(e_left) + lambda * c(h_bot), filled by the census
         self.usums: dict[tuple[int, int], AlgebraicNumber] = {}
         self._classify_squares(enumerate_squares(self))
         self._pairing = None
@@ -161,7 +161,8 @@ class BratteliDiagram:
             if not (hs[ht].trivial and hs[hb].trivial):
                 arcs[ht].append(hb)
         reach: dict[int, set[int]] = {}  # h_bot -> the horizontals it reaches
-        usum_sign = {k: self.usums[k[1], k[3]].sign() for k in keys if self._mirror_key(k) != k}
+        mirrored = dict.fromkeys(self.usums[k[1], k[3]] for k in keys if self._mirror_key(k) != k)
+        usum_sign = {u: u.sign() for u in mirrored}  # one sign per distinct usum object
         self.squares = []
         for k in keys:
             ht, hb = k[0], k[3]
@@ -185,13 +186,13 @@ class BratteliDiagram:
         return self.usums[s.e_left, s.h_bot]
 
     def _is_canonical(self, k: tuple[int, int, int, int], usum_sign: dict) -> bool:
-        """usum_sign: key -> square_usum sign of every square that is not its
-        own mirror (a usum depends only on the key)."""
+        """usum_sign: usum object -> sign, for the usum of every square that
+        is not its own mirror."""
         mk = self._mirror_key(k)
         if mk == k:
             return True
-        sgn = usum_sign[k]
-        msgn = usum_sign[mk]
+        sgn = usum_sign[self.usums[k[1], k[3]]]
+        msgn = usum_sign[self.usums[mk[1], mk[3]]]
         if sgn < 0 and msgn >= 0:
             return True
         if msgn < 0 and sgn >= 0:
@@ -217,24 +218,15 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
 
     Base-scale layout: the generation-n supertile of w spans
     lambda * len(w) with its subtiles at generation-(n-1) sizes; the
-    coefficient is supertile center minus subtile center (u(e) = -a).
+    coefficient is supertile center minus subtile center (u(e) = -a), one
+    shared object per (core(w), position) from `Substitution.layouts`.
     """
-    f = csub.base.field
-    lam = f.lam()
+    layouts = csub.base.layouts
     out = []
     for w, rule in sorted(csub.collared_rules.items()):
-        total = lam * csub.length_of(w)
-        layout_sum = f.zero
-        for u in rule:
-            layout_sum = layout_sum + csub.length_of(u)
-        assert (layout_sum - total).is_zero(), "eigen-equation violated in layout"
-        cum = total.scale(-_HALF)
+        coeffs = layouts[csub.core_of(w)].vertical
         for pos, u in enumerate(rule):
-            center = cum + csub.length_of(u).scale(_HALF)
-            out.append(
-                VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=-center)
-            )
-            cum = cum + csub.length_of(u)
+            out.append(VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=coeffs[pos]))
     return out
 
 
@@ -244,12 +236,13 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
     left(t') = core(t), and the projected 4-word is legal; the template for
     the ordered pair carries +((len t + len t')/2), its opposite the
-    negation.
+    negation.  Both are built once per pair of core letters and shared, and
+    every trivial loop carries the field's one zero.
     """
     base = csub.base
-    f = base.field
     legal4 = legal_words(base, 4)
     letters = csub.collared_alphabet
+    half_sums: dict[tuple[int, int], tuple[AlgebraicNumber, AlgebraicNumber]] = {}
     out: list[HorizontalTemplate] = []
 
     def emit(src, rng, coeff, trivial, opposite):
@@ -265,44 +258,67 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
                 continue
             if (t.left, t.core, u.core, u.right) not in legal4:
                 continue
-            d = (base.lengths[t.core] + base.lengths[u.core]).scale(_HALF)
+            pm = half_sums.get((t.core, u.core))
+            if pm is None:
+                d = (base.lengths[t.core] + base.lengths[u.core]).scale(HALF)
+                pm = half_sums[t.core, u.core] = half_sums[u.core, t.core] = (d, -d)
             i = len(out)
-            emit(t.index, u.index, d, False, i + 1)
-            emit(u.index, t.index, -d, False, i)
+            emit(t.index, u.index, pm[0], False, i + 1)
+            emit(u.index, t.index, pm[1], False, i)
     for t in letters:
-        emit(t.index, t.index, f.zero, True, len(out))
+        emit(t.index, t.index, base.field.zero, True, len(out))
     return out
 
 
 def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
     """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
     incident quadruples with exactly zero residual, by the pair sums L and R
-    of the module docstring; fills `diagram.usums`."""
-    lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
-    for h in diagram.horizontals:
-        if h.coeff.coeffs not in lam_c:
-            lam_c[h.coeff.coeffs] = diagram.lam * h.coeff
+    of the module docstring, memoised on the shared coefficient objects
+    (which hash by identity); puts the L of every square in `diagram.usums`.
+    """
+    csub = diagram.csub
+    layouts = csub.base.layouts
+    hs = diagram.horizontals
+    # lambda * c(h) as (lambda l_t + lambda l_u)/2: reduction mod m is
+    # linear, so this is the product's representative, with no product
+    lam_c: dict[AlgebraicNumber, AlgebraicNumber] = {}
+    for h in hs:
+        if h.coeff in lam_c:
+            continue
+        if h.trivial:
+            lam_c[h.coeff] = h.coeff
+        else:  # the first of a pair carries +, its opposite comes next
+            s = (layouts[csub.core_of(h.src)].scaled + layouts[csub.core_of(h.rng)].scaled).scale(HALF)
+            lam_c[h.coeff] = s
+            lam_c[hs[h.opposite].coeff] = -s
+    rsums: dict[tuple, AlgebraicNumber] = {}  # (c(h_top), c(e_right)) -> their sum R
+    lsums: dict[tuple, AlgebraicNumber] = {}  # (c(e_left), c(h_bot)) -> c(e_left) + lambda c(h_bot) = L
+    verdicts: dict[tuple, bool] = {}  # (L, R) -> L.equals(R)
     usums = diagram.usums
     out = []
-    for ht in diagram.horizontals:
-        rsums: dict[int, AlgebraicNumber] = {}  # e_right -> c(h_top) + c(e_right)
+    for ht in hs:
         for el in diagram.out_edges[ht.src]:
             for er in diagram.out_edges[ht.rng]:
                 cands = diagram.h_by_ends.get((el.rng, er.rng))
                 if not cands:
                     continue
-                rsum = rsums.get(er.index)
+                rsum = rsums.get((ht.coeff, er.coeff))
                 if rsum is None:
-                    rsum = rsums[er.index] = ht.coeff + er.coeff
+                    rsum = rsums[ht.coeff, er.coeff] = ht.coeff + er.coeff
                 matches = []
                 for hb in cands:
-                    lsum = usums.get((el.index, hb.index))
+                    lsum = lsums.get((el.coeff, hb.coeff))
                     if lsum is None:
-                        lsum = usums[el.index, hb.index] = el.coeff + lam_c[hb.coeff.coeffs]
-                    if lsum.equals(rsum):
-                        matches.append(hb)
+                        lsum = lsums[el.coeff, hb.coeff] = el.coeff + lam_c[hb.coeff]
+                    equal = verdicts.get((lsum, rsum))
+                    if equal is None:
+                        equal = verdicts[lsum, rsum] = lsum.equals(rsum)
+                    if equal:
+                        matches.append((hb.index, lsum))
                 assert len(matches) <= 1
-                out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
+                for hb, lsum in matches:
+                    usums[el.index, hb] = lsum
+                    out.append((ht.index, el.index, er.index, hb))
     return out
 
 
@@ -433,6 +449,7 @@ def export_json(diagram: BratteliDiagram) -> str:
     csub = diagram.csub
     base = csub.base
     scan_order = {cl.triple(): cl.name for cl in csub.collared_alphabet}
+    render = functools.cache(AlgebraicNumber.render)  # once per shared coefficient object
     payload = {
         "spec": {
             "letters": [a.name for a in base.alphabet],
@@ -447,7 +464,7 @@ def export_json(diagram: BratteliDiagram) -> str:
                 "src": diagram.vertices[e.src],
                 "rng": diagram.vertices[e.rng],
                 "pos": e.pos,
-                "coeff": e.coeff.render(),
+                "coeff": render(e.coeff),
             }
             for e in diagram.verticals
         ],
@@ -455,7 +472,7 @@ def export_json(diagram: BratteliDiagram) -> str:
             {
                 "src": diagram.vertices[h.src],
                 "rng": diagram.vertices[h.rng],
-                "coeff": h.coeff.render(),
+                "coeff": render(h.coeff),
                 "trivial": h.trivial,
             }
             for h in diagram.horizontals

@@ -50,6 +50,7 @@ from . import ratpoly as rp
 from .errors import FieldMismatch, NoRootAboveOne, ParseError
 
 _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to exact floor search
+HALF = Fraction(1, 2)  # the factor of every halving scale(), built once rather than parsed per call
 
 
 class ModulusField:
@@ -86,6 +87,10 @@ class ModulusField:
         self._lo_positive = rp.eval_scaled(self._reduced_z, self.lo) > 0
         # Finest level at which a sign or a decimal has been decided; only grows.
         self._level = 0
+        # Elements are immutable, so each field builds these once: empty sums
+        # and trivial loops share one object.
+        self.zero = AlgebraicNumber(self, (), normalised=True)
+        self.one = AlgebraicNumber(self, (Fraction(1),), normalised=True)
 
     # -- interval refinement -------------------------------------------------
 
@@ -111,14 +116,6 @@ class ModulusField:
 
     def rational(self, q) -> AlgebraicNumber:
         return AlgebraicNumber(self, [Fraction(q)])
-
-    @property
-    def zero(self) -> AlgebraicNumber:
-        return self.rational(0)
-
-    @property
-    def one(self) -> AlgebraicNumber:
-        return self.rational(1)
 
     def lam(self) -> AlgebraicNumber:
         return AlgebraicNumber(self, [Fraction(0), Fraction(1)])

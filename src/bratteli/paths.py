@@ -32,7 +32,7 @@ from math import lcm
 
 from .diagram import BratteliDiagram, VerticalTemplate
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
-from .exactnum import AlgebraicNumber
+from .exactnum import HALF, AlgebraicNumber
 
 
 # -- finite prefixes --------------------------------------------------------------
@@ -222,7 +222,7 @@ class PatchTile:
 
     @property
     def center(self) -> AlgebraicNumber:
-        return (self.left + self.right).scale("1/2")
+        return (self.left + self.right).scale(HALF)
 
     @property
     def length(self) -> AlgebraicNumber:
@@ -340,15 +340,15 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
     d = gamma.diagram
     csub = d.csub
     word, idx = _trace(gamma)
-    shift = csub.length_of(word[idx]).scale("1/2")  # puncture center from the patch's left end
+    shift = csub.length_of(word[idx]).scale(HALF)  # puncture center from the patch's left end
     for w in word[:idx]:
         shift = shift + csub.length_of(w)
     tiles = _lay_out(csub, word, True, -shift)
     offset = u_of_prefix(gamma)
     top = gamma.top_vertex()
     span = d.lam ** (gamma.length - 1) * csub.length_of(top)
-    left = offset - span.scale("1/2")
-    right = offset + span.scale("1/2")
+    left = offset - span.scale(HALF)
+    right = offset + span.scale(HALF)
     assert (tiles[0].left - left).is_zero(), "supertile does not sit at u(gamma)"
     assert (tiles[-1].right - right).is_zero()
     return DecodedPatch(

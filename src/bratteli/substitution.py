@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     UnknownLetter,
 )
-from .exactnum import AlgebraicNumber, ModulusField, field_from_charpoly
+from .exactnum import HALF, AlgebraicNumber, ModulusField, field_from_charpoly
 
 Word = tuple[int, ...]
 
@@ -74,7 +74,7 @@ class Substitution:
         self.primitivity = primitivity_index(self.abelianization)
         charpoly, self.adjugate = rp.charpoly(self.abelianization)
         self.field: ModulusField = field_from_charpoly(charpoly)
-        self.lengths: dict[int, AlgebraicNumber] = perron_lengths(self)
+        self.lengths, self.layouts = perron_lengths(self)
 
     # -- basic word machinery -------------------------------------------------
 
@@ -121,8 +121,21 @@ def _or_selected(mask: int, rows: list[int]) -> int:
     return out
 
 
-def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:
-    """Exact tile lengths: sum_y M[x][y] l(y) = lambda l(x), l(0) = 1.
+@dataclass(frozen=True)
+class LetterLayout:
+    """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
+    centered at 0, with the tiles of sigma(x) end to end inside it.  The
+    tuples run over the positions i of sigma(x)."""
+
+    scaled: AlgebraicNumber  # lambda * l(x)
+    left: tuple[AlgebraicNumber, ...]  # total length of the tiles before position i
+    right: tuple[AlgebraicNumber, ...]  # total length of the tiles after position i
+    vertical: tuple[AlgebraicNumber, ...]  # supertile center minus center of tile i
+
+
+def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout]]:
+    """Exact tile lengths, sum_y M[x][y] l(y) = lambda l(x) with l(0) = 1,
+    and the layout of each rule image.
 
     (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0, so every
     column of the adjugate is a right eigenvector; its entries are integer
@@ -130,6 +143,9 @@ def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:
     adjugate at the Perron root is entrywise positive (Perron-Frobenius), so
     column 0 divided by its first entry gives the lengths with one inverse.
     All equations are re-checked afterwards and positivity is asserted.
+
+    The check of letter x forms the left offsets and the span lambda l(x)
+    of its layout, so each layout is built and checked once per base letter.
     """
     f = sub.field
     lam = f.lam()
@@ -141,16 +157,27 @@ def perron_lengths(sub: Substitution) -> dict[int, AlgebraicNumber]:
     except ZeroDivisionError:
         raise SingularSystem("adjugate column vanishes at lambda; modulus/eigenvalue mismatch") from None
     lengths = {x: col[x] * inv if x else f.one for x in range(n)}
+    layouts = {}
     for x in range(n):
-        total = f.zero
-        for y in sub.rules[x]:
-            total = total + lengths[y]
-        if not (total - lam * lengths[x]).is_zero():
+        rule = sub.rules[x]
+        left = [f.zero]
+        for y in rule:
+            left.append(left[-1] + lengths[y])
+        total = left.pop()
+        scaled = lam * lengths[x]
+        if not (total - scaled).is_zero():
             raise SingularSystem("eigen-equation residual nonzero")
+        half = scaled.scale(HALF)
+        layouts[x] = LetterLayout(
+            scaled=scaled,
+            left=tuple(left),
+            right=tuple(total - a - lengths[y] for a, y in zip(left, rule)),
+            vertical=tuple(half - a - lengths[y].scale(HALF) for a, y in zip(left, rule)),
+        )
     for y in range(n):
         if lengths[y].sign() != 1:
             raise SingularSystem(f"non-positive tile length for letter {y}")
-    return lengths
+    return lengths, layouts
 
 
 def legal_words(sub: Substitution, n: int) -> set[Word]:

@@ -91,13 +91,14 @@ def _opposites(diagram):
 
 
 def _residuals(diagram):
-    lam = diagram.lam
+    # lambda * c(h) by multiplication, once per horizontal: the census reads
+    # it off the layouts instead, so this stays an independent cross-check
+    lam_c = [diagram.lam * h.coeff for h in diagram.horizontals]
     for s in diagram.squares:
         ht = diagram.horizontals[s.h_top]
-        hb = diagram.horizontals[s.h_bot]
         el = diagram.verticals[s.e_left]
         er = diagram.verticals[s.e_right]
-        res = el.coeff + lam * hb.coeff - ht.coeff - er.coeff
+        res = el.coeff + lam_c[s.h_bot] - ht.coeff - er.coeff
         _assert(res.is_zero(), "nonzero residual")
 
 

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate
 from bratteli.errors import SingularSystem
+from bratteli.exactnum import AlgebraicNumber
 from bratteli.ratpoly import Poly, divmod_poly, gcd, poly, rem
+from bratteli.substitution import CollaredSubstitution, legal_words
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -529,3 +532,133 @@ def escape_depth_by_profiles(x, bound) -> int:
         gl, gr = gap_profile(x.prefix(depth)).gaps[-1]
         if gl.compare(b) > 0 and gr.compare(b) > 0:
             return depth
+
+
+# -- per-collared-letter diagram builders ------------------------------------------
+#
+# The builders and the gap walk as they were before the diagram shared its
+# arithmetic per base letter: every collared letter redoes its own layout,
+# every horizontal its own half-sum, and the census sums and zero-tests per
+# template index.  The package must give the same templates, squares, usums
+# and gaps, representative for representative.
+
+_HALF = Fraction(1, 2)
+
+
+def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
+    """One template per occurrence of a letter in a rule image.
+
+    Base-scale layout: the generation-n supertile of w spans
+    lambda * len(w) with its subtiles at generation-(n-1) sizes; the
+    coefficient is supertile center minus subtile center (u(e) = -a).
+    """
+    f = csub.base.field
+    lam = f.lam()
+    out = []
+    for w, rule in sorted(csub.collared_rules.items()):
+        total = lam * csub.length_of(w)
+        layout_sum = f.zero
+        for u in rule:
+            layout_sum = layout_sum + csub.length_of(u)
+        assert (layout_sum - total).is_zero(), "eigen-equation violated in layout"
+        cum = total.scale(-_HALF)
+        for pos, u in enumerate(rule):
+            center = cum + csub.length_of(u).scale(_HALF)
+            out.append(
+                VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=-center)
+            )
+            cum = cum + csub.length_of(u)
+    return out
+
+
+def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
+    """Directed adjacency templates plus one trivial loop per vertex.
+
+    (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
+    left(t') = core(t), and the projected 4-word is legal; the template for
+    the ordered pair carries +((len t + len t')/2), its opposite the
+    negation.
+    """
+    base = csub.base
+    f = base.field
+    legal4 = legal_words(base, 4)
+    letters = csub.collared_alphabet
+    out: list[HorizontalTemplate] = []
+
+    def emit(src, rng, coeff, trivial, opposite):
+        out.append(
+            HorizontalTemplate(
+                index=len(out), src=src, rng=rng, coeff=coeff, trivial=trivial, opposite=opposite
+            )
+        )
+
+    for t in letters:
+        for u in letters:
+            if t.right != u.core or u.left != t.core:
+                continue
+            if (t.left, t.core, u.core, u.right) not in legal4:
+                continue
+            d = (base.lengths[t.core] + base.lengths[u.core]).scale(_HALF)
+            i = len(out)
+            emit(t.index, u.index, d, False, i + 1)
+            emit(u.index, t.index, -d, False, i)
+    for t in letters:
+        emit(t.index, t.index, f.zero, True, len(out))
+    return out
+
+
+def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
+    """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
+    incident quadruples with exactly zero residual, by the pair sums L and R
+    of the module docstring; fills `diagram.usums`."""
+    lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
+    for h in diagram.horizontals:
+        if h.coeff.coeffs not in lam_c:
+            lam_c[h.coeff.coeffs] = diagram.lam * h.coeff
+    usums = diagram.usums
+    out = []
+    for ht in diagram.horizontals:
+        rsums: dict[int, AlgebraicNumber] = {}  # e_right -> c(h_top) + c(e_right)
+        for el in diagram.out_edges[ht.src]:
+            for er in diagram.out_edges[ht.rng]:
+                cands = diagram.h_by_ends.get((el.rng, er.rng))
+                if not cands:
+                    continue
+                rsum = rsums.get(er.index)
+                if rsum is None:
+                    rsum = rsums[er.index] = ht.coeff + er.coeff
+                matches = []
+                for hb in cands:
+                    lsum = usums.get((el.index, hb.index))
+                    if lsum is None:
+                        lsum = usums[el.index, hb.index] = el.coeff + lam_c[hb.coeff.coeffs]
+                    if lsum.equals(rsum):
+                        matches.append(hb)
+                assert len(matches) <= 1
+                out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
+    return out
+
+
+def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
+    """(g_L(n), g_R(n)) for n = 1, 2, ... along a prefix or an eventually
+    periodic path, one generation at a time."""
+    d = path.diagram
+    csub = d.csub
+    f = d.field
+    gl, gr = f.zero, f.zero
+    power = f.one  # lambda^(n-2) at generation n
+    n = 1
+    while True:
+        yield gl, gr
+        n += 1
+        e = path.template_at(n)
+        rule = csub.collared_rules[e.rng]
+        left_off = f.zero
+        for u in rule[: e.pos]:
+            left_off = left_off + csub.length_of(u)
+        right_off = f.zero
+        for u in rule[e.pos + 1 :]:
+            right_off = right_off + csub.length_of(u)
+        gl = gl + left_off * power
+        gr = gr + right_off * power
+        power = power * d.lam

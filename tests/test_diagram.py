@@ -3,11 +3,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from hashlib import sha256
+from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import oracles
+from bratteli import analysis
+from bratteli import diagram as diagram_module
 from bratteli.diagram import (
+    BratteliDiagram,
     DiagramTemplate,
     build_diagram,
     diagram_chains,
@@ -18,6 +24,8 @@ from bratteli.diagram import (
 )
 from bratteli.errors import ParseError
 from bratteli.fixtures import doubling
+from bratteli.paths import PathPrefix, enumerate_paths
+from bratteli.substitution import parse_spec
 
 from oracles import paths_through, recurrent_squares_by_definition
 
@@ -343,3 +351,76 @@ def test_json_counts(fib):
 def test_build_from_substitution_directly():
     d = build_diagram(doubling())
     assert len(d.verticals) == 2
+
+
+# -- arithmetic shared per base letter ---------------------------------------------
+
+# The frozen benchmark specs whose modulus is reducible over Q: there a value
+# at lambda has many representatives, so another route to the same value (a
+# sum of lengths in place of lambda times a length) could store another one.
+REDUCIBLE_MODULUS_SPECS = [
+    "letters: 0 1 2 3\nrule 0: 2\nrule 1: 0\nrule 2: 2 1 3\nrule 3: 1",
+    "letters: 0 1 2 3\nrule 0: 2 1\nrule 1: 0 1 0\nrule 2: 2 3 2\nrule 3: 0",
+    "letters: 0 1 2 3\nrule 0: 0 3\nrule 1: 0 2\nrule 2: 0 1 3\nrule 3: 2 0 0",
+    "letters: 0 1 2 3 4\nrule 0: 2 4\nrule 1: 3\nrule 2: 1 2\nrule 3: 2 0 3\nrule 4: 4 4 1",
+    "letters: 0 1 2 3 4\nrule 0: 1 3\nrule 1: 1 2\nrule 2: 4 1 3\nrule 3: 2\nrule 4: 2 0 4",
+    "letters: 0 1 2 3 4 5\nrule 0: 2\nrule 1: 5 3 3\nrule 2: 5 4 2\nrule 3: 0 4\nrule 4: 2 1\nrule 5: 3 5",
+]
+
+
+def per_collared_letter_reference(csub) -> BratteliDiagram:
+    """The diagram as the per-collared-letter builders of `oracles` make it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_vertical", "build_horizontal", "enumerate_squares"):
+            mp.setattr(diagram_module, name, getattr(oracles, name))
+        return BratteliDiagram(csub)
+
+
+def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, random_diagrams):
+    reducible = [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible):
+        ref = per_collared_letter_reference(d.csub)
+        assert [(e.src, e.rng, e.pos, e.coeff.coeffs) for e in d.verticals] == [
+            (e.src, e.rng, e.pos, e.coeff.coeffs) for e in ref.verticals
+        ]
+        assert [(h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in d.horizontals] == [
+            (h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in ref.horizontals
+        ]
+        assert [s.key() for s in d.squares] == [s.key() for s in ref.squares]
+        assert [(s.kind, s.canonical) for s in d.squares] == [(s.kind, s.canonical) for s in ref.squares]
+        assert [d.square_usum(s).coeffs for s in d.squares] == [ref.square_usum(s).coeffs for s in ref.squares]
+        # every vertical once as a one-edge prefix, then deeper periodic paths
+        paths = [PathPrefix(d, e.src, [e.index]) for e in d.verticals]
+        paths += enumerate_paths(d, 1, 2)[:20]
+        for x in paths:
+            depth = x.length if isinstance(x, PathPrefix) else 6
+            got = [(gl.coeffs, gr.coeffs) for gl, gr in islice(analysis._gaps(x), depth)]
+            assert got == [(gl.coeffs, gr.coeffs) for gl, gr in islice(oracles._gaps(x), depth)]
+
+
+def test_coefficients_shared_per_base_letter(all_diagrams, random_diagrams):
+    for d in (*all_diagrams.values(), *random_diagrams):
+        core = d.csub.core_of
+        vertical = {}
+        for e in d.verticals:
+            assert vertical.setdefault((core(e.rng), e.pos), e.coeff) is e.coeff
+        assert len(set(map(id, (e.coeff for e in d.verticals)))) == len(vertical)
+        horizontal = {}
+        for h in d.horizontals:
+            if h.trivial:
+                assert h.coeff is d.field.zero
+            else:
+                key = (frozenset((core(h.src), core(h.rng))), h.index < h.opposite)
+                assert horizontal.setdefault(key, h.coeff) is h.coeff
+
+
+FROZEN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
+
+
+def test_export_json_matches_frozen_bench_digests():
+    frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
+    specs = frozen["fixed"] + frozen["pool"]
+    assert len(specs) == 196
+    for spec in specs:
+        sub = parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True))
+        assert sha256(export_json(build_diagram(sub)).encode()).hexdigest() == spec["json_sha256"], spec["text"]

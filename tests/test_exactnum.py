@@ -137,6 +137,13 @@ def test_division_with_zero_divisors():
         f.one / (lam - 2)
 
 
+def test_zero_and_one_built_once_per_field(fib_field):
+    assert fib_field.zero is fib_field.zero and fib_field.one is fib_field.one
+    assert fib_field.zero.coeffs == () and fib_field.one.coeffs == (1,)
+    assert fib_field.zero.coeffs == fib_field.rational(0).coeffs
+    assert fib_field.one.coeffs == fib_field.rational(1).coeffs
+
+
 def test_render_and_parse(fib_field):
     phi = fib_field.lam()
     val = (phi + 1).scale(Fraction(1, 2))
