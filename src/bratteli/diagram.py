@@ -16,13 +16,25 @@ incident and whose labels satisfy, after dividing out lambda^(n-2),
 
 A collar adds combinatorics, not geometry, so a vertical coefficient
 depends only on (core of its range, position) and a horizontal one on its
-two cores; templates with one key share one coefficient object.  The census
-sums each side once per distinct pair of such objects: L(e_left, h_bot) on
-the left, kept for every square as its `square_usum`, and R(h_top, e_right)
-on the right.  An incident triple whose bottom ends no horizontal joins is
-skipped before any arithmetic, and each candidate h_bot is decided by the
-exact test L.equals(R), once per distinct (L, R), with no inverse of
-lambda.  The scan order fixes the order of `squares` and of the JSON export.
+two cores; templates with one key share one coefficient object.
+
+Each coefficient is the displacement from its source's tile centre to its
+range's, so both sides of the equation measure from A = e_left.src, placed
+in T = h_bot.src, to the centre of U = h_bot.rng: they agree exactly when
+B = e_right.src, as a subtile of U, lies c(h_top) from A.  That is 0 or
++-(l_A + l_B)/2, while with positive lengths two distinct subtiles are at
+least (l_A + l_B)/2 apart, with equality only for neighbours.  So, with a
+forward horizontal (index below its opposite's) carrying +, the squares are
+exactly three families, read off the rules with no arithmetic:
+
+- tail: h_bot trivial at v, e_left = e_right into v, h_top trivial;
+- interior: h_bot trivial at v, e_left and e_right at positions i, i+1 of
+  v's rule, h_top forward between their sources, and the mirror;
+- boundary: h_bot forward T -> U, e_left the last edge into T, e_right the
+  first into U, h_top forward between their sources, and the mirror;
+
+a mirror swaps e_left and e_right and reverses both horizontals.  Sorted
+keys are the scan order of `squares` and of the JSON export.
 
 The full zero-residual square set drives the extended-equivalence decision
 procedure.  Squares whose two horizontals are trivial realize tail
@@ -94,7 +106,7 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
-        # (e_left, h_bot) of each square -> c(e_left) + lambda * c(h_bot), filled by the census
+        # (e_left, h_bot) of each square -> L = c(e_left) + lambda * c(h_bot), formed by the census
         self.usums: dict[tuple[int, int], AlgebraicNumber] = {}
         self._classify_squares(enumerate_squares(self))
         self._pairing = None
@@ -271,55 +283,41 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
 
 
 def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
-    """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
-    incident quadruples with exactly zero residual, by the pair sums L and R
-    of the module docstring, memoised on the shared coefficient objects
-    (which hash by identity); puts the L of every square in `diagram.usums`.
-    """
-    csub = diagram.csub
-    layouts = csub.base.layouts
+    """The keys (h_top, e_left, e_right, h_bot) of all commutative squares in
+    scan order, read off adjacent subtiles (the three families of the module
+    docstring) with no arithmetic test; puts the L of each in `diagram.usums`."""
+    layouts = diagram.csub.base.layouts
+    core = diagram.csub.core_of
     hs = diagram.horizontals
-    # lambda * c(h) as (lambda l_t + lambda l_u)/2: reduction mod m is
-    # linear, so this is the product's representative, with no product
-    lam_c: dict[AlgebraicNumber, AlgebraicNumber] = {}
-    for h in hs:
-        if h.coeff in lam_c:
-            continue
-        if h.trivial:
-            lam_c[h.coeff] = h.coeff
-        else:  # the first of a pair carries +, its opposite comes next
-            s = (layouts[csub.core_of(h.src)].scaled + layouts[csub.core_of(h.rng)].scaled).scale(HALF)
-            lam_c[h.coeff] = s
-            lam_c[hs[h.opposite].coeff] = -s
-    rsums: dict[tuple, AlgebraicNumber] = {}  # (c(h_top), c(e_right)) -> their sum R
-    lsums: dict[tuple, AlgebraicNumber] = {}  # (c(e_left), c(h_bot)) -> c(e_left) + lambda c(h_bot) = L
-    verdicts: dict[tuple, bool] = {}  # (L, R) -> L.equals(R)
-    usums = diagram.usums
+    forward = {(h.src, h.rng): h for h in hs if h.index < h.opposite}  # src tile just left of rng
+    lsums: dict[tuple, AlgebraicNumber] = {}  # (c(e_left), c(h_bot)) -> L, once per object pair
     out = []
-    for ht in hs:
-        for el in diagram.out_edges[ht.src]:
-            for er in diagram.out_edges[ht.rng]:
-                cands = diagram.h_by_ends.get((el.rng, er.rng))
-                if not cands:
-                    continue
-                rsum = rsums.get((ht.coeff, er.coeff))
-                if rsum is None:
-                    rsum = rsums[ht.coeff, er.coeff] = ht.coeff + er.coeff
-                matches = []
-                for hb in cands:
-                    lsum = lsums.get((el.coeff, hb.coeff))
-                    if lsum is None:
-                        lsum = lsums[el.coeff, hb.coeff] = el.coeff + lam_c[hb.coeff]
-                    equal = verdicts.get((lsum, rsum))
-                    if equal is None:
-                        equal = verdicts[lsum, rsum] = lsum.equals(rsum)
-                    if equal:
-                        matches.append((hb.index, lsum))
-                assert len(matches) <= 1
-                for hb, lsum in matches:
-                    usums[el.index, hb] = lsum
-                    out.append((ht.index, el.index, er.index, hb))
-    return out
+
+    def square(ht, el, er, hb, lam_c):  # lam_c = lambda * c(hb)
+        key = (el.coeff, hb.coeff)
+        if key not in lsums:
+            lsums[key] = el.coeff + lam_c
+        diagram.usums[el.index, hb.index] = lsums[key]
+        out.append((ht, el.index, er.index, hb.index))
+
+    def adjacent(el, er, hb, lam_c):  # el.src just left of er.src: the square and its mirror
+        ht = forward.get((el.src, er.src))
+        if ht is not None:
+            square(ht.index, el, er, hb, lam_c)
+            square(ht.opposite, er, el, hs[hb.opposite], -lam_c)
+
+    for v, into in diagram.in_edges.items():
+        hb = diagram.trivial_h[v]
+        for e in into:
+            square(diagram.trivial_h[e.src].index, e, e, hb, diagram.field.zero)
+        for el, er in zip(into, into[1:]):
+            adjacent(el, er, hb, diagram.field.zero)
+    for hb in forward.values():
+        # lambda * c(hb) as (lambda l_T + lambda l_U)/2: reduction mod m is
+        # linear, so this is the product's representative, with no product
+        lam_c = (layouts[core(hb.src)].scaled + layouts[core(hb.rng)].scaled).scale(HALF)
+        adjacent(diagram.max_edge_into(hb.src), diagram.min_edge_into(hb.rng), hb, lam_c)
+    return sorted(out)
 
 
 def _reachable(start, successors) -> set:

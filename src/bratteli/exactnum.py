@@ -333,7 +333,9 @@ class AlgebraicNumber:
         return self.compare(other) >= 0
 
     def to_decimal(self, digits: int) -> str:
-        """Certified floor truncation to `digits` places."""
+        """Certified floor truncation to `digits` >= 0 places."""
+        if digits < 0:
+            raise ValueError(f"digits must be >= 0, got {digits}")
         f = self.field
         scale = 10**digits
         k = f._level
@@ -398,7 +400,7 @@ def lambda_pow(field: ModulusField, k: int) -> AlgebraicNumber:
 # Lowest degree first, e.g. "1/2 + 1/2*L" for (1 + lambda)/2, "-1 + L^2".
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[+-]?\d+(?:/\d+)?|[+-])?\s*(?P<star>\*)?\s*(?P<lpart>L(?:\^(?P<exp>\d+))?)?\s*$"
+    r"^\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?\s*(?P<star>\*)?\s*(?P<lpart>L(?:\^(?P<exp>\d+))?)?\s*$"
 )
 
 
@@ -424,7 +426,8 @@ def _render(p: list[Fraction], sym: str) -> str:
 
 
 def parse_algebraic(field: ModulusField, text: str) -> AlgebraicNumber:
-    """Parse the L-polynomial grammar produced by AlgebraicNumber.render()."""
+    """Parse the L-polynomial grammar of AlgebraicNumber.render(); a bad term,
+    or a power of L at or above the modulus degree, is a ParseError naming it."""
     s = text.strip()
     if not s:
         raise ParseError("empty algebraic-number literal")
@@ -438,18 +441,21 @@ def parse_algebraic(field: ModulusField, text: str) -> AlgebraicNumber:
         else:
             buf += ch
     terms.append(buf)
+    degree = rp.degree(field.modulus)
     coeffs: dict[int, Fraction] = {}
     for t in terms:
-        m = _TERM_RE.match(t.replace(" ", ""))
-        if not m or (m.group("coeff") is None and m.group("lpart") is None):
-            raise ParseError(f"bad term in algebraic-number literal: {t.strip()!r}")
-        c = m.group("coeff")
-        sign_only = c in ("+", "-")
-        coeff = Fraction(1) if c is None else (Fraction(c + "1") if sign_only else Fraction(c))
-        if m.group("lpart") is None:
-            k = 0
-        else:
-            k = int(m.group("exp")) if m.group("exp") else 1
+        m = _TERM_RE.match(t)
+        bad = f"bad term in algebraic-number literal: {t.strip()!r}"
+        # a coefficient, an L-part or both; a "*" only between the two
+        if not m or not (m["coeff"] or m["lpart"]) or m["star"] and not (m["coeff"] and m["lpart"]):
+            raise ParseError(bad)
+        try:
+            coeff = Fraction(m["coeff"] or 1) * (-1 if m["sign"] == "-" else 1)
+            k = int(m["exp"] or 1) if m["lpart"] else 0
+        except ValueError as exc:  # a number past int()'s digit limit
+            raise ParseError(f"{bad} ({exc})") from exc
+        if k >= degree:  # render() never writes one; refused before a list of k entries
+            raise ParseError(f"{bad} (exponent {k} is not below the modulus degree {degree})")
         coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
-    n = max(coeffs) + 1 if coeffs else 1
+    n = max(coeffs) + 1
     return field.element([coeffs.get(i, Fraction(0)) for i in range(n)])

@@ -114,12 +114,6 @@ def enclose(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[int, int
     return alo, ahi, den * qk // q
 
 
-def eval_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """`enclose` as a pair of Fractions."""
-    vlo, vhi, den = enclose(p, Fraction(lo), Fraction(hi))
-    return Fraction(vlo, den), Fraction(vhi, den)
-
-
 def integer_primitive(p: Sequence) -> IntPoly:
     """The primitive integer polynomial that is a positive multiple of the
     rational p: same roots, same signs."""

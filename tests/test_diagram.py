@@ -12,6 +12,7 @@ import pytest
 import oracles
 from bratteli import analysis
 from bratteli import diagram as diagram_module
+from bratteli import verify
 from bratteli.diagram import (
     BratteliDiagram,
     DiagramTemplate,
@@ -140,7 +141,8 @@ def brute_force_squares(diagram):
 
 
 def test_squares_match_brute_force(fib, tm, dyadic, rand3, random_diagrams):
-    for diagram in (fib, tm, dyadic, rand3, *random_diagrams):
+    reducible = [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
+    for diagram in (fib, tm, dyadic, rand3, *random_diagrams, *reducible):
         got = {s.key() for s in diagram.squares}
         assert got == brute_force_squares(diagram)
 
@@ -423,4 +425,6 @@ def test_export_json_matches_frozen_bench_digests():
     assert len(specs) == 196
     for spec in specs:
         sub = parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True))
-        assert sha256(export_json(build_diagram(sub)).encode()).hexdigest() == spec["json_sha256"], spec["text"]
+        d = build_diagram(sub)
+        assert sha256(export_json(d).encode()).hexdigest() == spec["json_sha256"], spec["text"]
+        verify._residuals(d)  # every square by multiplication, independently of the census

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bratteli import ratpoly as rp
-from bratteli.errors import FieldMismatch, NoRootAboveOne
+from bratteli.errors import FieldMismatch, NoRootAboveOne, ParseError
 from bratteli.exactnum import (
     ModulusField,
     field_from_charpoly,
@@ -157,6 +157,27 @@ def test_render_and_parse(fib_field):
     assert parse_algebraic(cubic, v.render()).equals(v)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0",  # zero denominator
+        "1 2",  # a space inside a term
+        "2*",  # "*" with nothing after it
+        "*L",  # "*" with nothing before it
+        "L^2",  # exponent at the modulus degree
+        pytest.param("1 + L^" + "9" * 5000, id="huge-exponent"),  # past int()'s digit limit
+    ],
+)
+def test_parse_algebraic_refuses_bad_terms(fib_field, text):
+    with pytest.raises(ParseError, match="bad term in algebraic-number literal: '"):
+        parse_algebraic(fib_field, text)
+
+
+def test_to_decimal_refuses_negative_digits(fib_field):
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        fib_field.lam().to_decimal(-1)
+
+
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12
 )
@@ -213,14 +234,12 @@ def test_zero_test_agrees_with_interval_refinement(data):
     phi = f.lam()
     z = a * (phi * phi - phi - 1)  # annihilate: z is zero at lambda
     for k in range(0, 12, 3):
-        lo, hi = f.refined(k)
-        vlo, vhi = rp.eval_interval(list(z.coeffs), lo, hi)
+        vlo, vhi, _ = rp.enclose(z.coeffs, *f.refined(k))
         assert vlo <= 0 <= vhi
     if not a.is_zero():
         k = 0
         while True:
-            lo, hi = f.refined(k)
-            vlo, vhi = rp.eval_interval(list(a.coeffs), lo, hi)
+            vlo, vhi, _ = rp.enclose(a.coeffs, *f.refined(k))
             if vlo > 0 or vhi < 0:
                 break
             k += 1
@@ -381,13 +400,22 @@ def test_refined_matches_sturm_bisection(charpolys, k):
     assert [f.refined(j) for j in range(k + 1)] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_render_round_trip(data):
+    f = field_from_charpoly(data.draw(st.sampled_from([GOLDEN, RAND3_CHARPOLY, GOLDEN_TIMES_SQRT2])))
+    x = data.draw(elements(f))
+    assert parse_algebraic(f, x.render()).coeffs == x.coeffs
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(rationals, max_size=6), rationals, rationals)
 @example([Fraction(1), Fraction(-2), Fraction(3)], Fraction(-3, 2), Fraction(1, 3))
 @example([Fraction(-1, 3), Fraction(0), Fraction(5, 7)], Fraction(-2), Fraction(-1, 5))
 def test_eval_interval_matches_four_products(p, a, b):
     lo, hi = min(a, b), max(a, b)
-    assert rp.eval_interval(p, lo, hi) == reference_eval_interval(p, lo, hi)
+    vlo, vhi, den = rp.enclose(p, lo, hi)
+    assert (Fraction(vlo, den), Fraction(vhi, den)) == reference_eval_interval(p, lo, hi)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from bratteli.diagram import BratteliDiagram, enumerate_squares
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -28,3 +30,12 @@ def test_tracer_names_resolve():
             assert hasattr(obj, part), f"{metric}: {module_name}.{attribute} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj), f"{metric}: {module_name}.{attribute} is not callable"
+
+
+def test_traced_census_counts_and_frozen_fields(all_diagrams):
+    """The tracer's squares note counts len(enumerate_squares(...)), and
+    bench/freeze.py reads out_edges, squares and field._reduced."""
+    for name, fixture in all_diagrams.items():
+        d = BratteliDiagram(fixture.csub)  # a fresh build: the census refills usums
+        assert len(enumerate_squares(d)) == len(d.squares) > 0, name
+        assert d.out_edges and d.field._reduced, name
