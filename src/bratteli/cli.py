@@ -22,6 +22,7 @@ from .paths import (
     extremal_paths,
     parse_path,
     rb_equiv,
+    refuse_large_patch,
     render_path,
     vershik_successor,
 )
@@ -165,17 +166,42 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def _prefix_of(args, path):
+def _depth_of(args, path) -> int:
+    """The depth of the prefix a command reads: --depth, else one full cycle,
+    for an eventually periodic path; a finite prefix's own length."""
     if isinstance(path, EventuallyPeriodicPath):
-        depth = args.depth if args.depth is not None else (len(path.pre) + len(path.cycle) + 1)
-        return path.prefix(depth)
-    return path
+        return args.depth if args.depth is not None else len(path.pre) + len(path.cycle) + 1
+    return path.length
+
+
+def _prefix_of(path, depth: int):
+    return path.prefix(depth) if isinstance(path, EventuallyPeriodicPath) else path
+
+
+# Digits allowed above lambda^(depth-1) in what analyze prints.  A gap at
+# generation n is at most lambda^(n-1) times a tile length, and as every
+# root of the modulus has modulus <= lambda, the coefficients of its
+# representative grow no faster; the margin covers the constant factors.
+ANALYZE_DIGIT_MARGIN = 32
+
+
+def _refuse_unprintable(diagram, depth: int) -> None:
+    """Refuse, before any work, a depth whose gaps could print past Python's
+    int-to-str digit limit (its default 4300 where the limit is off)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = diagram.field.lam_power_digits(depth - 1) + ANALYZE_DIGIT_MARGIN
+    if digits > limit:
+        raise BratteliError(
+            f"analyze at depth {depth} would print numbers of up to {digits} digits, above the limit of {limit}"
+        )
 
 
 def cmd_decode(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    gamma = _prefix_of(args, path)
+    depth = _depth_of(args, path)
+    refuse_large_patch(path, args.collared, depth)
+    gamma = _prefix_of(path, depth)
     patch = decode_collared(gamma) if args.collared else decode(gamma)
     print(f"path: {render_path(gamma)}")
     print(f"word: {patch.word_marked()}")
@@ -256,8 +282,9 @@ def cmd_rb(args) -> int:
 def cmd_analyze(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    gamma = _prefix_of(args, path)
-    prof = gap_profile(gamma)
+    depth = _depth_of(args, path)
+    _refuse_unprintable(diagram, depth)
+    prof = gap_profile(_prefix_of(path, depth))
     print(f"path: {render_path(path)}")
     print("generation | g_L | g_R")
     for n, (gl, gr) in enumerate(prof.gaps, start=1):

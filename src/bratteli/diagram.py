@@ -36,6 +36,15 @@ exactly three families, read off the rules with no arithmetic:
 a mirror swaps e_left and e_right and reverses both horizontals.  Sorted
 keys are the scan order of `squares` and of the JSON export.
 
+Of a square and its mirror one is stored (`canonical`): the one with
+L = c(e_left) + lambda c(h_bot) < 0 <= the mirror's L, else the smaller key
+(h_top forward).  Positive lengths fix these signs per family.  A tail
+square is its own mirror.  With h_bot forward, a boundary square has
+L = (l_(e_left) + lambda l_U)/2 > 0 and its mirror -(l_(e_right) + lambda
+l_T)/2 < 0.  An interior square has L = c(e_left), and vertical coefficients
+strictly decrease along a rule, so h_top forward (e_left at i, e_right at
+i + 1) is stored unless c turns negative there: i + 1 = `split` of v's letter.
+
 The full zero-residual square set drives the extended-equivalence decision
 procedure.  Squares whose two horizontals are trivial realize tail
 equivalence; the remaining ones split into transient squares (every chain
@@ -106,8 +115,6 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
-        # (e_left, h_bot) of each square -> L = c(e_left) + lambda * c(h_bot), formed by the census
-        self.usums: dict[tuple[int, int], AlgebraicNumber] = {}
         self._classify_squares(enumerate_squares(self))
         self._pairing = None
 
@@ -173,8 +180,6 @@ class BratteliDiagram:
             if not (hs[ht].trivial and hs[hb].trivial):
                 arcs[ht].append(hb)
         reach: dict[int, set[int]] = {}  # h_bot -> the horizontals it reaches
-        mirrored = dict.fromkeys(self.usums[k[1], k[3]] for k in keys if self._mirror_key(k) != k)
-        usum_sign = {u: u.sign() for u in mirrored}  # one sign per distinct usum object
         self.squares = []
         for k in keys:
             ht, hb = k[0], k[3]
@@ -184,32 +189,25 @@ class BratteliDiagram:
                 if hb not in reach:
                     reach[hb] = _reachable(hb, arcs.__getitem__)
                 kind = "cyclic" if ht in reach[hb] else "transient"
-            self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k, usum_sign)))
+            self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k)))
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
 
-    def _mirror_key(self, k: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        ht, el, er, hb = k
-        return (self.horizontals[ht].opposite, er, el, self.horizontals[hb].opposite)
-
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
-        (the left side L of the census's square equation)."""
-        return self.usums[s.e_left, s.h_bot]
+        (the left side L of the square equation), formed on demand."""
+        return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
 
-    def _is_canonical(self, k: tuple[int, int, int, int], usum_sign: dict) -> bool:
-        """usum_sign: usum object -> sign, for the usum of every square that
-        is not its own mirror."""
-        mk = self._mirror_key(k)
-        if mk == k:
+    def _is_canonical(self, k: tuple[int, int, int, int]) -> bool:
+        """Whether k is its square's stored orientation (module docstring)."""
+        h_top, h_bot = self.horizontals[k[0]], self.horizontals[k[3]]
+        if not h_bot.trivial:  # boundary
+            return h_bot.index > h_bot.opposite
+        if h_top.trivial:  # tail
             return True
-        sgn = usum_sign[self.usums[k[1], k[3]]]
-        msgn = usum_sign[self.usums[mk[1], mk[3]]]
-        if sgn < 0 and msgn >= 0:
-            return True
-        if msgn < 0 and sgn >= 0:
-            return False
-        return k < mk
+        below = max(self.verticals[k[1]].pos, self.verticals[k[2]].pos)  # i + 1
+        split = self.csub.base.layouts[self.csub.core_of(h_bot.src)].split
+        return (h_top.index < h_top.opposite) != (below == split)
 
     def pair_extremes(self):
         from .paths import pair_extremes
@@ -285,38 +283,23 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
 def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
     """The keys (h_top, e_left, e_right, h_bot) of all commutative squares in
     scan order, read off adjacent subtiles (the three families of the module
-    docstring) with no arithmetic test; puts the L of each in `diagram.usums`."""
-    layouts = diagram.csub.base.layouts
-    core = diagram.csub.core_of
-    hs = diagram.horizontals
-    forward = {(h.src, h.rng): h for h in hs if h.index < h.opposite}  # src tile just left of rng
-    lsums: dict[tuple, AlgebraicNumber] = {}  # (c(e_left), c(h_bot)) -> L, once per object pair
+    docstring) with no arithmetic."""
+    trivial = diagram.trivial_h
+    forward = {(h.src, h.rng): h for h in diagram.horizontals if h.index < h.opposite}  # src just left of rng
     out = []
 
-    def square(ht, el, er, hb, lam_c):  # lam_c = lambda * c(hb)
-        key = (el.coeff, hb.coeff)
-        if key not in lsums:
-            lsums[key] = el.coeff + lam_c
-        diagram.usums[el.index, hb.index] = lsums[key]
-        out.append((ht, el.index, er.index, hb.index))
-
-    def adjacent(el, er, hb, lam_c):  # el.src just left of er.src: the square and its mirror
+    def adjacent(el, er, hb):  # el.src just left of er.src: the square and its mirror
         ht = forward.get((el.src, er.src))
         if ht is not None:
-            square(ht.index, el, er, hb, lam_c)
-            square(ht.opposite, er, el, hs[hb.opposite], -lam_c)
+            out.append((ht.index, el.index, er.index, hb.index))
+            out.append((ht.opposite, er.index, el.index, hb.opposite))
 
     for v, into in diagram.in_edges.items():
-        hb = diagram.trivial_h[v]
-        for e in into:
-            square(diagram.trivial_h[e.src].index, e, e, hb, diagram.field.zero)
+        out.extend((trivial[e.src].index, e.index, e.index, trivial[v].index) for e in into)
         for el, er in zip(into, into[1:]):
-            adjacent(el, er, hb, diagram.field.zero)
+            adjacent(el, er, trivial[v])
     for hb in forward.values():
-        # lambda * c(hb) as (lambda l_T + lambda l_U)/2: reduction mod m is
-        # linear, so this is the product's representative, with no product
-        lam_c = (layouts[core(hb.src)].scaled + layouts[core(hb.rng)].scaled).scale(HALF)
-        adjacent(diagram.max_edge_into(hb.src), diagram.min_edge_into(hb.rng), hb, lam_c)
+        adjacent(diagram.max_edge_into(hb.src), diagram.min_edge_into(hb.rng), hb)
     return sorted(out)
 
 
@@ -494,7 +477,7 @@ def diagram_from_json(text: str) -> BratteliDiagram:
     round-trip identically."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a number past int()'s digit limit, or deep nesting
         raise ParseError(f"bad diagram JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("bad diagram JSON: top level must be an object")

@@ -45,10 +45,12 @@ class PeriodicDetected(BratteliError):
 
 
 class PatchTooLarge(BratteliError):
-    """A decode would produce more tiles than the library allows."""
+    """A decode would produce more tiles than the library allows; tiles past
+    the ceiling where the count stops are reported as "more than" it."""
 
-    def __init__(self, depth: int, tiles: int, limit: int):
-        super().__init__(f"decode at depth {depth} would produce {tiles} tiles, above the limit of {limit}")
+    def __init__(self, depth: int, tiles: int, limit: int, ceiling: int):
+        count = f"more than {ceiling}" if tiles > ceiling else tiles
+        super().__init__(f"decode at depth {depth} would produce {count} tiles, above the limit of {limit}")
         self.depth = depth
         self.tiles = tiles
         self.limit = limit

@@ -109,6 +109,13 @@ class ModulusField:
                 cache.append((lo, mid))
         return cache[k]
 
+    def lam_power_digits(self, n: int) -> int:
+        """An upper bound on the decimal digits of the integer part of
+        lambda^n, n >= 0, in integers and O(log n) products, from the upper
+        end of a refined isolating interval."""
+        m, e = _power_upper(self.refined(64)[1], n)
+        return max(0, m.bit_length() + e) * 30103 // 100000 + 1  # log10(2) < 0.30103
+
     # -- element factories ---------------------------------------------------
 
     def element(self, coeffs) -> AlgebraicNumber:
@@ -166,6 +173,24 @@ def field_from_charpoly(charpoly) -> ModulusField:
         else:
             hi, vhi = mid, vmid
     return ModulusField(m, lo, hi, seq)
+
+
+def _power_upper(x: Fraction, n: int, bits: int = 64) -> tuple[int, int]:
+    """(m, e) with x^n <= m * 2^e for x > 0, m of about `bits` bits: square
+    and multiply in binary floating point, rounding every product up."""
+
+    def up(m, e):
+        s = max(0, m.bit_length() - bits)
+        return -(-m >> s), e + s
+
+    base = up(-((-x.numerator << bits) // x.denominator), -bits)  # x rounded up
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = up(out[0] * base[0], out[1] + base[1])
+        base = up(base[0] * base[0], 2 * base[1])
+        n >>= 1
+    return out
 
 
 def _cut_avoiding_roots(m: rp.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -400,7 +425,8 @@ def lambda_pow(field: ModulusField, k: int) -> AlgebraicNumber:
 # Lowest degree first, e.g. "1/2 + 1/2*L" for (1 + lambda)/2, "-1 + L^2".
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?\s*(?P<star>\*)?\s*(?P<lpart>L(?:\^(?P<exp>\d+))?)?\s*$"
+    r"^\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?\s*(?P<star>\*)?\s*(?P<lpart>L(?:\^(?P<exp>\d+))?)?\s*$",
+    re.ASCII,
 )
 
 

@@ -263,35 +263,46 @@ class DecodedPatch:
 # tile is allocated.
 MAX_DECODE_TILES = 10**6
 
+# Where the count stops.  Primitivity with lambda > 1 makes every expansion
+# grow, at least doubling every primitivity-index steps, so the count passes
+# this within a number of steps that does not depend on the depth.
+TILE_COUNT_CEILING = 10**12
+
 
 def _expanded_length(matrix: list[list[int]], letter: int, steps: int) -> int:
-    """Length of the steps-fold expansion of a letter; matrix[x][y] counts
-    the letter y in the rule of x."""
+    """Length of the steps-fold expansion of a letter, or TILE_COUNT_CEILING
+    + 1 once past it; matrix[x][y] counts the letter y in the rule of x."""
     counts = [0] * len(matrix)
     counts[letter] = 1
     for _ in range(steps):
         counts = [sum(c * row[y] for c, row in zip(counts, matrix)) for y in range(len(matrix))]
-    return sum(counts)
+        if sum(counts) > TILE_COUNT_CEILING:
+            break
+    return min(sum(counts), TILE_COUNT_CEILING + 1)
 
 
-def patch_size(gamma: PathPrefix, collared: bool = False) -> int:
-    """Number of tiles of decode(gamma), or of decode_collared(gamma) if
-    collared, computed without decoding."""
-    csub = gamma.diagram.csub
-    top = gamma.top_vertex()
-    steps = gamma.length - 1
-    tiles = _expanded_length(csub.collared_abelianization, top, steps)
+def patch_size(path, collared: bool = False, depth: int | None = None) -> int:
+    """Number of tiles of decode, or of decode_collared if collared, of the
+    path's prefix at depth (default: a PathPrefix's length), computed without
+    decoding or building that prefix; TILE_COUNT_CEILING + 1 past the
+    ceiling."""
+    csub = path.diagram.csub
+    depth = path.length if depth is None else depth
+    top = path.vertex_at(depth)
+    tiles = _expanded_length(csub.collared_abelianization, top, depth - 1)
     if collared:
         cl = csub.collared_alphabet[top]
         m = csub.base.abelianization
-        tiles += _expanded_length(m, cl.left, steps) + _expanded_length(m, cl.right, steps)
-    return tiles
+        tiles += _expanded_length(m, cl.left, depth - 1) + _expanded_length(m, cl.right, depth - 1)
+    return min(tiles, TILE_COUNT_CEILING + 1)
 
 
-def _refuse_large(gamma: PathPrefix, collared: bool) -> None:
-    tiles = patch_size(gamma, collared)
+def refuse_large_patch(path, collared: bool, depth: int) -> None:
+    """Raise PatchTooLarge if patch_size(path, collared, depth) is above
+    MAX_DECODE_TILES."""
+    tiles = patch_size(path, collared, depth)
     if tiles > MAX_DECODE_TILES:
-        raise PatchTooLarge(gamma.length, tiles, MAX_DECODE_TILES)
+        raise PatchTooLarge(depth, tiles, MAX_DECODE_TILES, TILE_COUNT_CEILING)
 
 
 def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
@@ -336,7 +347,7 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
     of its top vertex, with the puncture tile centered at 0 and the core
     supertile centered at u(gamma).  Raises PatchTooLarge above
     MAX_DECODE_TILES tiles."""
-    _refuse_large(gamma, collared=False)
+    refuse_large_patch(gamma, False, gamma.length)
     d = gamma.diagram
     csub = d.csub
     word, idx = _trace(gamma)
@@ -368,7 +379,7 @@ def decode_collared(gamma: PathPrefix) -> DecodedPatch:
     """Like decode, but expands the whole 3-tile collar of the top vertex;
     the contexts expand through the plain substitution and stay undecorated.
     Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
-    _refuse_large(gamma, collared=True)
+    refuse_large_patch(gamma, True, gamma.length)
     csub = gamma.diagram.csub
     base = csub.base
     core = decode(gamma)
@@ -651,8 +662,8 @@ def parse_path(diagram: BratteliDiagram, text: str):
     head, sep, rest = s.partition(";")
     if not sep:
         raise ParseError("path literal must contain ';' after the root")
-    _, eq, rootname = head.partition("=")
-    if not eq:
+    key, eq, rootname = head.partition("=")
+    if not eq or key.strip() != "root":
         raise ParseError("path literal must start with 'root=<vertex>;'")
     rootname = rootname.strip()
     if rootname not in diagram.vertices:
@@ -686,7 +697,7 @@ def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> Ve
     name = tok
     if "#" in tok:
         name, _, idx = tok.partition("#")
-        if not idx.isdigit():
+        if not (idx.isascii() and idx.isdigit()):
             raise ParseError(f"bad position suffix in edge token {tok!r}")
         pos = int(idx)
     if ">" in name:

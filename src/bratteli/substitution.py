@@ -125,9 +125,10 @@ def _or_selected(mask: int, rows: list[int]) -> int:
 class LetterLayout:
     """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
     centered at 0, with the tiles of sigma(x) end to end inside it.  The
-    tuples run over the positions i of sigma(x)."""
+    tuples run over the positions i of sigma(x); `vertical` strictly
+    decreases along them, by (l_i + l_(i+1))/2 from i to i + 1."""
 
-    scaled: AlgebraicNumber  # lambda * l(x)
+    split: int  # tiles whose center lies at or left of the supertile's: the i with vertical[i] >= 0
     left: tuple[AlgebraicNumber, ...]  # total length of the tiles before position i
     right: tuple[AlgebraicNumber, ...]  # total length of the tiles after position i
     vertical: tuple[AlgebraicNumber, ...]  # supertile center minus center of tile i
@@ -168,11 +169,12 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
         if not (total - scaled).is_zero():
             raise SingularSystem("eigen-equation residual nonzero")
         half = scaled.scale(HALF)
+        vertical = tuple(half - a - lengths[y].scale(HALF) for a, y in zip(left, rule))
         layouts[x] = LetterLayout(
-            scaled=scaled,
+            split=next((i for i, c in enumerate(vertical) if c.sign() < 0), len(vertical)),
             left=tuple(left),
             right=tuple(total - a - lengths[y] for a, y in zip(left, rule)),
-            vertical=tuple(half - a - lengths[y].scale(HALF) for a, y in zip(left, rule)),
+            vertical=vertical,
         )
     for y in range(n):
         if lengths[y].sign() != 1:

@@ -91,8 +91,9 @@ def _opposites(diagram):
 
 
 def _residuals(diagram):
-    # lambda * c(h) by multiplication, once per horizontal: the census reads
-    # it off the layouts instead, so this stays an independent cross-check
+    # every square's equation by multiplication, once per horizontal: the
+    # census finds the squares by adjacency with no arithmetic, so this is
+    # an independent cross-check
     lam_c = [diagram.lam * h.coeff for h in diagram.horizontals]
     for s in diagram.squares:
         ht = diagram.horizontals[s.h_top]

@@ -539,8 +539,8 @@ def escape_depth_by_profiles(x, bound) -> int:
 # The builders and the gap walk as they were before the diagram shared its
 # arithmetic per base letter: every collared letter redoes its own layout,
 # every horizontal its own half-sum, and the census sums and zero-tests per
-# template index.  The package must give the same templates, squares, usums
-# and gaps, representative for representative.
+# template index.  The package must give the same templates, squares, square
+# sums L and gaps, representative for representative.
 
 _HALF = Fraction(1, 2)
 
@@ -607,15 +607,15 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     return out
 
 
-def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
+def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[tuple[int, int, int, int]]:
     """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
     incident quadruples with exactly zero residual, by the pair sums L and R
-    of the module docstring; fills `diagram.usums`."""
+    of the module docstring; puts L of each (e_left, h_bot) it forms in
+    `usums`."""
     lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
     for h in diagram.horizontals:
         if h.coeff.coeffs not in lam_c:
             lam_c[h.coeff.coeffs] = diagram.lam * h.coeff
-    usums = diagram.usums
     out = []
     for ht in diagram.horizontals:
         rsums: dict[int, AlgebraicNumber] = {}  # e_right -> c(h_top) + c(e_right)
@@ -637,6 +637,25 @@ def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int
                 assert len(matches) <= 1
                 out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
     return out
+
+
+def is_canonical_by_sign(diagram: BratteliDiagram, k: tuple[int, int, int, int]) -> bool:
+    """The stored orientation of a square as first defined: the one with
+    L = c(e_left) + lambda * c(h_bot) < 0 <= the mirror's L, else the
+    smaller key; a square that is its own mirror is stored."""
+    hs = diagram.horizontals
+    ht, el, er, hb = k
+    mk = (hs[ht].opposite, er, el, hs[hb].opposite)
+    if mk == k:
+        return True
+    sgn, msgn = (
+        (diagram.verticals[e].coeff + diagram.lam * hs[h].coeff).sign() for e, h in ((el, hb), (er, mk[3]))
+    )
+    if sgn < 0 <= msgn:
+        return True
+    if msgn < 0 <= sgn:
+        return False
+    return k < mk
 
 
 def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:

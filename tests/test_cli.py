@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -193,6 +194,25 @@ def test_decode_too_deep_exits_2(capsys):
     code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "40")
     assert code == 2 and out == ""
     assert err == "error: decode at depth 40 would produce 165580141 tiles, above the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("depth", ["30000", "1000000000"])
+def test_decode_huge_depth_exits_2_at_once(capsys, depth):
+    # the count stops at its ceiling, and no prefix is built
+    code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", depth)
+    assert (code, out) == (2, "")
+    assert err == f"error: decode at depth {depth} would produce more than 1000000000000 tiles, above the limit of 1000000\n"
+
+
+def test_analyze_unprintable_depth_exits_2_at_once(capsys, tmp_path):
+    spec = tmp_path / "wide.sub"  # lambda = (9 + sqrt(85))/2, about 9.1
+    spec.write_text("letters: 0 1\nrule 0: 0 0 0 0 0 0 0 0 0 1\nrule 1: 0\n")
+    argv = ["analyze", "--spec", str(spec), "--x", "root=a; (aa#1 aa#2)", "--depth"]
+    code, out, err = run(capsys, *argv, "4700")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: analyze at depth 4700 would print numbers of up to \d+ digits, above the limit of \d+\n", err)
+    code, out, _ = run(capsys, *argv, "3")
+    assert code == 0 and "verdict:" in out
 
 
 def test_python_m_bratteli(capsys):

@@ -370,18 +370,25 @@ REDUCIBLE_MODULUS_SPECS = [
 ]
 
 
-def per_collared_letter_reference(csub) -> BratteliDiagram:
-    """The diagram as the per-collared-letter builders of `oracles` make it."""
+def per_collared_letter_reference(csub, usums: dict) -> BratteliDiagram:
+    """The diagram as the per-collared-letter builders of `oracles` make it;
+    the census puts its L of each (e_left, h_bot) in usums."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("build_vertical", "build_horizontal", "enumerate_squares"):
+        for name in ("build_vertical", "build_horizontal"):
             mp.setattr(diagram_module, name, getattr(oracles, name))
+        mp.setattr(diagram_module, "enumerate_squares", lambda d: oracles.enumerate_squares(d, usums))
         return BratteliDiagram(csub)
 
 
-def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, random_diagrams):
-    reducible = [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
-    for d in (*all_diagrams.values(), *random_diagrams, *reducible):
-        ref = per_collared_letter_reference(d.csub)
+@pytest.fixture(scope="module")
+def reducible_diagrams():
+    return [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
+
+
+def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, random_diagrams, reducible_diagrams):
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        usums = {}
+        ref = per_collared_letter_reference(d.csub, usums)
         assert [(e.src, e.rng, e.pos, e.coeff.coeffs) for e in d.verticals] == [
             (e.src, e.rng, e.pos, e.coeff.coeffs) for e in ref.verticals
         ]
@@ -390,7 +397,7 @@ def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, r
         ]
         assert [s.key() for s in d.squares] == [s.key() for s in ref.squares]
         assert [(s.kind, s.canonical) for s in d.squares] == [(s.kind, s.canonical) for s in ref.squares]
-        assert [d.square_usum(s).coeffs for s in d.squares] == [ref.square_usum(s).coeffs for s in ref.squares]
+        assert [d.square_usum(s).coeffs for s in d.squares] == [usums[s.e_left, s.h_bot].coeffs for s in ref.squares]
         # every vertical once as a one-edge prefix, then deeper periodic paths
         paths = [PathPrefix(d, e.src, [e.index]) for e in d.verticals]
         paths += enumerate_paths(d, 1, 2)[:20]
@@ -398,6 +405,12 @@ def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, r
             depth = x.length if isinstance(x, PathPrefix) else 6
             got = [(gl.coeffs, gr.coeffs) for gl, gr in islice(analysis._gaps(x), depth)]
             assert got == [(gl.coeffs, gr.coeffs) for gl, gr in islice(oracles._gaps(x), depth)]
+
+
+def test_canonical_orientation_matches_sign_rule(all_diagrams, random_diagrams, reducible_diagrams):
+    """The family rule stores the orientation the signs of L pick."""
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        assert [s.canonical for s in d.squares] == [oracles.is_canonical_by_sign(d, s.key()) for s in d.squares]
 
 
 def test_coefficients_shared_per_base_letter(all_diagrams, random_diagrams):

@@ -165,12 +165,26 @@ def test_render_and_parse(fib_field):
         "2*",  # "*" with nothing after it
         "*L",  # "*" with nothing before it
         "L^2",  # exponent at the modulus degree
+        "\u0663",  # a digit outside ASCII
         pytest.param("1 + L^" + "9" * 5000, id="huge-exponent"),  # past int()'s digit limit
     ],
 )
 def test_parse_algebraic_refuses_bad_terms(fib_field, text):
     with pytest.raises(ParseError, match="bad term in algebraic-number literal: '"):
         parse_algebraic(fib_field, text)
+
+
+def test_lam_power_digits_bounds_the_integer_part(all_diagrams, random_diagrams):
+    for d in (*all_diagrams.values(), *random_diagrams):
+        f = d.field
+        power = f.one
+        for n in range(100):
+            digits = len(power.to_decimal(0))
+            assert digits <= f.lam_power_digits(n) <= digits + 1, (d.vertices, n)
+            power = power * d.lam
+    # phi^(10^9) has floor(10^9 log10 phi) + 1 = 208987641 digits; 0.30103 for
+    # log10(2) adds about 3 over its 6.9e8 bits
+    assert 208987641 <= field_from_charpoly(GOLDEN).lam_power_digits(10**9) <= 208987641 + 4
 
 
 def test_to_decimal_refuses_negative_digits(fib_field):

@@ -497,6 +497,8 @@ def test_parse_path_errors(fib, dyadic):
         parse_path(fib, "root=z; ac")
     with pytest.raises(ParseError):
         parse_path(fib, "ac ca")
+    with pytest.raises(ParseError, match="must start with 'root=<vertex>;'"):
+        parse_path(fib, "rootfoo=a; ac ca ab")  # the key before '=' is "root" itself
     with pytest.raises(ParseError):
         parse_path(fib, "root=a; ca")  # wrong source
     with pytest.raises(ParseError):

@@ -36,6 +36,6 @@ def test_traced_census_counts_and_frozen_fields(all_diagrams):
     """The tracer's squares note counts len(enumerate_squares(...)), and
     bench/freeze.py reads out_edges, squares and field._reduced."""
     for name, fixture in all_diagrams.items():
-        d = BratteliDiagram(fixture.csub)  # a fresh build: the census refills usums
+        d = BratteliDiagram(fixture.csub)  # a fresh build, as the tracer times it
         assert len(enumerate_squares(d)) == len(d.squares) > 0, name
         assert d.out_edges and d.field._reduced, name
