@@ -20,13 +20,14 @@ for the *value at lambda*:
   integers (`ratpoly.enclose`); an enclosure that excludes 0 decides
   "nonzero" and the sign.  Any level is sound: the intervals are nested and
   the evaluation is inclusion-isotone;
-* zero test: when the enclosure contains 0, a(lambda) = 0 iff gcd(a, m)
-  still has the isolated root, decided by an integer Sturm count over
-  (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
+* zero test: when the enclosure contains 0, a(lambda) = 0 iff the integer
+  gcd(a, m) still has the isolated root, decided by an integer Sturm count
+  over (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
 * sign: after a failed zero test, bisect up from the field's level until 0
   is excluded (a(lambda) != 0 guarantees termination), then raise the level;
-* division: modulo m with the factors of m that vanish away from lambda
-  deflated out, which keeps the quotient a valid representative.
+* division: the factors of m that vanish away from lambda are divided out
+  exactly in integers; the inverse modulo the rest is read off the adjugate
+  of the multiplication matrix (`ratpoly.charpoly`).
 
 Elements are reduced modulo the reduced modulus, so representatives are
 canonical in all the desk-scale cases, but correctness never relies on that.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from . import ratpoly as rp
 from .errors import FieldMismatch, NoRootAboveOne, ParseError
@@ -56,35 +58,36 @@ HALF = Fraction(1, 2)  # the factor of every halving scale(), built once rather 
 class ModulusField:
     """Q[x]/(modulus) with one marked real root in (lo, hi], the Perron root."""
 
-    def __init__(self, modulus: rp.Poly, lo: Fraction, hi: Fraction, sturm: list[rp.IntPoly] | None = None):
-        """`sturm`, if given, is the integer Sturm sequence of the modulus."""
-        self.modulus = rp.poly(modulus)
+    def __init__(self, modulus, lo: Fraction, hi: Fraction, sturm: list[rp.IntPoly] | None = None):
+        """A monic integer `modulus`; `sturm`, if given, is its Sturm sequence."""
+        m = rp.poly(modulus)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        if rp.degree(self.modulus) < 1 or self.modulus[-1] != 1:
+        if rp.degree(m) < 1 or m[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        sturm = sturm or rp.sturm_sequence(rp.integer_primitive(self.modulus))
+        if any(c.denominator != 1 for c in m):
+            raise ValueError("modulus must have integer coefficients")
+        self.modulus: rp.IntPoly = [c.numerator for c in m]
+        sturm = sturm or rp.sturm_sequence(self.modulus)
         if len(sturm[-1]) > 1:
             raise ValueError("modulus must be square-free")
         if rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) != 1:
             raise ValueError("isolating interval must contain exactly one root")
         self.rational_root: Fraction | None = None
         reduced = self.modulus
-        for r in rp.rational_roots(self.modulus):
+        for r in rp.rational_roots(self.modulus):  # integers: the modulus is monic
             if self.lo < r <= self.hi:  # lambda is rational: x - lambda is the reduced modulus
-                self.rational_root, reduced = r, rp.poly([-r, 1])
+                self.rational_root, reduced = r, [-r.numerator, 1]
                 break
-            reduced = rp.divmod_poly(reduced, rp.poly([-r, 1]))[0]
-        self._reduced = reduced
-        # integer multiple of the reduced modulus, for signs at rational points
-        self._reduced_z = rp.integer_primitive(reduced)
+            reduced = rp.exact_quotient(reduced, [-r.numerator, 1])
+        self._reduced = reduced  # monic integer: elements reduce by it, signs come from it
         if reduced is not self.modulus:
-            sturm = rp.sturm_sequence(self._reduced_z)
+            sturm = rp.sturm_sequence(reduced)
         assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
         # Monotone bisection cache; entry k has width (hi-lo)/2^k.
         self._intervals: list[tuple[Fraction, Fraction]] = [(self.lo, self.hi)]
         # Sign of the reduced modulus at every lower endpoint in the cache.
-        self._lo_positive = rp.eval_scaled(self._reduced_z, self.lo) > 0
+        self._lo_positive = rp.eval_scaled(self._reduced, self.lo) > 0
         # Finest level at which a sign or a decimal has been decided; only grows.
         self._level = 0
         # Elements are immutable, so each field builds these once: empty sums
@@ -101,7 +104,7 @@ class ModulusField:
         while len(cache) <= k:
             lo, hi = cache[-1]
             mid = (lo + hi) / 2
-            v = rp.eval_scaled(self._reduced_z, mid)
+            v = rp.eval_scaled(self._reduced, mid)
             assert v != 0, "reduced modulus has no rational roots"
             if (v > 0) == self._lo_positive:
                 cache.append((mid, hi))
@@ -155,7 +158,7 @@ def field_from_charpoly(charpoly) -> ModulusField:
     if len(p) < 2:
         raise ValueError("charpoly must have degree >= 1")
     seq = rp.sturm_sequence(p)
-    m = rp.squarefree_part(seq)
+    m = rp.exact_quotient(p, seq[-1])
     if abs(m[-1]) != 1:  # else the monic square-free part has a fractional coefficient
         raise ValueError("charpoly must have integer coefficients")
     m = [c * m[-1] for c in m]
@@ -212,8 +215,8 @@ class AlgebraicNumber:
         no trailing zero and fewer entries than the reduced modulus has."""
         if not normalised:
             p = rp.poly(coeffs)
-            if rp.degree(p) >= rp.degree(field._reduced):
-                p = rp.rem(p, field._reduced)
+            if len(p) >= len(field._reduced):
+                p = rp.reduce_monic(p, field._reduced)
             coeffs = tuple(p)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
@@ -283,21 +286,28 @@ class AlgebraicNumber:
     def inverse(self) -> AlgebraicNumber:
         """Multiplicative inverse of the value at lambda.
 
-        The modulus may share factors with self away from lambda; those are
-        deflated before running the extended Euclidean algorithm, so the
-        result q satisfies q(lambda) * self(lambda) = 1 even when self is a
-        zero divisor of the ambient ring.
+        The modulus may share factors with self away from lambda; deflating
+        them keeps q(lambda) * self(lambda) = 1 when self is a zero divisor of
+        the ambient ring.  With self = num/s, num integral, and A the product
+        by num modulo the deflated m, Cayley-Hamilton gives A^-1 = -B/c_0 from
+        the constant terms of det(xI - A) and adj(xI - A), so 1/self is
+        s A^-1 e_0: the unique inverse of degree below deg m.
         """
         if self.is_zero():
             raise ZeroDivisionError("division by a value that is zero at lambda")
-        f = self.field
-        m = f._reduced
-        a = rp.poly(self.coeffs)
-        g = rp.gcd(a, m)
-        if rp.degree(g) >= 1:
-            m = rp.divmod_poly(m, g)[0]
-        inv = _ext_gcd_inverse(a, m)
-        return AlgebraicNumber(f, inv)
+        m = self.field._reduced
+        g = rp.gcd(self.coeffs, m)
+        if len(g) > 1:
+            m = rp.exact_quotient(m, g)
+        n = len(m) - 1
+        s = lcm(*(c.denominator for c in self.coeffs))
+        columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in self.coeffs], m)]
+        while len(columns) < n:  # num * x^j mod m
+            columns.append(rp.reduce_monic([0, *columns[-1]], m))
+        c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
+        if not c[0]:
+            raise ZeroDivisionError("element not invertible modulo deflated modulus")
+        return AlgebraicNumber(self.field, [Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
 
     # -- decision procedures ---------------------------------------------------
 
@@ -318,7 +328,7 @@ class AlgebraicNumber:
         if len(p) == 1 or self._sign_at(self.field._level) is not None:
             return False
         g = rp.gcd(p, self.field._reduced)
-        if rp.degree(g) < 1:
+        if len(g) < 2:
             return False
         return rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1
 
@@ -399,19 +409,6 @@ def _sum(p: tuple, q: tuple) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
-
-
-def _ext_gcd_inverse(a: rp.Poly, m: rp.Poly) -> rp.Poly:
-    """u with u*a = 1 (mod m); requires gcd(a mod m, m) = 1."""
-    r0, r1 = rp.poly(m), rp.rem(a, m)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r2 = rp.divmod_poly(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, rp.sub(s0, rp.mul(q, s1))
-    if rp.degree(r0) != 0:
-        raise ZeroDivisionError("element not invertible modulo deflated modulus")
-    return rp.rem(rp.scale(s0, 1 / r0[0]), m)
 
 
 def lambda_pow(field: ModulusField, k: int) -> AlgebraicNumber:

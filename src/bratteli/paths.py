@@ -741,7 +741,10 @@ def enumerate_paths(
     diagram: BratteliDiagram, pre_limit: int, cycle_limit: int
 ) -> list[EventuallyPeriodicPath]:
     """Every eventually periodic path with preamble length <= pre_limit and
-    cycle length <= cycle_limit, deduplicated by normal form."""
+    cycle length <= cycle_limit, deduplicated by normal form; pre_limit >= 0
+    and cycle_limit >= 1."""
+    if pre_limit < 0 or cycle_limit < 1:
+        raise ValueError(f"need pre_limit >= 0 and cycle_limit >= 1, got {pre_limit} and {cycle_limit}")
     cycles_from: dict[int, list[list[int]]] = {v: [] for v in range(len(diagram.vertices))}
 
     def walk(start: int, v: int, edges: list[int]):

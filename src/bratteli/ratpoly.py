@@ -1,17 +1,18 @@
 """Dense univariate polynomials over the rationals and the integers.
 
 Polynomials are lists in ascending degree order, with no trailing zeros
-(the zero polynomial is the empty list).  Element arithmetic uses lists of
-Fractions.  The modulus side is in integers: a Sturm sequence is a
-primitive pseudo-remainder sequence evaluated at rational points by
-homogeneous Horner, and the square-free part is an exact integer division.
-Everything is exact; no floats.  Degrees stay desk-scale (<= ~10).
+(the zero polynomial is the empty list).  Only the element side is in
+Fractions: `poly`, `mul`, `reduce_monic` and `enclose` take the coefficients
+of elements of Q(lambda).  Everything else is in integers: a modulus is monic
+with integer coefficients, one pseudo-remainder step serves the Sturm
+sequence and `gcd`, `exact_quotient` serves the square-free part and every
+deflation, and `charpoly`'s adjugate inverts.  No floats; degrees stay
+desk-scale (<= ~10).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd as igcd
 from math import isqrt, lcm
 from typing import Iterable, Sequence
@@ -31,23 +32,6 @@ def degree(p: Sequence[Fraction]) -> int:
     return len(p) - 1
 
 
-def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    return poly(a + b for a, b in zip_longest(p, q, fillvalue=0))
-
-
-def neg(p: Sequence[Fraction]) -> Poly:
-    return [-c for c in p]
-
-
-def sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    return add(p, neg(q))
-
-
-def scale(p: Sequence[Fraction], c) -> Poly:
-    c = Fraction(c)
-    return [c * a for a in p] if c else []
-
-
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     if not p or not q:
         return []
@@ -60,34 +44,20 @@ def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     return poly(out)
 
 
-def divmod_poly(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(r) >= len(b) and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        c = r[-1] / lead
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
+def reduce_monic(p: Sequence, m: Sequence[int]) -> list:
+    """p mod the monic integer m, with no division: each step subtracts
+    lc(r) x^k m, which clears the leading coefficient since lc(m) = 1."""
+    r, n = list(p), len(m) - 1
+    low = [(i, mc) for i, mc in enumerate(m[:n]) if mc]
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n]
+        if c:
+            for i, mc in low:
+                r[k + i] -= c * mc
+    del r[n:]
+    while r and not r[-1]:
         r.pop()
-    return poly(q), poly(r)
-
-
-def rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    return divmod_poly(a, b)[1]
-
-
-def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    a, b = poly(a), poly(b)
-    while b:
-        a, b = b, rem(a, b)
-    return [c / a[-1] for c in a] if a else []  # monic
+    return r
 
 
 def enclose(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -134,6 +104,20 @@ def eval_scaled(p: Sequence[int], x) -> int:
     return acc
 
 
+def _pseudo_remainder(r: Sequence[int], b: Sequence[int]) -> IntPoly:
+    """A positive integer multiple of r mod b, for integer r and nonzero b:
+    r <- |lc(b)| r - sign(lc(b)) lc(r) x^k b until deg r < deg b."""
+    r, lead, unit = list(r), abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(r) >= len(b):
+        c, k = unit * r[-1], len(r) - len(b)
+        r = [lead * a for a in r]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
     """p, p', then each negated pseudo-remainder made primitive (Collins'
     primitive remainder sequence) for a nonzero integer p.  Each entry is a
@@ -143,17 +127,19 @@ def sturm_sequence(p: Sequence[int]) -> list[IntPoly]:
     seq = [list(p)]
     b = integer_primitive([i * c for i, c in enumerate(p)][1:])
     while b:
-        r, lead, unit = list(seq[-1]), abs(b[-1]), 1 if b[-1] > 0 else -1
         seq.append(b)
-        while len(r) >= len(b):  # r <- |lc(b)| r - sign(lc(b)) lc(r) x^k b
-            c, k = unit * r[-1], len(r) - len(b)
-            r = [lead * a for a in r]
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-            while r and not r[-1]:
-                r.pop()
-        b = integer_primitive([-a for a in r])
+        b = integer_primitive([-a for a in _pseudo_remainder(seq[-2], b)])
     return seq
+
+
+def gcd(a: Sequence, b: Sequence) -> IntPoly:
+    """gcd of the rational a and b as a primitive integer polynomial with a
+    positive leading coefficient (empty if both are zero), by the primitive
+    remainder sequence."""
+    a, b = integer_primitive(a), integer_primitive(b)
+    while b:
+        a, b = b, integer_primitive(_pseudo_remainder(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
@@ -173,16 +159,16 @@ def count_roots_halfopen(p: Sequence, a, b) -> int:
     return sign_variations(seq, a) - sign_variations(seq, b) if a < b else 0
 
 
-def squarefree_part(seq: list[IntPoly]) -> IntPoly:
-    """p / gcd(p, p') for the Sturm sequence seq of the integer p, by exact
-    division: the last entry is primitive, so the quotient is integral."""
-    r, g = list(seq[0]), seq[-1]
+def exact_quotient(p: Sequence[int], g: Sequence[int]) -> IntPoly:
+    """p / g for integer p and a primitive integer divisor g of p: by Gauss's
+    lemma the quotient is integral, so every division is exact."""
+    r = list(p)
     q = [0] * (len(r) - len(g) + 1)
     for k in range(len(q) - 1, -1, -1):
         q[k] = r[k + len(g) - 1] // g[-1]
         for i, gc in enumerate(g):
             r[k + i] -= q[k] * gc
-    assert not any(r), "the last Sturm entry divides p"
+    assert not any(r), "g divides p"
     return q
 
 

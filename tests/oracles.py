@@ -8,13 +8,14 @@ comparison) so the tests never assert an implementation against itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import ceil, floor
 from typing import Iterator, Sequence
 
 from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
-from bratteli.ratpoly import Poly, divmod_poly, gcd, poly, rem
+from bratteli.ratpoly import Poly, mul, poly
 from bratteli.substitution import CollaredSubstitution, legal_words
 
 
@@ -85,6 +86,86 @@ def bisect_root(coeffs, lo, hi, digits: int) -> Fraction:
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+# -- Fraction polynomial arithmetic ------------------------------------------------
+#
+# The Euclid over the rationals that exactnum used for its reducible-modulus
+# zero test, deflation and inverse before ratpoly's integer kernel.
+
+
+def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+    return poly(a + b for a, b in zip_longest(p, q, fillvalue=0))
+
+
+def neg(p: Sequence[Fraction]) -> Poly:
+    return [-c for c in p]
+
+
+def sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
+    return add(p, neg(q))
+
+
+def scale(p: Sequence[Fraction], c) -> Poly:
+    c = Fraction(c)
+    return [c * a for a in p] if c else []
+
+
+def divmod_poly(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Poly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    while len(r) >= len(b) and r:
+        if r[-1] == 0:
+            r.pop()
+            continue
+        k = len(r) - len(b)
+        c = r[-1] / lead
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+        r.pop()
+    return poly(q), poly(r)
+
+
+def rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
+    return divmod_poly(a, b)[1]
+
+
+def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
+    a, b = poly(a), poly(b)
+    while b:
+        a, b = b, rem(a, b)
+    return [c / a[-1] for c in a] if a else []  # monic
+
+
+def ext_gcd_inverse(a: Poly, m: Poly) -> Poly:
+    """u with u*a = 1 (mod m); requires gcd(a mod m, m) = 1."""
+    r0, r1 = poly(m), rem(a, m)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r2 = divmod_poly(r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, sub(s0, mul(q, s1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible modulo deflated modulus")
+    return rem(scale(s0, 1 / r0[0]), m)
+
+
+def inverse_by_euclid(a: AlgebraicNumber) -> Poly:
+    """Coefficients of 1/a: the reduced modulus with gcd(a, m) deflated out,
+    then the extended Euclidean algorithm over the rationals.  a is zero at
+    lambda iff gcd(a, m) has the root in (lo, hi]."""
+    f = a.field
+    m = poly(f._reduced)
+    g = gcd(a.coeffs, m)
+    if not a.coeffs or len(g) > 1 and count_roots_by_fractions(g, f.lo, f.hi):
+        raise ZeroDivisionError("division by a value that is zero at lambda")
+    if len(g) > 1:
+        m = divmod_poly(m, g)[0]
+    return ext_gcd_inverse(poly(a.coeffs), m)
 
 
 # -- Sturm counts and fields over the rationals ------------------------------------

@@ -17,12 +17,19 @@ from bratteli.exactnum import (
 )
 
 from oracles import (
+    add,
     bisect_root,
     charpoly_by_fractions,
     count_roots_by_fractions,
     field_by_fractions,
+    gcd,
+    inverse_by_euclid,
     levels_by_fractions,
+    neg,
+    rem,
+    scale,
     squarefree_by_fractions,
+    sub,
 )
 
 GOLDEN = [-1, -1, 1]  # x^2 - x - 1
@@ -289,7 +296,7 @@ def reference_sign(a) -> int:
     p = list(a.coeffs)
     if not p:
         return 0
-    g = rp.gcd(p, f._reduced)
+    g = gcd(p, f._reduced)
     if rp.degree(g) >= 1 and rp.count_roots_halfopen(g, f.lo, f.hi) >= 1:
         return 0
     k = 0
@@ -332,7 +339,7 @@ def test_reducible_modulus_annihilator(data):
     z = (lam * lam - lam - 1) * a
     assert z.is_zero() and z.sign() == 0
     # the representative vanishes only when (x^2 - 2) divides a
-    assert bool(z.coeffs) == bool(rp.rem(list(a.coeffs), rp.poly([-2, 0, 1])))
+    assert bool(z.coeffs) == bool(rem(list(a.coeffs), rp.poly([-2, 0, 1])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,13 +474,13 @@ def test_linear_ops_match_normalising_constructor(data):
     a, b, q = data.draw(wide), data.draw(wide), data.draw(rationals)
     pa, pb = list(a.coeffs), list(b.coeffs)
     cases = [
-        (a + b, rp.add(pa, pb)),
-        (a - b, rp.sub(pa, pb)),
+        (a + b, add(pa, pb)),
+        (a - b, sub(pa, pb)),
         (a - a, []),
-        (-a, rp.neg(pa)),
-        (a.scale(q), rp.scale(pa, q)),
-        (a + q, rp.add(pa, [q])),
-        (q - a, rp.sub([q], pa)),
+        (-a, neg(pa)),
+        (a.scale(q), scale(pa, q)),
+        (a + q, add(pa, [q])),
+        (q - a, sub([q], pa)),
     ]
     for got, p in cases:
         assert got.coeffs == f.element(p).coeffs
@@ -550,7 +557,7 @@ def test_integer_squarefree_part_matches_fractions(powers):
     p = int_product([f for f, e in powers for _ in range(e)])
     expected = squarefree_by_fractions(p)
     seq = rp.sturm_sequence(rp.integer_primitive(p))
-    part = rp.squarefree_part(seq)
+    part = rp.exact_quotient(seq[0], seq[-1])
     assert [Fraction(c, part[-1]) for c in part] == expected
     assert (len(seq[-1]) == 1) == (len(expected) == len(p))
 
@@ -574,6 +581,7 @@ def test_fields_match_fraction_construction(all_diagrams, random_diagrams):
         ([1, -2, 1], 0, 2, "square-free"),  # (x - 1)^2
         (GOLDEN, 2, 3, "exactly one root"),  # no root in (2, 3]
         ([2, -3, 1], 0, 3, "exactly one root"),  # roots 1 and 2
+        ([Fraction(-1, 2), 0, 1], 0, 1, "integer"),  # x^2 - 1/2
     ],
 )
 def test_modulus_field_rejects(modulus, lo, hi, message):
@@ -586,3 +594,53 @@ def test_modulus_field_rational_root_at_hi():
     f = ModulusField([2, -3, 1], Fraction(3, 2), 2)
     assert f.rational_root == 2 and f.refined(5) == (2, 2)
     assert f.lam().equals(2) and f.lam().to_decimal(3) == "2.000"
+
+
+# -- the integer kernel against the Fraction Euclid ----------------------------
+
+# (characteristic polynomial, minimal polynomial of its lambda, the cofactor)
+INVERSE_FIELDS = [
+    (GOLDEN, GOLDEN, [1]),
+    (RAND3_CHARPOLY, RAND3_CHARPOLY, [1]),
+    (GOLDEN_TIMES_SQRT2, GOLDEN, [-2, 0, 1]),
+    ([2, -3, 1], [-2, 1], [-1, 1]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_and_gcd_match_fraction_euclid(data):
+    charpoly, minimal, cofactor = data.draw(st.sampled_from(INVERSE_FIELDS))
+    f = field_from_charpoly(charpoly)
+    a, b = data.draw(elements(f)), data.draw(elements(f))
+    x = data.draw(
+        st.sampled_from(
+            [
+                a,
+                f.element(cofactor) * a,  # a zero divisor of the ambient ring, nonzero at lambda
+                f.element(minimal) * a,  # zero at lambda
+                a + f.element(minimal) * b,  # another representative of a
+            ]
+        )
+    )
+    g = rp.gcd(x.coeffs, f._reduced)
+    assert g[-1] > 0 and [Fraction(c, g[-1]) for c in g] == gcd(x.coeffs, f._reduced)
+    try:
+        expected = inverse_by_euclid(x)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x.inverse().coeffs == tuple(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(factors, max_size=2), st.lists(factors, max_size=2), st.lists(factors, max_size=2), st.booleans())
+@example([[-1, -1, 1]], [[-2, 0, 1]], [], False)  # the reducible modulus against its factor
+@example([], [[1, 1]], [], True)  # gcd with zero
+def test_integer_gcd_matches_fraction_gcd(common, left, right, zero):
+    a = [Fraction(c, 3) for c in int_product(common + left)]
+    b = [] if zero else int_product(common + right)
+    g = rp.gcd(a, b)
+    assert all(type(c) is int for c in g) and g[-1] > 0
+    assert [Fraction(c, g[-1]) for c in g] == gcd(a, b)

@@ -565,3 +565,16 @@ def test_enumerate_paths_dedup(fib):
     # spot membership
     assert any(render_path(p) == "root=a; (ac ca)" for p in paths)
     assert any(render_path(p) == "root=a; ab (bd db)" for p in paths)
+
+
+def test_enumerate_paths_refuses_negative_preamble_limit(fib):
+    # used to recurse until RecursionError
+    with pytest.raises(ValueError, match="pre_limit >= 0"):
+        enumerate_paths(fib, -1, 1)
+
+
+def test_enumerate_paths_refuses_cycle_limit_below_one(dyadic):
+    # used to return the two 1-cycles (aa#0) and (aa#1)
+    with pytest.raises(ValueError, match="cycle_limit >= 1"):
+        enumerate_paths(dyadic, 0, 0)
+    assert len(enumerate_paths(dyadic, 0, 1)) == 2
