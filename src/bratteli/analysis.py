@@ -19,6 +19,7 @@ from typing import Iterator
 from .diagram import BratteliDiagram
 from .exactnum import AlgebraicNumber
 from .paths import EventuallyPeriodicPath, PathPrefix, decode
+from .substitution import primitivity_index
 
 
 @dataclass
@@ -111,4 +112,4 @@ def minimality_horizon(diagram: BratteliDiagram) -> int:
     """Generations needed for any vertex to connect to every vertex: the
     primitivity index of the collared abelianization (stationarity makes the
     starting generation irrelevant)."""
-    return diagram.csub.collared_primitivity
+    return primitivity_index(diagram.csub.collared_abelianization)

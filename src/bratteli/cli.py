@@ -184,15 +184,28 @@ def _prefix_of(path, depth: int):
 # representative grow no faster; the margin covers the constant factors.
 ANALYZE_DIGIT_MARGIN = 32
 
+# Most digits the per-generation bounds of one analyze may sum to.  The
+# output grows like depth^2 * log10(lambda), so a depth below the digit
+# limit can still print megabytes; the sum is refused first.
+ANALYZE_MAX_TOTAL_DIGITS = 10**6
+
 
 def _refuse_unprintable(diagram, depth: int) -> None:
     """Refuse, before any work, a depth whose gaps could print past Python's
-    int-to-str digit limit (its default 4300 where the limit is off)."""
+    int-to-str digit limit (its default 4300 where the limit is off), or
+    whose digit bounds, summed over the depth generations, pass
+    ANALYZE_MAX_TOTAL_DIGITS.  Each generation's bound is at most the
+    deepest's, so depth times that one bounds the sum."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     digits = diagram.field.lam_power_digits(depth - 1) + ANALYZE_DIGIT_MARGIN
     if digits > limit:
         raise BratteliError(
             f"analyze at depth {depth} would print numbers of up to {digits} digits, above the limit of {limit}"
+        )
+    if depth * digits > ANALYZE_MAX_TOTAL_DIGITS:
+        raise BratteliError(
+            f"analyze at depth {depth} would print up to {depth * digits} digits in all,"
+            f" above the limit of {ANALYZE_MAX_TOTAL_DIGITS}"
         )
 
 

@@ -53,14 +53,15 @@ squares that can be composed indefinitely.  The recurrent squares, stored
 once per orientation, are the diagram's commutative-diagram templates: for
 the Fibonacci and Thue-Morse systems there are exactly 2 and 4 of them.
 
-Square t composes after square s when t.h_top = s.h_bot, so the
-composability graph of the nontrivial squares is the line graph of a much
-smaller one: its nodes are the horizontals, and each nontrivial square is
-an arc h_top -> h_bot.  A chain s, t_1, ..., t_k, s of composable squares
-is the same thing as a walk t_1 ... t_k from s.h_bot back to s.h_top, so a
-square is recurrent exactly when its h_bot reaches its h_top (a square
-with h_top = h_bot composes with itself).  One reachability search per
-distinct h_bot classifies every square, with no graph over square pairs.
+Square t composes after square s when t.h_top = s.h_bot.  Each forward
+horizontal T -> U is the h_bot of exactly one boundary square, whose h_top
+is the forward horizontal from T's last subtile to U's first; call it
+down(T -> U).  Mirrors reverse both horizontals, interior squares end at a
+trivial loop, and no nontrivial square starts at one.  So a nontrivial
+square can compose indefinitely exactly when the forward one of its h_bot
+and h_bot's opposite lies on a cycle of down: one map on the forward
+horizontals classifies every square, and its cycles, walked backward, are
+the chains of canonical recurrent diagrams.
 """
 
 from __future__ import annotations
@@ -173,25 +174,27 @@ class BratteliDiagram:
     def _classify_squares(self, keys: list[tuple[int, int, int, int]]):
         hs = self.horizontals
         self.square_table: dict[tuple[int, int, int], int] = {}
-        arcs: dict[int, list[int]] = {h.index: [] for h in hs}  # nontrivial squares as arcs h_top -> h_bot
+        self.down: dict[int, int] = {}  # forward h_bot -> h_top of its boundary square
         for ht, el, er, hb in keys:
             assert (ht, el, er) not in self.square_table
             self.square_table[ht, el, er] = hb
-            if not (hs[ht].trivial and hs[hb].trivial):
-                arcs[ht].append(hb)
-        reach: dict[int, set[int]] = {}  # h_bot -> the horizontals it reaches
+            if hb < hs[hb].opposite:
+                self.down[hb] = ht
+        recurrent = {h for cycle in self.down_cycles() for h in cycle}
         self.squares = []
         for k in keys:
-            ht, hb = k[0], k[3]
-            if hs[ht].trivial and hs[hb].trivial:
+            ht, hb = hs[k[0]], hs[k[3]]
+            if ht.trivial and hb.trivial:
                 kind = "af"
             else:
-                if hb not in reach:
-                    reach[hb] = _reachable(hb, arcs.__getitem__)
-                kind = "cyclic" if ht in reach[hb] else "transient"
+                kind = "cyclic" if min(hb.index, hb.opposite) in recurrent else "transient"
             self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k)))
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
+
+    def down_cycles(self) -> list[list[int]]:
+        """The cycles of down, each as h, down(h), ... from its lowest h."""
+        return _cycles(sorted(self.down), self.down.get)
 
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
@@ -315,34 +318,48 @@ def _reachable(start, successors) -> set:
     return seen
 
 
-def diagram_chains(diagram: BratteliDiagram):
-    """Composability digraph over the canonical commutative diagrams and all
-    of its simple cycles (deduplicated up to rotation)."""
-    nodes = diagram.diagrams
-    arcs = {
-        i: [j for j, t in enumerate(nodes) if t.h_top == s.h_bot]
-        for i, s in enumerate(nodes)
-    }
+def _cycle_walk(start, step):
+    """Walk start, step(start), ... until a state repeats.  Returns the walk
+    and the index in it where the cycle starts, or None if step returns
+    None first."""
+    seen: dict = {}
+    walk = []
+    state = start
+    while state not in seen:
+        seen[state] = len(walk)
+        walk.append(state)
+        state = step(state)
+        if state is None:
+            return None
+    return walk, seen[state]
+
+
+def _cycles(starts, step) -> list[list]:
+    """The cycles of the partial map step that pass through starts, each
+    once, as the walk from its first member in starts."""
     cycles = []
-    seen = set()
+    on_cycle = set()
+    for s in starts:
+        found = None if s in on_cycle else _cycle_walk(s, step)
+        if found is not None and found[1] == 0:
+            cycles.append(found[0])
+            on_cycle.update(found[0])
+    return cycles
 
-    def dfs(start, node, path, visited):
-        for nxt in arcs[node]:
-            if nxt == start:
-                rot = _min_rotation(tuple(path))
-                if rot not in seen:
-                    seen.add(rot)
-                    cycles.append([nodes[i] for i in rot])
-            elif nxt > start and nxt not in visited:
-                dfs(start, nxt, path + [nxt], visited | {nxt})
 
-    for s in range(len(nodes)):
-        dfs(s, s, [s], {s})
+def diagram_chains(diagram: BratteliDiagram):
+    """Composability digraph over the canonical commutative diagrams and its
+    cycles, each from its lowest index.
+
+    Diagram j composes after i when j.h_top = i.h_bot, that is when
+    down(j.h_bot) = i.h_bot, so each diagram has at most one successor and
+    the cycles run down's cycles backward."""
+    nodes = diagram.diagrams
+    by_top = {s.h_top: j for j, s in enumerate(nodes)}
+    after = [by_top.get(s.h_bot) for s in nodes]
+    arcs = {i: [] if j is None else [j] for i, j in enumerate(after)}
+    cycles = [[nodes[i] for i in cycle] for cycle in _cycles(range(len(nodes)), after.__getitem__)]
     return arcs, cycles
-
-
-def _min_rotation(t: tuple) -> tuple:
-    return min(t[i:] + t[:i] for i in range(len(t)))
 
 
 def hypothesis_check(diagram: BratteliDiagram) -> int | None:

@@ -293,10 +293,12 @@ class AlgebraicNumber:
         the constant terms of det(xI - A) and adj(xI - A), so 1/self is
         s A^-1 e_0: the unique inverse of degree below deg m.
         """
-        if self.is_zero():
+        zero, g = self._zero_test()
+        if zero:
             raise ZeroDivisionError("division by a value that is zero at lambda")
         m = self.field._reduced
-        g = rp.gcd(self.coeffs, m)
+        if g is None:
+            g = rp.gcd(self.coeffs, m)
         if len(g) > 1:
             m = rp.exact_quotient(m, g)
         n = len(m) - 1
@@ -322,15 +324,18 @@ class AlgebraicNumber:
         return None
 
     def is_zero(self) -> bool:
+        return self._zero_test()[0]
+
+    def _zero_test(self) -> tuple[bool, rp.IntPoly | None]:
+        """Whether the value at lambda is zero, and gcd(self, reduced modulus)
+        when the enclosure did not decide (None when it was not computed)."""
         p = self.coeffs
         if not p:
-            return True
+            return True, None
         if len(p) == 1 or self._sign_at(self.field._level) is not None:
-            return False
+            return False, None
         g = rp.gcd(p, self.field._reduced)
-        if len(g) < 2:
-            return False
-        return rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1
+        return len(g) >= 2 and rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1, g
 
     def sign(self) -> int:
         f = self.field

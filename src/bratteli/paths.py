@@ -9,12 +9,10 @@ paths, their pairing, Vershik orbits, the extended-equivalence generators
 -- lives in this class.
 
 The pairing psi composes the recurrent commutative diagrams down the
-extremal columns.  down(h), the top of the square with the maximal edge on
-the left, the minimal edge on the right and h at the bottom, is unique: the
-square equation fixes its coefficient.  Each cycle of down pairs its left
-(maximal) column with its right (minimal) one; none is made of trivial
-loops alone, which primitivity with lambda > 1 forbids.  Extremal paths, psi
-and the extended-equivalence automaton share one walk to a repeated state.
+extremal columns: each cycle of the diagram's map down (forward h_bot to
+the h_top of its boundary square) pairs its left (maximal) column with its
+right (minimal) one.  Extremal paths, psi and the extended-equivalence
+automaton share one walk to a repeated state.
 
 Tail (AF) equivalence of two eventually periodic paths is decided exactly
 from their normal forms.  The extended relation is decided by running a
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .diagram import BratteliDiagram, VerticalTemplate
+from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from .exactnum import HALF, AlgebraicNumber
 
@@ -434,22 +432,6 @@ def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodi
     return paths
 
 
-def _cycle_walk(start, step):
-    """Walk start, step(start), ... until a state repeats.  Returns the walk
-    and the index in it where the cycle starts, or None if step returns
-    None first."""
-    seen: dict = {}
-    walk = []
-    state = start
-    while state not in seen:
-        seen[state] = len(walk)
-        walk.append(state)
-        state = step(state)
-        if state is None:
-            return None
-    return walk, seen[state]
-
-
 @dataclass
 class Pairing:
     pairs: list[tuple[EventuallyPeriodicPath, EventuallyPeriodicPath]]  # (max, min)
@@ -465,41 +447,28 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     """Pair each maximal path with a minimal path by composing the recurrent
     commutative diagrams down the extremal columns.
 
-    down(h) is the top horizontal of the square (h_top, max edge into h.src,
-    min edge into h.rng, h).  There is at most one: the edges fix the ends
-    of h_top and the square equation its coefficient, and horizontals with
-    equal ends have distinct coefficients.  Each h on a cycle of down is one
-    phase of a chain of squares: read upward from h, the left column is a
-    maximal path and the right column a minimal one.  No cycle of down is
-    made of trivial loops alone: two trivial loops in a row need a vertex
-    whose collared rule is one letter, and a cycle of such vertices would
-    be closed under the substitution, which primitivity with lambda > 1
-    rules out.
+    diagram.down(h), for a forward horizontal h, is the top horizontal of
+    the square (h_top, max edge into h.src, min edge into h.rng, h): the
+    boundary square at h.  Each h on a cycle of down is one phase of a
+    chain of squares: read upward from h, the left column is a maximal path
+    and the right column a minimal one.
     """
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
-    down: dict[int, int] = {}
-    for (ht, el, er), hb in diagram.square_table.items():
-        h = hs[hb]
-        if el == max_in(h.src).index and er == min_in(h.rng).index:
-            assert hb not in down
-            down[hb] = ht
     mins, maxs = extremal_paths(diagram)
     min_set = {p.key(): p for p in mins}
     max_set = {p.key(): p for p in maxs}
     pairs: dict = {}
-    for h in down:
-        found = _cycle_walk(h, down.get)
-        if found is None or found[1] != 0:
-            continue
-        column = [hs[g] for g in reversed(found[0])]
-        mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])
-        mn = EventuallyPeriodicPath(diagram, hs[h].rng, [], [min_in(g.rng).index for g in column])
-        if mx.key() not in max_set or mn.key() not in min_set:
-            raise UnpairedExtreme("cycle column is not one of the extremal paths")
-        if mx.key() in pairs and pairs[mx.key()] != mn:
-            raise UnpairedExtreme("maximal path paired twice inconsistently")
-        pairs[mx.key()] = mn
+    for cycle in diagram.down_cycles():
+        for i, h in enumerate(cycle):
+            column = [hs[g] for g in reversed(cycle[i:] + cycle[:i])]
+            mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])
+            mn = EventuallyPeriodicPath(diagram, hs[h].rng, [], [min_in(g.rng).index for g in column])
+            if mx.key() not in max_set or mn.key() not in min_set:
+                raise UnpairedExtreme("cycle column is not one of the extremal paths")
+            if mx.key() in pairs and pairs[mx.key()] != mn:
+                raise UnpairedExtreme("maximal path paired twice inconsistently")
+            pairs[mx.key()] = mn
     if set(pairs) != set(max_set):
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if {p.key() for p in pairs.values()} != set(min_set):

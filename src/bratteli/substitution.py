@@ -284,7 +284,6 @@ class CollaredSubstitution:
             cl.index: base.lengths[cl.core] for cl in self.collared_alphabet
         }
         self.collared_abelianization = self._abelianization()
-        self.collared_primitivity = primitivity_index(self.collared_abelianization)
 
     def _expand(self, cl: CollaredLetter) -> tuple[int, ...]:
         base = self.base

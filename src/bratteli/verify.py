@@ -97,18 +97,15 @@ def _nontrivial(diagram: BratteliDiagram, expected: int):
 
 def _diagram_sums(diagram: BratteliDiagram, expected: list[tuple]):
     """`expected` pairs each translation sum u with the number of recurrent
-    diagrams that carry it; at generation n = 2..6 the sum is u*lambda^(n-2)."""
+    diagrams that carry it; at generation n the sum is u*lambda^(n-2)."""
     diags = diagram.diagrams
     _assert(len(diags) == sum(k for _, k in expected), f"{len(diags)} recurrent commutative diagrams")
     counts = [0] * len(expected)
-    powers = [diagram.lam ** (n - 2) for n in range(2, 7)]
     for s in diags:
         usum = diagram.square_usum(s)
         i = next((i for i, (u, _) in enumerate(expected) if usum.equals(u)), None)
         _assert(i is not None, f"diagram sum {usum.render()}")
         counts[i] += 1
-        for n, p in enumerate(powers, start=2):
-            _assert((usum * p).equals(expected[i][0] * p), f"scaling law fails at n={n}")
     _assert(counts == [k for _, k in expected], f"diagrams per sum {counts}")
 
 

@@ -445,6 +445,65 @@ def recurrent_squares_by_definition(diagram) -> set:
     return recurrent
 
 
+def square_kinds_by_reachability(diagram) -> list[str]:
+    """Kinds of diagram.squares by the line-graph argument: each nontrivial
+    square is an arc h_top -> h_bot over all horizontals, and it is
+    recurrent when its h_bot reaches its h_top, by one search per distinct
+    h_bot."""
+    hs = diagram.horizontals
+    arcs: dict[int, list[int]] = {h.index: [] for h in hs}
+    for s in diagram.squares:
+        if not (hs[s.h_top].trivial and hs[s.h_bot].trivial):
+            arcs[s.h_top].append(s.h_bot)
+    reach: dict[int, set[int]] = {}
+    kinds = []
+    for s in diagram.squares:
+        if hs[s.h_top].trivial and hs[s.h_bot].trivial:
+            kinds.append("af")
+            continue
+        if s.h_bot not in reach:
+            seen, stack = {s.h_bot}, [s.h_bot]
+            while stack:
+                for w in arcs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            reach[s.h_bot] = seen
+        kinds.append("cyclic" if s.h_top in reach[s.h_bot] else "transient")
+    return kinds
+
+
+def diagrams_by_reachability(diagram) -> list:
+    """The canonical recurrent squares, classified by reachability."""
+    kinds = square_kinds_by_reachability(diagram)
+    return [s for s, kind in zip(diagram.squares, kinds) if s.canonical and kind == "cyclic"]
+
+
+def diagram_chains_by_dfs(diagrams):
+    """Composability digraph over the given squares (arc s -> t iff
+    t.h_top == s.h_bot) and all of its simple cycles, found by depth-first
+    search and deduplicated up to rotation; each cycle starts at its lowest
+    index, and cycles come in the order of that index."""
+    arcs = {i: [j for j, t in enumerate(diagrams) if t.h_top == s.h_bot] for i, s in enumerate(diagrams)}
+    cycles = []
+    seen = set()
+
+    def dfs(start, node, path, visited):
+        for nxt in arcs[node]:
+            if nxt == start:
+                t = tuple(path)
+                rot = min(t[i:] + t[:i] for i in range(len(t)))
+                if rot not in seen:
+                    seen.add(rot)
+                    cycles.append([diagrams[i] for i in rot])
+            elif nxt > start and nxt not in visited:
+                dfs(start, nxt, path + [nxt], visited | {nxt})
+
+    for s in range(len(diagrams)):
+        dfs(s, s, [s], {s})
+    return arcs, cycles
+
+
 def extremes_by_predecessor_map(diagram, minimal: bool):
     """All-minimal (or all-maximal) paths: collect the vertices on cycles of
     v -> source of the extremal edge into v, then walk each cycle backward
@@ -488,11 +547,10 @@ def pairing_by_diagram_cycles(diagram):
     """The pairing psi by enumerating every simple cycle of composable
     canonical recurrent squares and sorting each cycle's two columns into
     max and min, at each phase of the cycle."""
-    from bratteli.diagram import diagram_chains
     from bratteli.errors import UnpairedExtreme
     from bratteli.paths import EventuallyPeriodicPath, Pairing, extremal_paths, render_path
 
-    _, cycles = diagram_chains(diagram)
+    _, cycles = diagram_chains_by_dfs(diagrams_by_reachability(diagram))
     mins, maxs = extremal_paths(diagram)
     min_set = {p.key(): p for p in mins}
     max_set = {p.key(): p for p in maxs}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bratteli import cli
 from bratteli.cli import main
 from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
 
@@ -213,6 +214,18 @@ def test_analyze_unprintable_depth_exits_2_at_once(capsys, tmp_path):
     assert re.fullmatch(r"error: analyze at depth 4700 would print numbers of up to \d+ digits, above the limit of \d+\n", err)
     code, out, _ = run(capsys, *argv, "3")
     assert code == 0 and "verdict:" in out
+
+
+def test_analyze_total_output_bound(capsys, tmp_path, monkeypatch):
+    argv = ["analyze", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "12"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, sha256(out.encode()).hexdigest()) == (0, "1c0c2a1d7dc99f6bc8959a828f2134cf8cb11aef49a44a369fca0ae898a49191")
+    spec = tmp_path / "wide.sub"  # lambda about 9.1: each number fits, the whole output would not
+    spec.write_text("letters: 0 1\nrule 0: 0 0 0 0 0 0 0 0 0 1\nrule 1: 0\n")
+    monkeypatch.setattr(cli, "gap_profile", None)  # refused before any gap is computed
+    code, out, err = run(capsys, "analyze", "--spec", str(spec), "--x", "root=a; (aa#1 aa#2)", "--depth", "2000")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: analyze at depth 2000 would print up to \d+ digits in all, above the limit of 1000000\n", err)
 
 
 def test_python_m_bratteli(capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from hashlib import sha256
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -441,3 +441,26 @@ def test_export_json_matches_frozen_bench_digests():
         d = build_diagram(sub)
         assert sha256(export_json(d).encode()).hexdigest() == spec["json_sha256"], spec["text"]
         verify._residuals(d)  # every square by multiplication, independently of the census
+
+
+def test_down_cycles_match_reachability_and_dfs_references(all_diagrams, random_diagrams):
+    """Kinds, canonical flags, diagrams, chains and psi, all read off the
+    cycles of down, agree with the line-graph reachability, the sign rule,
+    the simple-cycle search and the pairing by diagram cycles, on the
+    fixtures, the random family and every frozen bench spec."""
+    frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
+    built = (
+        build_diagram(parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True)))
+        for spec in frozen["fixed"] + frozen["pool"]
+    )
+    count = 0
+    for d in chain(all_diagrams.values(), random_diagrams, built):
+        count += 1
+        assert set(d.down) == {h.index for h in d.horizontals if h.index < h.opposite}
+        assert [s.kind for s in d.squares] == oracles.square_kinds_by_reachability(d)
+        assert [s.canonical for s in d.squares] == [oracles.is_canonical_by_sign(d, s.key()) for s in d.squares]
+        assert d.diagrams == oracles.diagrams_by_reachability(d)
+        assert diagram_chains(d) == oracles.diagram_chains_by_dfs(d.diagrams)
+        want = oracles.pairing_by_diagram_cycles(d).pairs
+        assert [(mx.key(), mn.key()) for mx, mn in d.pair_extremes().pairs] == [(mx.key(), mn.key()) for mx, mn in want]
+    assert count == len(all_diagrams) + len(random_diagrams) + 196

@@ -328,6 +328,18 @@ def test_reducible_modulus_zero_divisors():
     assert (inv * sqrt2_factor).equals(1)
 
 
+def test_inverse_reuses_the_zero_tests_gcd(monkeypatch):
+    f = field_from_charpoly(GOLDEN)  # fresh, so its level is still 0
+    x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
+    assert x._sign_at(f._level) is None  # the enclosure straddles 0
+    calls = []
+    gcd = rp.gcd
+    monkeypatch.setattr(rp, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    inv = x.inverse()
+    assert len(calls) == 1
+    assert (inv * x).equals(1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_reducible_modulus_annihilator(data):

@@ -280,7 +280,7 @@ def test_pairing_without_a_recurrent_square_does_not_cover():
         and s.e_left == diagram.max_edge_into(diagram.horizontals[s.h_bot].src).index
         and s.e_right == diagram.min_edge_into(diagram.horizontals[s.h_bot].rng).index
     )
-    del diagram.square_table[lost.h_top, lost.e_left, lost.e_right]
+    del diagram.down[lost.h_bot]
     with pytest.raises(UnpairedExtreme, match="does not cover"):
         pair_extremes(diagram)
 
