@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DotTooLarge, ParseError
@@ -127,8 +128,7 @@ class BratteliDiagram:
         for e in self.verticals:
             self.out_edges[e.src].append(e)
             self.in_edges[e.rng].append(e)
-        for v, edges in self.in_edges.items():
-            edges.sort(key=lambda e: e.pos)
+        for edges in self.in_edges.values():  # build_vertical emits them by (rng, pos)
             assert [e.pos for e in edges] == list(range(len(edges)))
         self.h_by_ends: dict[tuple[int, int], list[HorizontalTemplate]] = {}
         self.trivial_h: dict[int, HorizontalTemplate] = {}
@@ -136,10 +136,7 @@ class BratteliDiagram:
             self.h_by_ends.setdefault((h.src, h.rng), []).append(h)
             if h.trivial:
                 self.trivial_h[h.src] = h
-        self._edge_multiplicity: dict[tuple[int, int], int] = {}
-        for e in self.verticals:
-            k = (e.src, e.rng)
-            self._edge_multiplicity[k] = self._edge_multiplicity.get(k, 0) + 1
+        self._edge_multiplicity = Counter((e.src, e.rng) for e in self.verticals)
 
     def vertical_by_ends(self, src: int, rng: int, pos: int | None = None) -> VerticalTemplate:
         cands = [e for e in self.out_edges[src] if e.rng == rng]
@@ -250,25 +247,19 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     left(t') = core(t), and the projected 4-word is legal; the template for
     the ordered pair carries +((len t + len t')/2), its opposite the
     negation.  Both are built once per pair of core letters and shared, and
-    every trivial loop carries the field's one zero.
+    every trivial loop carries the field's one zero.  The candidates t' of t
+    are bucketed by (left, core) = (core(t), right(t)), in index order.
     """
     base = csub.base
     legal4 = legal_words(base, 4)
     letters = csub.collared_alphabet
+    by_left_core: dict[tuple[int, int], list] = {}
+    for u in letters:
+        by_left_core.setdefault((u.left, u.core), []).append(u)
     half_sums: dict[tuple[int, int], tuple[AlgebraicNumber, AlgebraicNumber]] = {}
     out: list[HorizontalTemplate] = []
-
-    def emit(src, rng, coeff, trivial, opposite):
-        out.append(
-            HorizontalTemplate(
-                index=len(out), src=src, rng=rng, coeff=coeff, trivial=trivial, opposite=opposite
-            )
-        )
-
     for t in letters:
-        for u in letters:
-            if t.right != u.core or u.left != t.core:
-                continue
+        for u in by_left_core.get((t.core, t.right), ()):
             if (t.left, t.core, u.core, u.right) not in legal4:
                 continue
             pm = half_sums.get((t.core, u.core))
@@ -276,10 +267,10 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
                 d = (base.lengths[t.core] + base.lengths[u.core]).scale(HALF)
                 pm = half_sums[t.core, u.core] = half_sums[u.core, t.core] = (d, -d)
             i = len(out)
-            emit(t.index, u.index, pm[0], False, i + 1)
-            emit(u.index, t.index, pm[1], False, i)
+            out.append(HorizontalTemplate(i, t.index, u.index, pm[0], False, i + 1))
+            out.append(HorizontalTemplate(i + 1, u.index, t.index, pm[1], False, i))
     for t in letters:
-        emit(t.index, t.index, base.field.zero, True, len(out))
+        out.append(HorizontalTemplate(len(out), t.index, t.index, base.field.zero, True, len(out)))
     return out
 
 
@@ -409,6 +400,7 @@ def export_dot(diagram: BratteliDiagram, depth: int) -> str:
         raise DotTooLarge(depth, count, MAX_DOT_LINES)
     lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point label=""];']
     names = diagram.vertices
+    render = functools.cache(AlgebraicNumber.render)  # once per shared coefficient object
 
     def node(v, gen):
         return f'"{names[v]}_{gen}"'
@@ -419,13 +411,13 @@ def export_dot(diagram: BratteliDiagram, depth: int) -> str:
         lines.append(f'  root -> {node(v, 1)} [label="0"];')
     for gen in range(2, depth + 1):
         for e in diagram.verticals:
-            label = _scaled_label(e.coeff, gen - 2)
+            label = _scaled_label(render(e.coeff), gen - 2)
             lines.append(f"  {node(e.src, gen - 1)} -> {node(e.rng, gen)} [label=\"{label}\"];")
     for gen in range(1, depth + 1):
         for h in diagram.horizontals:
             if h.trivial:
                 continue
-            label = _scaled_label(h.coeff, gen - 1)
+            label = _scaled_label(render(h.coeff), gen - 1)
             lines.append(
                 f"  {node(h.src, gen)} -> {node(h.rng, gen)} "
                 f'[style=dashed constraint=false label="{label}"];'
@@ -434,8 +426,7 @@ def export_dot(diagram: BratteliDiagram, depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scaled_label(coeff: AlgebraicNumber, exponent: int) -> str:
-    body = coeff.render()
+def _scaled_label(body: str, exponent: int) -> str:
     if exponent == 0:
         return body
     if " " in body:
@@ -444,49 +435,57 @@ def _scaled_label(coeff: AlgebraicNumber, exponent: int) -> str:
 
 
 def export_json(diagram: BratteliDiagram) -> str:
-    csub = diagram.csub
-    base = csub.base
-    scan_order = {cl.triple(): cl.name for cl in csub.collared_alphabet}
-    render = functools.cache(AlgebraicNumber.render)  # once per shared coefficient object
-    payload = {
-        "spec": {
-            "letters": [a.name for a in base.alphabet],
-            "rules": {a.name: [base.alphabet[y].name for y in base.rules[a.id]] for a in base.alphabet},
-            # collar-names are consumed in deterministic scan order
-            "collar-names": [scan_order[t] for t in sorted(scan_order)],
-        },
-        "modulus": [str(c) for c in base.field.modulus],
-        "vertices": diagram.vertices,
-        "verticals": [
-            {
-                "src": diagram.vertices[e.src],
-                "rng": diagram.vertices[e.rng],
-                "pos": e.pos,
-                "coeff": render(e.coeff),
-            }
-            for e in diagram.verticals
-        ],
-        "horizontals": [
-            {
-                "src": diagram.vertices[h.src],
-                "rng": diagram.vertices[h.rng],
-                "coeff": render(h.coeff),
-                "trivial": h.trivial,
-            }
-            for h in diagram.horizontals
-        ],
-        "diagrams": [
-            {
-                "h_top": s.h_top,
-                "e_left": s.e_left,
-                "e_right": s.e_right,
-                "h_bot": s.h_bot,
-                "kind": s.kind,
-            }
-            for s in diagram.canonical_squares
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Byte for byte json.dumps(payload, indent=2) + "\n": keys in the order
+    written below, indent 2, "[]" for an empty array, strings escaped to
+    ASCII as json.dumps escapes them, and a trailing newline.  With `indent`
+    json.dumps runs its pure-Python encoder, so the fixed schema is written
+    directly: each distinct string is encoded once, each record is one
+    f-string."""
+    base = diagram.csub.base
+    q = json.dumps
+    coeff = functools.cache(lambda c: q(c.render()))  # once per shared coefficient object
+    kind = functools.cache(q)
+    v = [q(name) for name in diagram.vertices]
+
+    def strings(values, pad):
+        return _json_join([f"{pad}  {q(w)}" for w in values], pad)
+
+    letters = [a.name for a in base.alphabet]
+    rules = {a.name: [letters[y] for y in base.rules[a.id]] for a in base.alphabet}
+    rule_items = [f"      {q(k)}: " + strings(w, "      ") for k, w in rules.items()]
+    scan_order = {cl.triple(): cl.name for cl in diagram.csub.collared_alphabet}  # collar-names go in scan order
+    spec = [
+        '    "letters": ' + strings(letters, "    "),
+        '    "rules": ' + _json_join(rule_items, "    ", "{}"),
+        '    "collar-names": ' + strings([scan_order[t] for t in sorted(scan_order)], "    "),
+    ]
+    verticals = [
+        f'    {{\n      "src": {v[e.src]},\n      "rng": {v[e.rng]},\n      "pos": {e.pos},\n'
+        f'      "coeff": {coeff(e.coeff)}\n    }}' for e in diagram.verticals
+    ]
+    horizontals = [
+        f'    {{\n      "src": {v[h.src]},\n      "rng": {v[h.rng]},\n      "coeff": {coeff(h.coeff)},\n'
+        f'      "trivial": {"true" if h.trivial else "false"}\n    }}' for h in diagram.horizontals
+    ]
+    squares = [
+        f'    {{\n      "h_top": {s.h_top},\n      "e_left": {s.e_left},\n      "e_right": {s.e_right},\n'
+        f'      "h_bot": {s.h_bot},\n      "kind": {kind(s.kind)}\n    }}' for s in diagram.canonical_squares
+    ]
+    top = [
+        '  "spec": ' + _json_join(spec, "  ", "{}"),
+        '  "modulus": ' + strings([str(c) for c in base.field.modulus], "  "),
+        '  "vertices": ' + _json_join([f"    {w}" for w in v], "  "),
+        '  "verticals": ' + _json_join(verticals, "  "),
+        '  "horizontals": ' + _json_join(horizontals, "  "),
+        '  "diagrams": ' + _json_join(squares, "  "),
+    ]
+    return _json_join(top, "", "{}") + "\n"
+
+
+def _json_join(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Items indented by pad + 2 spaces, joined as json.dumps(indent=2) joins
+    an array (or object) whose closing bracket sits at pad."""
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
 
 
 def diagram_from_json(text: str) -> BratteliDiagram:

@@ -433,18 +433,16 @@ _TERM_RE = re.compile(
 
 
 def _render(p: list[Fraction], sym: str) -> str:
-    if not p:
-        return "0"
+    """Fractions or ints, read through their integer numerator and denominator."""
     parts = []
     for k, c in enumerate(p):
-        if c == 0:
+        num, den = c.numerator, c.denominator
+        if not num:
             continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            body = f"{mag}{sym}" + (f"^{k}" if k > 1 else "")
-        parts.append((c < 0, body))
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if k:
+            mag = ("" if mag == "1" else f"{mag}*") + sym + (f"^{k}" if k > 1 else "")
+        parts.append((num < 0, mag))
     if not parts:
         return "0"
     out = ("-" if parts[0][0] else "") + parts[0][1]

@@ -13,7 +13,9 @@ its border.
 from __future__ import annotations
 
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import ratpoly as rp
 from .errors import (
@@ -66,11 +68,7 @@ class Substitution:
                 raise ParseError(f"missing rule for letter {a.name!r}")
             if not self.rules[a.id]:
                 raise EmptyRule(f"empty rule for letter {a.name!r}")
-        # abelianization[x][y] = occurrences of y in rules[x]
-        self.abelianization = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in self.rules[x]:
-                self.abelianization[x][y] += 1
+        self.abelianization = abelianization(self.rules, n)
         self.primitivity = primitivity_index(self.abelianization)
         charpoly, self.adjugate = rp.charpoly(self.abelianization)
         self.field: ModulusField = field_from_charpoly(charpoly)
@@ -86,6 +84,15 @@ class Substitution:
 
     def word_name(self, word: Word) -> str:
         return "".join(self.alphabet[x].name for x in word)
+
+
+def abelianization(rules, n: int) -> list[list[int]]:
+    """m[x][y] = occurrences of y in rules[x], for x, y < n."""
+    m = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in rules[x]:
+            m[x][y] += 1
+    return m
 
 
 def primitivity_index(matrix: list[list[int]]) -> int:
@@ -126,7 +133,12 @@ class LetterLayout:
     """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
     centered at 0, with the tiles of sigma(x) end to end inside it.  The
     tuples run over the positions i of sigma(x); `vertical` strictly
-    decreases along them, by (l_i + l_(i+1))/2 from i to i + 1."""
+    decreases along them, by (l_i + l_(i+1))/2 from i to i + 1.
+
+    One pass of prefix sums ends (ends[0] = 0, ends[i+1] = ends[i] + l_i)
+    gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] and vertical[i] =
+    (lambda l(x) - ends[i] - ends[i+1])/2; `split` is bisected on sign():
+    at most ceil(log2(|sigma(x)| + 1)) signs."""
 
     split: int  # tiles whose center lies at or left of the supertile's: the i with vertical[i] >= 0
     left: tuple[AlgebraicNumber, ...]  # total length of the tiles before position i
@@ -145,8 +157,9 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     column 0 divided by its first entry gives the lengths with one inverse.
     All equations are re-checked afterwards and positivity is asserted.
 
-    The check of letter x forms the left offsets and the span lambda l(x)
-    of its layout, so each layout is built and checked once per base letter.
+    The check of letter x forms the prefix sums and the span lambda l(x)
+    of its layout, so each layout is built and checked once per base letter
+    (`LetterLayout`).
     """
     f = sub.field
     lam = f.lam()
@@ -160,20 +173,16 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     lengths = {x: col[x] * inv if x else f.one for x in range(n)}
     layouts = {}
     for x in range(n):
-        rule = sub.rules[x]
-        left = [f.zero]
-        for y in rule:
-            left.append(left[-1] + lengths[y])
-        total = left.pop()
+        ends = list(accumulate((lengths[y] for y in sub.rules[x]), initial=f.zero))
+        total = ends[-1]
         scaled = lam * lengths[x]
         if not (total - scaled).is_zero():
             raise SingularSystem("eigen-equation residual nonzero")
-        half = scaled.scale(HALF)
-        vertical = tuple(half - a - lengths[y].scale(HALF) for a, y in zip(left, rule))
+        vertical = tuple((scaled - a - b).scale(HALF) for a, b in zip(ends, ends[1:]))
         layouts[x] = LetterLayout(
-            split=next((i for i, c in enumerate(vertical) if c.sign() < 0), len(vertical)),
-            left=tuple(left),
-            right=tuple(total - a - lengths[y] for a, y in zip(left, rule)),
+            split=bisect_left(vertical, True, key=lambda c: c.sign() < 0),  # first negative
+            left=tuple(ends[:-1]),
+            right=tuple(total - b for b in ends[1:]),
             vertical=vertical,
         )
     for y in range(n):
@@ -283,7 +292,7 @@ class CollaredSubstitution:
         self.collared_lengths: dict[int, AlgebraicNumber] = {
             cl.index: base.lengths[cl.core] for cl in self.collared_alphabet
         }
-        self.collared_abelianization = self._abelianization()
+        self.collared_abelianization = abelianization(self.collared_rules, len(self.collared_alphabet))
 
     def _expand(self, cl: CollaredLetter) -> tuple[int, ...]:
         base = self.base
@@ -300,14 +309,6 @@ class CollaredSubstitution:
                 )
             out.append(self._by_triple[triple])
         return tuple(out)
-
-    def _abelianization(self) -> list[list[int]]:
-        n = len(self.collared_alphabet)
-        m = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in self.collared_rules[x]:
-                m[x][y] += 1
-        return m
 
     def name_of(self, index: int) -> str:
         return self.collared_alphabet[index].name

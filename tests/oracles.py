@@ -7,6 +7,8 @@ comparison) so the tests never assert an implementation against itself.
 
 from __future__ import annotations
 
+import functools
+import json
 from fractions import Fraction
 from itertools import zip_longest
 from math import ceil, floor
@@ -16,7 +18,7 @@ from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTempla
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.ratpoly import Poly, mul, poly
-from bratteli.substitution import CollaredSubstitution, legal_words
+from bratteli.substitution import CollaredSubstitution, LetterLayout, legal_words
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -743,6 +745,95 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
             emit(u.index, t.index, -d, False, i)
     for t in letters:
         emit(t.index, t.index, f.zero, True, len(out))
+    return out
+
+
+# -- replaced build routes: the export by json.dumps, running offsets, Fraction text ----
+#
+# The package writes export_json directly, forms each layout from one list of
+# prefix sums with split bisected, buckets the adjacency candidates, and
+# renders through integer numerators.  These are the routes they replaced:
+# the payload dict through json.dumps(indent=2), the offsets summed per
+# position with one sign per position, and Fraction arithmetic on each
+# coefficient.  (`build_horizontal` above is the all-pairs adjacency scan.)
+# The package must give the same bytes, representatives and text.
+
+
+def export_json_by_dumps(diagram: BratteliDiagram) -> str:
+    csub = diagram.csub
+    base = csub.base
+    scan_order = {cl.triple(): cl.name for cl in csub.collared_alphabet}
+    render = functools.cache(AlgebraicNumber.render)
+    payload = {
+        "spec": {
+            "letters": [a.name for a in base.alphabet],
+            "rules": {a.name: [base.alphabet[y].name for y in base.rules[a.id]] for a in base.alphabet},
+            "collar-names": [scan_order[t] for t in sorted(scan_order)],
+        },
+        "modulus": [str(c) for c in base.field.modulus],
+        "vertices": diagram.vertices,
+        "verticals": [
+            {"src": diagram.vertices[e.src], "rng": diagram.vertices[e.rng], "pos": e.pos, "coeff": render(e.coeff)}
+            for e in diagram.verticals
+        ],
+        "horizontals": [
+            {
+                "src": diagram.vertices[h.src],
+                "rng": diagram.vertices[h.rng],
+                "coeff": render(h.coeff),
+                "trivial": h.trivial,
+            }
+            for h in diagram.horizontals
+        ],
+        "diagrams": [
+            {"h_top": s.h_top, "e_left": s.e_left, "e_right": s.e_right, "h_bot": s.h_bot, "kind": s.kind}
+            for s in diagram.canonical_squares
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def layouts_by_offsets(sub) -> dict[int, LetterLayout]:
+    """Each rule image laid out from running left offsets, every centre as
+    half the span minus the offset minus half the tile, and split as the
+    first position whose sign is negative."""
+    f = sub.field
+    lengths = sub.lengths
+    layouts = {}
+    for x, rule in sub.rules.items():
+        left = [f.zero]
+        for y in rule:
+            left.append(left[-1] + lengths[y])
+        total = left.pop()
+        half = (f.lam() * lengths[x]).scale(_HALF)
+        vertical = tuple(half - a - lengths[y].scale(_HALF) for a, y in zip(left, rule))
+        layouts[x] = LetterLayout(
+            split=next((i for i, c in enumerate(vertical) if c.sign() < 0), len(vertical)),
+            left=tuple(left),
+            right=tuple(total - a - lengths[y] for a, y in zip(left, rule)),
+            vertical=vertical,
+        )
+    return layouts
+
+
+def render_by_fractions(p: Sequence[Fraction], sym: str) -> str:
+    if not p:
+        return "0"
+    parts = []
+    for k, c in enumerate(p):
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            body = f"{mag}{sym}" + (f"^{k}" if k > 1 else "")
+        parts.append((c < 0, body))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] else "") + parts[0][1]
+    for negative, body in parts[1:]:
+        out += (" - " if negative else " + ") + body
     return out
 
 

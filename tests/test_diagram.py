@@ -24,6 +24,7 @@ from bratteli.diagram import (
     hypothesis_check,
 )
 from bratteli.errors import ParseError
+from bratteli.exactnum import render_poly_x
 from bratteli.fixtures import doubling
 from bratteli.paths import PathPrefix, enumerate_paths
 from bratteli.substitution import parse_spec
@@ -433,6 +434,8 @@ FROZEN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
 
 
 def test_export_json_matches_frozen_bench_digests():
+    """The pinned digests, the residual check and the replaced build routes
+    on every frozen bench spec, each built once."""
     frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
     specs = frozen["fixed"] + frozen["pool"]
     assert len(specs) == 196
@@ -441,6 +444,59 @@ def test_export_json_matches_frozen_bench_digests():
         d = build_diagram(sub)
         assert sha256(export_json(d).encode()).hexdigest() == spec["json_sha256"], spec["text"]
         verify._residuals(d)  # every square by multiplication, independently of the census
+        assert_build_routes_match(d)
+
+
+def assert_build_routes_match(d: BratteliDiagram):
+    """The export byte for byte, the layouts representative for representative
+    (and split), the adjacency templates and every coefficient's text, against
+    the routes they replaced in `oracles`."""
+    assert export_json(d) == oracles.export_json_by_dumps(d)
+    sub = d.csub.base
+
+    def reps(layout):
+        return layout.split, *([c.coeffs for c in cs] for cs in (layout.left, layout.right, layout.vertical))
+
+    assert {x: reps(lay) for x, lay in sub.layouts.items()} == {
+        x: reps(lay) for x, lay in oracles.layouts_by_offsets(sub).items()
+    }
+    assert [(h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in d.horizontals] == [
+        (h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in oracles.build_horizontal(d.csub)
+    ]
+    coeffs = {id(c): c for c in chain((t.coeff for t in (*d.verticals, *d.horizontals)), sub.lengths.values())}
+    for c in coeffs.values():
+        assert c.render() == oracles.render_by_fractions(c.coeffs, "L")
+    assert render_poly_x(d.field.modulus) == oracles.render_by_fractions(d.field.modulus, "x")
+
+
+# Modulus x^4 - x^2 - 2x - 1 = (x^2 - x - 1)(x^2 + x + 1): with no rational
+# root to divide out, lambda times a length and the sum of its rule image's
+# lengths are different representatives of one value, so a vertical formed
+# from the sum (as (right - left)/2) would be another representative.
+SPLIT_MODULUS_SPEC = "letters: 0 1 2 3\nrule 0: 1 2 3\nrule 1: 2\nrule 2: 3\nrule 3: 1 0"
+
+
+def test_build_routes_match_replaced_references(all_diagrams, random_diagrams, reducible_diagrams):
+    split = build_diagram(parse_spec(SPLIT_MODULUS_SPEC))
+    lengths = split.csub.base.lengths
+    total, scaled = lengths[1] + lengths[2] + lengths[3], split.lam * lengths[0]  # rule 0: 1 2 3
+    assert total.equals(scaled) and total.coeffs != scaled.coeffs
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams, split):
+        assert_build_routes_match(d)
+
+
+# Letter and collar names with a quote, a backslash and a non-ASCII letter.
+ESCAPED_NAMES_SPEC = 'letters: a" b\\é\nrule a": a" b\\é\nrule b\\é: a"\ncollar-names: "p q\\ ré s"\\ü'
+
+
+def test_export_json_escapes_names_as_dumps_does():
+    d = build_diagram(parse_spec(ESCAPED_NAMES_SPEC))
+    assert d.vertices == ['"p', 'q\\', 'ré', 's"\\ü']
+    blob = export_json(d)
+    assert blob == oracles.export_json_by_dumps(d)
+    assert '"a\\""' in blob and '"b\\\\\\u00e9"' in blob and '"s\\"\\\\\\u00fc"' in blob
+    rebuilt = diagram_from_json(blob)
+    assert rebuilt.vertices == d.vertices and export_json(rebuilt) == blob
 
 
 def test_down_cycles_match_reachability_and_dfs_references(all_diagrams, random_diagrams):

@@ -11,6 +11,7 @@ from bratteli import ratpoly as rp
 from bratteli.errors import FieldMismatch, NoRootAboveOne, ParseError
 from bratteli.exactnum import (
     ModulusField,
+    _render,
     field_from_charpoly,
     lambda_pow,
     parse_algebraic,
@@ -27,6 +28,7 @@ from oracles import (
     levels_by_fractions,
     neg,
     rem,
+    render_by_fractions,
     scale,
     squarefree_by_fractions,
     sub,
@@ -207,6 +209,23 @@ rationals = st.fractions(
 def elements(field):
     deg = len(field.modulus) - 1
     return st.lists(rationals, min_size=1, max_size=deg).map(field.element)
+
+
+# Coefficients of every shape the text form treats apart: zero, units, other
+# integers (Fraction or int, as a modulus is) and fractions, either sign.
+render_coefficients = st.one_of(
+    st.sampled_from([Fraction(0), 0, Fraction(1), Fraction(-1), 1, -1]),
+    st.integers(-30, 30),
+    st.fractions(min_value=Fraction(-7), max_value=Fraction(7), max_denominator=9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(render_coefficients, max_size=6), st.sampled_from(["L", "x"]))
+def test_render_matches_fraction_reference(coeffs, sym):
+    """The text read off integer numerators and denominators is the text
+    Fraction arithmetic on each coefficient gave."""
+    assert _render(coeffs, sym) == render_by_fractions(coeffs, sym)
 
 
 @settings(max_examples=60, deadline=None)

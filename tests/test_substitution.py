@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bratteli import ratpoly as rp
 from bratteli import substitution
 from bratteli.errors import (
     EmptyRule,
@@ -15,6 +17,7 @@ from bratteli.errors import (
     SingularSystem,
     UnknownLetter,
 )
+from bratteli.exactnum import AlgebraicNumber
 from bratteli.fixtures import DOUBLING_SPEC, FIXTURES, doubling, load_fixture
 from bratteli.ratpoly import charpoly
 from bratteli.substitution import (
@@ -177,6 +180,46 @@ def test_perron_lengths_match_elimination_oracle(all_diagrams, random_specs):
         expected = perron_lengths_by_elimination(sub)
         assert sub.lengths[0].coeffs == (1,)
         assert all(sub.lengths[x].equals(expected[x]) for x in range(len(sub.alphabet)))
+
+
+# Rule 0 is symmetric about its middle tile, so that tile's vertical is 0.
+LONG_RULE_SPEC = "letters: 0 1\nrule 0: 0 0 1 0 1 0 0\nrule 1: 0"
+
+
+def test_split_bisects_and_zero_verticals_need_no_gcd(monkeypatch):
+    """On fibonacci, thue-morse and a spec with a 7-letter rule (where a scan
+    up to the first negative vertical would make 5 signs), computing split
+    makes at most ceil(log2(|sigma(x)| + 1)) signs of letter x's verticals,
+    and deciding a zero vertical (a tile centred in its supertile, such as
+    fibonacci's bd) makes no gcd: its representative is empty."""
+    gcds = []
+    signs = []  # (element, gcds made while deciding its sign)
+    gcd, sign = rp.gcd, AlgebraicNumber.sign
+    monkeypatch.setattr(rp, "gcd", lambda *a: gcds.append(a) or gcd(*a))
+
+    def recording_sign(self):
+        before = len(gcds)
+        out = sign(self)
+        signs.append((self, len(gcds) - before))
+        return out
+
+    monkeypatch.setattr(AlgebraicNumber, "sign", recording_sign)
+    zeros = 0
+    for name in ("fibonacci", "thue-morse", LONG_RULE_SPEC):
+        sub = load_fixture(name) if name in FIXTURES else parse_spec(name)
+        signs.clear()
+        _, layouts = perron_lengths(sub)
+        for x, layout in layouts.items():
+            mine = [(c, g) for c, g in signs if any(c is v for v in layout.vertical)]
+            assert len(mine) <= math.ceil(math.log2(len(sub.rules[x]) + 1)), (name, x)
+            for c in layout.vertical:
+                if c.is_zero():
+                    zeros += 1
+                    assert c.coeffs == ()
+                    assert all(g == 0 for e, g in mine if e is c)
+                    before = len(gcds)
+                    assert c.sign() == 0 and len(gcds) == before
+    assert zeros == 3  # fibonacci's bd, the 7-letter rule's middle tile, and that spec's rule 1: 0
 
 
 def test_perron_lengths_zero_pivot_is_singular():
