@@ -70,23 +70,13 @@ def classify_GF(x: EventuallyPeriodicPath) -> GFVerdict:
     """Exact dichotomy for eventually periodic paths: F iff the cycle
     consists entirely of leftmost or entirely of rightmost edges."""
     d = x.diagram
-    all_left = all(d.verticals[e].pos == 0 for e in x.cycle)
-    all_right = all(
-        d.verticals[e].pos == len(d.in_edges[d.verticals[e].rng]) - 1 for e in x.cycle
-    )
-    if all_left:
+    left = [e == d.min_edge_into(d.verticals[e].rng).index for e in x.cycle]
+    right = [e == d.max_edge_into(d.verticals[e].rng).index for e in x.cycle]
+    if all(left):
         return GFVerdict(kind="F", side="left", witness=None)
-    if all_right:
+    if all(right):
         return GFVerdict(kind="F", side="right", witness=None)
-    not_left = next(
-        i for i, e in enumerate(x.cycle) if d.verticals[e].pos != 0
-    )
-    not_right = next(
-        i
-        for i, e in enumerate(x.cycle)
-        if d.verticals[e].pos != len(d.in_edges[d.verticals[e].rng]) - 1
-    )
-    return GFVerdict(kind="G", side=None, witness=(not_left, not_right))
+    return GFVerdict(kind="G", side=None, witness=(left.index(False), right.index(False)))
 
 
 def escape_depth(x: EventuallyPeriodicPath, bound) -> int:

@@ -154,8 +154,15 @@ class BratteliDiagram:
             )
         return cands[0]
 
+    def splits(self, token: str) -> list[tuple[str, str]]:
+        """Every way to cut `token` into two vertex names."""
+        names = self.vertices
+        return [(token[:i], token[i:]) for i in range(1, len(token)) if token[:i] in names and token[i:] in names]
+
     def edge_label(self, e: VerticalTemplate) -> str:
-        name = f"{self.vertices[e.src]}{self.vertices[e.rng]}"
+        """src + rng, or src>rng when that join cuts into two names more than one way."""
+        src, rng = self.vertices[e.src], self.vertices[e.rng]
+        name = src + rng if len(self.splits(src + rng)) == 1 else f"{src}>{rng}"
         if self._edge_multiplicity[(e.src, e.rng)] > 1:
             name += f"#{e.pos}"
         return name

@@ -75,11 +75,11 @@ class ModulusField:
             raise ValueError("isolating interval must contain exactly one root")
         self.rational_root: Fraction | None = None
         reduced = self.modulus
-        for r in rp.rational_roots(self.modulus):  # integers: the modulus is monic
+        for r in rp.integer_roots(self.modulus):  # its only rational roots: the modulus is monic
             if self.lo < r <= self.hi:  # lambda is rational: x - lambda is the reduced modulus
-                self.rational_root, reduced = r, [-r.numerator, 1]
+                self.rational_root, reduced = Fraction(r), [-r, 1]
                 break
-            reduced = rp.exact_quotient(reduced, [-r.numerator, 1])
+            reduced = rp.exact_quotient(reduced, [-r, 1])
         self._reduced = reduced  # monic integer: elements reduce by it, signs come from it
         if reduced is not self.modulus:
             sturm = rp.sturm_sequence(reduced)
@@ -268,9 +268,6 @@ class AlgebraicNumber:
         other = self._coerce(other)
         return other.inverse() * self
 
-    def __rtruediv__(self, other) -> AlgebraicNumber:
-        return self._coerce(other) / self
-
     def __pow__(self, k: int) -> AlgebraicNumber:
         if k < 0:
             return self.inverse() ** (-k)
@@ -360,18 +357,6 @@ class AlgebraicNumber:
         other = self._coerce(other)
         return self.coeffs == other.coeffs or (self - other).is_zero()
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def to_decimal(self, digits: int) -> str:
         """Certified floor truncation to `digits` >= 0 places."""
         if digits < 0:
@@ -414,12 +399,6 @@ def _sum(p: tuple, q: tuple) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
-
-
-def lambda_pow(field: ModulusField, k: int) -> AlgebraicNumber:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return field.lam() ** k
 
 
 # -- L-polynomial text format -------------------------------------------------

@@ -164,7 +164,7 @@ class EventuallyPeriodicPath:
 
     def is_minimal(self) -> bool:
         d = self.diagram
-        return all(d.verticals[e].pos == 0 for e in self.pre + self.cycle)
+        return all(e == d.min_edge_into(d.verticals[e].rng).index for e in self.pre + self.cycle)
 
     def is_maximal(self) -> bool:
         d = self.diagram
@@ -236,8 +236,6 @@ class DecodedPatch:
     depth: int
     left: AlgebraicNumber  # span of the whole decoded patch
     right: AlgebraicNumber
-    core_left: AlgebraicNumber  # span of the core supertile (= left/right when plain)
-    core_right: AlgebraicNumber
 
     def word(self) -> str:
         return "".join(t.name for t in self.tiles)
@@ -286,12 +284,10 @@ def patch_size(path, collared: bool = False, depth: int | None = None) -> int:
     ceiling."""
     csub = path.diagram.csub
     depth = path.length if depth is None else depth
-    top = path.vertex_at(depth)
-    tiles = _expanded_length(csub.collared_abelianization, top, depth - 1)
-    if collared:
-        cl = csub.collared_alphabet[top]
-        m = csub.base.abelianization
-        tiles += _expanded_length(m, cl.left, depth - 1) + _expanded_length(m, cl.right, depth - 1)
+    cl = csub.collared_alphabet[path.vertex_at(depth)]
+    # a collared letter expands to as many tiles as its core letter does
+    m = csub.base.abelianization
+    tiles = sum(_expanded_length(m, x, depth - 1) for x in (cl.triple() if collared else (cl.core,)))
     return min(tiles, TILE_COUNT_CEILING + 1)
 
 
@@ -368,8 +364,6 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
         depth=gamma.length,
         left=left,
         right=right,
-        core_left=left,
-        core_right=right,
     )
 
 
@@ -398,8 +392,6 @@ def decode_collared(gamma: PathPrefix) -> DecodedPatch:
         depth=gamma.length,
         left=left_tiles[0].left,
         right=right_tiles[-1].right,
-        core_left=core.left,
-        core_right=core.right,
     )
 
 
@@ -673,11 +665,7 @@ def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> Ve
         srcname, _, rngname = name.partition(">")
         pair = [(srcname, rngname)]
     else:
-        pair = [
-            (name[:i], name[i:])
-            for i in range(1, len(name))
-            if name[:i] in diagram.vertices and name[i:] in diagram.vertices
-        ]
+        pair = diagram.splits(name)
         if len(pair) != 1:
             raise ParseError(f"cannot split edge token {tok!r} into two vertex names")
     srcname, rngname = pair[0]

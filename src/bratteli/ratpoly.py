@@ -4,8 +4,9 @@ Polynomials are lists in ascending degree order, with no trailing zeros
 (the zero polynomial is the empty list).  Only the element side is in
 Fractions: `poly`, `mul`, `reduce_monic` and `enclose` take the coefficients
 of elements of Q(lambda).  Everything else is in integers: a modulus is monic
-with integer coefficients, one pseudo-remainder step serves the Sturm
-sequence and `gcd`, `exact_quotient` serves the square-free part and every
+with integer coefficients, so its rational roots are the integers
+`integer_roots` finds; one pseudo-remainder step serves the Sturm sequence
+and `gcd`, `exact_quotient` serves the square-free part and every
 deflation, and `charpoly`'s adjugate inverts.  No floats; degrees stay
 desk-scale (<= ~10).
 """
@@ -172,24 +173,17 @@ def exact_quotient(p: Sequence[int], g: Sequence[int]) -> IntPoly:
     return q
 
 
-def rational_roots(p: Sequence) -> list[Fraction]:
-    """All rational roots, found by clearing denominators and trying n/d."""
-    ip = integer_primitive(p)
-    if len(ip) < 2:
-        return []
-    roots = [Fraction(0)] if ip[0] == 0 else []
-    low = next(c for c in ip if c)  # the constant term once x^k is factored out
-    for num in _divisors(abs(low)):
-        for d in _divisors(abs(ip[-1])):
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if cand not in roots and eval_scaled(ip, cand) == 0:
-                    roots.append(cand)
+def integer_roots(m: Sequence[int]) -> list[int]:
+    """All rational roots of the monic integer m, ascending.  They are
+    integers: 0 if x divides m, and divisors of the constant term left once
+    the power of x is factored out."""
+    k = next(i for i, c in enumerate(m) if c)
+    low = abs(m[k])
+    roots = {0} if k else set()
+    for d in range(1, isqrt(low) + 1):
+        if low % d == 0:
+            roots.update(r for r in (d, -d, low // d, -(low // d)) if eval_scaled(m, r) == 0)
     return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({*small, *(n // d for d in small)})
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:

@@ -69,7 +69,7 @@ class Substitution:
             if not self.rules[a.id]:
                 raise EmptyRule(f"empty rule for letter {a.name!r}")
         self.abelianization = abelianization(self.rules, n)
-        self.primitivity = primitivity_index(self.abelianization)
+        primitivity_index(self.abelianization)  # raises NotPrimitive
         charpoly, self.adjugate = rp.charpoly(self.abelianization)
         self.field: ModulusField = field_from_charpoly(charpoly)
         self.lengths, self.layouts = perron_lengths(self)
@@ -289,9 +289,6 @@ class CollaredSubstitution:
         self.collared_rules: dict[int, tuple[int, ...]] = {}
         for cl in self.collared_alphabet:
             self.collared_rules[cl.index] = self._expand(cl)
-        self.collared_lengths: dict[int, AlgebraicNumber] = {
-            cl.index: base.lengths[cl.core] for cl in self.collared_alphabet
-        }
         self.collared_abelianization = abelianization(self.collared_rules, len(self.collared_alphabet))
 
     def _expand(self, cl: CollaredLetter) -> tuple[int, ...]:
@@ -317,7 +314,7 @@ class CollaredSubstitution:
         return self.collared_alphabet[index].core
 
     def length_of(self, index: int) -> AlgebraicNumber:
-        return self.collared_lengths[index]
+        return self.base.lengths[self.core_of(index)]
 
     def rule_name(self, index: int) -> str:
         return "".join(self.name_of(y) for y in self.collared_rules[index])
@@ -389,6 +386,10 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
         elif key == "collar-names":
             if collar_names is not None:
                 raise ParseError("duplicate collar-names line", line=lineno)
+            for tok in tokens:
+                if any(ch in tok for ch in ";()|#>"):  # a vertex name in path literals
+                    col = line.index(tok, line.index(":")) + 1
+                    raise ParseError(f"collar name {tok!r} contains a path delimiter (;()|#>)", line=lineno, column=col)
             collar_names = tokens
         else:
             raise ParseError(f"unknown directive {key!r}", line=lineno, column=1)

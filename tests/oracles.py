@@ -257,6 +257,31 @@ def levels_by_fractions(m, lo, hi, k: int) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+def reduced_by_rational_roots(m, lo, hi) -> tuple[Fraction | None, list[int]]:
+    """(rational root in (lo, hi] or None, reduced modulus) of the monic
+    integer m, by the former rational-root search over every n/d with n
+    dividing the lowest nonzero coefficient and d the leading one."""
+    roots = [Fraction(0)] if m[0] == 0 else []
+    low = next(c for c in m if c)
+    for num in _divisors(abs(low)):
+        for d in _divisors(abs(m[-1])):
+            for cand in (Fraction(num, d), Fraction(-num, d)):
+                if cand not in roots and eval_poly(m, cand) == 0:
+                    roots.append(cand)
+    reduced = list(m)
+    for r in sorted(roots):
+        if lo < r <= hi:
+            return r, [-r.numerator, 1]
+        q, rest = divmod_poly(reduced, [-r, 1])
+        assert not rest
+        reduced = [int(c) for c in q]
+    return None, reduced
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 # -- matrices -------------------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from bratteli.analysis import classify_GF, escape_depth, gap_profile
 from bratteli.diagram import diagram_from_json, export_json, hypothesis_check
-from bratteli.exactnum import lambda_pow
 from bratteli.paths import (
     af_equiv,
     decode,
@@ -113,14 +112,14 @@ def test_criterion_04_commutative_diagrams(fib, tm):
             assert res.is_zero()
     # scaling law at n = 2..6: realized sums match the published powers
     for n in range(2, 7):
-        p = lambda_pow(fib.field, n - 2)
+        p = fib.field.lam() ** (n - 2)
         realized = fib.square_usum(d1[0]) * p
         assert realized.equals(-p)  # -phi^(n-2)
     assert len(tm.diagrams) == 4
     for s in tm.diagrams:
         assert tm.square_usum(s).equals(tm.field.rational(Fraction(-3, 2)))
     for n in range(2, 7):
-        p = lambda_pow(tm.field, n - 2)
+        p = tm.field.lam() ** (n - 2)
         for s in tm.diagrams:
             assert (tm.square_usum(s) * p).equals(p.scale(Fraction(-3, 2)))
     ok("criterion 4: 2 / 4 commutative diagrams, zero residuals, sums -phi^(n-2) and -(3/2)2^(n-2) for n=2..6")

@@ -81,6 +81,26 @@ def test_escape_bounds(fib, tm):
         assert gr.compare(diagram.field.rational(100)) > 0
 
 
+def test_escape_depth_refuses_f_paths(fib):
+    with pytest.raises(ValueError, match="only G-classified paths"):
+        escape_depth(parse_path(fib, "root=a; (ac ca)"), 1)
+
+
+def test_classify_matches_positions(all_diagrams, random_diagrams):
+    # F iff the cycle's edges all sit at position 0, or all at the last
+    # position of their range's in-edges; a G witness is the first offset off each
+    for d in (*all_diagrams.values(), *random_diagrams):
+        for x in enumerate_paths(d, 1, 3):
+            left = [d.verticals[e].pos == 0 for e in x.cycle]
+            right = [d.verticals[e].pos == len(d.in_edges[d.verticals[e].rng]) - 1 for e in x.cycle]
+            v = classify_GF(x)
+            if all(left) or all(right):
+                assert (v.kind, v.side) == ("F", "left" if all(left) else "right")
+            else:
+                assert (v.kind, v.witness) == ("G", (left.index(False), right.index(False)))
+            assert x.is_minimal() == all(d.verticals[e].pos == 0 for e in x.pre + x.cycle)
+
+
 def test_escape_depth_matches_profiles(all_diagrams, random_diagrams):
     diagrams = list(all_diagrams.values()) + random_diagrams
     checked = 0

@@ -121,6 +121,22 @@ def test_diagram_json_counts(capsys):
     assert sum(1 for d in payload["diagrams"] if d["kind"] == "cyclic") == 2
 
 
+@pytest.mark.parametrize(
+    "fixture, vertices, counts",
+    [("fibonacci", "a b c d", (7, 10, 23, 2)), ("thue-morse", "a b c d e f", (12, 20, 44, 4))],
+)
+def test_diagram_default_text(capsys, fixture, vertices, counts):
+    code, out, _ = run(capsys, "diagram", "--fixture", fixture)
+    assert code == 0
+    assert out == (
+        f"vertices: {vertices}\n"
+        "vertical templates: {}\n"
+        "nontrivial horizontal templates: {}\n"
+        "commutative squares: {}\n"
+        "recurrent commutative diagrams: {}\n".format(*counts)
+    )
+
+
 def test_diagram_dot_depth(capsys):
     code, out, _ = run(capsys, "diagram", "--fixture", "fibonacci", "--depth", "3", "--format", "dot")
     assert code == 0
@@ -251,6 +267,20 @@ def run_alone(argv) -> tuple[int, str, str]:
         [sys.executable, "-m", "bratteli", *argv], env=env, capture_output=True, encoding="utf-8", timeout=60
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vershik", "--x", "root=a; ac ca"], "vershik needs an eventually periodic path (add a cycle)"),
+        (["rb", "--x", "root=a; ac ca", "--y", "root=b; (bd db)"], "rb needs eventually periodic paths (add cycles)"),
+        (["rb", "--x", "root=b; (bd db)", "--y", "root=a; ac"], "rb needs eventually periodic paths (add cycles)"),
+        (["decode", "--x", "root=a; (ac ca) ab"], "unexpected text after the cycle"),
+    ],
+)
+def test_bad_path_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--fixture", "fibonacci")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_one_parser_for_a_sequence_of_calls(capsys):

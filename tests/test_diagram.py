@@ -315,6 +315,11 @@ def test_export_dot_counts(fib):
     assert text.count("rank=same") == 2
 
 
+def test_export_dot_refuses_depth_zero(fib):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        export_dot(fib, 0)
+
+
 def test_export_dot_label_scaling(fib):
     text = export_dot(fib, 3)
     # generation-3 vertical labels carry one factor of L
@@ -369,6 +374,12 @@ REDUCIBLE_MODULUS_SPECS = [
     "letters: 0 1 2 3 4\nrule 0: 1 3\nrule 1: 1 2\nrule 2: 4 1 3\nrule 3: 2\nrule 4: 2 0 4",
     "letters: 0 1 2 3 4 5\nrule 0: 2\nrule 1: 5 3 3\nrule 2: 5 4 2\nrule 3: 0 4\nrule 4: 2 1\nrule 5: 3 5",
 ]
+
+
+def test_fields_keep_rational_root_and_reduced_modulus(all_diagrams, random_diagrams, reducible_diagrams):
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        f = d.field
+        assert (f.rational_root, f._reduced) == oracles.reduced_by_rational_roots(f.modulus, f.lo, f.hi), f
 
 
 def per_collared_letter_reference(csub, usums: dict) -> BratteliDiagram:

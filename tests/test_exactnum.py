@@ -13,7 +13,6 @@ from bratteli.exactnum import (
     ModulusField,
     _render,
     field_from_charpoly,
-    lambda_pow,
     parse_algebraic,
 )
 
@@ -89,8 +88,8 @@ def test_squarefree_part_taken():
 def test_golden_identities(fib_field):
     phi = fib_field.lam()
     assert (phi * phi).coeffs == (Fraction(1), Fraction(1))  # phi^2 = 1 + phi
-    assert (lambda_pow(fib_field, 2) - (phi + 1)).is_zero()
-    assert (lambda_pow(fib_field, 3) - (2 * phi + 1)).is_zero()
+    assert (fib_field.lam() ** 2 - (phi + 1)).is_zero()
+    assert (fib_field.lam() ** 3 - (2 * phi + 1)).is_zero()
 
 
 def test_scale_and_decimal(fib_field):
@@ -591,6 +590,17 @@ def test_integer_squarefree_part_matches_fractions(powers):
     part = rp.exact_quotient(seq[0], seq[-1])
     assert [Fraction(c, part[-1]) for c in part] == expected
     assert (len(seq[-1]) == 1) == (len(expected) == len(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=4), st.lists(st.integers(-3, 3), max_size=3))
+@example([0, 0, 2, -3], [])  # x^2 (x - 2)(x + 3): 0 twice, and x^2 factored out
+@example([1, 1, -1], [1])  # (x - 1)^2 (x + 1)^2: repeated roots
+def test_integer_roots_match_brute_force(roots, cofactor):
+    m = int_product([[-r, 1] for r in roots] + [cofactor + [1]])
+    low = abs(next(c for c in m if c))
+    expected = [r for r in range(-low, low + 1) if sum(c * r**i for i, c in enumerate(m)) == 0]
+    assert rp.integer_roots(m) == expected
 
 
 def test_fields_match_fraction_construction(all_diagrams, random_diagrams):

@@ -7,8 +7,10 @@ import pytest
 from bratteli.diagram import build_diagram
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from bratteli.fixtures import load_fixture
+from bratteli.substitution import parse_spec
 from bratteli.paths import (
     MAX_DECODE_TILES,
+    TILE_COUNT_CEILING,
     PathPrefix,
     af_equiv,
     decode,
@@ -164,6 +166,27 @@ def test_patch_size_matches_decode(fib, tm):
                 gamma = x.prefix(n)
                 assert patch_size(gamma) == len(decode(gamma).tiles)
                 assert patch_size(gamma, collared=True) == len(decode_collared(gamma).tiles)
+
+
+def test_patch_size_matches_collared_counts(all_diagrams, random_diagrams):
+    # a collared letter expands to as many tiles as its core letter: the
+    # count read off the base abelianization equals the collared one's
+    for d in (*all_diagrams.values(), *random_diagrams):
+        csub = d.csub
+        for x in extremal_paths(d)[0]:
+            for n in (1, 2, 5, 9, 60):
+                cl = csub.collared_alphabet[x.vertex_at(n)]
+                core = expanded_length_by_powers(csub.collared_abelianization, cl.index, n - 1)
+                sides = sum(expanded_length_by_powers(csub.base.abelianization, y, n - 1) for y in (cl.left, cl.right))
+                assert patch_size(x, depth=n) == min(core, TILE_COUNT_CEILING + 1)
+                assert patch_size(x, collared=True, depth=n) == min(core + sides, TILE_COUNT_CEILING + 1)
+
+
+def expanded_length_by_powers(matrix, letter: int, steps: int) -> int:
+    counts = [int(y == letter) for y in range(len(matrix))]
+    for _ in range(steps):
+        counts = [sum(c * row[y] for c, row in zip(counts, matrix)) for y in range(len(matrix))]
+    return sum(counts)
 
 
 def test_decode_refuses_large_patch(fib):
@@ -507,6 +530,22 @@ def test_parse_path_errors(fib, dyadic):
         parse_path(fib, "root=a; xx")
     with pytest.raises(ParseError):
         parse_path(dyadic, "root=a; aa")  # ambiguous without #pos
+
+
+# Collar names under which two different edges join to the same text:
+# x->yz and xy->z both read "xyz".
+AMBIGUOUS_NAMES_SPEC = "letters: 0 1\nrule 0: 0 1\nrule 1: 0\ncollar-names: x xy yz z\n"
+
+
+def test_rendered_literals_parse_back(all_diagrams, random_diagrams):
+    ambiguous = build_diagram(parse_spec(AMBIGUOUS_NAMES_SPEC))
+    for d in (*all_diagrams.values(), *random_diagrams, ambiguous):
+        for p in enumerate_paths(d, 3, 3):
+            assert parse_path(d, render_path(p)) == p, render_path(p)
+    labels = [ambiguous.edge_label(e) for e in ambiguous.verticals]
+    assert "x>yz" in labels and "xy>z" in labels and "xyz" not in labels
+    for literal in ("root=x; x>yz (yzxy xyyz)", "root=yz; yzxy xy>z (zx xz)"):
+        assert render_path(parse_path(ambiguous, literal)) == literal
 
 
 @pytest.mark.parametrize("literal", ["root=a; ()", "root=a; ab ()", "root=a; ab | ( )"])

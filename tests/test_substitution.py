@@ -372,8 +372,8 @@ def test_eigen_equation_exact(fib, tm, rand3, dyadic):
         for i, rule in csub.collared_rules.items():
             total = sub.field.zero
             for y in rule:
-                total = total + csub.collared_lengths[y]
-            assert (total - lam * csub.collared_lengths[i]).is_zero()
+                total = total + csub.length_of(y)
+            assert (total - lam * csub.length_of(i)).is_zero()
 
 
 def test_collared_pairs_project_to_legal_4words(fib, tm, rand3):
@@ -392,6 +392,15 @@ def test_collar_names_length_check():
     sub = parse_spec(text)
     with pytest.raises(ParseError):
         collar_alphabet(sub)
+
+
+@pytest.mark.parametrize("name", ["a(", "a)", ";a", "a|b", "a>b"])
+def test_collar_names_refuse_path_delimiters(name):
+    # '#' never reaches a name: it starts a comment
+    text = f"letters: 0 1\nrule 0: 0 1\nrule 1: 0\ncollar-names: d {name} b c\n"
+    with pytest.raises(ParseError, match="path delimiter") as exc:
+        parse_spec(text)
+    assert (exc.value.line, exc.value.column) == (4, len("collar-names: d ") + 1)
 
 
 def test_perron_lengths_positive(rand3):
