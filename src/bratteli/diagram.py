@@ -184,7 +184,8 @@ class BratteliDiagram:
             self.square_table[ht, el, er] = hb
             if hb < hs[hb].opposite:
                 self.down[hb] = ht
-        recurrent = {h for cycle in self.down_cycles() for h in cycle}
+        self.down_cycles = _cycles(sorted(self.down), self.down.get)  # each as h, down(h), ... from its lowest h
+        recurrent = {h for cycle in self.down_cycles for h in cycle}
         self.squares = []
         for k in keys:
             ht, hb = hs[k[0]], hs[k[3]]
@@ -195,10 +196,6 @@ class BratteliDiagram:
             self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k)))
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
-
-    def down_cycles(self) -> list[list[int]]:
-        """The cycles of down, each as h, down(h), ... from its lowest h."""
-        return _cycles(sorted(self.down), self.down.get)
 
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
@@ -334,14 +331,23 @@ def _cycle_walk(start, step):
 
 def _cycles(starts, step) -> list[list]:
     """The cycles of the partial map step that pass through starts, each
-    once, as the walk from its first member in starts."""
-    cycles = []
-    on_cycle = set()
+    once, as the walk from its first member in starts.  One pass: a walk stops
+    at the first state any walk reached, which closes a new cycle iff it is
+    on the walk's own trail."""
+    cycles, seen, cycle_of = [], {}, {}  # seen: state -> trail of the walk that reached it
     for s in starts:
-        found = None if s in on_cycle else _cycle_walk(s, step)
-        if found is not None and found[1] == 0:
-            cycles.append(found[0])
-            on_cycle.update(found[0])
+        trail, state = [], s
+        while state is not None and state not in seen:
+            seen[state] = trail
+            trail.append(state)
+            state = step(state)
+        if state is not None and seen[state] is trail:
+            cycle = trail[trail.index(state) :]
+            cycle_of.update(dict.fromkeys(cycle, cycle))
+        cycle = cycle_of.get(s)  # found by now if s is on a cycle
+        if cycle:  # emptied once listed
+            cycles.append(cycle[cycle.index(s) :] + cycle[: cycle.index(s)])
+            cycle.clear()
     return cycles
 
 

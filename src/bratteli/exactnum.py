@@ -26,8 +26,9 @@ for the *value at lambda*:
 * sign: after a failed zero test, bisect up from the field's level until 0
   is excluded (a(lambda) != 0 guarantees termination), then raise the level;
 * division: the factors of m that vanish away from lambda are divided out
-  exactly in integers; the inverse modulo the rest is read off the adjugate
-  of the multiplication matrix (`ratpoly.charpoly`).
+  exactly in integers; the inverse modulo the rest is one fraction-free
+  solve (`ratpoly.solve_fraction_free`).  Integer vectors over one
+  denominator come out of `ModulusField.ratios` and go in by `over`.
 
 Elements are reduced modulo the reduced modulus, so representatives are
 canonical in all the desk-scale cases, but correctness never relies on that.
@@ -39,7 +40,8 @@ vhi*10^d < (m + 1)*den, so m is the certified floor, and raises the level
 to where it stopped.  Only an enclosure still straddling a grid point when
 2^8 times narrower than a cell falls back to exact signs of the value minus
 m/10^d and (m+1)/10^d.  Values are immutable; the field's only mutable
-state is monotone: the interval cache and the shared level.
+state is monotone: the interval cache and the shared level.  A float never
+enters: element, rational, scale and mixed operations refuse it (TypeError).
 """
 
 from __future__ import annotations
@@ -122,10 +124,29 @@ class ModulusField:
     # -- element factories ---------------------------------------------------
 
     def element(self, coeffs) -> AlgebraicNumber:
-        return AlgebraicNumber(self, coeffs)
+        return AlgebraicNumber(self, [_exact(c) for c in coeffs])
 
     def rational(self, q) -> AlgebraicNumber:
-        return AlgebraicNumber(self, [Fraction(q)])
+        return AlgebraicNumber(self, [_exact(q)])
+
+    def over(self, vec: rp.IntPoly, den: int) -> AlgebraicNumber:
+        """vec/den for an integer den > 0 and a reduced integer vector vec: one
+        Fraction per coefficient (the general constructor would build two)."""
+        n = len(vec)
+        while n and not vec[n - 1]:
+            n -= 1
+        return AlgebraicNumber(self, tuple(Fraction(c, den) for c in vec[:n]), normalised=True)
+
+    def ratios(self, columns: list[rp.IntPoly]) -> tuple[int, list[rp.IntPoly], list[rp.IntPoly]]:
+        """(D, L, S), D > 0: L_x/D = c_x/c_0 and S_x/D = lambda L_x/D for integer
+        polynomials c_x, L_0 = [D], each reduced and padded to deg m entries, from
+        one inverse and integer products.  ZeroDivisionError if c_0(lambda) = 0."""
+        inv = AlgebraicNumber(self, columns[0]).inverse().coeffs
+        den = lcm(*(c.denominator for c in inv))
+        v, m = [c.numerator * (den // c.denominator) for c in inv], self._reduced
+        lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]
+        spans = [rp.reduce_monic([0, *p], m) for p in lengths]
+        return den, *([p + [0] * (len(m) - 1 - len(p)) for p in vs] for vs in (lengths, spans))
 
     def lam(self) -> AlgebraicNumber:
         return AlgebraicNumber(self, [Fraction(0), Fraction(1)])
@@ -234,7 +255,7 @@ class AlgebraicNumber:
         if isinstance(other, AlgebraicNumber):
             self._check(other)
             return other
-        return AlgebraicNumber(self.field, [Fraction(other)])
+        return AlgebraicNumber(self.field, [_exact(other)])
 
     # +, -, negation and scale cannot raise the degree: no reduction needed
     def __add__(self, other) -> AlgebraicNumber:
@@ -261,7 +282,7 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def scale(self, q) -> AlgebraicNumber:
-        q = Fraction(q)
+        q = _exact(q)
         return AlgebraicNumber(self.field, tuple(q * c for c in self.coeffs) if q else (), normalised=True)
 
     def __truediv__(self, other) -> AlgebraicNumber:
@@ -286,9 +307,8 @@ class AlgebraicNumber:
         The modulus may share factors with self away from lambda; deflating
         them keeps q(lambda) * self(lambda) = 1 when self is a zero divisor of
         the ambient ring.  With self = num/s, num integral, and A the product
-        by num modulo the deflated m, Cayley-Hamilton gives A^-1 = -B/c_0 from
-        the constant terms of det(xI - A) and adj(xI - A), so 1/self is
-        s A^-1 e_0: the unique inverse of degree below deg m.
+        by num modulo the deflated m, 1/self is x with A x = s e_0, one
+        fraction-free solve: the unique inverse of degree below deg m.
         """
         zero, g = self._zero_test()
         if zero:
@@ -303,10 +323,8 @@ class AlgebraicNumber:
         columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in self.coeffs], m)]
         while len(columns) < n:  # num * x^j mod m
             columns.append(rp.reduce_monic([0, *columns[-1]], m))
-        c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
-        if not c[0]:
-            raise ZeroDivisionError("element not invertible modulo deflated modulus")
-        return AlgebraicNumber(self.field, [Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
+        x, d = rp.solve_fraction_free(columns, [s] + [0] * (n - 1))
+        return AlgebraicNumber(self.field, [Fraction(c, d) for c in x])
 
     # -- decision procedures ---------------------------------------------------
 
@@ -390,6 +408,12 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"<{self.render()}>"
+
+
+def _exact(q) -> Fraction:
+    if isinstance(q, float):
+        raise TypeError(f"float {q!r} in exact arithmetic; pass an int, a Fraction or a str")
+    return Fraction(q)
 
 
 def _sum(p: tuple, q: tuple) -> tuple:

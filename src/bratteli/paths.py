@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk
+from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk, _cycles
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from .exactnum import HALF, AlgebraicNumber
 
@@ -413,15 +413,12 @@ def extremal_paths(diagram: BratteliDiagram):
 
 
 def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodicPath]:
-    """With f(w) = pick(w).src, v roots an extremal path iff its f-orbit
-    returns to v; going up the path runs backward through that orbit."""
+    """With f(w) = pick(w).src, v roots an extremal path iff v lies on a
+    cycle of f; going up the path runs backward through the cycle from v."""
     pick = diagram.min_edge_into if minimal else diagram.max_edge_into
-    paths = []
-    for v in range(len(diagram.vertices)):
-        orbit, start = _cycle_walk(v, lambda w: pick(w).src)
-        if start == 0:
-            paths.append(EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit)]))
-    return paths
+    cycles = _cycles(range(len(diagram.vertices)), lambda w: pick(w).src)
+    orbit = {v: c[k:] + c[:k] for c in cycles for k, v in enumerate(c)}  # v on a cycle -> v, f(v), ...
+    return [EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit[v])]) for v in sorted(orbit)]
 
 
 @dataclass
@@ -443,7 +440,7 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     the square (h_top, max edge into h.src, min edge into h.rng, h): the
     boundary square at h.  Each h on a cycle of down is one phase of a
     chain of squares: read upward from h, the left column is a maximal path
-    and the right column a minimal one.
+    and the right column a minimal one, while diagram.down still closes it.
     """
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
@@ -451,7 +448,9 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     min_set = {p.key(): p for p in mins}
     max_set = {p.key(): p for p in maxs}
     pairs: dict = {}
-    for cycle in diagram.down_cycles():
+    for cycle in diagram.down_cycles:
+        if any(diagram.down.get(h) != g for h, g in zip(cycle, cycle[1:] + cycle[:1])):
+            continue
         for i, h in enumerate(cycle):
             column = [hs[g] for g in reversed(cycle[i:] + cycle[:i])]
             mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])

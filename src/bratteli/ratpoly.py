@@ -7,7 +7,7 @@ of elements of Q(lambda).  Everything else is in integers: a modulus is monic
 with integer coefficients, so its rational roots are the integers
 `integer_roots` finds; one pseudo-remainder step serves the Sturm sequence
 and `gcd`, `exact_quotient` serves the square-free part and every
-deflation, and `charpoly`'s adjugate inverts.  No floats; degrees stay
+deflation, and `solve_fraction_free` inverts.  No floats; degrees stay
 desk-scale (<= ~10).
 """
 
@@ -43,6 +43,15 @@ def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly(out)
+
+
+def int_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
+    """p * q of nonzero integer polynomials, trailing zeros left in place."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def reduce_monic(p: Sequence, m: Sequence[int]) -> list:
@@ -207,3 +216,21 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list
             a[i][i] += c
         b = a
     return coeffs, adjugate
+
+
+def solve_fraction_free(columns: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntPoly, int]:
+    """Integers (x, d), a x = d b, d = +-det(a), for the integer matrix a of these
+    columns (short ones end in zeros), by Bareiss's fraction-free Gauss-Jordan
+    elimination (Math. Comp. 22, 1968), O(n^3): every entry stays a minor, so
+    each division is exact, and at the end a is d I.  Singular: ZeroDivisionError."""
+    n, prev = len(b), 1
+    rows = [[col[i] if i < len(col) else 0 for col in columns] + [v] for i, v in enumerate(b)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        rows = [r if r is pivot else [(pivot[k] * a - r[k] * c) // prev for a, c in zip(r, pivot)] for r in rows]
+        prev = pivot[k]
+    return [r[n] for r in rows], prev

@@ -5,7 +5,8 @@ intervals with punctures at their centers, and the exact tile lengths are
 the entries of the Perron eigenvector of the abelianization matrix M,
 normalized so the first letter has length 1: column 0 of the integer
 adjugate adj(lambda I - M), which Perron-Frobenius makes positive for
-primitive M.  A collared letter decorates a letter with its two neighbors
+primitive M.  Lengths and layouts are summed as integer vectors over one
+denominator.  A collared letter decorates a letter with its two neighbors
 (the legal 3-words), which is what makes the diagram construction force
 its border.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 import string
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
+from operator import add
 
 from . import ratpoly as rp
 from .errors import (
@@ -27,7 +29,7 @@ from .errors import (
     SingularSystem,
     UnknownLetter,
 )
-from .exactnum import HALF, AlgebraicNumber, ModulusField, field_from_charpoly
+from .exactnum import AlgebraicNumber, ModulusField, field_from_charpoly
 
 Word = tuple[int, ...]
 
@@ -137,8 +139,8 @@ class LetterLayout:
 
     One pass of prefix sums ends (ends[0] = 0, ends[i+1] = ends[i] + l_i)
     gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] and vertical[i] =
-    (lambda l(x) - ends[i] - ends[i+1])/2; `split` is bisected on sign():
-    at most ceil(log2(|sigma(x)| + 1)) signs."""
+    (lambda l(x) - ends[i] - ends[i+1])/2, as integer vectors over D (2D);
+    `split` is bisected on sign(): at most ceil(log2(|sigma(x)| + 1)) signs."""
 
     split: int  # tiles whose center lies at or left of the supertile's: the i with vertical[i] >= 0
     left: tuple[AlgebraicNumber, ...]  # total length of the tiles before position i
@@ -154,35 +156,35 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     column of the adjugate is a right eigenvector; its entries are integer
     polynomials in lambda read off `sub.adjugate`.  For primitive M the
     adjugate at the Perron root is entrywise positive (Perron-Frobenius), so
-    column 0 divided by its first entry gives the lengths with one inverse.
-    All equations are re-checked afterwards and positivity is asserted.
+    column 0 divided by its first entry gives the lengths with one inverse,
+    as integer vectors over one denominator D (`ModulusField.ratios`).  All
+    equations are re-checked afterwards, a nonzero residual vector by the
+    exact zero test, and positivity is asserted.
 
     The check of letter x forms the prefix sums and the span lambda l(x)
     of its layout, so each layout is built and checked once per base letter
-    (`LetterLayout`).
+    (`LetterLayout`), in integer-vector sums: no element arithmetic.
     """
     f = sub.field
-    lam = f.lam()
     n = len(sub.alphabet)
     b = sub.adjugate
-    col = [f.element([b[n - 1 - j][x][0] for j in range(n)]) for x in range(n)]
     try:
-        inv = col[0].inverse()
+        den, vecs, spans = f.ratios([[b[n - 1 - j][x][0] for j in range(n)] for x in range(n)])
     except ZeroDivisionError:
         raise SingularSystem("adjugate column vanishes at lambda; modulus/eigenvalue mismatch") from None
-    lengths = {x: col[x] * inv if x else f.one for x in range(n)}
+    lengths = {x: f.over(vecs[x], den) if x else f.one for x in range(n)}
     layouts = {}
-    for x in range(n):
-        ends = list(accumulate((lengths[y] for y in sub.rules[x]), initial=f.zero))
+    for x, span in enumerate(spans):
+        images = (vecs[y] for y in sub.rules[x])
+        ends = list(accumulate(images, lambda u, v: [*map(add, u, v)], initial=[0] * len(span)))
         total = ends[-1]
-        scaled = lam * lengths[x]
-        if not (total - scaled).is_zero():
+        if total != span and not f.over([t - s for t, s in zip(total, span)], den).is_zero():
             raise SingularSystem("eigen-equation residual nonzero")
-        vertical = tuple((scaled - a - b).scale(HALF) for a, b in zip(ends, ends[1:]))
+        vertical = tuple(f.over([s - a - b for s, a, b in zip(span, lo, hi)], 2 * den) for lo, hi in pairwise(ends))
         layouts[x] = LetterLayout(
             split=bisect_left(vertical, True, key=lambda c: c.sign() < 0),  # first negative
-            left=tuple(ends[:-1]),
-            right=tuple(total - b for b in ends[1:]),
+            left=tuple(f.over(e, den) for e in ends[:-1]),
+            right=tuple(f.over([t - a for t, a in zip(total, e)], den) for e in ends[1:]),
             vertical=vertical,
         )
     for y in range(n):

@@ -31,6 +31,23 @@ def draw_random_spec(seed: int) -> str:
         return text
 
 
+# (x^2 - x - 1)(x^2 - 2): lambda = phi, and the quotient ring has zero
+# divisors; phi - 1 is represented by x - 1 and also by x^2 - 2.
+GOLDEN_TIMES_SQRT2 = [2, 2, -3, -1, 1]
+
+# The frozen benchmark specs whose modulus is reducible over Q: there a value
+# at lambda has many representatives, so another route to the same value (a
+# sum of lengths in place of lambda times a length) could store another one.
+REDUCIBLE_MODULUS_SPECS = [
+    "letters: 0 1 2 3\nrule 0: 2\nrule 1: 0\nrule 2: 2 1 3\nrule 3: 1",
+    "letters: 0 1 2 3\nrule 0: 2 1\nrule 1: 0 1 0\nrule 2: 2 3 2\nrule 3: 0",
+    "letters: 0 1 2 3\nrule 0: 0 3\nrule 1: 0 2\nrule 2: 0 1 3\nrule 3: 2 0 0",
+    "letters: 0 1 2 3 4\nrule 0: 2 4\nrule 1: 3\nrule 2: 1 2\nrule 3: 2 0 3\nrule 4: 4 4 1",
+    "letters: 0 1 2 3 4\nrule 0: 1 3\nrule 1: 1 2\nrule 2: 4 1 3\nrule 3: 2\nrule 4: 2 0 4",
+    "letters: 0 1 2 3 4 5\nrule 0: 2\nrule 1: 5 3 3\nrule 2: 5 4 2\nrule 3: 0 4\nrule 4: 2 1\nrule 5: 3 5",
+]
+
+
 # Seeds of the random family that the properties below are also checked on.
 RANDOM_FAMILY_SEEDS = range(20)
 
@@ -43,6 +60,11 @@ def random_specs():
 @pytest.fixture(scope="session")
 def random_diagrams(random_specs):
     return [build_diagram(parse_spec(text)) for text in random_specs]
+
+
+@pytest.fixture(scope="session")
+def reducible_diagrams():
+    return [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
 
 
 @pytest.fixture(scope="session")

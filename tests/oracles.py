@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from itertools import zip_longest
-from math import ceil, floor
+from itertools import accumulate, zip_longest
+from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
-from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate
+from bratteli import ratpoly as rp
+from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate, _cycle_walk
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.ratpoly import Poly, mul, poly
@@ -154,6 +155,31 @@ def ext_gcd_inverse(a: Poly, m: Poly) -> Poly:
     if len(r0) != 1:
         raise ZeroDivisionError("element not invertible modulo deflated modulus")
     return rem(scale(s0, 1 / r0[0]), m)
+
+
+def inverse_by_adjugate(a: AlgebraicNumber) -> AlgebraicNumber:
+    """1/a as exactnum computed it before its fraction-free solve: with
+    a = num/s, num integral, and A the product by num modulo the reduced
+    modulus deflated by gcd(a, m), Cayley-Hamilton gives A^-1 = -B/c_0 from
+    the constant terms of det(xI - A) and adj(xI - A) (`ratpoly.charpoly`,
+    O(d^4)), so 1/a is s A^-1 e_0."""
+    zero, g = a._zero_test()
+    if zero:
+        raise ZeroDivisionError("division by a value that is zero at lambda")
+    m = a.field._reduced
+    if g is None:
+        g = rp.gcd(a.coeffs, m)
+    if len(g) > 1:
+        m = rp.exact_quotient(m, g)
+    n = len(m) - 1
+    s = lcm(*(c.denominator for c in a.coeffs))
+    columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in a.coeffs], m)]
+    while len(columns) < n:  # num * x^j mod m
+        columns.append(rp.reduce_monic([0, *columns[-1]], m))
+    c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
+    if not c[0]:
+        raise ZeroDivisionError("element not invertible modulo deflated modulus")
+    return AlgebraicNumber(a.field, [Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
 
 
 def inverse_by_euclid(a: AlgebraicNumber) -> Poly:
@@ -531,6 +557,20 @@ def diagram_chains_by_dfs(diagrams):
     return arcs, cycles
 
 
+def cycles_by_walks(starts, step) -> list[list]:
+    """The cycles of the partial map step through starts, each once, as the
+    walk from its first member in starts: a full walk from every start not
+    yet on a found cycle, kept when it returns to its start."""
+    cycles = []
+    on_cycle = set()
+    for s in starts:
+        found = None if s in on_cycle else _cycle_walk(s, step)
+        if found is not None and found[1] == 0:
+            cycles.append(found[0])
+            on_cycle.update(found[0])
+    return cycles
+
+
 def extremes_by_predecessor_map(diagram, minimal: bool):
     """All-minimal (or all-maximal) paths: collect the vertices on cycles of
     v -> source of the extremal edge into v, then walk each cycle backward
@@ -839,6 +879,35 @@ def layouts_by_offsets(sub) -> dict[int, LetterLayout]:
             vertical=vertical,
         )
     return layouts
+
+
+def perron_lengths_by_fractions(sub) -> tuple[dict, dict]:
+    """Lengths and layouts by element arithmetic: column 0 of the adjugate as
+    elements, each times the inverse of the first; prefix sums, lambda l(x),
+    the residual, the right offsets and the halved verticals all as sums,
+    differences and products of Fraction-coefficient elements."""
+    f = sub.field
+    lam = f.lam()
+    n = len(sub.alphabet)
+    b = sub.adjugate
+    col = [f.element([b[n - 1 - j][x][0] for j in range(n)]) for x in range(n)]
+    inv = col[0].inverse()
+    lengths = {x: col[x] * inv if x else f.one for x in range(n)}
+    layouts = {}
+    for x in range(n):
+        ends = list(accumulate((lengths[y] for y in sub.rules[x]), initial=f.zero))
+        total = ends[-1]
+        scaled = lam * lengths[x]
+        if not (total - scaled).is_zero():
+            raise SingularSystem("eigen-equation residual nonzero")
+        vertical = tuple((scaled - a - c).scale(_HALF) for a, c in zip(ends, ends[1:]))
+        layouts[x] = LetterLayout(
+            split=next((i for i, c in enumerate(vertical) if c.sign() < 0), len(vertical)),
+            left=tuple(ends[:-1]),
+            right=tuple(total - c for c in ends[1:]),
+            vertical=vertical,
+        )
+    return lengths, layouts
 
 
 def render_by_fractions(p: Sequence[Fraction], sym: str) -> str:

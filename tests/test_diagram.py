@@ -8,6 +8,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bratteli import analysis
@@ -16,6 +18,7 @@ from bratteli import verify
 from bratteli.diagram import (
     BratteliDiagram,
     DiagramTemplate,
+    _cycles,
     build_diagram,
     diagram_chains,
     diagram_from_json,
@@ -141,9 +144,8 @@ def brute_force_squares(diagram):
     return found
 
 
-def test_squares_match_brute_force(fib, tm, dyadic, rand3, random_diagrams):
-    reducible = [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
-    for diagram in (fib, tm, dyadic, rand3, *random_diagrams, *reducible):
+def test_squares_match_brute_force(fib, tm, dyadic, rand3, random_diagrams, reducible_diagrams):
+    for diagram in (fib, tm, dyadic, rand3, *random_diagrams, *reducible_diagrams):
         got = {s.key() for s in diagram.squares}
         assert got == brute_force_squares(diagram)
 
@@ -363,19 +365,6 @@ def test_build_from_substitution_directly():
 
 # -- arithmetic shared per base letter ---------------------------------------------
 
-# The frozen benchmark specs whose modulus is reducible over Q: there a value
-# at lambda has many representatives, so another route to the same value (a
-# sum of lengths in place of lambda times a length) could store another one.
-REDUCIBLE_MODULUS_SPECS = [
-    "letters: 0 1 2 3\nrule 0: 2\nrule 1: 0\nrule 2: 2 1 3\nrule 3: 1",
-    "letters: 0 1 2 3\nrule 0: 2 1\nrule 1: 0 1 0\nrule 2: 2 3 2\nrule 3: 0",
-    "letters: 0 1 2 3\nrule 0: 0 3\nrule 1: 0 2\nrule 2: 0 1 3\nrule 3: 2 0 0",
-    "letters: 0 1 2 3 4\nrule 0: 2 4\nrule 1: 3\nrule 2: 1 2\nrule 3: 2 0 3\nrule 4: 4 4 1",
-    "letters: 0 1 2 3 4\nrule 0: 1 3\nrule 1: 1 2\nrule 2: 4 1 3\nrule 3: 2\nrule 4: 2 0 4",
-    "letters: 0 1 2 3 4 5\nrule 0: 2\nrule 1: 5 3 3\nrule 2: 5 4 2\nrule 3: 0 4\nrule 4: 2 1\nrule 5: 3 5",
-]
-
-
 def test_fields_keep_rational_root_and_reduced_modulus(all_diagrams, random_diagrams, reducible_diagrams):
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
         f = d.field
@@ -390,11 +379,6 @@ def per_collared_letter_reference(csub, usums: dict) -> BratteliDiagram:
             mp.setattr(diagram_module, name, getattr(oracles, name))
         mp.setattr(diagram_module, "enumerate_squares", lambda d: oracles.enumerate_squares(d, usums))
         return BratteliDiagram(csub)
-
-
-@pytest.fixture(scope="module")
-def reducible_diagrams():
-    return [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
 
 
 def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, random_diagrams, reducible_diagrams):
@@ -531,3 +515,17 @@ def test_down_cycles_match_reachability_and_dfs_references(all_diagrams, random_
         want = oracles.pairing_by_diagram_cycles(d).pairs
         assert [(mx.key(), mn.key()) for mx, mn in d.pair_extremes().pairs] == [(mx.key(), mn.key()) for mx, mn in want]
     assert count == len(all_diagrams) + len(random_diagrams) + 196
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 11), st.integers(0, 13), max_size=12),
+    st.lists(st.integers(0, 13), unique=True, max_size=14),
+)
+@example({0: 1, 1: 2, 2: 0, 3: 1}, [3, 2, 0, 1])  # the cycle from its first start, 2
+@example({0: 0, 1: 0, 2: 3, 3: 2, 4: 5}, [4, 1, 3, 0, 2])  # a loop, a 2-cycle, a walk off the map
+@example({0: 1, 1: 2, 2: 1}, [0])  # a cycle no start lies on
+def test_cycles_in_one_pass_match_a_walk_from_every_start(step, starts):
+    """The one-pass coloured search lists the cycles of a partial map in the
+    order and rotation of the walk-from-every-start reference."""
+    assert _cycles(starts, step.get) == oracles.cycles_by_walks(starts, step.get)

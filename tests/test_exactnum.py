@@ -16,6 +16,7 @@ from bratteli.exactnum import (
     parse_algebraic,
 )
 
+from conftest import GOLDEN_TIMES_SQRT2, REDUCIBLE_MODULUS_SPECS
 from oracles import (
     add,
     bisect_root,
@@ -23,6 +24,7 @@ from oracles import (
     count_roots_by_fractions,
     field_by_fractions,
     gcd,
+    inverse_by_adjugate,
     inverse_by_euclid,
     levels_by_fractions,
     neg,
@@ -302,9 +304,6 @@ def test_decimal_monotone(data):
 
 
 # -- reducible modulus and the monotone refinement level -----------------------
-
-# (x^2 - x - 1)(x^2 - 2): lambda = phi, and the quotient ring has zero divisors
-GOLDEN_TIMES_SQRT2 = [2, 2, -3, -1, 1]
 
 
 def reference_sign(a) -> int:
@@ -685,3 +684,81 @@ def test_integer_gcd_matches_fraction_gcd(common, left, right, zero):
     g = rp.gcd(a, b)
     assert all(type(c) is int for c in g) and g[-1] > 0
     assert [Fraction(c, g[-1]) for c in g] == gcd(a, b)
+
+
+# -- fraction-free inverse against the adjugate route ------------------------------
+
+
+@pytest.fixture(scope="module")
+def reducible_spec_fields():
+    from bratteli.substitution import parse_spec
+
+    return [parse_spec(text).field for text in REDUCIBLE_MODULUS_SPECS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_matches_adjugate_oracle(reducible_spec_fields, data):
+    """One Bareiss solve gives the very representative that the charpoly
+    adjugate of the multiplication matrix gave, in irreducible and reducible
+    moduli: the fields of INVERSE_FIELDS and of the 6 reducible frozen bench
+    specs (degrees 3 to 6)."""
+    charpolys = [c for c, _, _ in INVERSE_FIELDS]
+    f = data.draw(st.sampled_from([*map(field_from_charpoly, charpolys), *reducible_spec_fields]))
+    x = data.draw(st.lists(rationals, min_size=1, max_size=len(f._reduced) - 1).map(f.element))
+    try:
+        expected = inverse_by_adjugate(x)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x.inverse().coeffs == expected.coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+)))
+@example(([[0, 1], [1, 0]], [3, 5]))  # the first pivot needs a row swap
+@example(([[1, 2], [2, 4]], [1, 1]))  # singular
+def test_solve_fraction_free_matches_cramer(system):
+    a, b = system
+    n = len(a)
+    det = (-1) ** n * charpoly_by_fractions(a)[0]
+    if not det:
+        with pytest.raises(ZeroDivisionError):
+            rp.solve_fraction_free(list(zip(*a)), b)
+        return
+    x, d = rp.solve_fraction_free(list(zip(*a)), b)
+    assert abs(d) == abs(det) and all(type(c) is int for c in x)
+    assert [sum(r * c for r, c in zip(row, x)) for row in a] == [d * v for v in b]
+
+
+# -- floats never enter exact arithmetic ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f: f.lam() + 0.1,
+        lambda f: 0.1 + f.lam(),
+        lambda f: f.lam().scale(0.5),
+        lambda f: f.rational(1e-3),
+        lambda f: f.element([0.25]),
+        lambda f: f.element([1, 0.5]),
+        lambda f: f.lam().compare(1.6180339887),
+    ],
+    ids=["add", "radd", "scale", "rational", "element", "element-later-coefficient", "compare"],
+)
+def test_floats_are_refused(fib_field, make):
+    with pytest.raises(TypeError, match="float"):
+        make(fib_field)
+
+
+def test_exact_numbers_still_enter(fib_field):
+    phi = fib_field.lam()
+    assert (phi + Fraction(1, 10)).equals(phi + "1/10")
+    assert phi.scale("0.5").coeffs == phi.scale(Fraction(1, 2)).coeffs == (0, Fraction(1, 2))
+    assert fib_field.rational("0.001").coeffs == (Fraction(1, 1000),)
+    assert fib_field.element([1, 2]).equals(phi * 2 + 1)

@@ -17,7 +17,7 @@ from bratteli.errors import (
     SingularSystem,
     UnknownLetter,
 )
-from bratteli.exactnum import AlgebraicNumber
+from bratteli.exactnum import AlgebraicNumber, field_from_charpoly
 from bratteli.fixtures import DOUBLING_SPEC, FIXTURES, doubling, load_fixture
 from bratteli.ratpoly import charpoly
 from bratteli.substitution import (
@@ -32,13 +32,14 @@ from bratteli.substitution import (
     primitivity_index,
 )
 
-from conftest import RAND3_SPEC
+from conftest import GOLDEN_TIMES_SQRT2, RAND3_SPEC
 from oracles import (
     charpoly_by_fractions,
     expand_word,
     legal_words_fixed_point,
     mat_mul,
     perron_lengths_by_elimination,
+    perron_lengths_by_fractions,
     primitivity_by_powers,
     string_factors,
 )
@@ -229,6 +230,68 @@ def test_perron_lengths_zero_pivot_is_singular():
     )
     with pytest.raises(SingularSystem):
         perron_lengths(vanishing)
+
+
+def test_perron_lengths_store_the_element_arithmetic_representatives(
+    all_diagrams, random_diagrams, reducible_diagrams
+):
+    """Integer vectors over one denominator give the very coefficient tuples
+    (not just equal values) that Fraction-element sums, products and halvings
+    gave, for lengths, left, right, vertical and split: on the fixtures, the
+    random family and the 6 reducible moduli, where a value has many
+    representatives."""
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        sub = d.csub.base
+        lengths, layouts = perron_lengths(sub)
+        want_lengths, want_layouts = perron_lengths_by_fractions(sub)
+        assert {x: c.coeffs for x, c in lengths.items()} == {x: c.coeffs for x, c in want_lengths.items()}
+        assert layouts.keys() == want_layouts.keys()
+        for x, want in want_layouts.items():
+            got = layouts[x]
+            assert got.split == want.split
+            for part in ("left", "right", "vertical"):
+                assert [c.coeffs for c in getattr(got, part)] == [c.coeffs for c in getattr(want, part)], (x, part)
+
+
+def test_perron_lengths_make_no_element_arithmetic(monkeypatch, all_diagrams, reducible_diagrams):
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "scale"):
+        op = getattr(AlgebraicNumber, name)
+        monkeypatch.setattr(AlgebraicNumber, name, lambda self, other, _op=op, _name=name: calls.append(_name) or _op(self, other))
+    for d in (*all_diagrams.values(), *reducible_diagrams):
+        perron_lengths(d.csub.base)
+    assert calls == []
+    perron_lengths_by_fractions(all_diagrams["fibonacci"].csub.base)  # the counter does count
+    assert {"__add__", "__sub__", "__mul__", "scale"} <= set(calls)
+
+
+@pytest.mark.parametrize("c1, consistent", [([-1, 1, 0], True), ([-2, 0, 1], True), ([-1, 0, 1], False)])
+def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1, consistent):
+    """Letters 1 and 2 have length c1 (the first letter's is 1) under
+    fibonacci-like rules in a reducible modulus.  With c1 = x^2 - 2, phi - 1
+    at lambda but not x - 1 as a vector, the residuals are nonzero vectors
+    that vanish at lambda and the exact zero test accepts them; c1 = x^2 - 1
+    is phi at lambda and is refused."""
+    f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    columns = [[1, 0, 0], c1, c1]  # entry j of column x is B_(n-1-j)[x][0]
+    fake = SimpleNamespace(
+        field=f,
+        alphabet=[None] * 3,
+        rules={0: (0, 1), 1: (0,), 2: (0,)},
+        adjugate=[[[col[2 - k]] for col in columns] for k in range(3)],
+    )
+    if not consistent:
+        with pytest.raises(SingularSystem, match="residual"):
+            perron_lengths(fake)
+        return
+    tested = []
+    is_zero = AlgebraicNumber.is_zero
+    monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda self: tested.append(self.coeffs) or is_zero(self))
+    lengths, layouts = perron_lengths(fake)
+    assert ((-1, -1, 1) in tested) == (c1 == [-2, 0, 1])  # letter 0's residual x^2 - x - 1
+    assert lengths[1].coeffs == tuple(rp.poly(c1)) and lengths[1].equals(f.lam() - 1)
+    assert layouts[0].right[0].coeffs == tuple(rp.poly(c1))  # total - ends[1], not lambda l(0) - 1
+    assert [c.coeffs for c in layouts[0].vertical] == [c.coeffs for c in perron_lengths_by_fractions(fake)[1][0].vertical]
 
 
 def test_irrational_lambda_skips_the_screen(monkeypatch, random_specs):
