@@ -12,21 +12,23 @@ leftmost or all rightmost edges; otherwise both gaps run to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
+from ._record import Record
 from .diagram import BratteliDiagram
 from .exactnum import AlgebraicNumber
 from .paths import EventuallyPeriodicPath, PathPrefix, decode
 from .substitution import primitivity_index
 
 
-@dataclass
-class GapProfile:
+class GapProfile(Record):
     """Per-generation gaps (g_L(n), g_R(n)) for n = 1 .. depth."""
 
-    gaps: list[tuple[AlgebraicNumber, AlgebraicNumber]]
+    __slots__ = ("gaps",)
+
+    def __init__(self, gaps: list[tuple[AlgebraicNumber, AlgebraicNumber]]):
+        self.gaps = gaps
 
 
 def gap_profile(gamma: PathPrefix) -> GapProfile:
@@ -54,11 +56,13 @@ def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
         power = power * d.lam
 
 
-@dataclass
-class GFVerdict:
-    kind: str  # "G" | "F"
-    side: str | None  # for F: "left" | "right"
-    witness: tuple[int, int] | None  # for G: cycle offsets of a left-moving and a right-moving edge
+class GFVerdict(Record):
+    """kind "F" with side "left" | "right", or "G" with the cycle offsets of a left- and a right-moving edge."""
+
+    __slots__ = ("kind", "side", "witness")
+
+    def __init__(self, kind: str, side: str | None, witness: tuple[int, int] | None):
+        self.kind, self.side, self.witness = kind, side, witness
 
     def __str__(self):
         if self.kind == "F":

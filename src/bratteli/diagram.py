@@ -67,42 +67,40 @@ the chains of canonical recurrent diagrams.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Frozen
 from .errors import DotTooLarge, ParseError
-from .exactnum import HALF, AlgebraicNumber
+from .exactnum import AlgebraicNumber
 from .substitution import CollaredSubstitution, Substitution, collared_substitution, legal_words, parse_spec
 
 
-@dataclass(frozen=True)
-class VerticalTemplate:
-    index: int
-    src: int  # vertex at generation n-1 (the subtile)
-    rng: int  # vertex at generation n (the supertile)
-    pos: int  # position of the subtile in the rule image of rng
-    coeff: AlgebraicNumber  # realized label u(e^n) = coeff * lambda^(n-2)
+class VerticalTemplate(Frozen):
+    """Subtile src (generation n-1) at position pos in the rule image of the
+    supertile rng (generation n); realized label u(e^n) = coeff * lambda^(n-2)."""
+
+    __slots__ = ("index", "src", "rng", "pos", "coeff")
+
+    def __init__(self, index: int, src: int, rng: int, pos: int, coeff: AlgebraicNumber):
+        self._fill(index, src, rng, pos, coeff)
 
 
-@dataclass(frozen=True)
-class HorizontalTemplate:
-    index: int
-    src: int
-    rng: int
-    coeff: AlgebraicNumber  # realized label u(h^n) = coeff * lambda^(n-1)
-    trivial: bool
-    opposite: int  # index of the reversed edge (self for trivial loops)
+class HorizontalTemplate(Frozen):
+    """Realized label u(h^n) = coeff * lambda^(n-1); opposite indexes the reversed edge (itself if trivial)."""
+
+    __slots__ = ("index", "src", "rng", "coeff", "trivial", "opposite")
+
+    def __init__(self, index: int, src: int, rng: int, coeff: AlgebraicNumber, trivial: bool, opposite: int):
+        self._fill(index, src, rng, coeff, trivial, opposite)
 
 
-@dataclass(frozen=True)
-class DiagramTemplate:
-    h_top: int
-    e_left: int
-    e_right: int
-    h_bot: int
-    kind: str  # "af" | "transient" | "cyclic"
-    canonical: bool = True  # False on the mirror orientation of a stored square
+class DiagramTemplate(Frozen):
+    """kind: "af" | "transient" | "cyclic"; canonical is False on the mirror orientation of a stored square."""
+
+    __slots__ = ("h_top", "e_left", "e_right", "h_bot", "kind", "canonical")
+
+    def __init__(self, h_top: int, e_left: int, e_right: int, h_bot: int, kind: str, canonical: bool = True):
+        self._fill(h_top, e_left, e_right, h_bot, kind, canonical)
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.h_top, self.e_left, self.e_right, self.h_bot)
@@ -250,11 +248,13 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
     left(t') = core(t), and the projected 4-word is legal; the template for
     the ordered pair carries +((len t + len t')/2), its opposite the
-    negation.  Both are built once per pair of core letters and shared, and
-    every trivial loop carries the field's one zero.  The candidates t' of t
-    are bucketed by (left, core) = (core(t), right(t)), in index order.
+    negation, each formed from the integer length vectors over 2D.  Both are
+    built once per pair of core letters and shared, and every trivial loop
+    carries the field's one zero.  The candidates t' of t are bucketed by
+    (left, core) = (core(t), right(t)), in index order.
     """
     base = csub.base
+    den, vecs = base.length_vectors
     legal4 = legal_words(base, 4)
     letters = csub.collared_alphabet
     by_left_core: dict[tuple[int, int], list] = {}
@@ -268,8 +268,9 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
                 continue
             pm = half_sums.get((t.core, u.core))
             if pm is None:
-                d = (base.lengths[t.core] + base.lengths[u.core]).scale(HALF)
-                pm = half_sums[t.core, u.core] = half_sums[u.core, t.core] = (d, -d)
+                s = [a + b for a, b in zip(vecs[t.core], vecs[u.core])]
+                pm = (base.field.over(s, 2 * den), base.field.over([-c for c in s], 2 * den))
+                half_sums[t.core, u.core] = half_sums[u.core, t.core] = pm
             i = len(out)
             out.append(HorizontalTemplate(i, t.index, u.index, pm[0], False, i + 1))
             out.append(HorizontalTemplate(i + 1, u.index, t.index, pm[1], False, i))
@@ -454,6 +455,7 @@ def export_json(diagram: BratteliDiagram) -> str:
     json.dumps runs its pure-Python encoder, so the fixed schema is written
     directly: each distinct string is encoded once, each record is one
     f-string."""
+    import json  # here, not at the top: most commands never load it
     base = diagram.csub.base
     q = json.dumps
     coeff = functools.cache(lambda c: q(c.render()))  # once per shared coefficient object
@@ -504,6 +506,7 @@ def _json_join(items: list[str], pad: str, brackets: str = "[]") -> str:
 def diagram_from_json(text: str) -> BratteliDiagram:
     """Rebuild a diagram from its JSON export and verify the template lists
     round-trip identically."""
+    import json
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also a number past int()'s digit limit, or deep nesting

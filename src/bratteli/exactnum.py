@@ -245,6 +245,9 @@ class AlgebraicNumber:
     def __setattr__(self, *args):
         raise AttributeError("AlgebraicNumber is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not through __setattr__
+        return AlgebraicNumber, (self.field, self.coeffs, True)
+
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: AlgebraicNumber) -> None:

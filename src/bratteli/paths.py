@@ -25,9 +25,9 @@ infinite run exists iff the walk from some seed state revisits a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from ._record import Frozen, Record
 from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk, _cycles
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from .exactnum import HALF, AlgebraicNumber
@@ -210,13 +210,11 @@ def _same_diagram(x, y):
 # -- decoding -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatchTile:
-    name: str
-    base: str
-    collared: bool
-    left: AlgebraicNumber
-    right: AlgebraicNumber
+class PatchTile(Frozen):
+    __slots__ = ("name", "base", "collared", "left", "right")
+
+    def __init__(self, name: str, base: str, collared: bool, left: AlgebraicNumber, right: AlgebraicNumber):
+        self._fill(name, base, collared, left, right)
 
     @property
     def center(self) -> AlgebraicNumber:
@@ -227,15 +225,14 @@ class PatchTile:
         return self.right - self.left
 
 
-@dataclass
-class DecodedPatch:
-    tiles: list[PatchTile]
-    puncture_index: int
-    offset: AlgebraicNumber  # u(gamma) = center of the core supertile
-    top_vertex: int
-    depth: int
-    left: AlgebraicNumber  # span of the whole decoded patch
-    right: AlgebraicNumber
+class DecodedPatch(Record):
+    """offset u(gamma) is the center of the core supertile; left and right span the whole patch."""
+
+    __slots__ = ("tiles", "puncture_index", "offset", "top_vertex", "depth", "left", "right")
+
+    def __init__(self, tiles: list, puncture_index: int, offset, top_vertex: int, depth: int, left, right):
+        self.tiles, self.puncture_index, self.offset, self.top_vertex = tiles, puncture_index, offset, top_vertex
+        self.depth, self.left, self.right = depth, left, right
 
     def word(self) -> str:
         return "".join(t.name for t in self.tiles)
@@ -356,15 +353,7 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
     right = offset + span.scale(HALF)
     assert (tiles[0].left - left).is_zero(), "supertile does not sit at u(gamma)"
     assert (tiles[-1].right - right).is_zero()
-    return DecodedPatch(
-        tiles=tiles,
-        puncture_index=idx,
-        offset=offset,
-        top_vertex=top,
-        depth=gamma.length,
-        left=left,
-        right=right,
-    )
+    return DecodedPatch(tiles, idx, offset, top, gamma.length, left, right)
 
 
 def decode_collared(gamma: PathPrefix) -> DecodedPatch:
@@ -384,15 +373,9 @@ def decode_collared(gamma: PathPrefix) -> DecodedPatch:
         width = width + base.lengths[w]
     left_tiles = _lay_out(csub, left_word, False, core.left - width)
     right_tiles = _lay_out(csub, right_word, False, core.right)
-    return DecodedPatch(
-        tiles=left_tiles + core.tiles + right_tiles,
-        puncture_index=len(left_word) + core.puncture_index,
-        offset=core.offset,
-        top_vertex=core.top_vertex,
-        depth=gamma.length,
-        left=left_tiles[0].left,
-        right=right_tiles[-1].right,
-    )
+    tiles = left_tiles + core.tiles + right_tiles
+    idx = len(left_word) + core.puncture_index
+    return DecodedPatch(tiles, idx, core.offset, core.top_vertex, gamma.length, tiles[0].left, tiles[-1].right)
 
 
 # -- extremal paths and the Vershik map ----------------------------------------------
@@ -421,9 +404,11 @@ def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodi
     return [EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit[v])]) for v in sorted(orbit)]
 
 
-@dataclass
-class Pairing:
-    pairs: list[tuple[EventuallyPeriodicPath, EventuallyPeriodicPath]]  # (max, min)
+class Pairing(Record):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list[tuple[EventuallyPeriodicPath, EventuallyPeriodicPath]]):  # (max, min)
+        self.pairs = pairs
 
     def psi(self, x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
         for mx, mn in self.pairs:
@@ -500,11 +485,13 @@ def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
 # -- the extended equivalence relation -------------------------------------------------
 
 
-@dataclass
-class RbWitness:
-    n0: int
-    chain: tuple[int, ...]  # horizontal template indices for generations n0, n0+1, ...
-    translation: AlgebraicNumber
+class RbWitness(Record):
+    """chain: the horizontal template indices for generations n0, n0 + 1, ..., repeated."""
+
+    __slots__ = ("n0", "chain", "translation")
+
+    def __init__(self, n0: int, chain: tuple[int, ...], translation: AlgebraicNumber):
+        self.n0, self.chain, self.translation = n0, chain, translation
 
     def h_at(self, n: int) -> int:
         if n < self.n0:

@@ -13,13 +13,12 @@ its border.
 
 from __future__ import annotations
 
-import string
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from operator import add
 
 from . import ratpoly as rp
+from ._record import Frozen
 from .errors import (
     EmptyRule,
     IllegalCollarProduced,
@@ -34,21 +33,20 @@ from .exactnum import AlgebraicNumber, ModulusField, field_from_charpoly
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Letter:
-    id: int
-    name: str
+class Letter(Frozen):
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str):
+        self._fill(id, name)
 
 
-@dataclass(frozen=True)
-class CollaredLetter:
+class CollaredLetter(Frozen):
     """A letter together with its left and right neighbor (a legal 3-word)."""
 
-    index: int
-    left: int
-    core: int
-    right: int
-    name: str
+    __slots__ = ("index", "left", "core", "right", "name")
+
+    def __init__(self, index: int, left: int, core: int, right: int, name: str):
+        self._fill(index, left, core, right, name)
 
     def triple(self) -> tuple[int, int, int]:
         return (self.left, self.core, self.right)
@@ -74,7 +72,7 @@ class Substitution:
         primitivity_index(self.abelianization)  # raises NotPrimitive
         charpoly, self.adjugate = rp.charpoly(self.abelianization)
         self.field: ModulusField = field_from_charpoly(charpoly)
-        self.lengths, self.layouts = perron_lengths(self)
+        self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
 
     # -- basic word machinery -------------------------------------------------
 
@@ -130,27 +128,30 @@ def _or_selected(mask: int, rows: list[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LetterLayout:
+class LetterLayout(Frozen):
     """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
     centered at 0, with the tiles of sigma(x) end to end inside it.  The
-    tuples run over the positions i of sigma(x); `vertical` strictly
-    decreases along them, by (l_i + l_(i+1))/2 from i to i + 1.
+    tuples of elements run over the positions i of sigma(x): left[i] and
+    right[i] are the total lengths of the tiles before and after i, and
+    vertical[i], the supertile center minus the center of tile i, strictly
+    decreases, by (l_i + l_(i+1))/2 from i to i + 1.  split counts the tiles
+    whose center lies at or left of the supertile's: the i with vertical[i] >= 0.
 
     One pass of prefix sums ends (ends[0] = 0, ends[i+1] = ends[i] + l_i)
     gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] and vertical[i] =
     (lambda l(x) - ends[i] - ends[i+1])/2, as integer vectors over D (2D);
     `split` is bisected on sign(): at most ceil(log2(|sigma(x)| + 1)) signs."""
 
-    split: int  # tiles whose center lies at or left of the supertile's: the i with vertical[i] >= 0
-    left: tuple[AlgebraicNumber, ...]  # total length of the tiles before position i
-    right: tuple[AlgebraicNumber, ...]  # total length of the tiles after position i
-    vertical: tuple[AlgebraicNumber, ...]  # supertile center minus center of tile i
+    __slots__ = ("split", "left", "right", "vertical")
+
+    def __init__(self, split: int, left: tuple, right: tuple, vertical: tuple):
+        self._fill(split, left, right, vertical)
 
 
-def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout]]:
+def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout], tuple]:
     """Exact tile lengths, sum_y M[x][y] l(y) = lambda l(x) with l(0) = 1,
-    and the layout of each rule image.
+    the layout of each rule image, and (D, [L_x]): the lengths as integer
+    vectors over one denominator, l(x) = L_x / D.
 
     (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0, so every
     column of the adjugate is a right eigenvector; its entries are integer
@@ -190,7 +191,7 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     for y in range(n):
         if lengths[y].sign() != 1:
             raise SingularSystem(f"non-positive tile length for letter {y}")
-    return lengths, layouts
+    return lengths, layouts, (den, vecs)
 
 
 def legal_words(sub: Substitution, n: int) -> set[Word]:
@@ -269,7 +270,7 @@ def collar_alphabet(sub: Substitution) -> list[CollaredLetter]:
 
 
 def _default_name(i: int) -> str:
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     if i < len(letters):
         return letters[i]
     return f"{letters[i % 26]}{i // 26}"

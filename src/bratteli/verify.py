@@ -12,8 +12,7 @@ reports one line per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .analysis import classify_GF
 from .diagram import BratteliDiagram, build_diagram, diagram_chains, hypothesis_check
 from .exactnum import HALF
@@ -21,11 +20,11 @@ from .fixtures import load_fixture
 from .paths import af_equiv, decode, extremal_paths, parse_path, render_path, u_of_prefix, vershik_successor
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
 
 def run_battery(fixture: str) -> list[CheckResult]:

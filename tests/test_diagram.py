@@ -27,7 +27,7 @@ from bratteli.diagram import (
     hypothesis_check,
 )
 from bratteli.errors import ParseError
-from bratteli.exactnum import render_poly_x
+from bratteli.exactnum import AlgebraicNumber, render_poly_x
 from bratteli.fixtures import doubling
 from bratteli.paths import PathPrefix, enumerate_paths
 from bratteli.substitution import parse_spec
@@ -478,6 +478,25 @@ def test_build_routes_match_replaced_references(all_diagrams, random_diagrams, r
     assert total.equals(scaled) and total.coeffs != scaled.coeffs
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams, split):
         assert_build_routes_match(d)
+
+
+def test_build_horizontal_makes_no_element_arithmetic(monkeypatch, all_diagrams, reducible_diagrams):
+    """Each half-sum (l_t + l_u)/2 and its opposite come from the integer
+    length vectors over 2D, with no element sum, scale or negation, and are
+    the representatives stored before."""
+    for d in (*all_diagrams.values(), *reducible_diagrams):
+        den, vecs = d.csub.base.length_vectors
+        assert [d.field.over(v, den).coeffs for v in vecs] == [c.coeffs for c in d.csub.base.lengths.values()]
+    calls = []
+    for name in ("__add__", "scale", "__neg__"):
+        op = getattr(AlgebraicNumber, name)
+        monkeypatch.setattr(AlgebraicNumber, name, lambda self, *args, _op=op, _name=name: calls.append(_name) or _op(self, *args))
+    for d in (*all_diagrams.values(), *reducible_diagrams):
+        rebuilt = diagram_module.build_horizontal(d.csub)
+        assert [h.coeff.coeffs for h in rebuilt] == [h.coeff.coeffs for h in d.horizontals]
+    assert calls == []
+    oracles.build_horizontal(all_diagrams["fibonacci"].csub)  # the counter does count
+    assert {"__add__", "scale", "__neg__"} <= set(calls)
 
 
 # Letter and collar names with a quote, a backslash and a non-ASCII letter.

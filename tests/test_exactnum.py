@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import floor
 
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bratteli import ratpoly as rp
+from bratteli.diagram import export_json
 from bratteli.errors import FieldMismatch, NoRootAboveOne, ParseError
 from bratteli.exactnum import (
     ModulusField,
@@ -762,3 +765,28 @@ def test_exact_numbers_still_enter(fib_field):
     assert phi.scale("0.5").coeffs == phi.scale(Fraction(1, 2)).coeffs == (0, Fraction(1, 2))
     assert fib_field.rational("0.001").coeffs == (Fraction(1, 1000),)
     assert fib_field.element([1, 2]).equals(phi * 2 + 1)
+
+
+def test_elements_fields_and_templates_copy_and_pickle(fib):
+    """Copies and pickles rebuild elements through the constructor (the
+    refusing __setattr__ cannot restore them), and the clones compute."""
+
+    def round_trips(x):
+        return copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+
+    lam = fib.lam
+    for clone in round_trips(lam):
+        assert type(clone) is type(lam) and clone.coeffs == lam.coeffs and clone.field == lam.field
+        assert (clone * clone - clone - 1).is_zero() and clone.inverse().coeffs == lam.inverse().coeffs
+        assert clone.to_decimal(12) == lam.to_decimal(12)
+        with pytest.raises(AttributeError):
+            clone.coeffs = ()
+    assert copy.copy(lam).field is lam.field
+    for field in round_trips(fib.field)[1:]:
+        assert field == fib.field and field.zero.field is field and field.one.field is field
+        assert field.lam().to_decimal(12) == lam.to_decimal(12)
+    e = fib.verticals[1]
+    for clone in round_trips(e):
+        assert type(clone) is type(e) and (clone.index, clone.src, clone.rng, clone.pos) == (e.index, e.src, e.rng, e.pos)
+        assert clone.coeff.coeffs == e.coeff.coeffs and clone.coeff.field == e.coeff.field
+    assert export_json(pickle.loads(pickle.dumps(fib))) == export_json(copy.deepcopy(fib)) == export_json(fib)

@@ -209,7 +209,7 @@ def test_split_bisects_and_zero_verticals_need_no_gcd(monkeypatch):
     for name in ("fibonacci", "thue-morse", LONG_RULE_SPEC):
         sub = load_fixture(name) if name in FIXTURES else parse_spec(name)
         signs.clear()
-        _, layouts = perron_lengths(sub)
+        _, layouts, _ = perron_lengths(sub)
         for x, layout in layouts.items():
             mine = [(c, g) for c, g in signs if any(c is v for v in layout.vertical)]
             assert len(mine) <= math.ceil(math.log2(len(sub.rules[x]) + 1)), (name, x)
@@ -242,7 +242,7 @@ def test_perron_lengths_store_the_element_arithmetic_representatives(
     representatives."""
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
         sub = d.csub.base
-        lengths, layouts = perron_lengths(sub)
+        lengths, layouts, _ = perron_lengths(sub)
         want_lengths, want_layouts = perron_lengths_by_fractions(sub)
         assert {x: c.coeffs for x, c in lengths.items()} == {x: c.coeffs for x, c in want_lengths.items()}
         assert layouts.keys() == want_layouts.keys()
@@ -287,7 +287,7 @@ def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1
     tested = []
     is_zero = AlgebraicNumber.is_zero
     monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda self: tested.append(self.coeffs) or is_zero(self))
-    lengths, layouts = perron_lengths(fake)
+    lengths, layouts, _ = perron_lengths(fake)
     assert ((-1, -1, 1) in tested) == (c1 == [-2, 0, 1])  # letter 0's residual x^2 - x - 1
     assert lengths[1].coeffs == tuple(rp.poly(c1)) and lengths[1].equals(f.lam() - 1)
     assert layouts[0].right[0].coeffs == tuple(rp.poly(c1))  # total - ends[1], not lambda l(0) - 1
