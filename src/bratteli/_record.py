@@ -1,7 +1,6 @@
-"""Plain records: the library's small value types as __slots__ classes.  A
-record lists its fields in __slots__, in constructor order, and sets them in
-its own __init__; the base compares and hashes by them, writes them as
-keywords in the repr, and copies and pickles through the constructor."""
+"""Plain records: the library's small value types as __slots__ classes.  A record
+lists its fields in __slots__, in constructor order, and sets them in its own
+__init__; the base compares, hashes, prints, copies and pickles by those fields."""
 
 
 class Record:

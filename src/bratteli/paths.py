@@ -226,11 +226,12 @@ class PatchTile(Frozen):
 
 
 class DecodedPatch(Record):
-    """offset u(gamma) is the center of the core supertile; left and right span the whole patch."""
+    """A list of PatchTile, puncture_index the punctured one's; offset u(gamma), the center of the
+    core supertile, and left and right, the span of the whole patch, are elements."""
 
     __slots__ = ("tiles", "puncture_index", "offset", "top_vertex", "depth", "left", "right")
 
-    def __init__(self, tiles: list, puncture_index: int, offset, top_vertex: int, depth: int, left, right):
+    def __init__(self, tiles, puncture_index, offset, top_vertex, depth, left, right):
         self.tiles, self.puncture_index, self.offset, self.top_vertex = tiles, puncture_index, offset, top_vertex
         self.depth, self.left, self.right = depth, left, right
 
