@@ -148,7 +148,7 @@ class LetterLayout(Frozen):
         self._fill(split, left, right, vertical)
 
 
-def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout], tuple]:
+def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout], tuple[int, list]]:
     """Exact tile lengths, sum_y M[x][y] l(y) = lambda l(x) with l(0) = 1,
     the layout of each rule image, and (D, [L_x]): the lengths as integer
     vectors over one denominator, l(x) = L_x / D.
