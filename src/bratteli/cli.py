@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("analyze", cmd_analyze, help="boundary-distance profile and G/F verdict")
     _add_source(p)
     p.add_argument("--x", required=True, metavar="PATH")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, help="prefix depth for eventually periodic paths (default 8)")
 
     p = add("verify-paper", cmd_verify_paper, help="run the fixture verification battery")
     p.add_argument("fixture", help="fibonacci | thue-morse")
@@ -166,11 +166,14 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def _depth_of(args, path) -> int:
-    """The depth of the prefix a command reads: --depth, else one full cycle,
-    for an eventually periodic path; a finite prefix's own length."""
+def _depth_of(args, path, default: int | None = None) -> int:
+    """The depth of the prefix a command reads: --depth, else default, else
+    one full cycle, for an eventually periodic path; a finite prefix's own
+    length, which a --depth may only repeat."""
     if isinstance(path, EventuallyPeriodicPath):
-        return args.depth if args.depth is not None else len(path.pre) + len(path.cycle) + 1
+        return args.depth or default or len(path.pre) + len(path.cycle) + 1
+    if args.depth not in (None, path.length):
+        raise BratteliError(f"--depth {args.depth} differs from the length {path.length} of the finite prefix")
     return path.length
 
 
@@ -216,21 +219,19 @@ def cmd_decode(args) -> int:
     refuse_large_patch(path, args.collared, depth)
     gamma = _prefix_of(path, depth)
     patch = decode_collared(gamma) if args.collared else decode(gamma)
+    render, dec = functools.cache(lambda v: v.render()), functools.cache(_dec)  # a tile's right is the next one's left
     print(f"path: {render_path(gamma)}")
     print(f"word: {patch.word_marked()}")
     print(f"puncture index: {patch.puncture_index}")
-    print(f"offset u(gamma): {patch.offset.render()} = {_dec(patch.offset)}")
+    print(f"offset u(gamma): {render(patch.offset)} = {dec(patch.offset)}")
     print("tiles:")
     for i, t in enumerate(patch.tiles):
         mark = " (puncture)" if i == patch.puncture_index else ""
-        print(
-            f"  {t.name}: [{t.left.render()}, {t.right.render()}]"
-            f" = [{_dec(t.left)}, {_dec(t.right)}]{mark}"
-        )
+        print(f"  {t.name}: [{render(t.left)}, {render(t.right)}] = [{dec(t.left)}, {dec(t.right)}]{mark}")
     prof = gap_profile(gamma)
     print("gaps (generation, g_L, g_R):")
     for n, (gl, gr) in enumerate(prof.gaps, start=1):
-        print(f"  {n}: {gl.render()} = {_dec(gl)} | {gr.render()} = {_dec(gr)}")
+        print(f"  {n}: {render(gl)} = {dec(gl)} | {render(gr)} = {dec(gr)}")
     return 0
 
 
@@ -295,7 +296,7 @@ def cmd_rb(args) -> int:
 def cmd_analyze(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
-    depth = _depth_of(args, path)
+    depth = _depth_of(args, path, default=8)
     _refuse_unprintable(diagram, depth)
     prof = gap_profile(_prefix_of(path, depth))
     print(f"path: {render_path(path)}")

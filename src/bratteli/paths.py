@@ -18,9 +18,10 @@ Tail (AF) equivalence of two eventually periodic paths is decided exactly
 from their normal forms.  The extended relation is decided by running a
 synchronized automaton whose states are horizontal templates linking the
 two paths' vertices and whose transitions are the zero-residual commutative
-squares; the square table makes this automaton deterministic, so an
-infinite run exists iff the walk from some seed state revisits a
-(phase, state) pair.
+squares.  The square table makes this automaton deterministic and
+injective, so the two paths are equivalent iff the walk from one of the
+horizontals that link them at generation p0 = max(|pre_x|, |pre_y|) + 2
+returns to that seed (`rb_equiv`).
 """
 
 from __future__ import annotations
@@ -505,14 +506,24 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
 
     States at generation n are horizontal templates linking the two range
     vertices; a step to generation n+1 exists iff the quadruple with the
-    paths' vertical templates is a commutative square.  The square table
-    makes the automaton deterministic, so an infinite chain exists iff the
-    forward walk from some (phase, state) seed survives one full sweep of
-    the finite state space, i.e. revisits a (phase, state) pair.
+    paths' vertical templates is a commutative square.  The state space is
+    finite, with phases mod P = lcm of the cycle lengths from p0 =
+    max(|pre_x|, |pre_y|) + 2, where both paths are periodic.
+
+    Every witness starts at p0, so the only seeds are the horizontals
+    linking x(p0) to y(p0), at phase 0.  Given a witness from any n0, take
+    g = p0 + kP >= n0: its horizontal at g links x(g) = x(p0) to y(g) =
+    y(p0), and the walk from that seed survives.  A square's h_top is fixed
+    by its other three edges (the families in `diagram`), so the step is
+    injective as well as deterministic, and a walk that survives closes at
+    its seed: the walk is the chain, and n0 = p0.
     """
     _same_diagram(x, y)
     d = x.diagram
     p0 = max(len(x.pre), len(y.pre)) + 2
+    seeds = d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)))
+    if not seeds:
+        return None
     period = lcm(len(x.cycle), len(y.cycle))
 
     def step(state: tuple[int, int]) -> tuple[int, int] | None:
@@ -521,21 +532,15 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
         nxt = d.square_table.get((h, x.edge_index_at(n_next), y.edge_index_at(n_next)))
         return None if nxt is None else ((phase + 1) % period, nxt)
 
-    best = None
-    for phase in range(period):
-        vx = x.vertex_at(p0 + phase)
-        vy = y.vertex_at(p0 + phase)
-        for h in d.h_by_ends.get((vx, vy), []):
-            found = _cycle_walk((phase, h.index), step)
-            if found is None:
-                continue
-            walk, start = found
-            cand = (p0 + phase + start, tuple(cur for _, cur in walk[start:]))
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    chains = []
+    for h in seeds:
+        found = _cycle_walk((0, h.index), step)
+        if found is not None:
+            assert found[1] == 0, "a surviving walk closes at its seed"
+            chains.append(tuple(cur for _, cur in found[0]))
+    if not chains:
         return None
-    n0, chain = best
+    n0, chain = p0, min(chains)
     a0 = rb_base_translation(x.prefix(n0), y.prefix(n0), chain[0])
     a1 = rb_base_translation(x.prefix(n0 + len(chain)), y.prefix(n0 + len(chain)), chain[0])
     assert (a0 - a1).is_zero(), "translation must be generation independent"

@@ -234,7 +234,7 @@ def aperiodicity_screen(sub: Substitution, limit: int = 12) -> int | None:
     an irrational lambda is itself a proof of aperiodicity."""
     top = legal_words(sub, limit)
     for n in range(1, limit + 1):
-        p_n = len({w[i : i + n] for w in top for i in range(limit - n + 1)})
+        p_n = len({w[:n] for w in top})  # a legal word of a minimal subshift extends to the right
         if p_n <= n:
             return n
     return None

@@ -36,6 +36,16 @@ def string_factors(s: str, n: int) -> set[str]:
     return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
+def screen_by_factors(sub, limit: int = 12) -> int | None:
+    """The Morse-Hedlund screen counting p(n) as the n-factors of every
+    legal limit-word, not as their n-prefixes."""
+    top = legal_words(sub, limit)
+    for n in range(1, limit + 1):
+        if len({w[i : i + n] for w in top for i in range(limit - n + 1)}) <= n:
+            return n
+    return None
+
+
 def legal_words_fixed_point(sub, n: int) -> set:
     """All length-n factors of the subshift.
 
@@ -670,6 +680,34 @@ def af_equiv_window(x, y) -> bool:
     return all(
         x.edge_index_at(n) == y.edge_index_at(n) for n in range(start, start + period)
     )
+
+
+def rb_chain_by_all_phases(x, y):
+    """(n0, chain) of the least witness of the extended relation, or None:
+    the synchronized automaton of `rb_equiv` seeded at every phase 0 .. P-1
+    from p0, each surviving walk giving the chain from where it closes.  The
+    automaton alone; no translation."""
+    d = x.diagram
+    p0 = max(len(x.pre), len(y.pre)) + 2
+    period = lcm(len(x.cycle), len(y.cycle))
+
+    def step(state):
+        phase, h = state
+        n_next = p0 + phase + 1
+        nxt = d.square_table.get((h, x.edge_index_at(n_next), y.edge_index_at(n_next)))
+        return None if nxt is None else ((phase + 1) % period, nxt)
+
+    best = None
+    for phase in range(period):
+        for h in d.h_by_ends.get((x.vertex_at(p0 + phase), y.vertex_at(p0 + phase)), []):
+            found = _cycle_walk((phase, h.index), step)
+            if found is None:
+                continue
+            walk, start = found
+            cand = (p0 + phase + start, tuple(cur for _, cur in walk[start:]))
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def _lcm(a, b):

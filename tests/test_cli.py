@@ -75,11 +75,20 @@ def test_readme_commands_byte_identical(capsys, tmp_path):
         (["analyze", "--x", "root=a; (ab bd da)", "--depth", "0"], "--depth must be at least 1, got 0"),
         (["diagram", "--format", "dot", "--depth", "0"], "--depth must be at least 1, got 0"),
         (["vershik", "--x", "root=b; (bd db)", "--steps", "-1"], "--steps must be at least 0, got -1"),
+        (["decode", "--x", "root=a; ac ca ab", "--depth", "3"], "--depth 3 differs from the length 4 of the finite prefix"),
+        (["analyze", "--x", "root=a; ac ca ab", "--depth", "9"], "--depth 9 differs from the length 4 of the finite prefix"),
     ],
 )
 def test_bad_depth_or_steps_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--fixture", "fibonacci")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_finite_prefix_accepts_its_own_length_as_depth(capsys):
+    for command in ("decode", "analyze"):
+        argv = [command, "--fixture", "fibonacci", "--x", "root=a; ac ca ab"]
+        with_depth = run(capsys, *argv, "--depth", "4")
+        assert with_depth == run(capsys, *argv) and with_depth[0] == 0 and "path: root=a; ac ca ab\n" in with_depth[1]
 
 
 def test_smallest_depth_and_steps(capsys):

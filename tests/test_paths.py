@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
+from bratteli import paths
 from bratteli.diagram import build_diagram
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from bratteli.fixtures import load_fixture
@@ -34,6 +38,7 @@ from oracles import (
     extremes_by_predecessor_map,
     glued_translation,
     pairing_by_diagram_cycles,
+    rb_chain_by_all_phases,
 )
 
 
@@ -502,6 +507,49 @@ def test_rb_reflexive_symmetric_sample(fib):
             assert (wxy is None) == (wyx is None)
             if wxy is not None:
                 assert (wxy.translation + wyx.translation).is_zero()
+
+
+def _sampled_pairs(diagram, k=200, seed=18):
+    """A seeded sample of k ordered pairs of enumerate_paths(diagram, 2, 2)."""
+    ps = enumerate_paths(diagram, 2, 2)
+    pairs = list(product(ps, ps))
+    return random.Random(seed).sample(pairs, min(k, len(pairs)))
+
+
+def test_rb_equiv_matches_the_all_phase_oracle(monkeypatch, fib, tm, rand3, random_diagrams):
+    # only (n0, chain) is compared; criteria 8 and 9 check the translation
+    monkeypatch.setattr(paths, "rb_base_translation", lambda gamma, gamma2, h: gamma.diagram.field.zero)
+    equivalent = 0
+    for d in (fib, tm, rand3, *random_diagrams):
+        for x, y in _sampled_pairs(d):
+            w, expected = rb_equiv(x, y), rb_chain_by_all_phases(x, y)
+            assert (w and (w.n0, w.chain)) == expected, (render_path(x), render_path(y))
+            if w is not None:
+                equivalent += 1
+                assert w.n0 == max(len(x.pre), len(y.pre)) + 2
+    assert equivalent >= 200
+
+
+def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):
+    seeds = []
+    walk = paths._cycle_walk
+    monkeypatch.setattr(paths, "_cycle_walk", lambda start, step: seeds.append(start) or walk(start, step))
+    later_phase_seeds = 0
+    for d in (fib, tm, rand3):
+        for x, y in _sampled_pairs(d):
+            rb_equiv(x, y)
+            p0, period = max(len(x.pre), len(y.pre)) + 2, lcm(len(x.cycle), len(y.cycle))
+            later_phase_seeds += sum(
+                len(d.h_by_ends.get((x.vertex_at(p0 + phase), y.vertex_at(p0 + phase)), [])) for phase in range(1, period)
+            )
+    assert seeds and {phase for phase, _ in seeds} == {0}
+    assert later_phase_seeds > 0  # a reseeding of phases 1 .. P-1 would walk from these
+
+
+def test_square_table_is_injective(all_diagrams, random_diagrams, reducible_diagrams):
+    # rb_equiv's walks close at their seeds because h_top is fixed by the other three edges
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        assert len({(el, er, hb) for (_, el, er), hb in d.square_table.items()}) == len(d.square_table)
 
 
 # -- literals and normal forms ---------------------------------------------------------

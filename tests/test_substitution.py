@@ -32,7 +32,7 @@ from bratteli.substitution import (
     primitivity_index,
 )
 
-from conftest import GOLDEN_TIMES_SQRT2, RAND3_SPEC
+from conftest import GOLDEN_TIMES_SQRT2, RAND3_SPEC, REDUCIBLE_MODULUS_SPECS
 from oracles import (
     charpoly_by_fractions,
     expand_word,
@@ -41,6 +41,7 @@ from oracles import (
     perron_lengths_by_elimination,
     perron_lengths_by_fractions,
     primitivity_by_powers,
+    screen_by_factors,
     string_factors,
 )
 
@@ -351,6 +352,18 @@ def test_aperiodicity_screen_values():
     assert aperiodicity_screen(load_fixture("thue-morse")) is None
     periodic = parse_spec("letters: 0 1\nrule 0: 0 1\nrule 1: 0 1", check_aperiodicity=False)
     assert aperiodicity_screen(periodic) == 2
+
+
+def test_aperiodicity_screen_counts_prefixes_as_the_factor_oracle(random_specs):
+    period_13 = "letters: 0 1\nrule 0: " + "0 " * 12 + "1\nrule 1: " + "0 " * 12 + "1"
+    periodic = "letters: 0 1\nrule 0: 0 1\nrule 1: 0 1"
+    texts = [*FIXTURES.values(), DOUBLING_SPEC, RAND3_SPEC, *random_specs, *REDUCIBLE_MODULUS_SPECS, period_13, periodic]
+    got = {}
+    for text in texts:
+        sub = parse_spec(text, check_aperiodicity=False)
+        got[text] = aperiodicity_screen(sub)
+        assert got[text] == screen_by_factors(sub), text
+    assert got[period_13] is None and got[periodic] == 2  # period 13 passes a screen up to 12
 
 
 def test_fibonacci_complexity_is_n_plus_one():
