@@ -7,12 +7,13 @@ base-scale offset of the chosen position inside its rule image, so it
 vanishes exactly when the edge takes the leftmost (resp. rightmost)
 position.  On an eventually periodic path this makes the dichotomy exact:
 the puncture stays at bounded distance from a boundary iff the cycle is all
-leftmost or all rightmost edges; otherwise both gaps run to infinity.
+leftmost or all rightmost edges; otherwise both gaps run to infinity.  The
+gaps are summed as integer vectors over the D of `Substitution.length_vectors`.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 from ._record import Record
@@ -39,21 +40,23 @@ def gap_profile(gamma: PathPrefix) -> GapProfile:
 
 def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
     """(g_L(n), g_R(n)) for n = 1, 2, ... along a prefix or an eventually
-    periodic path, one generation at a time."""
+    periodic path, one generation at a time, summed as integer vectors over
+    D; a side whose increment is zero yields the same element again."""
     d = path.diagram
     csub = d.csub
-    layouts = csub.base.layouts
-    gl, gr = d.field.zero, d.field.zero
-    power = d.field.one  # lambda^(n-2) at generation n
-    n = 1
-    while True:
-        yield gl, gr
-        n += 1
+    f = d.field
+    den, vecs = csub.base.length_vectors
+    gaps, sums = [f.zero, f.zero], [[0] * len(vecs[0]), [0] * len(vecs[0])]  # g_L, g_R; over D
+    power = [1]  # lambda^(n-2) at generation n, an integer vector as the reduced modulus is monic
+    for n in count(2):
+        yield gaps[0], gaps[1]
         e = path.template_at(n)
-        layout = layouts[csub.core_of(e.rng)]
-        gl = gl + layout.left[e.pos] * power
-        gr = gr + layout.right[e.pos] * power
-        power = power * d.lam
+        layout = csub.base.layouts[csub.core_of(e.rng)]
+        for side, offset in enumerate((layout.left[e.pos], layout.right[e.pos])):
+            if any(offset):
+                sums[side] = [a + b for a, b in zip(sums[side], f.product(offset, power))]
+                gaps[side] = f.over(sums[side], den)
+        power = f.product(power, [0, 1])
 
 
 class GFVerdict(Record):

@@ -13,7 +13,6 @@ import sys
 from .analysis import classify_GF, gap_profile
 from .diagram import build_diagram, export_dot, export_json
 from .errors import BratteliError
-from .exactnum import HALF
 from .fixtures import FIXTURES, load_fixture
 from .paths import (
     EventuallyPeriodicPath,
@@ -123,6 +122,10 @@ def _dec(value) -> str:
     return value.to_decimal(6)
 
 
+def _printers():  # render() and _dec once per object: a value printed twice is certified once
+    return functools.cache(lambda v: v.render()), functools.cache(_dec)
+
+
 def cmd_collar(args) -> int:
     sub = _load(args)
     diagram = build_diagram(sub)
@@ -219,7 +222,7 @@ def cmd_decode(args) -> int:
     refuse_large_patch(path, args.collared, depth)
     gamma = _prefix_of(path, depth)
     patch = decode_collared(gamma) if args.collared else decode(gamma)
-    render, dec = functools.cache(lambda v: v.render()), functools.cache(_dec)  # a tile's right is the next one's left
+    render, dec = _printers()  # a tile's right is the next one's left
     print(f"path: {render_path(gamma)}")
     print(f"word: {patch.word_marked()}")
     print(f"puncture index: {patch.puncture_index}")
@@ -250,25 +253,34 @@ def cmd_extremes(args) -> int:
     return 0
 
 
+def _vershik_walk(diagram, path: EventuallyPeriodicPath, steps: int):
+    """(x, its successor, delta, position) per Vershik step from path: delta = (l_t + l_u)/2
+    is one element per pair of core letters, and the position sums it as an integer vector over 2D."""
+    csub, f = diagram.csub, diagram.field
+    den, vecs = csub.base.length_vectors
+    delta = functools.cache(lambda t, u: f.over([a + b for a, b in zip(vecs[t], vecs[u])], 2 * den))
+    pos = [0] * len(vecs[0])
+    for _ in range(steps):
+        nxt = vershik_successor(path)
+        t, u = csub.core_of(path.root), csub.core_of(nxt.root)
+        pos = [p + a + b for p, a, b in zip(pos, vecs[t], vecs[u])]
+        yield path, nxt, delta(t, u), f.over(pos, 2 * den)
+        path = nxt
+
+
 def cmd_vershik(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
     if not isinstance(path, EventuallyPeriodicPath):
         raise BratteliError("vershik needs an eventually periodic path (add a cycle)")
-    pos = diagram.field.zero
+    render, dec = _printers()  # a delta repeats for each pair of core letters
     print(f"start: {render_path(path)}")
-    for step in range(1, args.steps + 1):
-        nxt = vershik_successor(path)
-        tile0 = diagram.csub.length_of(path.root)
-        tile1 = diagram.csub.length_of(nxt.root)
-        delta = (tile0 + tile1).scale(HALF)
-        pos = pos + delta
-        crossing = " [psi]" if path.is_maximal() else ""
+    for step, (x, nxt, delta, pos) in enumerate(_vershik_walk(diagram, path, args.steps), start=1):
+        crossing = " [psi]" if x.is_maximal() else ""
         print(
             f"step {step}: {render_path(nxt)}  puncture {diagram.vertices[nxt.root]}"
-            f"  +{delta.render()} = +{_dec(delta)}  at {_dec(pos)}{crossing}"
+            f"  +{render(delta)} = +{dec(delta)}  at {dec(pos)}{crossing}"
         )
-        path = nxt
     return 0
 
 
@@ -299,10 +311,11 @@ def cmd_analyze(args) -> int:
     depth = _depth_of(args, path, default=8)
     _refuse_unprintable(diagram, depth)
     prof = gap_profile(_prefix_of(path, depth))
+    render, dec = _printers()  # a gap whose increment is zero is the previous generation's
     print(f"path: {render_path(path)}")
     print("generation | g_L | g_R")
     for n, (gl, gr) in enumerate(prof.gaps, start=1):
-        print(f"  {n} | {gl.render()} = {_dec(gl)} | {gr.render()} = {_dec(gr)}")
+        print(f"  {n} | {render(gl)} = {dec(gl)} | {render(gr)} = {dec(gr)}")
     if isinstance(path, EventuallyPeriodicPath):
         print(f"verdict: {classify_GF(path)}")
     else:

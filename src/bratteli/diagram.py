@@ -134,7 +134,6 @@ class BratteliDiagram:
             self.h_by_ends.setdefault((h.src, h.rng), []).append(h)
             if h.trivial:
                 self.trivial_h[h.src] = h
-        self._edge_multiplicity = Counter((e.src, e.rng) for e in self.verticals)
 
     def vertical_by_ends(self, src: int, rng: int, pos: int | None = None) -> VerticalTemplate:
         cands = [e for e in self.out_edges[src] if e.rng == rng]
@@ -159,11 +158,17 @@ class BratteliDiagram:
 
     def edge_label(self, e: VerticalTemplate) -> str:
         """src + rng, or src>rng when that join cuts into two names more than one way."""
-        src, rng = self.vertices[e.src], self.vertices[e.rng]
-        name = src + rng if len(self.splits(src + rng)) == 1 else f"{src}>{rng}"
-        if self._edge_multiplicity[(e.src, e.rng)] > 1:
-            name += f"#{e.pos}"
-        return name
+        return self._edge_labels[e.index]
+
+    @functools.cached_property
+    def _edge_labels(self) -> list[str]:  # formed on first use: a build pays nothing for it
+        many = Counter((e.src, e.rng) for e in self.verticals)
+        labels = []
+        for e in self.verticals:
+            src, rng = self.vertices[e.src], self.vertices[e.rng]
+            name = src + rng if len(self.splits(src + rng)) == 1 else f"{src}>{rng}"
+            labels.append(name + f"#{e.pos}" if many[e.src, e.rng] > 1 else name)
+        return labels
 
     def min_edge_into(self, v: int) -> VerticalTemplate:
         return self.in_edges[v][0]

@@ -28,7 +28,8 @@ for the *value at lambda*:
 * division: the factors of m that vanish away from lambda are divided out
   exactly in integers; the inverse modulo the rest is one fraction-free
   solve (`ratpoly.solve_fraction_free`).  Integer vectors over one
-  denominator come out of `ModulusField.ratios` and go in by `over`.
+  denominator come out of `ModulusField.ratios` and `numerators`, multiply
+  by `product` and go in by `over`.
 
 Elements are reduced modulo the reduced modulus, so representatives are
 canonical in all the desk-scale cases, but correctness never relies on that.
@@ -137,13 +138,23 @@ class ModulusField:
             n -= 1
         return AlgebraicNumber(self, tuple(Fraction(c, den) for c in vec[:n]), normalised=True)
 
+    def numerators(self, x: AlgebraicNumber, den: int) -> rp.IntPoly:
+        """v, padded to deg m entries, with x = v/den: over's inverse, for den a multiple of x's denominators."""
+        v = [c.numerator * (den // c.denominator) for c in x.coeffs]
+        return v + [0] * (len(self._reduced) - 1 - len(v))
+
+    def product(self, u: rp.IntPoly, v: rp.IntPoly) -> rp.IntPoly:
+        """u * v of nonempty integer vectors, reduced (in integers: the reduced modulus is monic), padded to deg m."""
+        r = rp.reduce_monic(rp.int_mul(u, v), self._reduced)
+        return r + [0] * (len(self._reduced) - 1 - len(r))
+
     def ratios(self, columns: list[rp.IntPoly]) -> tuple[int, list[rp.IntPoly], list[rp.IntPoly]]:
         """(D, L, S), D > 0: L_x/D = c_x/c_0 and S_x/D = lambda L_x/D for integer
         polynomials c_x, L_0 = [D], each reduced and padded to deg m entries, from
         one inverse and integer products.  ZeroDivisionError if c_0(lambda) = 0."""
-        inv = AlgebraicNumber(self, columns[0]).inverse().coeffs
-        den = lcm(*(c.denominator for c in inv))
-        v, m = [c.numerator * (den // c.denominator) for c in inv], self._reduced
+        inv = AlgebraicNumber(self, columns[0]).inverse()
+        den = lcm(*(c.denominator for c in inv.coeffs))
+        v, m = self.numerators(inv, den), self._reduced
         lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]
         spans = [rp.reduce_monic([0, *p], m) for p in lengths]
         return den, *([p + [0] * (len(m) - 1 - len(p)) for p in vs] for vs in (lengths, spans))

@@ -318,20 +318,23 @@ def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
     return word, idx
 
 
-def _lay_out(csub, word, collared: bool, start: AlgebraicNumber) -> list[PatchTile]:
-    """Tiles of a generation-1 word laid end to end rightward from start:
-    collared letters of csub if collared, else letters of its base."""
+def _lay_out(csub, word, collared: bool, start: list[int], left: AlgebraicNumber) -> list[PatchTile]:
+    """Tiles of a generation-1 word laid end to end rightward from left, the element
+    of the integer vector start over 2D (collared letters of csub if collared, else
+    letters of its base); a tile's right is the next one's left."""
     base = csub.base
+    den, vecs = base.length_vectors
     tiles = []
     for w in word:
         if collared:
             cl = csub.collared_alphabet[w]
-            name, core, length = cl.name, cl.core, csub.length_of(w)
+            name, core = cl.name, cl.core
         else:
-            name, core, length = base.alphabet[w].name, w, base.lengths[w]
-        end = start + length
-        tiles.append(PatchTile(name=name, base=base.alphabet[core].name, collared=collared, left=start, right=end))
-        start = end
+            name, core = base.alphabet[w].name, w
+        start = [s + 2 * c for s, c in zip(start, vecs[core])]  # a running integer sum
+        right = base.field.over(start, 2 * den)
+        tiles.append(PatchTile(name, base.alphabet[core].name, collared, left, right))
+        left = right
     return tiles
 
 
@@ -339,42 +342,47 @@ def decode(gamma: PathPrefix) -> DecodedPatch:
     """The generation-1 patch carried by a finite path: the full expansion
     of its top vertex, with the puncture tile centered at 0 and the core
     supertile centered at u(gamma).  Raises PatchTooLarge above
-    MAX_DECODE_TILES tiles."""
+    MAX_DECODE_TILES tiles.  The tile ends are sums of the integer length
+    vectors over 2D (`Substitution.length_vectors`), the patch's ends u(gamma)
+    -/+ lambda^(n-1) l(top)/2 by an integer product; zero tests match the two."""
     refuse_large_patch(gamma, False, gamma.length)
     d = gamma.diagram
     csub = d.csub
+    den, vecs = csub.base.length_vectors
     word, idx = _trace(gamma)
-    shift = csub.length_of(word[idx]).scale(HALF)  # puncture center from the patch's left end
+    start = [-c for c in vecs[csub.core_of(word[idx])]]  # the patch's left end: the puncture center is 0
     for w in word[:idx]:
-        shift = shift + csub.length_of(w)
-    tiles = _lay_out(csub, word, True, -shift)
+        start = [s - 2 * c for s, c in zip(start, vecs[csub.core_of(w)])]
+    tiles = _lay_out(csub, word, True, start, d.field.over(start, 2 * den))
     offset = u_of_prefix(gamma)
     top = gamma.top_vertex()
-    span = d.lam ** (gamma.length - 1) * csub.length_of(top)
-    left = offset - span.scale(HALF)
-    right = offset + span.scale(HALF)
+    half = d.field.product(vecs[csub.core_of(top)], [0] * (gamma.length - 1) + [1])  # lambda^(n-1) l(top) / 2, over 2D
+    u = d.field.numerators(offset, 2 * den)
+    left = d.field.over([a - b for a, b in zip(u, half)], 2 * den)
+    right = d.field.over([a + b for a, b in zip(u, half)], 2 * den)
     assert (tiles[0].left - left).is_zero(), "supertile does not sit at u(gamma)"
     assert (tiles[-1].right - right).is_zero()
     return DecodedPatch(tiles, idx, offset, top, gamma.length, left, right)
 
 
 def decode_collared(gamma: PathPrefix) -> DecodedPatch:
-    """Like decode, but expands the whole 3-tile collar of the top vertex;
-    the contexts expand through the plain substitution and stay undecorated.
-    Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
+    """Like decode, but expands the whole 3-tile collar of the top vertex; the contexts
+    expand through the plain substitution, stay undecorated and are laid out from the
+    ends of decode's patch.  Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
     refuse_large_patch(gamma, True, gamma.length)
     csub = gamma.diagram.csub
     base = csub.base
+    den, vecs = base.length_vectors
     core = decode(gamma)
     cl = csub.collared_alphabet[gamma.top_vertex()]
     left_word, right_word = (cl.left,), (cl.right,)
     for _ in range(gamma.length - 1):
         left_word, right_word = base.apply(left_word), base.apply(right_word)
-    width = base.field.zero
+    start = base.field.numerators(core.left, 2 * den)
     for w in left_word:
-        width = width + base.lengths[w]
-    left_tiles = _lay_out(csub, left_word, False, core.left - width)
-    right_tiles = _lay_out(csub, right_word, False, core.right)
+        start = [s - 2 * c for s, c in zip(start, vecs[w])]
+    left_tiles = _lay_out(csub, left_word, False, start, base.field.over(start, 2 * den))
+    right_tiles = _lay_out(csub, right_word, False, base.field.numerators(core.right, 2 * den), core.right)
     tiles = left_tiles + core.tiles + right_tiles
     idx = len(left_word) + core.puncture_index
     return DecodedPatch(tiles, idx, core.offset, core.top_vertex, gamma.length, tiles[0].left, tiles[-1].right)

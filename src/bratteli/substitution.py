@@ -130,12 +130,12 @@ def _or_selected(mask: int, rows: list[int]) -> int:
 
 class LetterLayout(Frozen):
     """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
-    centered at 0, with the tiles of sigma(x) end to end inside it.  The
-    tuples of elements run over the positions i of sigma(x): left[i] and
-    right[i] are the total lengths of the tiles before and after i, and
-    vertical[i], the supertile center minus the center of tile i, strictly
-    decreases, by (l_i + l_(i+1))/2 from i to i + 1.  split counts the tiles
-    whose center lies at or left of the supertile's: the i with vertical[i] >= 0.
+    centered at 0, with the tiles of sigma(x) end to end inside it, over the
+    positions i of sigma(x): left[i], right[i], the lengths before and after
+    i, are integer vectors over D; the element vertical[i], supertile center
+    minus tile i's, strictly decreases, by (l_i + l_(i+1))/2 from i to i + 1.
+    split counts the tiles whose center lies at or left of the supertile's:
+    the i with vertical[i] >= 0.
 
     One pass of prefix sums ends (ends[0] = 0, ends[i+1] = ends[i] + l_i)
     gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] and vertical[i] =
@@ -177,15 +177,15 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     layouts = {}
     for x, span in enumerate(spans):
         images = (vecs[y] for y in sub.rules[x])
-        ends = list(accumulate(images, lambda u, v: [*map(add, u, v)], initial=[0] * len(span)))
+        ends = list(accumulate(images, lambda u, v: tuple(map(add, u, v)), initial=(0,) * len(span)))
         total = ends[-1]
-        if total != span and not f.over([t - s for t, s in zip(total, span)], den).is_zero():
+        if list(total) != span and not f.over([t - s for t, s in zip(total, span)], den).is_zero():
             raise SingularSystem("eigen-equation residual nonzero")
         vertical = tuple(f.over([s - a - b for s, a, b in zip(span, lo, hi)], 2 * den) for lo, hi in pairwise(ends))
         layouts[x] = LetterLayout(
             split=bisect_left(vertical, True, key=lambda c: c.sign() < 0),  # first negative
-            left=tuple(f.over(e, den) for e in ends[:-1]),
-            right=tuple(f.over([t - a for t, a in zip(total, e)], den) for e in ends[1:]),
+            left=tuple(ends[:-1]),
+            right=tuple(tuple(t - a for t, a in zip(total, e)) for e in ends[1:]),
             vertical=vertical,
         )
     for y in range(n):

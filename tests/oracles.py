@@ -18,6 +18,7 @@ from bratteli import ratpoly as rp
 from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate, _cycle_walk
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
+from bratteli.paths import DecodedPatch, PatchTile, _trace, u_of_prefix, vershik_successor
 from bratteli.ratpoly import Poly, mul, poly
 from bratteli.substitution import CollaredSubstitution, LetterLayout, legal_words
 
@@ -776,6 +777,106 @@ def escape_depth_by_profiles(x, bound) -> int:
         gl, gr = gap_profile(x.prefix(depth)).gaps[-1]
         if gl.compare(b) > 0 and gr.compare(b) > 0:
             return depth
+
+
+# -- patch geometry by element arithmetic -------------------------------------------
+#
+# decode, decode_collared, the gap walk and the Vershik positions as they were
+# before the patch geometry was summed as integer vectors: every tile end, gap
+# and position is a chain of element sums and products.  The package must give
+# the same coefficient tuples.
+
+
+def lay_out_by_elements(csub, word, collared: bool, start: AlgebraicNumber) -> list[PatchTile]:
+    """Tiles of a generation-1 word laid end to end rightward from start, one
+    element sum per tile."""
+    base = csub.base
+    tiles = []
+    for w in word:
+        if collared:
+            cl = csub.collared_alphabet[w]
+            name, core, length = cl.name, cl.core, csub.length_of(w)
+        else:
+            name, core, length = base.alphabet[w].name, w, base.lengths[w]
+        end = start + length
+        tiles.append(PatchTile(name=name, base=base.alphabet[core].name, collared=collared, left=start, right=end))
+        start = end
+    return tiles
+
+
+def decode_by_elements(gamma) -> DecodedPatch:
+    """decode with the puncture's shift summed from element lengths, the
+    tiles laid out by lay_out_by_elements and the span as lambda ** (n-1)
+    times the top length."""
+    d = gamma.diagram
+    csub = d.csub
+    word, idx = _trace(gamma)
+    shift = csub.length_of(word[idx]).scale(_HALF)
+    for w in word[:idx]:
+        shift = shift + csub.length_of(w)
+    tiles = lay_out_by_elements(csub, word, True, -shift)
+    offset = u_of_prefix(gamma)
+    top = gamma.top_vertex()
+    span = d.lam ** (gamma.length - 1) * csub.length_of(top)
+    left = offset - span.scale(_HALF)
+    right = offset + span.scale(_HALF)
+    assert (tiles[0].left - left).is_zero() and (tiles[-1].right - right).is_zero()
+    return DecodedPatch(tiles, idx, offset, top, gamma.length, left, right)
+
+
+def decode_collared_by_elements(gamma) -> DecodedPatch:
+    """decode_collared around decode_by_elements, the contexts laid out from
+    the core's ends less the summed width of the left context."""
+    csub = gamma.diagram.csub
+    base = csub.base
+    core = decode_by_elements(gamma)
+    cl = csub.collared_alphabet[gamma.top_vertex()]
+    left_word, right_word = (cl.left,), (cl.right,)
+    for _ in range(gamma.length - 1):
+        left_word, right_word = base.apply(left_word), base.apply(right_word)
+    width = base.field.zero
+    for w in left_word:
+        width = width + base.lengths[w]
+    left_tiles = lay_out_by_elements(csub, left_word, False, core.left - width)
+    right_tiles = lay_out_by_elements(csub, right_word, False, core.right)
+    tiles = left_tiles + core.tiles + right_tiles
+    idx = len(left_word) + core.puncture_index
+    return DecodedPatch(tiles, idx, core.offset, core.top_vertex, gamma.length, tiles[0].left, tiles[-1].right)
+
+
+def gaps_by_layout_elements(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
+    """The gap walk over element layouts (`perron_lengths_by_fractions`):
+    per generation, each side's offset times an element power of lambda."""
+    d = path.diagram
+    csub = d.csub
+    layouts = perron_lengths_by_fractions(csub.base)[1]
+    gl, gr = d.field.zero, d.field.zero
+    power = d.field.one  # lambda^(n-2) at generation n
+    n = 1
+    while True:
+        yield gl, gr
+        n += 1
+        e = path.template_at(n)
+        layout = layouts[csub.core_of(e.rng)]
+        gl = gl + layout.left[e.pos] * power
+        gr = gr + layout.right[e.pos] * power
+        power = power * d.lam
+
+
+def vershik_positions_by_elements(x, steps: int) -> list[tuple]:
+    """(successor, delta, position) of each Vershik step from x: delta the
+    halved element sum of the two puncture tiles' lengths, the position the
+    element sum of the deltas."""
+    d = x.diagram
+    pos = d.field.zero
+    out = []
+    for _ in range(steps):
+        nxt = vershik_successor(x)
+        delta = (d.csub.length_of(x.root) + d.csub.length_of(nxt.root)).scale(_HALF)
+        pos = pos + delta
+        out.append((nxt, delta, pos))
+        x = nxt
+    return out
 
 
 # -- per-collared-letter diagram builders ------------------------------------------

@@ -449,10 +449,11 @@ def assert_build_routes_match(d: BratteliDiagram):
     assert export_json(d) == oracles.export_json_by_dumps(d)
     sub = d.csub.base
 
-    def reps(layout):
-        return layout.split, *([c.coeffs for c in cs] for cs in (layout.left, layout.right, layout.vertical))
+    def reps(layout, ends=lambda c: c):
+        return layout.split, *([c.coeffs for c in cs] for cs in (map(ends, layout.left), map(ends, layout.right), layout.vertical))
 
-    assert {x: reps(lay) for x, lay in sub.layouts.items()} == {
+    den = sub.length_vectors[0]
+    assert {x: reps(lay, lambda v: sub.field.over(v, den)) for x, lay in sub.layouts.items()} == {
         x: reps(lay) for x, lay in oracles.layouts_by_offsets(sub).items()
     }
     assert [(h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in d.horizontals] == [

@@ -7,8 +7,10 @@ from math import lcm
 
 import pytest
 
-from bratteli import paths
+from bratteli import cli, paths
 from bratteli.diagram import build_diagram
+from bratteli.exactnum import AlgebraicNumber
+from bratteli.analysis import gap_profile
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from bratteli.fixtures import load_fixture
 from bratteli.substitution import parse_spec
@@ -35,10 +37,14 @@ from bratteli.paths import (
 
 from oracles import (
     af_equiv_window,
+    decode_by_elements,
+    decode_collared_by_elements,
     extremes_by_predecessor_map,
+    gaps_by_layout_elements,
     glued_translation,
     pairing_by_diagram_cycles,
     rb_chain_by_all_phases,
+    vershik_positions_by_elements,
 )
 
 
@@ -134,6 +140,72 @@ def test_decode_nesting(fib, tm):
             pos = {(t.name, t.left.render(), t.right.render()) for t in bigger.tiles}
             for t in smaller.tiles:
                 assert (t.name, t.left.render(), t.right.render()) in pos
+
+
+def patch_reps(patch):
+    ends = [(t.name, t.base, t.collared, t.left.coeffs, t.right.coeffs) for t in patch.tiles]
+    return ends, patch.puncture_index, patch.offset.coeffs, patch.left.coeffs, patch.right.coeffs
+
+
+def test_patch_geometry_matches_the_element_routes(all_diagrams, random_diagrams, reducible_diagrams):
+    """Decode, collared decode, the gap walk and the Vershik deltas and
+    positions in integer vectors give the coefficient tuples (not just the
+    values) of the element routes in `oracles`, at several depths: on the
+    fixtures, the random family and the reducible moduli, where one value has
+    many representatives.  Inside a patch, one object is each tile's right
+    end and the next tile's left end."""
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        xs = enumerate_paths(d, 1, 2)
+        for x in xs[:: max(1, len(xs) // 3)]:
+            for depth in (1, 2, 4):
+                gamma = x.prefix(depth)
+                got, want = decode(gamma), decode_by_elements(gamma)
+                assert patch_reps(got) == patch_reps(want), render_path(gamma)
+                assert all(t.right is u.left for t, u in zip(got.tiles, got.tiles[1:]))
+                assert patch_reps(decode_collared(gamma)) == patch_reps(decode_collared_by_elements(gamma))
+            gaps = [(gl.coeffs, gr.coeffs) for gl, gr in gap_profile(x.prefix(7)).gaps]
+            walk = gaps_by_layout_elements(x)
+            assert gaps == [(gl.coeffs, gr.coeffs) for gl, gr in (next(walk) for _ in range(7))]
+            steps = [(nxt, delta.coeffs, pos.coeffs) for _, nxt, delta, pos in cli._vershik_walk(d, x, 6)]
+            assert steps == [(nxt, delta.coeffs, pos.coeffs) for nxt, delta, pos in vershik_positions_by_elements(x, 6)]
+
+
+def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, all_diagrams, reducible_diagrams):
+    """decode, decode_collared, gap_profile and the vershik command make no
+    element product, power or sum outside u_of_prefix, which the offset
+    still reads."""
+    calls, inside = [], []
+    for name in ("__add__", "__mul__", "__pow__"):
+        op = getattr(AlgebraicNumber, name)
+
+        def spy(self, other, _op=op, _name=name):
+            if not inside:
+                calls.append(_name)
+            return _op(self, other)
+
+        monkeypatch.setattr(AlgebraicNumber, name, spy)
+    u_of_prefix = paths.u_of_prefix
+
+    def translation(gamma):
+        inside.append(gamma)
+        try:
+            return u_of_prefix(gamma)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(paths, "u_of_prefix", translation)
+    for d in (*all_diagrams.values(), *reducible_diagrams):
+        for x in enumerate_paths(d, 1, 2)[:4]:
+            decode(x.prefix(4))
+            decode_collared(x.prefix(3))
+            gap_profile(x.prefix(8))
+    for fixture, literal in (("fibonacci", "root=b; (bd db)"), ("thue-morse", "root=b; (be eb)")):
+        assert cli.main(["vershik", "--fixture", fixture, "--x", literal, "--steps", "12"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    gamma = enumerate_paths(all_diagrams["fibonacci"], 1, 2)[0].prefix(4)
+    decode_by_elements(gamma)  # the spies do count
+    assert {"__add__", "__mul__", "__pow__"} <= set(calls)
 
 
 def test_decode_collared_fibonacci_root(fib):
