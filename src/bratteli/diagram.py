@@ -56,12 +56,13 @@ the Fibonacci and Thue-Morse systems there are exactly 2 and 4 of them.
 Square t composes after square s when t.h_top = s.h_bot.  Each forward
 horizontal T -> U is the h_bot of exactly one boundary square, whose h_top
 is the forward horizontal from T's last subtile to U's first; call it
-down(T -> U).  Mirrors reverse both horizontals, interior squares end at a
+down(T -> U).  The diagram builds down from the templates alone, before the
+census.  Mirrors reverse both horizontals, interior squares end at a
 trivial loop, and no nontrivial square starts at one.  So a nontrivial
-square can compose indefinitely exactly when the forward one of its h_bot
-and h_bot's opposite lies on a cycle of down: one map on the forward
-horizontals classifies every square, and its cycles, walked backward, are
-the chains of canonical recurrent diagrams.
+square can compose indefinitely exactly when it is a boundary square whose
+forward h_bot lies on a cycle of down: the census reads each square's kind
+off down's cycles, and those cycles, walked backward, are the chains of
+canonical recurrent diagrams.
 """
 
 from __future__ import annotations
@@ -115,7 +116,11 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
-        self._classify_squares(enumerate_squares(self))
+        self.squares = enumerate_squares(self)
+        self.square_table = {(s.h_top, s.e_left, s.e_right): s.h_bot for s in self.squares}
+        assert len(self.square_table) == len(self.squares)  # one h_bot per (h_top, e_left, e_right)
+        self.canonical_squares = [s for s in self.squares if s.canonical]
+        self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
         self._pairing = None
 
     # -- lookups ---------------------------------------------------------------
@@ -130,10 +135,19 @@ class BratteliDiagram:
             assert [e.pos for e in edges] == list(range(len(edges)))
         self.h_by_ends: dict[tuple[int, int], list[HorizontalTemplate]] = {}
         self.trivial_h: dict[int, HorizontalTemplate] = {}
+        self.forward_h: dict[tuple[int, int], HorizontalTemplate] = {}  # src just left of rng
         for h in self.horizontals:
             self.h_by_ends.setdefault((h.src, h.rng), []).append(h)
             if h.trivial:
                 self.trivial_h[h.src] = h
+            elif h.index < h.opposite:
+                self.forward_h[h.src, h.rng] = h
+        self.down: dict[int, int] = {}  # forward h_bot -> h_top of its boundary square
+        for (t, u), h in self.forward_h.items():
+            top = self.forward_h.get((self.max_edge_into(t).src, self.min_edge_into(u).src))
+            if top is not None:
+                self.down[h.index] = top.index
+        self.down_cycles = _cycles(sorted(self.down), self.down.get)  # each as h, down(h), ... from its lowest h
 
     def vertical_by_ends(self, src: int, rng: int, pos: int | None = None) -> VerticalTemplate:
         cands = [e for e in self.out_edges[src] if e.rng == rng]
@@ -176,45 +190,10 @@ class BratteliDiagram:
     def max_edge_into(self, v: int) -> VerticalTemplate:
         return self.in_edges[v][-1]
 
-    # -- square classification ---------------------------------------------------
-
-    def _classify_squares(self, keys: list[tuple[int, int, int, int]]):
-        hs = self.horizontals
-        self.square_table: dict[tuple[int, int, int], int] = {}
-        self.down: dict[int, int] = {}  # forward h_bot -> h_top of its boundary square
-        for ht, el, er, hb in keys:
-            assert (ht, el, er) not in self.square_table
-            self.square_table[ht, el, er] = hb
-            if hb < hs[hb].opposite:
-                self.down[hb] = ht
-        self.down_cycles = _cycles(sorted(self.down), self.down.get)  # each as h, down(h), ... from its lowest h
-        recurrent = {h for cycle in self.down_cycles for h in cycle}
-        self.squares = []
-        for k in keys:
-            ht, hb = hs[k[0]], hs[k[3]]
-            if ht.trivial and hb.trivial:
-                kind = "af"
-            else:
-                kind = "cyclic" if min(hb.index, hb.opposite) in recurrent else "transient"
-            self.squares.append(DiagramTemplate(*k, kind, self._is_canonical(k)))
-        self.canonical_squares = [s for s in self.squares if s.canonical]
-        self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
-
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
         (the left side L of the square equation), formed on demand."""
         return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
-
-    def _is_canonical(self, k: tuple[int, int, int, int]) -> bool:
-        """Whether k is its square's stored orientation (module docstring)."""
-        h_top, h_bot = self.horizontals[k[0]], self.horizontals[k[3]]
-        if not h_bot.trivial:  # boundary
-            return h_bot.index > h_bot.opposite
-        if h_top.trivial:  # tail
-            return True
-        below = max(self.verticals[k[1]].pos, self.verticals[k[2]].pos)  # i + 1
-        split = self.csub.base.layouts[self.csub.core_of(h_bot.src)].split
-        return (h_top.index < h_top.opposite) != (below == split)
 
     def pair_extremes(self):
         from .paths import pair_extremes
@@ -284,27 +263,31 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     return out
 
 
-def enumerate_squares(diagram: BratteliDiagram) -> list[tuple[int, int, int, int]]:
-    """The keys (h_top, e_left, e_right, h_bot) of all commutative squares in
-    scan order, read off adjacent subtiles (the three families of the module
-    docstring) with no arithmetic."""
-    trivial = diagram.trivial_h
-    forward = {(h.src, h.rng): h for h in diagram.horizontals if h.index < h.opposite}  # src just left of rng
+def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
+    """All commutative squares in scan order, read off adjacent subtiles (the
+    three families of the module docstring) with no arithmetic; the family a
+    square falls in sets its kind and which orientation is stored."""
+    hs, trivial = diagram.horizontals, diagram.trivial_h
+    layouts, core_of = diagram.csub.base.layouts, diagram.csub.core_of
+    recurrent = {h for cycle in diagram.down_cycles for h in cycle}
     out = []
 
-    def adjacent(el, er, hb):  # el.src just left of er.src: the square and its mirror
-        ht = forward.get((el.src, er.src))
-        if ht is not None:
-            out.append((ht.index, el.index, er.index, hb.index))
-            out.append((ht.opposite, er.index, el.index, hb.opposite))
+    def adjacent(ht, el, er, hb, kind, canonical):  # el.src just left of er.src: the square and its mirror
+        out.append(DiagramTemplate(ht.index, el.index, er.index, hb.index, kind, canonical))
+        out.append(DiagramTemplate(ht.opposite, er.index, el.index, hb.opposite, kind, not canonical))
 
     for v, into in diagram.in_edges.items():
-        out.extend((trivial[e.src].index, e.index, e.index, trivial[v].index) for e in into)
+        out.extend(DiagramTemplate(trivial[e.src].index, e.index, e.index, trivial[v].index, "af") for e in into)
+        split = layouts[core_of(v)].split
         for el, er in zip(into, into[1:]):
-            adjacent(el, er, trivial[v])
-    for hb in forward.values():
-        adjacent(diagram.max_edge_into(hb.src), diagram.min_edge_into(hb.rng), hb)
-    return sorted(out)
+            ht = diagram.forward_h.get((el.src, er.src))
+            if ht is not None:
+                adjacent(ht, el, er, trivial[v], "transient", er.pos != split)
+    for hb, ht in diagram.down.items():
+        kind = "cyclic" if hb in recurrent else "transient"
+        adjacent(hs[ht], diagram.max_edge_into(hs[hb].src), diagram.min_edge_into(hs[hb].rng), hs[hb], kind, False)
+    out.sort(key=DiagramTemplate.key)
+    return out
 
 
 def _reachable(start, successors) -> set:

@@ -433,9 +433,9 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
 
     diagram.down(h), for a forward horizontal h, is the top horizontal of
     the square (h_top, max edge into h.src, min edge into h.rng, h): the
-    boundary square at h.  Each h on a cycle of down is one phase of a
-    chain of squares: read upward from h, the left column is a maximal path
-    and the right column a minimal one, while diagram.down still closes it.
+    boundary square at h.  Each h on one of diagram.down_cycles is one phase
+    of a chain of squares: read upward from h, the left column is a maximal
+    path and the right column a minimal one.
     """
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
@@ -444,8 +444,6 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     max_set = {p.key(): p for p in maxs}
     pairs: dict = {}
     for cycle in diagram.down_cycles:
-        if any(diagram.down.get(h) != g for h, g in zip(cycle, cycle[1:] + cycle[:1])):
-            continue
         for i, h in enumerate(cycle):
             column = [hs[g] for g in reversed(cycle[i:] + cycle[:i])]
             mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])
@@ -525,6 +523,12 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
     by its other three edges (the families in `diagram`), so the step is
     injective as well as deterministic, and a walk that survives closes at
     its seed: the walk is the chain, and n0 = p0.
+
+    At most one seed survives.  Seeds h != h' link the same two vertices,
+    with cores A and B, so c(h) and c(h') are two different ones of 0 and
+    +-(l_A + l_B)/2.  Two surviving walks would give the pair two witness
+    translations that differ by lambda^(p0-1) (c(h) - c(h')) != 0, a
+    period of the tiling, which an aperiodic substitution does not have.
     """
     _same_diagram(x, y)
     d = x.diagram
@@ -540,19 +544,19 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
         nxt = d.square_table.get((h, x.edge_index_at(n_next), y.edge_index_at(n_next)))
         return None if nxt is None else ((phase + 1) % period, nxt)
 
-    chains = []
+    chain = None
     for h in seeds:
         found = _cycle_walk((0, h.index), step)
         if found is not None:
             assert found[1] == 0, "a surviving walk closes at its seed"
-            chains.append(tuple(cur for _, cur in found[0]))
-    if not chains:
+            assert chain is None, "a second surviving seed would give the tiling a period"
+            chain = tuple(cur for _, cur in found[0])
+    if chain is None:
         return None
-    n0, chain = p0, min(chains)
-    a0 = rb_base_translation(x.prefix(n0), y.prefix(n0), chain[0])
-    a1 = rb_base_translation(x.prefix(n0 + len(chain)), y.prefix(n0 + len(chain)), chain[0])
+    a0 = rb_base_translation(x.prefix(p0), y.prefix(p0), chain[0])
+    a1 = rb_base_translation(x.prefix(p0 + len(chain)), y.prefix(p0 + len(chain)), chain[0])
     assert (a0 - a1).is_zero(), "translation must be generation independent"
-    return RbWitness(n0=n0, chain=chain, translation=-a0)
+    return RbWitness(n0=p0, chain=chain, translation=-a0)
 
 
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:
@@ -660,7 +664,10 @@ def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> Ve
         name, _, idx = tok.partition("#")
         if not (idx.isascii() and idx.isdigit()):
             raise ParseError(f"bad position suffix in edge token {tok!r}")
-        pos = int(idx)
+        try:
+            pos = int(idx)
+        except ValueError as exc:  # a number past int()'s digit limit
+            raise ParseError(f"bad position suffix in edge token {tok!r} ({exc})") from exc
     if ">" in name:
         srcname, _, rngname = name.partition(">")
         pair = [(srcname, rngname)]

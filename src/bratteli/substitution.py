@@ -316,9 +316,6 @@ class CollaredSubstitution:
     def core_of(self, index: int) -> int:
         return self.collared_alphabet[index].core
 
-    def length_of(self, index: int) -> AlgebraicNumber:
-        return self.base.lengths[self.core_of(index)]
-
     def rule_name(self, index: int) -> str:
         return "".join(self.name_of(y) for y in self.collared_rules[index])
 

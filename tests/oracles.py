@@ -15,7 +15,7 @@ from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
 from bratteli import ratpoly as rp
-from bratteli.diagram import BratteliDiagram, HorizontalTemplate, VerticalTemplate, _cycle_walk
+from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, _cycle_walk
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.paths import DecodedPatch, PatchTile, _trace, u_of_prefix, vershik_successor
@@ -509,31 +509,34 @@ def recurrent_squares_by_definition(diagram) -> set:
     return recurrent
 
 
-def square_kinds_by_reachability(diagram) -> list[str]:
-    """Kinds of diagram.squares by the line-graph argument: each nontrivial
-    square is an arc h_top -> h_bot over all horizontals, and it is
-    recurrent when its h_bot reaches its h_top, by one search per distinct
-    h_bot."""
+def square_kinds_by_reachability(diagram, keys=None) -> list[str]:
+    """Kinds of the squares with the given keys (h_top, e_left, e_right,
+    h_bot), by default those of diagram.squares, by the line-graph argument:
+    each nontrivial square is an arc h_top -> h_bot over all horizontals,
+    and it is recurrent when its h_bot reaches its h_top, by one search per
+    distinct h_bot."""
     hs = diagram.horizontals
+    if keys is None:
+        keys = [s.key() for s in diagram.squares]
     arcs: dict[int, list[int]] = {h.index: [] for h in hs}
-    for s in diagram.squares:
-        if not (hs[s.h_top].trivial and hs[s.h_bot].trivial):
-            arcs[s.h_top].append(s.h_bot)
+    for ht, _, _, hb in keys:
+        if not (hs[ht].trivial and hs[hb].trivial):
+            arcs[ht].append(hb)
     reach: dict[int, set[int]] = {}
     kinds = []
-    for s in diagram.squares:
-        if hs[s.h_top].trivial and hs[s.h_bot].trivial:
+    for ht, _, _, hb in keys:
+        if hs[ht].trivial and hs[hb].trivial:
             kinds.append("af")
             continue
-        if s.h_bot not in reach:
-            seen, stack = {s.h_bot}, [s.h_bot]
+        if hb not in reach:
+            seen, stack = {hb}, [hb]
             while stack:
                 for w in arcs[stack.pop()]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-            reach[s.h_bot] = seen
-        kinds.append("cyclic" if s.h_top in reach[s.h_bot] else "transient")
+            reach[hb] = seen
+        kinds.append("cyclic" if ht in reach[hb] else "transient")
     return kinds
 
 
@@ -743,8 +746,8 @@ def glued_translation(x, y, witness, depth: int, full_decode: bool = False):
         f = d.field
         lamn = d.lam ** (n - 1)
         ux, uy = u_of_prefix(x.prefix(n)), u_of_prefix(y.prefix(n))
-        x_span = lamn * d.csub.length_of(x.vertex_at(n))
-        y_span = lamn * d.csub.length_of(y.vertex_at(n))
+        x_span = lamn * d.csub.base.lengths[d.csub.core_of(x.vertex_at(n))]
+        y_span = lamn * d.csub.base.lengths[d.csub.core_of(y.vertex_at(n))]
         x_left, x_right = ux - x_span.scale("1/2"), ux + x_span.scale("1/2")
         y_left, y_right = uy - y_span.scale("1/2"), uy + y_span.scale("1/2")
         y_punct_offset = -y_left
@@ -795,7 +798,7 @@ def lay_out_by_elements(csub, word, collared: bool, start: AlgebraicNumber) -> l
     for w in word:
         if collared:
             cl = csub.collared_alphabet[w]
-            name, core, length = cl.name, cl.core, csub.length_of(w)
+            name, core, length = cl.name, cl.core, csub.base.lengths[csub.core_of(w)]
         else:
             name, core, length = base.alphabet[w].name, w, base.lengths[w]
         end = start + length
@@ -811,13 +814,13 @@ def decode_by_elements(gamma) -> DecodedPatch:
     d = gamma.diagram
     csub = d.csub
     word, idx = _trace(gamma)
-    shift = csub.length_of(word[idx]).scale(_HALF)
+    shift = csub.base.lengths[csub.core_of(word[idx])].scale(_HALF)
     for w in word[:idx]:
-        shift = shift + csub.length_of(w)
+        shift = shift + csub.base.lengths[csub.core_of(w)]
     tiles = lay_out_by_elements(csub, word, True, -shift)
     offset = u_of_prefix(gamma)
     top = gamma.top_vertex()
-    span = d.lam ** (gamma.length - 1) * csub.length_of(top)
+    span = d.lam ** (gamma.length - 1) * csub.base.lengths[csub.core_of(top)]
     left = offset - span.scale(_HALF)
     right = offset + span.scale(_HALF)
     assert (tiles[0].left - left).is_zero() and (tiles[-1].right - right).is_zero()
@@ -868,11 +871,12 @@ def vershik_positions_by_elements(x, steps: int) -> list[tuple]:
     halved element sum of the two puncture tiles' lengths, the position the
     element sum of the deltas."""
     d = x.diagram
+    lengths, core = d.csub.base.lengths, d.csub.core_of
     pos = d.field.zero
     out = []
     for _ in range(steps):
         nxt = vershik_successor(x)
-        delta = (d.csub.length_of(x.root) + d.csub.length_of(nxt.root)).scale(_HALF)
+        delta = (lengths[core(x.root)] + lengths[core(nxt.root)]).scale(_HALF)
         pos = pos + delta
         out.append((nxt, delta, pos))
         x = nxt
@@ -901,18 +905,18 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
     lam = f.lam()
     out = []
     for w, rule in sorted(csub.collared_rules.items()):
-        total = lam * csub.length_of(w)
+        total = lam * csub.base.lengths[csub.core_of(w)]
         layout_sum = f.zero
         for u in rule:
-            layout_sum = layout_sum + csub.length_of(u)
+            layout_sum = layout_sum + csub.base.lengths[csub.core_of(u)]
         assert (layout_sum - total).is_zero(), "eigen-equation violated in layout"
         cum = total.scale(-_HALF)
         for pos, u in enumerate(rule):
-            center = cum + csub.length_of(u).scale(_HALF)
+            center = cum + csub.base.lengths[csub.core_of(u)].scale(_HALF)
             out.append(
                 VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=-center)
             )
-            cum = cum + csub.length_of(u)
+            cum = cum + csub.base.lengths[csub.core_of(u)]
     return out
 
 
@@ -1070,11 +1074,12 @@ def render_by_fractions(p: Sequence[Fraction], sym: str) -> str:
     return out
 
 
-def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[tuple[int, int, int, int]]:
-    """Exhaustive scan for the keys (h_top, e_left, e_right, h_bot) of the
-    incident quadruples with exactly zero residual, by the pair sums L and R
-    of the module docstring; puts L of each (e_left, h_bot) it forms in
-    `usums`."""
+def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemplate]:
+    """Exhaustive scan for the incident quadruples (h_top, e_left, e_right,
+    h_bot) with exactly zero residual, by the pair sums L and R of the
+    module docstring; puts L of each (e_left, h_bot) it forms in `usums`.
+    Kinds come from the line-graph reachability and stored orientations from
+    the signs of L, not from the square families."""
     lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
     for h in diagram.horizontals:
         if h.coeff.coeffs not in lam_c:
@@ -1099,7 +1104,8 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[tuple[int, 
                         matches.append(hb)
                 assert len(matches) <= 1
                 out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
-    return out
+    kinds = square_kinds_by_reachability(diagram, out)
+    return [DiagramTemplate(*k, kind, is_canonical_by_sign(diagram, k)) for k, kind in zip(out, kinds)]
 
 
 def is_canonical_by_sign(diagram: BratteliDiagram, k: tuple[int, int, int, int]) -> bool:
@@ -1137,10 +1143,10 @@ def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
         rule = csub.collared_rules[e.rng]
         left_off = f.zero
         for u in rule[: e.pos]:
-            left_off = left_off + csub.length_of(u)
+            left_off = left_off + csub.base.lengths[csub.core_of(u)]
         right_off = f.zero
         for u in rule[e.pos + 1 :]:
-            right_off = right_off + csub.length_of(u)
+            right_off = right_off + csub.base.lengths[csub.core_of(u)]
         gl = gl + left_off * power
         gr = gr + right_off * power
         power = power * d.lam

@@ -264,6 +264,12 @@ def test_python_m_bratteli(capsys):
     assert proc.stdout == expected
 
 
+def test_decode_huge_edge_position_exits_2(capsys):
+    code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; ac#" + "1" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1  # one message, no traceback
+
+
 def test_decode_empty_cycle_exits_2(capsys):
     code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", "root=a; ab ()")
     assert code == 2 and out == ""

@@ -122,8 +122,8 @@ def test_layout_consistency(all_diagrams):
         for w, rule in csub.collared_rules.items():
             total = diagram.field.zero
             for u in rule:
-                total = total + csub.length_of(u)
-            assert (total - diagram.lam * csub.length_of(w)).is_zero()
+                total = total + csub.base.lengths[csub.core_of(u)]
+            assert (total - diagram.lam * csub.base.lengths[csub.core_of(w)]).is_zero()
 
 
 def brute_force_squares(diagram):
@@ -372,8 +372,9 @@ def test_fields_keep_rational_root_and_reduced_modulus(all_diagrams, random_diag
 
 
 def per_collared_letter_reference(csub, usums: dict) -> BratteliDiagram:
-    """The diagram as the per-collared-letter builders of `oracles` make it;
-    the census puts its L of each (e_left, h_bot) in usums."""
+    """The diagram as the per-collared-letter builders of `oracles` make it,
+    with the exhaustive census classifying its squares by reachability and
+    by sign; the census puts its L of each (e_left, h_bot) in usums."""
     with pytest.MonkeyPatch.context() as mp:
         for name in ("build_vertical", "build_horizontal"):
             mp.setattr(diagram_module, name, getattr(oracles, name))

@@ -56,6 +56,7 @@ def test_parse_spec_fuzz(text):
 
 @FUZZ
 @example(text="root=a; aa#\u00b2 (aa#1)")  # a digit to str.isdigit, not to int()
+@example(text="root=a; ac#" + "9" * 5000)  # a position past int()'s digit limit
 @given(text=mutated(["root=a; ac ca ab", "root=d; dc (ca ac)", "root=a; ab | (bd db)", "root=a; aa#0 (aa#1)"]))
 def test_parse_path_fuzz(fib, dyadic, text):
     for diagram in (fib, dyadic):

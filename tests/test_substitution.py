@@ -450,8 +450,8 @@ def test_eigen_equation_exact(fib, tm, rand3, dyadic):
         for i, rule in csub.collared_rules.items():
             total = sub.field.zero
             for y in rule:
-                total = total + csub.length_of(y)
-            assert (total - lam * csub.length_of(i)).is_zero()
+                total = total + csub.base.lengths[csub.core_of(y)]
+            assert (total - lam * csub.base.lengths[csub.core_of(i)]).is_zero()
 
 
 def test_collared_pairs_project_to_legal_4words(fib, tm, rand3):
