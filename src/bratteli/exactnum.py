@@ -12,19 +12,22 @@ for the *value at lambda*:
 * refinement: the reduced modulus (m with its rational roots other than
   lambda divided out) is square-free, has no rational root and exactly one
   root in (lo, hi], an irrational simple sign change; so bisection keeps
-  the half whose midpoint sign (an integer homogeneous evaluation) differs
-  from the lower endpoint's, with no Sturm count per level, and caches it;
-* enclosure first: the field keeps one monotone level, the finest at which
-  a sign or decimal has been decided.  A decision first encloses the
-  element over that level's interval by interval Horner evaluation in
-  integers (`ratpoly.enclose`); an enclosure that excludes 0 decides
-  "nonzero" and the sign.  Any level is sound: the intervals are nested and
-  the evaluation is inclusion-isotone;
+  the half whose midpoint sign (`ratpoly.eval_scaled`, in integers)
+  differs from the lower endpoint's, with no Sturm count per level.  The
+  level-k interval is (lo + a w/2^k, lo + (a+1) w/2^k], w = hi - lo, so the
+  field keeps its finest level K and that level's index a; level k <= K has
+  index a >> (K - k), and `refined(k)` returns it as integers (l, h, d);
+* enclosure first: a decision first encloses the element over the interval
+  of the field's level by interval Horner evaluation in integers
+  (`ratpoly.enclose` of those (l, h, d)); an enclosure that excludes 0
+  decides "nonzero" and the sign.  Any level is sound: the intervals are
+  nested and the evaluation is inclusion-isotone;
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff the integer
   gcd(a, m) still has the isolated root, decided by an integer Sturm count
   over (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
 * sign: after a failed zero test, bisect up from the field's level until 0
-  is excluded (a(lambda) != 0 guarantees termination), then raise the level;
+  is excluded (a(lambda) != 0 guarantees termination), enclosing each level
+  once;
 * division: the factors of m that vanish away from lambda are divided out
   exactly in integers; the inverse modulo the rest is one fraction-free
   solve (`ratpoly.solve_fraction_free`).  Integer vectors over one
@@ -37,12 +40,13 @@ canonical in all the desk-scale cases, but correctness never relies on that.
 Decimal output is floor truncation (-phi prints as -1.618034), monotone with
 compare().  It refines up from the field's level until the enclosure
 [vlo/den, vhi/den] lies in one grid cell, m = vlo*10^d // den and
-vhi*10^d < (m + 1)*den, so m is the certified floor, and raises the level
-to where it stopped.  Only an enclosure still straddling a grid point when
-2^8 times narrower than a cell falls back to exact signs of the value minus
-m/10^d and (m+1)/10^d.  Values are immutable; the field's only mutable
-state is monotone: the interval cache and the shared level.  A float never
-enters: element, rational, scale and mixed operations refuse it (TypeError).
+vhi*10^d < (m + 1)*den, so m is the certified floor.  Only an enclosure
+still straddling a grid point when 2^8 times narrower than a cell falls
+back to exact signs of the value minus m/10^d and (m+1)/10^d.  Values are
+immutable; the field's only mutable state is monotone: the level K, which
+every sign, decimal and digit bound reads and raises, and its index a.  A
+float never enters: element, rational, scale and mixed operations refuse it
+(TypeError).
 """
 
 from __future__ import annotations
@@ -76,23 +80,25 @@ class ModulusField:
             raise ValueError("modulus must be square-free")
         if rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) != 1:
             raise ValueError("isolating interval must contain exactly one root")
-        self.rational_root: Fraction | None = None
+        self.rational_root: int | None = None
         reduced = self.modulus
         for r in rp.integer_roots(self.modulus):  # its only rational roots: the modulus is monic
             if self.lo < r <= self.hi:  # lambda is rational: x - lambda is the reduced modulus
-                self.rational_root, reduced = Fraction(r), [-r, 1]
+                self.rational_root, reduced = r, [-r, 1]
                 break
             reduced = rp.exact_quotient(reduced, [-r, 1])
         self._reduced = reduced  # monic integer: elements reduce by it, signs come from it
         if reduced is not self.modulus:
             sturm = rp.sturm_sequence(reduced)
         assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
-        # Monotone bisection cache; entry k has width (hi-lo)/2^k.
-        self._intervals: list[tuple[Fraction, Fraction]] = [(self.lo, self.hi)]
-        # Sign of the reduced modulus at every lower endpoint in the cache.
-        self._lo_positive = rp.eval_scaled(self._reduced, self.lo) > 0
-        # Finest level at which a sign or a decimal has been decided; only grows.
-        self._level = 0
+        q = lcm(self.lo.denominator, self.hi.denominator)
+        # (lo q, w q, q), w = hi - lo: level k is (lo q 2^k + a w q, ... + w q] over q 2^k
+        lo_q, hi_q = (x.numerator * (q // x.denominator) for x in (self.lo, self.hi))
+        self._base = lo_q, hi_q - lo_q, q
+        # Sign of the reduced modulus at every lower endpoint of a level.
+        self._lo_positive = rp.eval_scaled(self._reduced, lo_q, q) > 0
+        # The finest level bisected and its index; both only grow.
+        self._level = self._index = 0
         # Elements are immutable, so each field builds these once: empty sums
         # and trivial loops share one object.
         self.zero = AlgebraicNumber(self, (), normalised=True)
@@ -100,26 +106,26 @@ class ModulusField:
 
     # -- interval refinement -------------------------------------------------
 
-    def refined(self, k: int) -> tuple[Fraction, Fraction]:
+    def refined(self, k: int) -> tuple[int, int, int]:
+        """(l, h, d): the level-k interval (l/d, h/d], bisected up to level k first."""
         if self.rational_root is not None:
-            return self.rational_root, self.rational_root
-        cache = self._intervals
-        while len(cache) <= k:
-            lo, hi = cache[-1]
-            mid = (lo + hi) / 2
-            v = rp.eval_scaled(self._reduced, mid)
+            return self.rational_root, self.rational_root, 1
+        lo, w, q = self._base
+        while self._level < k:
+            mid = 2 * self._index + 1  # the upper half's index one level down
+            v = rp.eval_scaled(self._reduced, (lo << self._level + 1) + mid * w, q << self._level + 1)
             assert v != 0, "reduced modulus has no rational roots"
-            if (v > 0) == self._lo_positive:
-                cache.append((mid, hi))
-            else:
-                cache.append((lo, mid))
-        return cache[k]
+            self._index = mid if (v > 0) == self._lo_positive else mid - 1
+            self._level += 1
+        l = (lo << k) + (self._index >> self._level - k) * w
+        return l, l + w, q << k
 
     def lam_power_digits(self, n: int) -> int:
         """An upper bound on the decimal digits of the integer part of
         lambda^n, n >= 0, in integers and O(log n) products, from the upper
-        end of a refined isolating interval."""
-        m, e = _power_upper(self.refined(64)[1], n)
+        end of the level-64 interval, which later decisions share."""
+        _, h, d = self.refined(64)
+        m, e = _power_upper(h, d, n)
         return max(0, m.bit_length() + e) * 30103 // 100000 + 1  # log10(2) < 0.30103
 
     # -- element factories ---------------------------------------------------
@@ -210,15 +216,15 @@ def field_from_charpoly(charpoly) -> ModulusField:
     return ModulusField(m, lo, hi, seq)
 
 
-def _power_upper(x: Fraction, n: int, bits: int = 64) -> tuple[int, int]:
-    """(m, e) with x^n <= m * 2^e for x > 0, m of about `bits` bits: square
-    and multiply in binary floating point, rounding every product up."""
+def _power_upper(h: int, d: int, n: int) -> tuple[int, int]:
+    """(m, e) with (h/d)^n <= m * 2^e for h, d > 0, m of about 64 bits:
+    square and multiply in binary floating point, rounding every product up."""
 
     def up(m, e):
-        s = max(0, m.bit_length() - bits)
+        s = max(0, m.bit_length() - 64)
         return -(-m >> s), e + s
 
-    base = up(-((-x.numerator << bits) // x.denominator), -bits)  # x rounded up
+    base = up(-((-h << 64) // d), -64)  # h/d rounded up
     out = (1, 0)
     while n:
         if n & 1:
@@ -231,7 +237,7 @@ def _power_upper(x: Fraction, n: int, bits: int = 64) -> tuple[int, int]:
 def _cut_avoiding_roots(m: rp.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
     for den in (2, 3, 5, 7, 11):
         cut = lo + (hi - lo) / den
-        if rp.eval_scaled(m, cut) != 0:
+        if rp.eval_scaled(m, cut.numerator, cut.denominator) != 0:
             return cut
     raise AssertionError("could not find a cut avoiding roots")  # > deg(m) tries
 
@@ -346,11 +352,7 @@ class AlgebraicNumber:
         """+1 or -1 if the enclosure over the level-k interval excludes 0,
         None if it does not decide."""
         vlo, vhi, _ = rp.enclose(self.coeffs, *self.field.refined(k))
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        return None
+        return 1 if vlo > 0 else -1 if vhi < 0 else None
 
     def is_zero(self) -> bool:
         return self._zero_test()[0]
@@ -363,22 +365,21 @@ class AlgebraicNumber:
             return True, None
         if len(p) == 1 or self._sign_at(self.field._level) is not None:
             return False, None
-        g = rp.gcd(p, self.field._reduced)
+        return self._vanishes()
+
+    def _vanishes(self) -> tuple[bool, rp.IntPoly]:
+        """Zero at lambda iff g = gcd(self, reduced modulus) has the root; and g."""
+        g = rp.gcd(self.coeffs, self.field._reduced)
         return len(g) >= 2 and rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1, g
 
     def sign(self) -> int:
-        f = self.field
-        s = self._sign_at(f._level)
-        if s is not None:
-            return s
-        if self.is_zero():
-            return 0
-        k = f._level
-        while s is None:
-            k += 1
-            s = self._sign_at(k)
-        f._level = k
-        return s
+        k = self.field._level
+        s = self._sign_at(k)
+        if s is None and self.coeffs and not self._vanishes()[0]:
+            while s is None:
+                k += 1
+                s = self._sign_at(k)
+        return s or 0
 
     def compare(self, other) -> int:
         return (self - other).sign()
@@ -404,7 +405,6 @@ class AlgebraicNumber:
             if inside or narrow or k > 64 * (digits + _DECIMAL_GUARD):
                 break
             k += 1
-        f._level = k
         if not inside:
             # the enclosure straddles a grid point; settle the floor exactly
             while (self - Fraction(m + 1, scale)).sign() >= 0:

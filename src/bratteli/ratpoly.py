@@ -3,7 +3,9 @@
 Polynomials are lists in ascending degree order, with no trailing zeros
 (the zero polynomial is the empty list).  Only the element side is in
 Fractions: `poly`, `mul`, `reduce_monic` and `enclose` take the coefficients
-of elements of Q(lambda).  Everything else is in integers: a modulus is monic
+of elements of Q(lambda).  Everything else is in integers: a point is an
+integer numerator over an integer denominator d > 0, so `eval_scaled` takes
+(n, d) and `enclose` the interval [l/d, h/d] as (l, h, d); a modulus is monic
 with integer coefficients, so its rational roots are the integers
 `integer_roots` finds; one pseudo-remainder step serves the Sturm sequence
 and `gcd`, `exact_quotient` serves the square-free part and every
@@ -70,28 +72,26 @@ def reduce_monic(p: Sequence, m: Sequence[int]) -> list:
     return r
 
 
-def enclose(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """Interval Horner evaluation in integers: {p(x) : lo <= x <= hi} lies in
-    [vlo/den, vhi/den].  With p = a/D and x = t/q over common denominators,
-    each step is the Fraction step times the positive D*q^(d-i), so the
-    enclosure is the same.  For lo >= 0 the signs of the accumulators pick
-    the extreme endpoint products."""
+def enclose(p: Sequence[Fraction], l: int, h: int, d: int) -> tuple[int, int, int]:
+    """Interval Horner evaluation in integers: {p(x) : l/d <= x <= h/d}, d > 0,
+    lies in [vlo/den, vhi/den].  With p = a/D over a common denominator, each
+    step is the Fraction step times the positive D*d^(deg p - i), so the
+    enclosure is the same.  For l >= 0 the signs of the accumulators pick the
+    extreme endpoint products."""
     if not p:
         return 0, 0, 1
     den = lcm(*(c.denominator for c in p))
-    q = lcm(lo.denominator, hi.denominator)
-    l, h = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
     alo = ahi = 0
-    qk = 1
+    dk = 1
     for c in reversed(p):
-        a = c.numerator * (den // c.denominator) * qk
+        a = c.numerator * (den // c.denominator) * dk
         if l >= 0:
             alo, ahi = alo * (l if alo >= 0 else h) + a, ahi * (h if ahi >= 0 else l) + a
         else:
             prods = (alo * l, alo * h, ahi * l, ahi * h)
             alo, ahi = min(prods) + a, max(prods) + a
-        qk *= q
-    return alo, ahi, den * qk // q
+        dk *= d
+    return alo, ahi, den * dk // d
 
 
 def integer_primitive(p: Sequence) -> IntPoly:
@@ -103,10 +103,9 @@ def integer_primitive(p: Sequence) -> IntPoly:
     return [c // g for c in ints] if g > 1 else ints
 
 
-def eval_scaled(p: Sequence[int], x) -> int:
-    """d^deg(p) * p(n/d) for an integer polynomial p at x = n/d, d > 0, by
-    homogeneous Horner evaluation: an integer with the sign of p(x)."""
-    n, d = x.numerator, x.denominator
+def eval_scaled(p: Sequence[int], n: int, d: int) -> int:
+    """d^deg(p) * p(n/d) for an integer polynomial p and integers n, d > 0, by
+    homogeneous Horner evaluation: an integer with the sign of p(n/d)."""
     acc, dk = 0, 1
     for c in reversed(p):
         acc = acc * n + c * dk
@@ -157,7 +156,7 @@ def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
     For the Sturm sequence of a square-free p, V(a) - V(b) counts the roots
     in (a, b] with no deflation: at a root c, p is skipped and p' has the
     sign p takes just above c, so V(c) is V just above c."""
-    signs = [v > 0 for v in (eval_scaled(q, x) for q in seq) if v]
+    signs = [v > 0 for v in (eval_scaled(q, x.numerator, x.denominator) for q in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -191,7 +190,7 @@ def integer_roots(m: Sequence[int]) -> list[int]:
     roots = {0} if k else set()
     for d in range(1, isqrt(low) + 1):
         if low % d == 0:
-            roots.update(r for r in (d, -d, low // d, -(low // d)) if eval_scaled(m, r) == 0)
+            roots.update(r for r in (d, -d, low // d, -(low // d)) if eval_scaled(m, r, 1) == 0)
     return sorted(roots)
 
 

@@ -39,6 +39,17 @@ README_SHA256 = {
 }
 
 
+# The deepest refinements of the benchmark's cli-session, pinned to the stdout
+# digests bench/frozen.json records for them (read only).
+FROZEN_BENCH = SRC.parent / "bench" / "frozen.json"
+DEEP_CLI_SESSION = [
+    ["decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "8"],
+    ["decode", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "10"],
+    ["analyze", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "12"],
+    ["vershik", "--fixture", "fibonacci", "--x", "root=b; (bd db)", "--steps", "40"],
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -65,6 +76,13 @@ def test_readme_commands_byte_identical(capsys, tmp_path):
         if out_file:
             digest += " " + sha256(Path(out_file).read_bytes()).hexdigest()
         assert (code, digest) == (0, README_SHA256[command]), command
+
+
+def test_deep_cli_session_commands_match_frozen_bench_digests(capsys):
+    digests = {tuple(c["argv"]): c["stdout_sha256"] for c in json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))["cli"]}
+    for argv in DEEP_CLI_SESSION:
+        code, out, _ = run(capsys, *argv)
+        assert (code, sha256(out.encode()).hexdigest()) == (0, digests[tuple(argv)]), argv
 
 
 @pytest.mark.parametrize(

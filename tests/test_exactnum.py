@@ -3,7 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -309,6 +309,12 @@ def test_decimal_monotone(data):
 # -- reducible modulus and the monotone refinement level -----------------------
 
 
+def interval(f, k: int) -> tuple[Fraction, Fraction]:
+    """The level-k interval, read as Fractions off the integers (l, h, d)."""
+    l, h, d = f.refined(k)
+    return Fraction(l, d), Fraction(h, d)
+
+
 def reference_sign(a) -> int:
     """The sign decided without the field's level: gcd + Sturm certificate
     for zero, then bisection from level 0."""
@@ -321,7 +327,7 @@ def reference_sign(a) -> int:
         return 0
     k = 0
     while True:
-        vlo, vhi = reference_eval_interval(p, *f.refined(k))
+        vlo, vhi = reference_eval_interval(p, *interval(f, k))
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -358,6 +364,22 @@ def test_inverse_reuses_the_zero_tests_gcd(monkeypatch):
     inv = x.inverse()
     assert len(calls) == 1
     assert (inv * x).equals(1)
+
+
+def test_refinement_and_enclosed_decisions_construct_no_fraction(monkeypatch):
+    f = field_from_charpoly(GOLDEN)  # fresh: every level is bisected below
+    x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: made.append(a) or new(cls, *a, **kw))
+    levels = [f.refined(k) for k in range(65)]
+    digits = f.lam_power_digits(10**9)
+    sign, decimal = x.sign(), x.to_decimal(6)  # both decided by the level-64 enclosure
+    monkeypatch.undo()
+    assert made == []
+    assert [interval(f, k) for k in range(65)] == [(Fraction(l, d), Fraction(h, d)) for l, h, d in levels]
+    assert 208987641 <= digits <= 208987641 + 4
+    assert (sign, decimal) == (-1, reference_decimal(x, 6)) == (-1, "-0.055729")
 
 
 @settings(max_examples=40, deadline=None)
@@ -427,7 +449,7 @@ def reference_decimal(a, digits: int) -> str:
     scale = 10**digits
     k = 0
     while True:
-        vlo, vhi = reference_eval_interval(a.coeffs, *a.field.refined(k))
+        vlo, vhi = reference_eval_interval(a.coeffs, *interval(a.field, k))
         if (vhi - vlo) * scale < 1:
             break
         k += 1
@@ -449,8 +471,8 @@ def test_rand3_charpoly(rand3):
 def test_refined_matches_sturm_bisection(charpolys, k):
     f = field_from_charpoly(charpolys[0])
     expected = reference_levels(f, k)
-    assert f.refined(k) == expected[k]
-    assert [f.refined(j) for j in range(k + 1)] == expected
+    assert interval(f, k) == expected[k]
+    assert [interval(f, j) for j in range(k + 1)] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,7 +489,8 @@ def test_parse_render_round_trip(data):
 @example([Fraction(-1, 3), Fraction(0), Fraction(5, 7)], Fraction(-2), Fraction(-1, 5))
 def test_eval_interval_matches_four_products(p, a, b):
     lo, hi = min(a, b), max(a, b)
-    vlo, vhi, den = rp.enclose(p, lo, hi)
+    q = lcm(lo.denominator, hi.denominator)
+    vlo, vhi, den = rp.enclose(p, int(lo * q), int(hi * q), q)
     assert (Fraction(vlo, den), Fraction(vhi, den)) == reference_eval_interval(p, lo, hi)
 
 
@@ -488,8 +511,12 @@ def test_to_decimal_matches_search(data):
         # lambda - c with c the lower end of the level-n interval decides
         # only above level n, so the field's level ends up above n
         n = data.draw(st.integers(min_value=30, max_value=40))
-        assert (lam - f.refined(n)[0]).sign() == 1
+        assert (lam - interval(f, n)[0]).sign() == 1
         assert f._level > n
+    if data.draw(st.booleans()):
+        # the digit bound refines to level 64, and the decimals are decided there
+        f.lam_power_digits(data.draw(st.integers(min_value=0, max_value=100)))
+        assert f._level >= 64
     for d in data.draw(st.permutations(range(9))):
         assert a.to_decimal(d) == reference_decimal(a, d)
         assert f._level < 64 * (d + 8)  # decided before the refinement cap
@@ -612,7 +639,7 @@ def test_fields_match_fraction_construction(all_diagrams, random_diagrams):
         f = field_from_charpoly(charpoly)
         m, lo, hi = field_by_fractions(charpoly)
         assert (f.modulus, f.lo, f.hi) == (m, lo, hi), name
-        assert [f.refined(k) for k in range(41)] == levels_by_fractions(m, lo, hi, 40), name
+        assert [interval(f, k) for k in range(41)] == levels_by_fractions(m, lo, hi, 40), name
         if diagram is not None:
             assert diagram.field == f, name
 
@@ -635,7 +662,7 @@ def test_modulus_field_rejects(modulus, lo, hi, message):
 def test_modulus_field_rational_root_at_hi():
     # (lo, hi] is half-open: a rational lambda may sit at hi
     f = ModulusField([2, -3, 1], Fraction(3, 2), 2)
-    assert f.rational_root == 2 and f.refined(5) == (2, 2)
+    assert f.rational_root == 2 and f.refined(5) == (2, 2, 1)
     assert f.lam().equals(2) and f.lam().to_decimal(3) == "2.000"
 
 
