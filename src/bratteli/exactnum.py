@@ -352,7 +352,11 @@ class AlgebraicNumber:
         """+1 or -1 if the enclosure over the level-k interval excludes 0,
         None if it does not decide."""
         vlo, vhi, _ = rp.enclose(self.coeffs, *self.field.refined(k))
-        return 1 if vlo > 0 else -1 if vhi < 0 else None
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        return None
 
     def is_zero(self) -> bool:
         return self._zero_test()[0]
@@ -375,11 +379,14 @@ class AlgebraicNumber:
     def sign(self) -> int:
         k = self.field._level
         s = self._sign_at(k)
-        if s is None and self.coeffs and not self._vanishes()[0]:
-            while s is None:
-                k += 1
-                s = self._sign_at(k)
-        return s or 0
+        if s is not None:
+            return s
+        if not self.coeffs or self._vanishes()[0]:
+            return 0
+        while s is None:
+            k += 1
+            s = self._sign_at(k)
+        return s
 
     def compare(self, other) -> int:
         return (self - other).sign()

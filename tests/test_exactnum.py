@@ -277,13 +277,14 @@ def test_zero_test_agrees_with_interval_refinement(data):
     a = data.draw(elements(f))
     phi = f.lam()
     z = a * (phi * phi - phi - 1)  # annihilate: z is zero at lambda
+    levels = copy.copy(f)  # refined on a copy: a.is_zero() below starts at level 0
     for k in range(0, 12, 3):
-        vlo, vhi, _ = rp.enclose(z.coeffs, *f.refined(k))
+        vlo, vhi, _ = rp.enclose(z.coeffs, *levels.refined(k))
         assert vlo <= 0 <= vhi
     if not a.is_zero():
         k = 0
         while True:
-            vlo, vhi, _ = rp.enclose(a.coeffs, *f.refined(k))
+            vlo, vhi, _ = rp.enclose(a.coeffs, *levels.refined(k))
             if vlo > 0 or vhi < 0:
                 break
             k += 1
@@ -310,7 +311,9 @@ def test_decimal_monotone(data):
 
 
 def interval(f, k: int) -> tuple[Fraction, Fraction]:
-    """The level-k interval, read as Fractions off the integers (l, h, d)."""
+    """The level-k interval, read as Fractions off the integers (l, h, d).
+    refined(k) raises the field's level, which the decisions read: a
+    reference that must leave the field as it was passes a copy."""
     l, h, d = f.refined(k)
     return Fraction(l, d), Fraction(h, d)
 
@@ -318,7 +321,7 @@ def interval(f, k: int) -> tuple[Fraction, Fraction]:
 def reference_sign(a) -> int:
     """The sign decided without the field's level: gcd + Sturm certificate
     for zero, then bisection from level 0."""
-    f = a.field
+    f = copy.copy(a.field)  # refined on a copy: the field's level stays as it was
     p = list(a.coeffs)
     if not p:
         return 0
@@ -411,7 +414,9 @@ def test_decisions_after_hard_sign_match_reference(data):
     b = data.draw(elements(f))
     near = lam - golden_convergent(data.draw(st.integers(min_value=1, max_value=n + 5)))
     for x in (a, a + annihilator * b, annihilator * b, near, near * a):
+        level = f._level
         expected = reference_sign(x)
+        assert f._level == level  # the reference leaves the field's level alone
         assert x.is_zero() == (expected == 0)
         assert x.sign() == expected
 
@@ -446,10 +451,11 @@ def reference_eval_interval(p, lo, hi):
 def reference_decimal(a, digits: int) -> str:
     """Floor truncation by search: bisect from level 0 until the enclosure is
     narrower than 10^-digits, then settle the floor with exact signs."""
+    f = copy.copy(a.field)  # refined on a copy: the field's level stays as it was
     scale = 10**digits
     k = 0
     while True:
-        vlo, vhi = reference_eval_interval(a.coeffs, *interval(a.field, k))
+        vlo, vhi = reference_eval_interval(a.coeffs, *interval(f, k))
         if (vhi - vlo) * scale < 1:
             break
         k += 1
@@ -511,7 +517,7 @@ def test_to_decimal_matches_search(data):
         # lambda - c with c the lower end of the level-n interval decides
         # only above level n, so the field's level ends up above n
         n = data.draw(st.integers(min_value=30, max_value=40))
-        assert (lam - interval(f, n)[0]).sign() == 1
+        assert (lam - interval(copy.copy(f), n)[0]).sign() == 1
         assert f._level > n
     if data.draw(st.booleans()):
         # the digit bound refines to level 64, and the decimals are decided there
