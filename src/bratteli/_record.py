@@ -1,6 +1,7 @@
 """Plain records: the library's small value types as __slots__ classes.  A record
 lists its fields in __slots__, in constructor order, and sets them in its own
-__init__; the base compares, hashes, prints, copies and pickles by those fields."""
+__init__; the base compares, hashes, prints, copies and pickles by those fields.
+Frozen generates each class's `_fill` once: a straight call per field to its slot setter."""
 
 
 class Record:
@@ -27,11 +28,11 @@ class Frozen(Record):
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def _fill(self, *values) -> None:
-        for put, value in zip(self._setters, values):
-            put(self, value)
+        # _fill(self, f0, f1, ...): _set0(self, f0); _set1(self, f1); ...
+        scope = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(cls.__slots__)}
+        calls = "".join(f"\n    _set{i}(self, {name})" for i, name in enumerate(cls.__slots__))
+        exec(f"def _fill(self, {', '.join(cls.__slots__)}):{calls}", scope)
+        cls._fill = scope["_fill"]
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")

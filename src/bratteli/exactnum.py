@@ -25,9 +25,11 @@ for the *value at lambda*:
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff the integer
   gcd(a, m) still has the isolated root, decided by an integer Sturm count
   over (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
-* sign: after a failed zero test, bisect up from the field's level until 0
-  is excluded (a(lambda) != 0 guarantees termination), enclosing each level
-  once;
+  `is_zero` and `inverse` (which needs the gcd) run it at once;
+* sign: first a ladder, bisecting up from the field's level to at most
+  _SIGN_LADDER, which decides most nonzero values without a gcd; then the
+  certificate, then bisection on up until 0 is excluded (a(lambda) != 0
+  guarantees termination); each level is enclosed once;
 * division: the factors of m that vanish away from lambda are divided out
   exactly in integers; the inverse modulo the rest is one fraction-free
   solve (`ratpoly.solve_fraction_free`).  Integer vectors over one
@@ -59,6 +61,11 @@ from . import ratpoly as rp
 from .errors import FieldMismatch, NoRootAboveOne, ParseError
 
 _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to exact floor search
+# sign() bisects up to this level before the gcd + Sturm certificate, which
+# costs about five enclosures.  A build-family pass leaves 85 nonzero signs
+# open at the field's level; all but one are decided by level 12, with no more
+# bisection steps in all.  The field keeps its level, so it climbs this once.
+_SIGN_LADDER = 12
 HALF = Fraction(1, 2)  # the factor of every halving scale(), built once rather than parsed per call
 
 
@@ -88,9 +95,9 @@ class ModulusField:
                 break
             reduced = rp.exact_quotient(reduced, [-r, 1])
         self._reduced = reduced  # monic integer: elements reduce by it, signs come from it
-        if reduced is not self.modulus:
+        if reduced is not self.modulus:  # else the check above counted this very sequence
             sturm = rp.sturm_sequence(reduced)
-        assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
+            assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
         q = lcm(self.lo.denominator, self.hi.denominator)
         # (lo q, w q, q), w = hi - lo: level k is (lo q 2^k + a w q, ... + w q] over q 2^k
         lo_q, hi_q = (x.numerator * (q // x.denominator) for x in (self.lo, self.hi))
@@ -123,8 +130,11 @@ class ModulusField:
     def lam_power_digits(self, n: int) -> int:
         """An upper bound on the decimal digits of the integer part of
         lambda^n, n >= 0, in integers and O(log n) products, from the upper
-        end of the level-64 interval, which later decisions share."""
-        _, h, d = self.refined(64)
+        end h/d of a level-k interval, which later decisions share.  Any k is
+        sound (h/d >= lambda > 1); 2^k >= 256 n w for the width w makes h/d <
+        lambda (1 + 1/(256 n)), so (h/d)^n < e^(1/256) lambda^n."""
+        _, w, q = self._base
+        _, h, d = self.refined(n.bit_length() + (-(-w // q)).bit_length() + 8)
         m, e = _power_upper(h, d, n)
         return max(0, m.bit_length() + e) * 30103 // 100000 + 1  # log10(2) < 0.30103
 
@@ -377,11 +387,14 @@ class AlgebraicNumber:
         return len(g) >= 2 and rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1, g
 
     def sign(self) -> int:
+        if not self.coeffs:
+            return 0
         k = self.field._level
         s = self._sign_at(k)
-        if s is not None:
-            return s
-        if not self.coeffs or self._vanishes()[0]:
+        while s is None and k < _SIGN_LADDER:
+            k += 1
+            s = self._sign_at(k)
+        if s is None and self._vanishes()[0]:
             return 0
         while s is None:
             k += 1

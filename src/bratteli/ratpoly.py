@@ -15,6 +15,7 @@ desk-scale (<= ~10).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, lcm
@@ -208,7 +209,8 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list
     adjugate = []
     for k in range(1, n + 1):
         adjugate.append(b)
-        a = [[sum(matrix[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        columns = list(zip(*b))
+        a = [[sum(map(operator.mul, row, col)) for col in columns] for row in matrix]
         c = -sum(a[i][i] for i in range(n)) // k
         coeffs[n - k] = c
         for i in range(n):

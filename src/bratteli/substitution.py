@@ -14,6 +14,7 @@ its border.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import accumulate, pairwise
 from operator import add
 
@@ -75,6 +76,19 @@ class Substitution:
         self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
 
     # -- basic word machinery -------------------------------------------------
+
+    @cached_property
+    def legal_pairs(self) -> frozenset[Word]:
+        """The legal 2-words, formed on first use: the closure, under w -> 2-factors
+        of sigma(w), of the 2-factors of the rule images (at most |A|^2 words)."""
+        pairs: set[Word] = set()
+        todo = [w for a in self.alphabet for w in _factors(self.rules[a.id], 2)]
+        while todo:
+            w = todo.pop()
+            if w not in pairs:
+                pairs.add(w)
+                todo.extend(_factors(self.apply(w), 2))
+        return frozenset(pairs)
 
     def apply(self, word: Word) -> Word:
         out: list[int] = []
@@ -197,9 +211,9 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
 def legal_words(sub: Substitution, n: int) -> set[Word]:
     """All length-n factors of the subshift.
 
-    The legal 2-words are the closure, under w -> 2-factors of sigma(w), of
-    the 2-factors of the rule images; it ends because there are at most
-    |A|^2 of them.  The n-words are then the n-factors of sigma^k(xy) over
+    The legal 2-words are closed once per substitution and kept on it
+    (`Substitution.legal_pairs`), so collaring, the horizontals and the
+    screen share them.  The n-words are the n-factors of sigma^k(xy) over
     legal 2-words xy, with k the least power at which every |sigma^k(a)| >=
     n - 1: an n-word inside sigma^k(u) for a long legal u then meets at most
     two consecutive blocks sigma^k(x) sigma^k(y) (Anderson & Putnam, ETDS
@@ -208,17 +222,10 @@ def legal_words(sub: Substitution, n: int) -> set[Word]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs: set[Word] = set()
-    todo = [w for a in sub.alphabet for w in _factors(sub.rules[a.id], 2)]
-    while todo:
-        w = todo.pop()
-        if w not in pairs:
-            pairs.add(w)
-            todo.extend(_factors(sub.apply(w), 2))
     blocks = {a.id: (a.id,) for a in sub.alphabet}
     while min(map(len, blocks.values())) < n - 1:
         blocks = {a: sub.apply(w) for a, w in blocks.items()}
-    return {f for x, y in pairs for f in _factors(blocks[x] + blocks[y], n)}
+    return {f for x, y in sub.legal_pairs for f in _factors(blocks[x] + blocks[y], n)}
 
 
 def _factors(w: Word, n: int) -> list[Word]:
@@ -331,7 +338,7 @@ def collared_substitution(sub: Substitution) -> CollaredSubstitution:
 #   rule 1: 0
 #   collar-names: a d b c        # optional, order = deterministic collar order
 #
-# UTF-8, line oriented, '#' starts a comment.
+# UTF-8 (one leading byte-order mark is skipped), line oriented, '#' starts a comment.
 
 
 def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
@@ -344,7 +351,7 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
     collar_names: list[str] | None = None
     by_name: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

@@ -14,6 +14,7 @@ import pytest
 from bratteli import cli
 from bratteli.cli import main
 from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
+from bratteli.fixtures import FIBONACCI_SPEC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -137,6 +138,14 @@ def test_non_utf8_spec_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "collar", "--spec", str(spec))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {spec} is not UTF-8") and "Traceback" not in err
+
+
+def test_spec_with_byte_order_mark_reads_as_without(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.sub", tmp_path / "marked.sub"
+    plain.write_bytes(FIBONACCI_SPEC.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + FIBONACCI_SPEC.encode("utf-8"))  # the UTF-8 byte-order mark
+    outputs = [run(capsys, "collar", "--spec", str(spec)) for spec in (plain, marked)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
 
 
 def test_diagram_json_counts(capsys):

@@ -369,6 +369,20 @@ def test_inverse_reuses_the_zero_tests_gcd(monkeypatch):
     assert (inv * x).equals(1)
 
 
+def test_sign_bisects_before_the_certificate(monkeypatch):
+    calls = []
+    gcd = rp.gcd
+    monkeypatch.setattr(rp, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    f = field_from_charpoly(GOLDEN)  # fresh, so its level is still 0
+    x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
+    assert x._sign_at(f._level) is None  # the enclosure straddles 0
+    assert x.sign() == -1 and calls == []  # decided by a few bisections, no gcd
+    g = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    lam = g.lam()
+    z = lam * lam - lam - 1  # zero at lambda, a zero divisor of the reducible ring
+    assert z.coeffs and z.sign() == 0 and calls == [1]  # the certificate decides it
+
+
 def test_refinement_and_enclosed_decisions_construct_no_fraction(monkeypatch):
     f = field_from_charpoly(GOLDEN)  # fresh: every level is bisected below
     x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
@@ -520,9 +534,10 @@ def test_to_decimal_matches_search(data):
         assert (lam - interval(copy.copy(f), n)[0]).sign() == 1
         assert f._level > n
     if data.draw(st.booleans()):
-        # the digit bound refines to level 64, and the decimals are decided there
-        f.lam_power_digits(data.draw(st.integers(min_value=0, max_value=100)))
-        assert f._level >= 64
+        # the digit bound raises the field's level, and the decimals are decided there
+        n = data.draw(st.integers(min_value=0, max_value=100))
+        f.lam_power_digits(n)
+        assert f._level >= n.bit_length() + 8
     for d in data.draw(st.permutations(range(9))):
         assert a.to_decimal(d) == reference_decimal(a, d)
         assert f._level < 64 * (d + 8)  # decided before the refinement cap

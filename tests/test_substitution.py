@@ -342,6 +342,18 @@ def test_legal_words_truncation_invariant():
             assert truncated == legal_words(sub, n)
 
 
+def test_legal_words_close_the_legal_2_words_once(monkeypatch):
+    factors = substitution._factors
+    pair_calls = []  # one per rule image and one per sigma(xy), xy legal, in one closure
+    monkeypatch.setattr(substitution, "_factors", lambda w, n: pair_calls.extend([w] * (n == 2)) or factors(w, n))
+    sub = parse_spec(FIXTURES["thue-morse"])  # lambda = 2: the screen reads the legal 12-words
+    words = [legal_words(sub, n) for n in (3, 4, 12)]  # collaring, horizontals, screen
+    pairs = {(0, 0), (0, 1), (1, 0), (1, 1)}  # the legal 2-words of Thue-Morse
+    assert len(pair_calls) == len(sub.alphabet) + len(pairs)
+    assert sub.legal_pairs == legal_words(sub, 2) == pairs
+    assert [len(w) for w in words] == [6, 10, 36]  # the factor complexity of Thue-Morse
+
+
 def test_legal_words_match_fixed_point_on_random_family(random_specs):
     for text in random_specs:
         sub = parse_spec(text)
