@@ -69,11 +69,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from operator import attrgetter
 
 from ._record import Frozen
 from .errors import DotTooLarge, ParseError
 from .exactnum import AlgebraicNumber
-from .substitution import CollaredSubstitution, Substitution, collared_substitution, legal_words, parse_spec
+from .substitution import CollaredSubstitution, Substitution, collared_substitution, parse_spec
 
 
 class VerticalTemplate(Frozen):
@@ -230,36 +231,29 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     """Directed adjacency templates plus one trivial loop per vertex.
 
     (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
-    left(t') = core(t), and the projected 4-word is legal; the template for
-    the ordered pair carries +((len t + len t')/2), its opposite the
-    negation, each formed from the integer length vectors over 2D.  Both are
-    built once per pair of core letters and shared, and every trivial loop
-    carries the field's one zero.  The candidates t' of t are bucketed by
-    (left, core) = (core(t), right(t)), in index order.
+    left(t') = core(t), and the projected 4-word is legal: exactly the pairs
+    (w[:3], w[1:]) of the legal 4-words w, walked in (t, t') index order.
+    The template for the ordered pair carries +((len t + len t')/2), its
+    opposite the negation, each formed from the integer length vectors over
+    2D.  Both are built once per pair of core letters and shared, and every
+    trivial loop carries the field's one zero.
     """
     base = csub.base
     den, vecs = base.length_vectors
-    legal4 = legal_words(base, 4)
-    letters = csub.collared_alphabet
-    by_left_core: dict[tuple[int, int], list] = {}
-    for u in letters:
-        by_left_core.setdefault((u.left, u.core), []).append(u)
+    index = csub.by_triple
     half_sums: dict[tuple[int, int], tuple[AlgebraicNumber, AlgebraicNumber]] = {}
     out: list[HorizontalTemplate] = []
-    for t in letters:
-        for u in by_left_core.get((t.core, t.right), ()):
-            if (t.left, t.core, u.core, u.right) not in legal4:
-                continue
-            pm = half_sums.get((t.core, u.core))
-            if pm is None:
-                s = [a + b for a, b in zip(vecs[t.core], vecs[u.core])]
-                pm = (base.field.over(s, 2 * den), base.field.over([-c for c in s], 2 * den))
-                half_sums[t.core, u.core] = half_sums[u.core, t.core] = pm
-            i = len(out)
-            out.append(HorizontalTemplate(i, t.index, u.index, pm[0], False, i + 1))
-            out.append(HorizontalTemplate(i + 1, u.index, t.index, pm[1], False, i))
-    for t in letters:
-        out.append(HorizontalTemplate(len(out), t.index, t.index, base.field.zero, True, len(out)))
+    for t, u, x, y in sorted((index[w[:3]], index[w[1:]], w[1], w[2]) for w in base.legal_quads):
+        pm = half_sums.get((x, y))
+        if pm is None:
+            s = [a + b for a, b in zip(vecs[x], vecs[y])]
+            pm = (base.field.over(s, 2 * den), base.field.over([-c for c in s], 2 * den))
+            half_sums[x, y] = half_sums[y, x] = pm
+        i = len(out)
+        out.append(HorizontalTemplate(i, t, u, pm[0], False, i + 1))
+        out.append(HorizontalTemplate(i + 1, u, t, pm[1], False, i))
+    for t in range(len(index)):
+        out.append(HorizontalTemplate(len(out), t, t, base.field.zero, True, len(out)))
     return out
 
 
@@ -286,7 +280,7 @@ def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
     for hb, ht in diagram.down.items():
         kind = "cyclic" if hb in recurrent else "transient"
         adjacent(hs[ht], diagram.max_edge_into(hs[hb].src), diagram.min_edge_into(hs[hb].rng), hs[hb], kind, False)
-    out.sort(key=DiagramTemplate.key)
+    out.sort(key=attrgetter("h_top", "e_left", "e_right", "h_bot"))
     return out
 
 
@@ -441,13 +435,12 @@ def export_json(diagram: BratteliDiagram) -> str:
     written below, indent 2, "[]" for an empty array, strings escaped to
     ASCII as json.dumps escapes them, and a trailing newline.  With `indent`
     json.dumps runs its pure-Python encoder, so the fixed schema is written
-    directly: each distinct string is encoded once, each record is one
-    f-string."""
+    directly: each distinct string is encoded once, each coefficient object
+    rendered once, each record is one f-string."""
     import json  # here, not at the top: most commands never load it
     base = diagram.csub.base
-    q = json.dumps
+    q = functools.cache(json.dumps)
     coeff = functools.cache(lambda c: q(c.render()))  # once per shared coefficient object
-    kind = functools.cache(q)
     v = [q(name) for name in diagram.vertices]
 
     def strings(values, pad):
@@ -472,7 +465,7 @@ def export_json(diagram: BratteliDiagram) -> str:
     ]
     squares = [
         f'    {{\n      "h_top": {s.h_top},\n      "e_left": {s.e_left},\n      "e_right": {s.e_right},\n'
-        f'      "h_bot": {s.h_bot},\n      "kind": {kind(s.kind)}\n    }}' for s in diagram.canonical_squares
+        f'      "h_bot": {s.h_bot},\n      "kind": {q(s.kind)}\n    }}' for s in diagram.canonical_squares
     ]
     top = [
         '  "spec": ' + _json_join(spec, "  ", "{}"),

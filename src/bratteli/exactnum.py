@@ -25,16 +25,18 @@ for the *value at lambda*:
 * zero test: when the enclosure contains 0, a(lambda) = 0 iff the integer
   gcd(a, m) still has the isolated root, decided by an integer Sturm count
   over (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
-  `is_zero` and `inverse` (which needs the gcd) run it at once;
+  `is_zero` runs it at once, a singular division alone, for its gcd;
 * sign: first a ladder, bisecting up from the field's level to at most
   _SIGN_LADDER, which decides most nonzero values without a gcd; then the
   certificate, then bisection on up until 0 is excluded (a(lambda) != 0
   guarantees termination); each level is enclosed once;
-* division: the factors of m that vanish away from lambda are divided out
-  exactly in integers; the inverse modulo the rest is one fraction-free
-  solve (`ratpoly.solve_fraction_free`).  Integer vectors over one
-  denominator come out of `ModulusField.ratios` and `numerators`, multiply
-  by `product` and go in by `over`.
+* division: s/num is one fraction-free solve (`ratpoly.solve_fraction_free`)
+  with the product by num modulo m, of determinant +-Res(m, num) (m is
+  monic): nonsingular proves gcd(num, m) = 1, with no zero test or gcd; only
+  singular runs the zero test, divides out the factor of m vanishing away
+  from lambda and solves again.  Integer vectors over one denominator come
+  out of `ModulusField.ratios` and `numerators`, multiply by `product` and
+  go in by `over`.
 
 Elements are reduced modulo the reduced modulus, so representatives are
 canonical in all the desk-scale cases, but correctness never relies on that.
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd as igcd
 from math import lcm
 
 from . import ratpoly as rp
@@ -167,13 +170,26 @@ class ModulusField:
     def ratios(self, columns: list[rp.IntPoly]) -> tuple[int, list[rp.IntPoly], list[rp.IntPoly]]:
         """(D, L, S), D > 0: L_x/D = c_x/c_0 and S_x/D = lambda L_x/D for integer
         polynomials c_x, L_0 = [D], each reduced and padded to deg m entries, from
-        one inverse and integer products.  ZeroDivisionError if c_0(lambda) = 0."""
-        inv = AlgebraicNumber(self, columns[0]).inverse()
-        den = lcm(*(c.denominator for c in inv.coeffs))
-        v, m = self.numerators(inv, den), self._reduced
+        one inverse (x, d) of c_0 reduced by one gcd, and integer products.
+        ZeroDivisionError if c_0(lambda) = 0."""
+        x, d = self._inverse(columns[0], 1)
+        g = igcd(d, *x) if d > 0 else -igcd(d, *x)
+        den, v, m = d // g, [c // g for c in x], self._reduced
         lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]
         spans = [rp.reduce_monic([0, *p], m) for p in lengths]
         return den, *([p + [0] * (len(m) - 1 - len(p)) for p in vs] for vs in (lengths, spans))
+
+    def _inverse(self, num: rp.IntPoly, s: int) -> tuple[rp.IntPoly, int]:
+        """(x, d), d != 0, x of degree below deg m, with x/d = s/num at lambda for
+        an integer vector num and s > 0, by the division route of the module docstring."""
+        m = self._reduced
+        try:
+            return _solve_product(num, s, m)
+        except ZeroDivisionError:  # Res(m, num) = 0: num and m share a factor
+            zero, g = AlgebraicNumber(self, [Fraction(c, s) for c in num])._vanishes()
+        if zero:
+            raise ZeroDivisionError("division by a value that is zero at lambda")
+        return _solve_product(num, s, rp.exact_quotient(m, g))
 
     def lam(self) -> AlgebraicNumber:
         return AlgebraicNumber(self, [Fraction(0), Fraction(1)])
@@ -224,6 +240,16 @@ def field_from_charpoly(charpoly) -> ModulusField:
         else:
             hi, vhi = mid, vmid
     return ModulusField(m, lo, hi, seq)
+
+
+def _solve_product(num: rp.IntPoly, s: int, m: rp.IntPoly) -> tuple[rp.IntPoly, int]:
+    """(x, d), d != 0, with num x = d s mod the monic m: one fraction-free solve
+    over the columns num x^j mod m, j < deg m; ZeroDivisionError if singular."""
+    n = len(m) - 1
+    columns = [rp.reduce_monic(num, m)]
+    while len(columns) < n:  # num * x^j mod m
+        columns.append(rp.reduce_monic([0, *columns[-1]], m))
+    return rp.solve_fraction_free(columns, [s] + [0] * (n - 1))
 
 
 def _power_upper(h: int, d: int, n: int) -> tuple[int, int]:
@@ -332,28 +358,10 @@ class AlgebraicNumber:
         return out
 
     def inverse(self) -> AlgebraicNumber:
-        """Multiplicative inverse of the value at lambda.
-
-        The modulus may share factors with self away from lambda; deflating
-        them keeps q(lambda) * self(lambda) = 1 when self is a zero divisor of
-        the ambient ring.  With self = num/s, num integral, and A the product
-        by num modulo the deflated m, 1/self is x with A x = s e_0, one
-        fraction-free solve: the unique inverse of degree below deg m.
-        """
-        zero, g = self._zero_test()
-        if zero:
-            raise ZeroDivisionError("division by a value that is zero at lambda")
-        m = self.field._reduced
-        if g is None:
-            g = rp.gcd(self.coeffs, m)
-        if len(g) > 1:
-            m = rp.exact_quotient(m, g)
-        n = len(m) - 1
+        """Multiplicative inverse of the value at lambda (the division route of
+        the module docstring), also when self is a zero divisor of the ring."""
         s = lcm(*(c.denominator for c in self.coeffs))
-        columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in self.coeffs], m)]
-        while len(columns) < n:  # num * x^j mod m
-            columns.append(rp.reduce_monic([0, *columns[-1]], m))
-        x, d = rp.solve_fraction_free(columns, [s] + [0] * (n - 1))
+        x, d = self.field._inverse([c.numerator * (s // c.denominator) for c in self.coeffs], s)
         return AlgebraicNumber(self.field, [Fraction(c, d) for c in x])
 
     # -- decision procedures ---------------------------------------------------
@@ -369,17 +377,9 @@ class AlgebraicNumber:
         return None
 
     def is_zero(self) -> bool:
-        return self._zero_test()[0]
-
-    def _zero_test(self) -> tuple[bool, rp.IntPoly | None]:
-        """Whether the value at lambda is zero, and gcd(self, reduced modulus)
-        when the enclosure did not decide (None when it was not computed)."""
+        """The enclosure at the field's level decides "nonzero" if it can."""
         p = self.coeffs
-        if not p:
-            return True, None
-        if len(p) == 1 or self._sign_at(self.field._level) is not None:
-            return False, None
-        return self._vanishes()
+        return not p or len(p) > 1 and self._sign_at(self.field._level) is None and self._vanishes()[0]
 
     def _vanishes(self) -> tuple[bool, rp.IntPoly]:
         """Zero at lambda iff g = gcd(self, reduced modulus) has the root; and g."""

@@ -435,7 +435,8 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     the square (h_top, max edge into h.src, min edge into h.rng, h): the
     boundary square at h.  Each h on one of diagram.down_cycles is one phase
     of a chain of squares: read upward from h, the left column is a maximal
-    path and the right column a minimal one.
+    path and the right column a minimal one.  Each column is looked up by
+    its normalised key among the extremal paths, so no path is built twice.
     """
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
@@ -443,16 +444,19 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     min_set = {p.key(): p for p in mins}
     max_set = {p.key(): p for p in maxs}
     pairs: dict = {}
+
+    def key(root, cycle):  # EventuallyPeriodicPath(diagram, root, [], cycle).key()
+        return root, (), tuple(_normalize([], cycle)[1])
+
     for cycle in diagram.down_cycles:
         for i, h in enumerate(cycle):
             column = [hs[g] for g in reversed(cycle[i:] + cycle[:i])]
-            mx = EventuallyPeriodicPath(diagram, hs[h].src, [], [max_in(g.src).index for g in column])
-            mn = EventuallyPeriodicPath(diagram, hs[h].rng, [], [min_in(g.rng).index for g in column])
-            if mx.key() not in max_set or mn.key() not in min_set:
+            mx = key(hs[h].src, [max_in(g.src).index for g in column])
+            mn = min_set.get(key(hs[h].rng, [min_in(g.rng).index for g in column]))
+            if mx not in max_set or mn is None:
                 raise UnpairedExtreme("cycle column is not one of the extremal paths")
-            if mx.key() in pairs and pairs[mx.key()] != mn:
+            if pairs.setdefault(mx, mn) is not mn:
                 raise UnpairedExtreme("maximal path paired twice inconsistently")
-            pairs[mx.key()] = mn
     if set(pairs) != set(max_set):
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if {p.key() for p in pairs.values()} != set(min_set):

@@ -90,6 +90,11 @@ class Substitution:
                 todo.extend(_factors(self.apply(w), 2))
         return frozenset(pairs)
 
+    @cached_property
+    def legal_quads(self) -> frozenset[Word]:
+        """The legal 4-words, formed on first use, for collaring and the horizontals."""
+        return frozenset(legal_words(self, 4))
+
     def apply(self, word: Word) -> Word:
         out: list[int] = []
         for x in word:
@@ -211,14 +216,14 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
 def legal_words(sub: Substitution, n: int) -> set[Word]:
     """All length-n factors of the subshift.
 
-    The legal 2-words are closed once per substitution and kept on it
-    (`Substitution.legal_pairs`), so collaring, the horizontals and the
-    screen share them.  The n-words are the n-factors of sigma^k(xy) over
-    legal 2-words xy, with k the least power at which every |sigma^k(a)| >=
-    n - 1: an n-word inside sigma^k(u) for a long legal u then meets at most
-    two consecutive blocks sigma^k(x) sigma^k(y) (Anderson & Putnam, ETDS
-    18, 1998).  Such a k exists because a primitive substitution with
-    lambda > 1 makes every |sigma^k(a)| grow without bound.
+    The legal 2-words (`Substitution.legal_pairs`) and 4-words (`legal_quads`,
+    which collaring and the horizontals share) are formed once and kept.
+    The n-words are the n-factors of sigma^k(xy) over legal 2-words xy, with
+    k the least power at which every |sigma^k(a)| >= n - 1: an n-word inside
+    sigma^k(u) for a long legal u then meets at most two consecutive blocks
+    sigma^k(x) sigma^k(y) (Anderson & Putnam, ETDS 18, 1998).  Such a k
+    exists because a primitive substitution with lambda > 1 makes every
+    |sigma^k(a)| grow without bound.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -248,13 +253,14 @@ def aperiodicity_screen(sub: Substitution, limit: int = 12) -> int | None:
 
 
 def collar_alphabet(sub: Substitution) -> list[CollaredLetter]:
-    """One collared letter per legal 3-word.
+    """One collared letter per legal 3-word, the 3-prefixes of the legal
+    4-words: a legal word extends to the right, as the screen relies on.
 
-    Deterministic naming: scan legal_words(3) sorted lexicographically by
+    Deterministic naming: scan the legal 3-words sorted lexicographically by
     base-letter ids and assign a, b, c, ...; a `collar-names` line in the
     spec file overrides the names in that same order.
     """
-    triples = sorted(legal_words(sub, 3))
+    triples = sorted({w[:3] for w in sub.legal_quads})
     names = sub.collar_names
     if names is not None and len(names) != len(triples):
         raise ParseError(
@@ -295,11 +301,15 @@ class CollaredSubstitution:
     def __init__(self, base: Substitution):
         self.base = base
         self.collared_alphabet = collar_alphabet(base)
-        self._by_triple = {cl.triple(): cl.index for cl in self.collared_alphabet}
+        self.by_triple = {cl.triple(): cl.index for cl in self.collared_alphabet}
         self.collared_rules: dict[int, tuple[int, ...]] = {}
         for cl in self.collared_alphabet:
             self.collared_rules[cl.index] = self._expand(cl)
-        self.collared_abelianization = abelianization(self.collared_rules, len(self.collared_alphabet))
+
+    @cached_property
+    def collared_abelianization(self) -> list[list[int]]:
+        """The abelianization of the collared rules, formed on first use: a build never reads it."""
+        return abelianization(self.collared_rules, len(self.collared_alphabet))
 
     def _expand(self, cl: CollaredLetter) -> tuple[int, ...]:
         base = self.base
@@ -309,12 +319,12 @@ class CollaredSubstitution:
         for i in range(len(base.rules[cl.core])):
             j = start + i
             triple = (w[j - 1], w[j], w[j + 1])
-            if triple not in self._by_triple:
+            if triple not in self.by_triple:
                 raise IllegalCollarProduced(
                     f"expansion of {cl.name} produced illegal 3-word "
                     f"{base.word_name(triple)}"
                 )
-            out.append(self._by_triple[triple])
+            out.append(self.by_triple[triple])
         return tuple(out)
 
     def name_of(self, index: int) -> str:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,15 @@ REDUCIBLE_MODULUS_SPECS = [
 ]
 
 
+# The benchmark's frozen inputs (read only): 196 specs with their export digests.
+FROZEN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
+
+
+def frozen_bench_specs() -> list[dict]:
+    frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
+    return frozen["fixed"] + frozen["pool"]
+
+
 # Seeds of the random family that the properties below are also checked on.
 RANDOM_FAMILY_SEEDS = range(20)
 
@@ -65,6 +76,15 @@ def random_diagrams(random_specs):
 @pytest.fixture(scope="session")
 def reducible_diagrams():
     return [build_diagram(parse_spec(text)) for text in REDUCIBLE_MODULUS_SPECS]
+
+
+@pytest.fixture(scope="session")
+def spec_pool(random_specs):
+    """Substitutions of the random family, the reducible-modulus specs,
+    doubling, rand3 and the 196 frozen bench specs."""
+    texts = [(text, True) for text in (*random_specs, *REDUCIBLE_MODULUS_SPECS, RAND3_SPEC)]
+    texts += [(spec["text"], spec.get("check_aperiodicity", True)) for spec in frozen_bench_specs()]
+    return [doubling()] + [parse_spec(text, check_aperiodicity=screen) for text, screen in texts]
 
 
 @pytest.fixture(scope="session")

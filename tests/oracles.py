@@ -20,7 +20,7 @@ from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.paths import DecodedPatch, PatchTile, _trace, u_of_prefix, vershik_successor
 from bratteli.ratpoly import Poly, mul, poly
-from bratteli.substitution import CollaredSubstitution, LetterLayout, legal_words
+from bratteli.substitution import CollaredLetter, CollaredSubstitution, LetterLayout, _default_name, legal_words
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -174,19 +174,8 @@ def inverse_by_adjugate(a: AlgebraicNumber) -> AlgebraicNumber:
     modulus deflated by gcd(a, m), Cayley-Hamilton gives A^-1 = -B/c_0 from
     the constant terms of det(xI - A) and adj(xI - A) (`ratpoly.charpoly`,
     O(d^4)), so 1/a is s A^-1 e_0."""
-    zero, g = a._zero_test()
-    if zero:
-        raise ZeroDivisionError("division by a value that is zero at lambda")
-    m = a.field._reduced
-    if g is None:
-        g = rp.gcd(a.coeffs, m)
-    if len(g) > 1:
-        m = rp.exact_quotient(m, g)
-    n = len(m) - 1
-    s = lcm(*(c.denominator for c in a.coeffs))
-    columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in a.coeffs], m)]
-    while len(columns) < n:  # num * x^j mod m
-        columns.append(rp.reduce_monic([0, *columns[-1]], m))
+    columns, s = _deflated_product(a)
+    n = len(columns)
     c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
     if not c[0]:
         raise ZeroDivisionError("element not invertible modulo deflated modulus")
@@ -1150,3 +1139,57 @@ def _gaps(path) -> Iterator[tuple[AlgebraicNumber, AlgebraicNumber]]:
         gl = gl + left_off * power
         gr = gr + right_off * power
         power = power * d.lam
+
+
+# -- replaced routes: the inverse by zero test first, the ratios through an element
+#    inverse, collaring from the legal 3-words -------------------------------------
+#
+# The package starts every inverse with one fraction-free solve modulo the
+# reduced modulus and takes the zero test and the gcd only when that solve is
+# singular; `ratios` reduces the solve's integers by one gcd; and the collared
+# letters are the 3-prefixes of the legal 4-words.  These are the routes they
+# replaced; the package must give the same representatives, integers and letters.
+
+
+def _deflated_product(a: AlgebraicNumber) -> tuple[list, int]:
+    """The zero test, then gcd(a, m) and m deflated by it: the columns
+    num x^j mod the deflated m of the product by num = s a, and s."""
+    if a.is_zero():
+        raise ZeroDivisionError("division by a value that is zero at lambda")
+    m = a.field._reduced
+    g = rp.gcd(a.coeffs, m)
+    if len(g) > 1:
+        m = rp.exact_quotient(m, g)
+    s = lcm(*(c.denominator for c in a.coeffs))
+    columns = [rp.reduce_monic([c.numerator * (s // c.denominator) for c in a.coeffs], m)]
+    while len(columns) < len(m) - 1:  # num * x^j mod m
+        columns.append(rp.reduce_monic([0, *columns[-1]], m))
+    return columns, s
+
+
+def inverse_by_zero_test(a: AlgebraicNumber) -> AlgebraicNumber:
+    """The zero test, then gcd(a, m), then m deflated by it, then one
+    fraction-free solve."""
+    columns, s = _deflated_product(a)
+    x, d = rp.solve_fraction_free(columns, [s] + [0] * (len(columns) - 1))
+    return AlgebraicNumber(a.field, [Fraction(c, d) for c in x])
+
+
+def ratios_by_element_inverse(f, columns):
+    """ModulusField.ratios through the element inverse of c_0, whose
+    numerators over their common denominator are read back."""
+    inv = inverse_by_zero_test(AlgebraicNumber(f, columns[0]))
+    den = lcm(*(c.denominator for c in inv.coeffs))
+    v, m = f.numerators(inv, den), f._reduced
+    lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]
+    spans = [rp.reduce_monic([0, *p], m) for p in lengths]
+    return den, *([p + [0] * (len(m) - 1 - len(p)) for p in vs] for vs in (lengths, spans))
+
+
+def collar_alphabet_by_3words(sub) -> list[CollaredLetter]:
+    """One collared letter per legal 3-word of `legal_words(sub, 3)`, named
+    in their sorted order, then indexed in the order of the names."""
+    triples = sorted(legal_words(sub, 3))
+    names = sub.collar_names or [_default_name(i) for i in range(len(triples))]
+    named = sorted(zip(names, triples))
+    return [CollaredLetter(i, l, c, r, name) for i, (name, (l, c, r)) in enumerate(named)]

@@ -4,7 +4,6 @@ import json
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain, islice
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +13,8 @@ from hypothesis import strategies as st
 import oracles
 from bratteli import analysis
 from bratteli import diagram as diagram_module
-from bratteli import verify
+from bratteli import paths, substitution, verify
+from bratteli import ratpoly as rp
 from bratteli.diagram import (
     BratteliDiagram,
     DiagramTemplate,
@@ -28,10 +28,11 @@ from bratteli.diagram import (
 )
 from bratteli.errors import ParseError
 from bratteli.exactnum import AlgebraicNumber, render_poly_x
-from bratteli.fixtures import doubling
+from bratteli.fixtures import doubling, load_fixture
 from bratteli.paths import PathPrefix, enumerate_paths
 from bratteli.substitution import parse_spec
 
+from conftest import RAND3_SPEC, frozen_bench_specs
 from oracles import paths_through, recurrent_squares_by_definition
 
 
@@ -426,14 +427,10 @@ def test_coefficients_shared_per_base_letter(all_diagrams, random_diagrams):
                 assert horizontal.setdefault(key, h.coeff) is h.coeff
 
 
-FROZEN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "frozen.json"
-
-
 def test_export_json_matches_frozen_bench_digests():
     """The pinned digests, the residual check and the replaced build routes
     on every frozen bench spec, each built once."""
-    frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
-    specs = frozen["fixed"] + frozen["pool"]
+    specs = frozen_bench_specs()
     assert len(specs) == 196
     for spec in specs:
         sub = parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True))
@@ -444,11 +441,16 @@ def test_export_json_matches_frozen_bench_digests():
 
 
 def assert_build_routes_match(d: BratteliDiagram):
-    """The export byte for byte, the layouts representative for representative
-    (and split), the adjacency templates and every coefficient's text, against
+    """The export byte for byte, the collared letters, the Perron ratios
+    integer for integer, the layouts representative for representative (and
+    split), the adjacency templates and every coefficient's text, against
     the routes they replaced in `oracles`."""
     assert export_json(d) == oracles.export_json_by_dumps(d)
     sub = d.csub.base
+    assert d.csub.collared_alphabet == oracles.collar_alphabet_by_3words(sub)
+    n = len(sub.alphabet)
+    columns = [[sub.adjugate[n - 1 - j][x][0] for j in range(n)] for x in range(n)]
+    assert sub.field.ratios(columns) == oracles.ratios_by_element_inverse(sub.field, columns)
 
     def reps(layout, ends=lambda c: c):
         return layout.split, *([c.coeffs for c in cs] for cs in (map(ends, layout.left), map(ends, layout.right), layout.vertical))
@@ -501,6 +503,33 @@ def test_build_horizontal_makes_no_element_arithmetic(monkeypatch, all_diagrams,
     assert {"__add__", "scale", "__neg__"} <= set(calls)
 
 
+def test_a_build_forms_each_datum_once(monkeypatch):
+    """Building fibonacci, thue-morse, doubling and rand3 closes the legal
+    4-words once and no legal 3-words, computes no gcd and no collared
+    abelianization; export_json encodes each distinct string once; and
+    pair_extremes builds each extremal path once."""
+    words, gcds, encoded, made = [], [], [], []
+    legal, gcd, dumps, init = substitution.legal_words, rp.gcd, json.dumps, paths.EventuallyPeriodicPath.__init__
+    monkeypatch.setattr(substitution, "legal_words", lambda sub, n: words.append(n) or legal(sub, n))
+    monkeypatch.setattr(rp, "gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+    monkeypatch.setattr(paths.EventuallyPeriodicPath, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    for source in (load_fixture("fibonacci"), load_fixture("thue-morse"), doubling(), parse_spec(RAND3_SPEC)):
+        words.clear()
+        d = build_diagram(source)
+        assert words == [4] and gcds == []  # the screen, if any, ran in the parse
+        encoded.clear()
+        blob = export_json(d)
+        assert len(encoded) == len(set(encoded)) and all(type(w) is str for w in encoded)
+        assert blob == oracles.export_json_by_dumps(d)
+        mins, maxs = paths.extremal_paths(d)
+        made.clear()
+        pairing = paths.pair_extremes(d)
+        assert len(made) == len(mins) + len(maxs) == 2 * len(pairing.pairs)
+        assert "collared_abelianization" not in vars(d.csub)
+    assert encoded and made  # the spies do count
+
+
 # Letter and collar names with a quote, a backslash and a non-ASCII letter.
 ESCAPED_NAMES_SPEC = 'letters: a" b\\é\nrule a": a" b\\é\nrule b\\é: a"\ncollar-names: "p q\\ ré s"\\ü'
 
@@ -520,10 +549,9 @@ def test_down_cycles_match_reachability_and_dfs_references(all_diagrams, random_
     cycles of down, agree with the line-graph reachability, the sign rule,
     the simple-cycle search and the pairing by diagram cycles, on the
     fixtures, the random family and every frozen bench spec."""
-    frozen = json.loads(FROZEN_BENCH.read_text(encoding="utf-8"))
     built = (
         build_diagram(parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True)))
-        for spec in frozen["fixed"] + frozen["pool"]
+        for spec in frozen_bench_specs()
     )
     count = 0
     for d in chain(all_diagrams.values(), random_diagrams, built):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from itertools import product
 from math import floor, lcm
 
 import pytest
@@ -18,6 +19,7 @@ from bratteli.exactnum import (
     field_from_charpoly,
     parse_algebraic,
 )
+from bratteli.substitution import parse_spec
 
 from conftest import GOLDEN_TIMES_SQRT2, REDUCIBLE_MODULUS_SPECS
 from oracles import (
@@ -29,6 +31,7 @@ from oracles import (
     gcd,
     inverse_by_adjugate,
     inverse_by_euclid,
+    inverse_by_zero_test,
     levels_by_fractions,
     neg,
     rem,
@@ -357,16 +360,83 @@ def test_reducible_modulus_zero_divisors():
     assert (inv * sqrt2_factor).equals(1)
 
 
-def test_inverse_reuses_the_zero_tests_gcd(monkeypatch):
+def test_inverse_solves_first_and_takes_one_gcd_only_when_singular(monkeypatch):
+    """A value coprime to the reduced modulus is inverted by one solve, with
+    no zero test or gcd, even where the enclosure straddles 0.  A zero
+    divisor of a reducible modulus that is nonzero at lambda makes that
+    solve singular and takes the fallback: the exact zero test, whose one
+    gcd deflates the modulus, then a solve modulo the deflated modulus."""
+    gcds, solves = [], []
+    gcd, solve = rp.gcd, rp.solve_fraction_free
+    monkeypatch.setattr(rp, "gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    monkeypatch.setattr(rp, "solve_fraction_free", lambda cols, b: solves.append(len(b)) or solve(cols, b))
     f = field_from_charpoly(GOLDEN)  # fresh, so its level is still 0
     x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
     assert x._sign_at(f._level) is None  # the enclosure straddles 0
-    calls = []
-    gcd = rp.gcd
-    monkeypatch.setattr(rp, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
     inv = x.inverse()
-    assert len(calls) == 1
-    assert (inv * x).equals(1)
+    assert (gcds, solves) == ([], [2]) and (inv * x).equals(1)
+    g = field_from_charpoly(GOLDEN_TIMES_SQRT2)  # (x^2 - x - 1)(x^2 - 2)
+    lam = g.lam()
+    y = lam * lam - 2  # phi^2 - 2 = phi - 1: shares x^2 - 2 with the modulus
+    solves.clear()
+    inv = y.inverse()
+    assert (gcds, solves) == ([1], [4, 2])  # singular modulo the whole modulus, then modulo x^2 - x - 1
+    assert (inv * y).equals(1) and inv.coeffs == inverse_by_zero_test(y).coeffs
+
+
+def split_modulus(f):
+    """(z, c) as elements, for a reduced modulus m = q (m/q) with a monic
+    quadratic factor q of coefficients in [-3, 3] (found by trial): z the
+    factor that vanishes at lambda and c the other one, a zero divisor
+    nonzero at lambda; None if m has no such factor."""
+    m = f._reduced
+    for b, c in product(range(-3, 4), repeat=2):
+        if len(m) > 3 and rp.gcd(m, [c, b, 1]) == [c, b, 1]:
+            q, r = f.element([c, b, 1]), f.element(rp.exact_quotient(m, [c, b, 1]))
+            return (q, r) if q.is_zero() else (r, q)
+    return None
+
+
+@pytest.fixture(scope="module")
+def split_pool(spec_pool):
+    return [(sub.field, split_modulus(sub.field)) for sub in spec_pool]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_matches_the_zero_test_route_on_the_spec_pool(split_pool, data):
+    """On the fields of the random family, the reducible-modulus specs,
+    doubling, rand3 and the 196 frozen bench specs, the solve-first inverse
+    gives the representative of the zero-test-first route, or both refuse:
+    random values, products and zero, and in a split modulus values zero at
+    lambda, zero divisors nonzero at lambda and other representatives."""
+    f, split = data.draw(st.sampled_from(split_pool))
+    a, b = data.draw(elements(f)), data.draw(elements(f))
+    extra = [split[0] * a, split[1] * a, a + split[0] * b] if split else []
+    x = data.draw(st.sampled_from([a, a * b, f.zero, *extra]))
+    try:
+        expected = inverse_by_zero_test(x)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x.inverse().coeffs == expected.coeffs
+
+
+def test_reducible_spec_moduli_split_and_their_zero_divisors_take_the_fallback(monkeypatch, reducible_spec_fields):
+    """The property above meets the singular solve: each of the 6 reducible
+    frozen bench moduli (all in the spec pool) splits off a quadratic, and
+    the factor nonzero at lambda is inverted by a singular solve, then one
+    modulo the other factor."""
+    solves, solve = [], rp.solve_fraction_free
+    monkeypatch.setattr(rp, "solve_fraction_free", lambda cols, b: solves.append(len(b)) or solve(cols, b))
+    for f in reducible_spec_fields:
+        split = split_modulus(f)
+        assert split is not None
+        z, c = split
+        solves.clear()
+        inv = c.inverse()
+        assert solves == [len(f._reduced) - 1, len(z.coeffs) - 1] and (inv * c).equals(1)
 
 
 def test_sign_bisects_before_the_certificate(monkeypatch):
@@ -742,8 +812,6 @@ def test_integer_gcd_matches_fraction_gcd(common, left, right, zero):
 
 @pytest.fixture(scope="module")
 def reducible_spec_fields():
-    from bratteli.substitution import parse_spec
-
     return [parse_spec(text).field for text in REDUCIBLE_MODULUS_SPECS]
 
 

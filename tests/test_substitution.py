@@ -150,7 +150,7 @@ def substitution_of(m):
     return Substitution([Letter(id=x, name=str(x)) for x in range(n)], rules)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)  # the same draws, so the same matrix sizes, every run
 @given(primitive_matrices)
 @example([[1, 1], [1, 0]])
 @example([[2]])
