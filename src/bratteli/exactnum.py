@@ -22,10 +22,11 @@ for the *value at lambda*:
   (`ratpoly.enclose` of those (l, h, d)); an enclosure that excludes 0
   decides "nonzero" and the sign.  Any level is sound: the intervals are
   nested and the evaluation is inclusion-isotone;
-* zero test: when the enclosure contains 0, a(lambda) = 0 iff the integer
-  gcd(a, m) still has the isolated root, decided by an integer Sturm count
-  over (lo, hi] -- no numerics.  A value zero at lambda always reaches it;
-  `is_zero` runs it at once, a singular division alone, for its gcd;
+* zero test: when the enclosure contains 0, p(lambda) = 0 iff the integer
+  gcd(p, m) still has the isolated root, decided by an integer Sturm count
+  over (lo, hi] (`ModulusField._vanishes`, for any polynomial p) -- no
+  numerics.  A value zero at lambda always reaches it; `is_zero` runs it
+  at once, a singular division alone, for its gcd;
 * sign: first a ladder, bisecting up from the field's level to at most
   _SIGN_LADDER, which decides most nonzero values without a gcd; then the
   certificate, then bisection on up until 0 is excluded (a(lambda) != 0
@@ -34,12 +35,14 @@ for the *value at lambda*:
   with the product by num modulo m, of determinant +-Res(m, num) (m is
   monic): nonsingular proves gcd(num, m) = 1, with no zero test or gcd; only
   singular runs the zero test, divides out the factor of m vanishing away
-  from lambda and solves again.  Integer vectors over one denominator come
-  out of `ModulusField.ratios` and `numerators`, multiply by `product` and
-  go in by `over`.
+  from lambda and solves again.
 
-Elements are reduced modulo the reduced modulus, so representatives are
-canonical in all the desk-scale cases, but correctness never relies on that.
+An element is stored as a tuple of Fractions with no trailing zero, reduced
+modulo the reduced modulus (canonical in the desk-scale cases; correctness
+never relies on it), and the constructor takes only that form.  The one way
+in is `ModulusField.element`, one reduction: every factory, scalar operand
+and product.  Integer vectors over one denominator (`ratios`, `numerators`,
+`product`, each inverse) go in by `over`.  Sums and scaling keep the form.
 
 Decimal output is floor truncation (-phi prints as -1.618034), monotone with
 compare().  It refines up from the field's level until the enclosure
@@ -49,8 +52,7 @@ still straddling a grid point when 2^8 times narrower than a cell falls
 back to exact signs of the value minus m/10^d and (m+1)/10^d.  Values are
 immutable; the field's only mutable state is monotone: the level K, which
 every sign, decimal and digit bound reads and raises, and its index a.  A
-float never enters: element, rational, scale and mixed operations refuse it
-(TypeError).
+float never enters: every door refuses it (TypeError).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to
 # bisection steps in all.  The field keeps its level, so it climbs this once.
 _SIGN_LADDER = 12
 HALF = Fraction(1, 2)  # the factor of every halving scale(), built once rather than parsed per call
+_FRACTION = frozenset({Fraction})  # the one coefficient type of the stored form
 
 
 class ModulusField:
@@ -77,13 +80,10 @@ class ModulusField:
 
     def __init__(self, modulus, lo: Fraction, hi: Fraction, sturm: list[rp.IntPoly] | None = None):
         """A monic integer `modulus`; `sturm`, if given, is its Sturm sequence."""
-        m = rp.poly(modulus)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        if rp.degree(m) < 1 or m[-1] != 1:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if any(c.denominator != 1 for c in m):
-            raise ValueError("modulus must have integer coefficients")
+        m = rp.poly(map(_exact, modulus))
+        self.lo, self.hi = _exact(lo), _exact(hi)
+        if len(m) < 2 or m[-1] != 1 or any(c.denominator != 1 for c in m):
+            raise ValueError("modulus must be monic with integer coefficients, of degree >= 1")
         self.modulus: rp.IntPoly = [c.numerator for c in m]
         sturm = sturm or rp.sturm_sequence(self.modulus)
         if len(sturm[-1]) > 1:
@@ -109,10 +109,9 @@ class ModulusField:
         self._lo_positive = rp.eval_scaled(self._reduced, lo_q, q) > 0
         # The finest level bisected and its index; both only grow.
         self._level = self._index = 0
-        # Elements are immutable, so each field builds these once: empty sums
-        # and trivial loops share one object.
-        self.zero = AlgebraicNumber(self, (), normalised=True)
-        self.one = AlgebraicNumber(self, (Fraction(1),), normalised=True)
+        # Immutable, so built once per field: empty sums and trivial loops share them.
+        self.zero = AlgebraicNumber(self, ())
+        self.one = AlgebraicNumber(self, (Fraction(1),))
 
     # -- interval refinement -------------------------------------------------
 
@@ -144,18 +143,25 @@ class ModulusField:
     # -- element factories ---------------------------------------------------
 
     def element(self, coeffs) -> AlgebraicNumber:
-        return AlgebraicNumber(self, [_exact(c) for c in coeffs])
+        """The element of exact coefficients (ints, Fractions or strs), lowest
+        degree first, brought to the stored form: reduced once, trailing zeros dropped."""
+        p = [_exact(c) for c in coeffs]
+        if len(p) >= len(self._reduced):
+            p = rp.reduce_monic(p, self._reduced)
+        while p and not p[-1]:
+            p.pop()
+        return AlgebraicNumber(self, tuple(p))
 
     def rational(self, q) -> AlgebraicNumber:
-        return AlgebraicNumber(self, [_exact(q)])
+        return self.element((q,))
 
     def over(self, vec: rp.IntPoly, den: int) -> AlgebraicNumber:
-        """vec/den for an integer den > 0 and a reduced integer vector vec: one
-        Fraction per coefficient (the general constructor would build two)."""
+        """vec/den for an integer den > 0 and an integer vector vec shorter than
+        the reduced modulus: one Fraction per coefficient, in the stored form."""
         n = len(vec)
         while n and not vec[n - 1]:
             n -= 1
-        return AlgebraicNumber(self, tuple(Fraction(c, den) for c in vec[:n]), normalised=True)
+        return AlgebraicNumber(self, tuple(Fraction(c, den) for c in vec[:n]))
 
     def numerators(self, x: AlgebraicNumber, den: int) -> rp.IntPoly:
         """v, padded to deg m entries, with x = v/den: over's inverse, for den a multiple of x's denominators."""
@@ -173,26 +179,31 @@ class ModulusField:
         one inverse (x, d) of c_0 reduced by one gcd, and integer products.
         ZeroDivisionError if c_0(lambda) = 0."""
         x, d = self._inverse(columns[0], 1)
-        g = igcd(d, *x) if d > 0 else -igcd(d, *x)
+        g = igcd(d, *x)
         den, v, m = d // g, [c // g for c in x], self._reduced
         lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]
         spans = [rp.reduce_monic([0, *p], m) for p in lengths]
         return den, *([p + [0] * (len(m) - 1 - len(p)) for p in vs] for vs in (lengths, spans))
 
     def _inverse(self, num: rp.IntPoly, s: int) -> tuple[rp.IntPoly, int]:
-        """(x, d), d != 0, x of degree below deg m, with x/d = s/num at lambda for
-        an integer vector num and s > 0, by the division route of the module docstring."""
+        """(x, d), d > 0, x shorter than the reduced modulus, with x/d = s/num at
+        lambda for an integer vector num and s > 0, by the module docstring's division."""
         m = self._reduced
         try:
             return _solve_product(num, s, m)
         except ZeroDivisionError:  # Res(m, num) = 0: num and m share a factor
-            zero, g = AlgebraicNumber(self, [Fraction(c, s) for c in num])._vanishes()
+            zero, g = self._vanishes(num)
         if zero:
             raise ZeroDivisionError("division by a value that is zero at lambda")
         return _solve_product(num, s, rp.exact_quotient(m, g))
 
+    def _vanishes(self, p) -> tuple[bool, rp.IntPoly]:
+        """p(lambda) = 0 for a rational or integer p iff g = gcd(p, reduced modulus) has the root; and g."""
+        g = rp.gcd(p, self._reduced)
+        return len(g) >= 2 and rp.count_roots_halfopen(g, self.lo, self.hi) >= 1, g
+
     def lam(self) -> AlgebraicNumber:
-        return AlgebraicNumber(self, [Fraction(0), Fraction(1)])
+        return self.element((0, 1))
 
     def __eq__(self, other):
         mine = (self.modulus, self.lo, self.hi)
@@ -200,6 +211,9 @@ class ModulusField:
 
     def __hash__(self):
         return hash((tuple(self.modulus), self.lo, self.hi))
+
+    def __reduce__(self):  # copies rebuild through __init__: zero and one need the finished field
+        return ModulusField, (self.modulus, self.lo, self.hi)
 
     def __repr__(self):
         return f"ModulusField({render_poly_x(self.modulus)}, root in ({self.lo}, {self.hi}))"
@@ -218,7 +232,7 @@ def field_from_charpoly(charpoly) -> ModulusField:
     isolates the root, bisecting down from the Cauchy bound until (lo, hi]
     holds exactly one, and the field's checks read it.
     """
-    p = rp.integer_primitive(rp.poly(charpoly))
+    p = rp.integer_primitive(rp.poly(map(_exact, charpoly)))
     if len(p) < 2:
         raise ValueError("charpoly must have degree >= 1")
     seq = rp.sturm_sequence(p)
@@ -243,13 +257,14 @@ def field_from_charpoly(charpoly) -> ModulusField:
 
 
 def _solve_product(num: rp.IntPoly, s: int, m: rp.IntPoly) -> tuple[rp.IntPoly, int]:
-    """(x, d), d != 0, with num x = d s mod the monic m: one fraction-free solve
+    """(x, d), d > 0, with num x = d s mod the monic m: one fraction-free solve
     over the columns num x^j mod m, j < deg m; ZeroDivisionError if singular."""
     n = len(m) - 1
     columns = [rp.reduce_monic(num, m)]
     while len(columns) < n:  # num * x^j mod m
         columns.append(rp.reduce_monic([0, *columns[-1]], m))
-    return rp.solve_fraction_free(columns, [s] + [0] * (n - 1))
+    x, d = rp.solve_fraction_free(columns, [s] + [0] * (n - 1))
+    return (x, d) if d > 0 else ([-c for c in x], -d)
 
 
 def _power_upper(h: int, d: int, n: int) -> tuple[int, int]:
@@ -279,19 +294,18 @@ def _cut_avoiding_roots(m: rp.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 class AlgebraicNumber:
-    """Element of Q(lambda), stored as rational coefficients of a polynomial
-    in lambda of degree below deg(modulus)."""
+    """Element of Q(lambda): rational coefficients of a polynomial in lambda of
+    degree below deg(reduced modulus), made by the field's factories."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: ModulusField, coeffs, normalised: bool = False):
-        """`normalised=True` takes `coeffs` as given: a tuple of Fractions with
-        no trailing zero and fewer entries than the reduced modulus has."""
-        if not normalised:
-            p = rp.poly(coeffs)
-            if len(p) >= len(field._reduced):
-                p = rp.reduce_monic(p, field._reduced)
-            coeffs = tuple(p)
+    def __init__(self, field: ModulusField, coeffs: tuple[Fraction, ...]):
+        """Only the stored form: a tuple of Fractions, no trailing zero, shorter
+        than the reduced modulus.  Anything else is refused, not repaired."""
+        n, c = len(field._reduced), coeffs
+        if type(c) is not tuple or len(c) >= n or c and not c[-1] or not _FRACTION.issuperset(map(type, c)):
+            kinds = "/".join(sorted({type(x).__name__ for x in (c if isinstance(c, (list, tuple)) else [c])}))
+            raise TypeError(f"{c!r} of {kinds} is not the stored form of an element: use ModulusField.element")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -299,57 +313,48 @@ class AlgebraicNumber:
         raise AttributeError("AlgebraicNumber is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, not through __setattr__
-        return AlgebraicNumber, (self.field, self.coeffs, True)
+        return AlgebraicNumber, (self.field, self.coeffs)
 
     # -- ring operations -----------------------------------------------------
 
-    def _check(self, other: AlgebraicNumber) -> None:
+    def _coerce(self, other) -> AlgebraicNumber:
+        if not isinstance(other, AlgebraicNumber):
+            return self.field.rational(other)
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch("operands belong to different fields")
-
-    def _coerce(self, other) -> AlgebraicNumber:
-        if isinstance(other, AlgebraicNumber):
-            self._check(other)
-            return other
-        return AlgebraicNumber(self.field, [_exact(other)])
+        return other
 
     # +, -, negation and scale cannot raise the degree: no reduction needed
     def __add__(self, other) -> AlgebraicNumber:
-        other = self._coerce(other)
-        return AlgebraicNumber(self.field, _sum(self.coeffs, other.coeffs), normalised=True)
+        return AlgebraicNumber(self.field, _sum(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> AlgebraicNumber:
-        other = self._coerce(other)
-        minus = tuple(-c for c in other.coeffs)
-        return AlgebraicNumber(self.field, _sum(self.coeffs, minus), normalised=True)
+        return AlgebraicNumber(self.field, _sum(self.coeffs, tuple(-c for c in self._coerce(other).coeffs)))
 
     def __rsub__(self, other) -> AlgebraicNumber:
         return self._coerce(other) - self
 
     def __neg__(self) -> AlgebraicNumber:
-        return AlgebraicNumber(self.field, tuple(-c for c in self.coeffs), normalised=True)
+        return AlgebraicNumber(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> AlgebraicNumber:
-        other = self._coerce(other)
-        return AlgebraicNumber(self.field, rp.mul(list(self.coeffs), list(other.coeffs)))
+        return self.field.element(rp.mul(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, q) -> AlgebraicNumber:
         q = _exact(q)
-        return AlgebraicNumber(self.field, tuple(q * c for c in self.coeffs) if q else (), normalised=True)
+        return AlgebraicNumber(self.field, tuple(q * c for c in self.coeffs) if q else ())
 
     def __truediv__(self, other) -> AlgebraicNumber:
-        other = self._coerce(other)
-        return other.inverse() * self
+        return self._coerce(other).inverse() * self
 
     def __pow__(self, k: int) -> AlgebraicNumber:
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
+        out, base = self.field.one, self
         while k:
             if k & 1:
                 out = out * base
@@ -361,8 +366,7 @@ class AlgebraicNumber:
         """Multiplicative inverse of the value at lambda (the division route of
         the module docstring), also when self is a zero divisor of the ring."""
         s = lcm(*(c.denominator for c in self.coeffs))
-        x, d = self.field._inverse([c.numerator * (s // c.denominator) for c in self.coeffs], s)
-        return AlgebraicNumber(self.field, [Fraction(c, d) for c in x])
+        return self.field.over(*self.field._inverse([c.numerator * (s // c.denominator) for c in self.coeffs], s))
 
     # -- decision procedures ---------------------------------------------------
 
@@ -379,12 +383,7 @@ class AlgebraicNumber:
     def is_zero(self) -> bool:
         """The enclosure at the field's level decides "nonzero" if it can."""
         p = self.coeffs
-        return not p or len(p) > 1 and self._sign_at(self.field._level) is None and self._vanishes()[0]
-
-    def _vanishes(self) -> tuple[bool, rp.IntPoly]:
-        """Zero at lambda iff g = gcd(self, reduced modulus) has the root; and g."""
-        g = rp.gcd(self.coeffs, self.field._reduced)
-        return len(g) >= 2 and rp.count_roots_halfopen(g, self.field.lo, self.field.hi) >= 1, g
+        return not p or len(p) > 1 and self._sign_at(self.field._level) is None and self.field._vanishes(p)[0]
 
     def sign(self) -> int:
         if not self.coeffs:
@@ -394,7 +393,7 @@ class AlgebraicNumber:
         while s is None and k < _SIGN_LADDER:
             k += 1
             s = self._sign_at(k)
-        if s is None and self._vanishes()[0]:
+        if s is None and self.field._vanishes(self.coeffs)[0]:
             return 0
         while s is None:
             k += 1
@@ -445,13 +444,15 @@ class AlgebraicNumber:
 
 
 def _exact(q) -> Fraction:
+    if type(q) is Fraction:  # immutable: kept as it is
+        return q
     if isinstance(q, float):
         raise TypeError(f"float {q!r} in exact arithmetic; pass an int, a Fraction or a str")
     return Fraction(q)
 
 
 def _sum(p: tuple, q: tuple) -> tuple:
-    """p + q of normalised coefficient tuples, normalised."""
+    """p + q of stored-form coefficient tuples, in stored form."""
     out = [a + b for a, b in zip(p, q)]
     out.extend(p[len(q) :] or q[len(p) :])
     while out and not out[-1]:

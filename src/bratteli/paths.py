@@ -78,9 +78,14 @@ class PathPrefix:
 
 def _composed_range(diagram: BratteliDiagram, root: int, edges) -> int:
     """Range vertex of the edges laid upward from root; raises ParseError
-    at the first edge that does not start where the previous one ends."""
-    v = root
+    for a root or edge index out of range, or at the first edge that does
+    not start where the previous one ends."""
+    if not 0 <= root < len(diagram.vertices):
+        raise ParseError(f"root index {root} is not a vertex (0 .. {len(diagram.vertices) - 1})")
+    v, n = root, len(diagram.verticals)
     for i, ei in enumerate(edges):
+        if not 0 <= ei < n:
+            raise ParseError(f"edge index {ei} at generation {i + 2} is not a vertical edge (0 .. {n - 1})")
         e = diagram.verticals[ei]
         if e.src != v:
             raise ParseError(
@@ -125,7 +130,7 @@ class EventuallyPeriodicPath:
         self.pre = tuple(pre)
         self.cycle = tuple(cycle)
         # composability across preamble, into the cycle, and around it
-        if diagram.verticals[self.cycle[0]].src != _composed_range(diagram, root, self.pre + self.cycle):
+        if _composed_range(diagram, root, self.pre + self.cycle) != diagram.verticals[self.cycle[0]].src:
             raise ParseError("cycle does not close up")
 
     def key(self):
@@ -436,7 +441,7 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     boundary square at h.  Each h on one of diagram.down_cycles is one phase
     of a chain of squares: read upward from h, the left column is a maximal
     path and the right column a minimal one.  Each column is looked up by
-    its normalised key among the extremal paths, so no path is built twice.
+    its normal-form key among the extremal paths, so no path is built twice.
     """
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into

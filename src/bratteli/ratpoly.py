@@ -2,15 +2,16 @@
 
 Polynomials are lists in ascending degree order, with no trailing zeros
 (the zero polynomial is the empty list).  Only the element side is in
-Fractions: `poly`, `mul`, `reduce_monic` and `enclose` take the coefficients
-of elements of Q(lambda).  Everything else is in integers: a point is an
-integer numerator over an integer denominator d > 0, so `eval_scaled` takes
-(n, d) and `enclose` the interval [l/d, h/d] as (l, h, d); a modulus is monic
-with integer coefficients, so its rational roots are the integers
-`integer_roots` finds; one pseudo-remainder step serves the Sturm sequence
-and `gcd`, `exact_quotient` serves the square-free part and every
-deflation, and `solve_fraction_free` inverts.  No floats; degrees stay
-desk-scale (<= ~10).
+Fractions: `mul`, `reduce_monic` and `enclose` take the coefficients of
+elements of Q(lambda), and `poly` reads a field's input; `mul` returns its
+Fractions as made, so `ModulusField.element` normalises a product once.
+Everything else is in integers: a point is an integer numerator over an
+integer denominator d > 0, so `eval_scaled` takes (n, d) and `enclose` the
+interval [l/d, h/d] as (l, h, d); a modulus is monic with integer
+coefficients, so its rational roots are the integers `integer_roots` finds;
+one pseudo-remainder step serves the Sturm sequence and `gcd`,
+`exact_quotient` serves the square-free part and every deflation, and
+`solve_fraction_free` inverts.  No floats; degrees stay desk-scale (<= ~10).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ IntPoly = list[int]
 
 
 def poly(coeffs: Iterable) -> Poly:
-    p = [Fraction(c) for c in coeffs]
+    p = [c if type(c) is Fraction else Fraction(c) for c in coeffs]  # a Fraction is immutable: kept
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -37,15 +38,13 @@ def degree(p: Sequence[Fraction]) -> int:
 
 
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    """p * q of Fraction polynomials with no trailing zero: nor has the product, lc(p) lc(q) != 0."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
 
 
 def int_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:

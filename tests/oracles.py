@@ -179,7 +179,7 @@ def inverse_by_adjugate(a: AlgebraicNumber) -> AlgebraicNumber:
     c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
     if not c[0]:
         raise ZeroDivisionError("element not invertible modulo deflated modulus")
-    return AlgebraicNumber(a.field, [Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
+    return a.field.element([Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
 
 
 def inverse_by_euclid(a: AlgebraicNumber) -> Poly:
@@ -1172,13 +1172,13 @@ def inverse_by_zero_test(a: AlgebraicNumber) -> AlgebraicNumber:
     fraction-free solve."""
     columns, s = _deflated_product(a)
     x, d = rp.solve_fraction_free(columns, [s] + [0] * (len(columns) - 1))
-    return AlgebraicNumber(a.field, [Fraction(c, d) for c in x])
+    return a.field.element([Fraction(c, d) for c in x])
 
 
 def ratios_by_element_inverse(f, columns):
     """ModulusField.ratios through the element inverse of c_0, whose
     numerators over their common denominator are read back."""
-    inv = inverse_by_zero_test(AlgebraicNumber(f, columns[0]))
+    inv = inverse_by_zero_test(f.element(columns[0]))
     den = lcm(*(c.denominator for c in inv.coeffs))
     v, m = f.numerators(inv, den), f._reduced
     lengths = [[den]] + [rp.reduce_monic(rp.int_mul(c, v), m) for c in columns[1:]]

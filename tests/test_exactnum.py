@@ -14,6 +14,7 @@ from bratteli import ratpoly as rp
 from bratteli.diagram import export_json
 from bratteli.errors import FieldMismatch, NoRootAboveOne, ParseError
 from bratteli.exactnum import (
+    AlgebraicNumber,
     ModulusField,
     _render,
     field_from_charpoly,
@@ -616,13 +617,23 @@ def test_to_decimal_matches_search(data):
 # -- one-pass linear operations and equals -------------------------------------
 
 
+def schoolbook(p, q) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_linear_ops_match_normalising_constructor(data):
+    """Sums, products and inverses against Fraction references, in the
+    stored form; the reducible (x^2 - x - 1)(x^2 - 2) field has zero divisors."""
     f = field_from_charpoly(data.draw(st.sampled_from([GOLDEN, RAND3_CHARPOLY, GOLDEN_TIMES_SQRT2])))
     wide = st.lists(rationals, max_size=len(f.modulus) + 1).map(f.element)
     a, b, q = data.draw(wide), data.draw(wide), data.draw(rationals)
-    pa, pb = list(a.coeffs), list(b.coeffs)
+    pa, pb, m = list(a.coeffs), list(b.coeffs), [Fraction(c) for c in f._reduced]
     cases = [
         (a + b, add(pa, pb)),
         (a - b, sub(pa, pb)),
@@ -631,11 +642,54 @@ def test_linear_ops_match_normalising_constructor(data):
         (a.scale(q), scale(pa, q)),
         (a + q, add(pa, [q])),
         (q - a, sub([q], pa)),
+        (a * b, rem(schoolbook(pa, pb), m)),
+        (a * a, rem(schoolbook(pa, pa), m)),
+        (a * q, scale(pa, q)),
+        (q * a, scale(pa, q)),
     ]
+    try:
+        cases.append((a.inverse(), inverse_by_adjugate(a).coeffs))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            inverse_by_adjugate(a)
     for got, p in cases:
-        assert got.coeffs == f.element(p).coeffs
+        assert got.coeffs == f.element(p).coeffs == tuple(rem(p, m))
+        assert type(got.coeffs) is tuple and len(got.coeffs) < len(m)
         assert not got.coeffs or got.coeffs[-1] != 0
         assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_ring_operations_normalise_once(monkeypatch):
+    """No ring operation runs ratpoly.poly, and a product is reduced at most
+    once: ratpoly.mul leaves no trailing zero, and ModulusField.element
+    reduces what it returns."""
+    f = field_from_charpoly(RAND3_CHARPOLY)  # reduced modulus of degree 3
+    lam = f.lam()
+    a, b = lam * lam + Fraction(1, 3), lam.scale(Fraction(-2, 5)) * lam + 7
+    # (x, y, reductions): a product of 4 or more coefficients is reduced once, a shorter one not at all
+    products = [(a, b, 1), (a, a, 1), (a, lam, 1), (lam, lam, 0)]
+    expected = [f.element(schoolbook(x.coeffs, y.coeffs)).coeffs for x, y, _ in products]
+    calls = {"poly": 0, "reduce_monic": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rp, name, counted)
+
+    for name in calls:
+        spy(name, getattr(rp, name))
+    for op in (lambda: a + b, lambda: a - b, lambda: 1 - a, lambda: -a, lambda: a.inverse(), lambda: f.over([1, 2, 3], 4)):
+        op()
+        assert calls["poly"] == 0
+    for (x, y, reductions), coeffs in zip(products, expected):
+        calls["reduce_monic"] = 0
+        assert (x * y).coeffs == coeffs
+        assert calls == {"poly": 0, "reduce_monic": reductions}
+    calls["reduce_monic"] = 0
+    assert (a * 2).coeffs == (2 * a).coeffs == a.scale(2).coeffs
+    assert calls == {"poly": 0, "reduce_monic": 0}
 
 
 @settings(max_examples=40, deadline=None)
@@ -867,8 +921,11 @@ def test_solve_fraction_free_matches_cramer(system):
         lambda f: f.element([0.25]),
         lambda f: f.element([1, 0.5]),
         lambda f: f.lam().compare(1.6180339887),
+        lambda f: AlgebraicNumber(f, [0.1, 1]),
+        lambda f: field_from_charpoly([-1.0, -1.0, 1.0]),
+        lambda f: ModulusField([-2, 0, 1], 1.4, 1.5),
     ],
-    ids=["add", "radd", "scale", "rational", "element", "element-later-coefficient", "compare"],
+    ids=["add", "radd", "scale", "rational", "element", "element-later-coefficient", "compare", "constructor", "charpoly", "endpoints"],
 )
 def test_floats_are_refused(fib_field, make):
     with pytest.raises(TypeError, match="float"):

@@ -17,6 +17,7 @@ from bratteli.substitution import parse_spec
 from bratteli.paths import (
     MAX_DECODE_TILES,
     TILE_COUNT_CEILING,
+    EventuallyPeriodicPath,
     PathPrefix,
     af_equiv,
     decode,
@@ -648,6 +649,26 @@ def test_parse_path_errors(fib, dyadic):
         parse_path(fib, "root=a; xx")
     with pytest.raises(ParseError):
         parse_path(dyadic, "root=a; aa")  # ambiguous without #pos
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: PathPrefix(d, -1, []),
+        lambda d: PathPrefix(d, len(d.vertices), []),
+        lambda d: PathPrefix(d, 0, [99]),
+        lambda d: PathPrefix(d, 0, [-1]),
+        lambda d: EventuallyPeriodicPath(d, 9, [], [0]),
+        lambda d: EventuallyPeriodicPath(d, 0, [], [99]),
+        lambda d: EventuallyPeriodicPath(d, 0, [-1], [0]),
+    ],
+    ids=["negative-root", "root-past-end", "edge-past-end", "negative-edge", "periodic-root", "cycle-edge", "preamble-edge"],
+)
+def test_path_constructors_refuse_out_of_range_indices(fib, make):
+    """A root or edge index outside its range is a ParseError, not an
+    IndexError, nor a negative index that Python would count from the end."""
+    with pytest.raises(ParseError, match="is not a vertex|is not a vertical edge"):
+        make(fib)
 
 
 # Collar names under which two different edges join to the same text:
