@@ -16,7 +16,7 @@ from .errors import (
     UnknownLetter,
     UnpairedExtreme,
 )
-from .exactnum import AlgebraicNumber, ModulusField, field_from_charpoly, parse_algebraic
+from .exactnum import AlgebraicNumber, ModulusField, parse_algebraic
 from .substitution import (
     CollaredLetter,
     CollaredSubstitution,

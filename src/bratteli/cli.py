@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit statuses: 0 success, 2 input/validation error, 3 I/O error.  All
-output is deterministic; exact values print first, 6-place decimals second.
+Exit statuses: 0 success, 1 a verify-paper check failed, 2 input/validation
+error, 3 I/O error.  All output is deterministic; exact values print first,
+6-place decimals second.
 """
 
 from __future__ import annotations

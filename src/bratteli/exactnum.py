@@ -6,9 +6,10 @@ root of m the symbol stands for.  m need not be irreducible, so the ring can
 have zero divisors; every predicate (zero test, sign, comparison) is decided
 for the *value at lambda*:
 
-* Sturm certificate: one integer Sturm sequence (`ratpoly.sturm_sequence`)
-  isolates the root when the field is built and certifies that m is
-  square-free with exactly one root in (lo, hi];
+* Sturm certificate: `ModulusField(charpoly)`, the one way to build a
+  field, takes m monic and square-free; one integer Sturm sequence
+  (`ratpoly.sturm_sequence`) bisects from the Cauchy bound until (lo, hi]
+  holds one root, the same (lo, hi] for the same m: m identifies the field;
 * refinement: the reduced modulus (m with its rational roots other than
   lambda divided out) is square-free, has no rational root and exactly one
   root in (lo, hi], an irrational simple sign change; so bisection keeps
@@ -16,7 +17,8 @@ for the *value at lambda*:
   differs from the lower endpoint's, with no Sturm count per level.  The
   level-k interval is (lo + a w/2^k, lo + (a+1) w/2^k], w = hi - lo, so the
   field keeps its finest level K and that level's index a; level k <= K has
-  index a >> (K - k), and `refined(k)` returns it as integers (l, h, d);
+  index a >> (K - k), and `refined(k)` returns it as integers (l, h, d),
+  l >= d as lo >= 1 (a rational lambda is an integer above 1);
 * enclosure first: a decision first encloses the element over the interval
   of the field's level by interval Horner evaluation in integers
   (`ratpoly.enclose` of those (l, h, d)); an enclosure that excludes 0
@@ -76,37 +78,51 @@ _FRACTION = frozenset({Fraction})  # the one coefficient type of the stored form
 
 
 class ModulusField:
-    """Q[x]/(modulus) with one marked real root in (lo, hi], the Perron root."""
+    """Q[x]/(modulus) with one marked real root in (lo, hi], the Perron root;
+    equal, hashed, copied and pickled by the modulus alone."""
 
-    def __init__(self, modulus, lo: Fraction, hi: Fraction, sturm: list[rp.IntPoly] | None = None):
-        """A monic integer `modulus`; `sturm`, if given, is its Sturm sequence."""
-        m = rp.poly(map(_exact, modulus))
-        self.lo, self.hi = _exact(lo), _exact(hi)
-        if len(m) < 2 or m[-1] != 1 or any(c.denominator != 1 for c in m):
-            raise ValueError("modulus must be monic with integer coefficients, of degree >= 1")
-        self.modulus: rp.IntPoly = [c.numerator for c in m]
-        sturm = sturm or rp.sturm_sequence(self.modulus)
-        if len(sturm[-1]) > 1:
-            raise ValueError("modulus must be square-free")
-        if rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) != 1:
-            raise ValueError("isolating interval must contain exactly one root")
+    def __init__(self, charpoly):
+        """The field of the largest real root, if above 1, of `charpoly`, a
+        rational multiple of a monic integer polynomial.  The modulus is its
+        square-free part, by exact division with the last entry of its integer
+        Sturm sequence; the modulus's own sequence bisects down from the
+        Cauchy bound until (lo, hi] holds exactly one root."""
+        p = rp.integer_primitive(rp.poly(map(_exact, charpoly)))
+        if len(p) < 2:
+            raise ValueError("charpoly must have degree >= 1")
+        if abs(p[-1]) != 1:
+            raise ValueError("charpoly must be a rational multiple of a monic integer polynomial")
+        seq = rp.sturm_sequence(p)
+        m = rp.exact_quotient(p, seq[-1])
+        m = [c * m[-1] for c in m]
+        if len(seq[-1]) > 1:
+            seq = rp.sturm_sequence(m)
+        lo, hi = Fraction(1), Fraction(1 + max(1, *(abs(c) for c in m[:-1])))
+        vlo, vhi = rp.sign_variations(seq, lo), rp.sign_variations(seq, hi)
+        if vlo == vhi:
+            raise NoRootAboveOne(f"{render_poly_x(m)} has no real root above 1")
+        while vlo - vhi > 1:
+            mid = _cut_avoiding_roots(m, lo, hi)
+            vmid = rp.sign_variations(seq, mid)
+            if vmid > vhi:
+                lo, vlo = mid, vmid
+            else:
+                hi, vhi = mid, vmid
+        self.modulus, self.lo, self.hi = m, lo, hi
         self.rational_root: int | None = None
-        reduced = self.modulus
-        for r in rp.integer_roots(self.modulus):  # its only rational roots: the modulus is monic
-            if self.lo < r <= self.hi:  # lambda is rational: x - lambda is the reduced modulus
+        reduced = m
+        for r in rp.integer_roots(m):  # its only rational roots: the modulus is monic
+            if lo < r <= hi:  # lambda is rational: x - lambda is the reduced modulus
                 self.rational_root, reduced = r, [-r, 1]
                 break
             reduced = rp.exact_quotient(reduced, [-r, 1])
         self._reduced = reduced  # monic integer: elements reduce by it, signs come from it
-        if reduced is not self.modulus:  # else the check above counted this very sequence
-            sturm = rp.sturm_sequence(reduced)
-            assert rp.sign_variations(sturm, self.lo) - rp.sign_variations(sturm, self.hi) == 1
-        q = lcm(self.lo.denominator, self.hi.denominator)
+        q = lcm(lo.denominator, hi.denominator)
         # (lo q, w q, q), w = hi - lo: level k is (lo q 2^k + a w q, ... + w q] over q 2^k
-        lo_q, hi_q = (x.numerator * (q // x.denominator) for x in (self.lo, self.hi))
+        lo_q, hi_q = (x.numerator * (q // x.denominator) for x in (lo, hi))
         self._base = lo_q, hi_q - lo_q, q
         # Sign of the reduced modulus at every lower endpoint of a level.
-        self._lo_positive = rp.eval_scaled(self._reduced, lo_q, q) > 0
+        self._lo_positive = rp.eval_scaled(reduced, lo_q, q) > 0
         # The finest level bisected and its index; both only grow.
         self._level = self._index = 0
         # Immutable, so built once per field: empty sums and trivial loops share them.
@@ -206,54 +222,20 @@ class ModulusField:
         return self.element((0, 1))
 
     def __eq__(self, other):
-        mine = (self.modulus, self.lo, self.hi)
-        return isinstance(other, ModulusField) and mine == (other.modulus, other.lo, other.hi)
+        return isinstance(other, ModulusField) and self.modulus == other.modulus
 
     def __hash__(self):
-        return hash((tuple(self.modulus), self.lo, self.hi))
+        return hash(tuple(self.modulus))
 
     def __reduce__(self):  # copies rebuild through __init__: zero and one need the finished field
-        return ModulusField, (self.modulus, self.lo, self.hi)
+        return ModulusField, (self.modulus,)
 
     def __repr__(self):
-        return f"ModulusField({render_poly_x(self.modulus)}, root in ({self.lo}, {self.hi}))"
+        return f"ModulusField({render_poly_x(self.modulus)}, root in ({self.lo}, {self.hi}])"
 
 
 def render_poly_x(p: rp.Poly) -> str:
     return _render(p, "x")
-
-
-def field_from_charpoly(charpoly) -> ModulusField:
-    """Field carrying the largest real root (> 1) of a characteristic polynomial.
-
-    The modulus is the square-free part of the input, by exact division with
-    the last entry of the input's integer Sturm sequence.  The modulus's own
-    sequence (the same one if the input is square-free) is built once: it
-    isolates the root, bisecting down from the Cauchy bound until (lo, hi]
-    holds exactly one, and the field's checks read it.
-    """
-    p = rp.integer_primitive(rp.poly(map(_exact, charpoly)))
-    if len(p) < 2:
-        raise ValueError("charpoly must have degree >= 1")
-    seq = rp.sturm_sequence(p)
-    m = rp.exact_quotient(p, seq[-1])
-    if abs(m[-1]) != 1:  # else the monic square-free part has a fractional coefficient
-        raise ValueError("charpoly must have integer coefficients")
-    m = [c * m[-1] for c in m]
-    if len(seq[-1]) > 1:
-        seq = rp.sturm_sequence(m)
-    lo, hi = Fraction(1), Fraction(1 + max(1, *(abs(c) for c in m[:-1])))
-    vlo, vhi = rp.sign_variations(seq, lo), rp.sign_variations(seq, hi)
-    if vlo == vhi:
-        raise NoRootAboveOne(f"{render_poly_x(m)} has no real root above 1")
-    while vlo - vhi > 1:
-        mid = _cut_avoiding_roots(m, lo, hi)
-        vmid = rp.sign_variations(seq, mid)
-        if vmid > vhi:
-            lo, vlo = mid, vmid
-        else:
-            hi, vhi = mid, vmid
-    return ModulusField(m, lo, hi, seq)
 
 
 def _solve_product(num: rp.IntPoly, s: int, m: rp.IntPoly) -> tuple[rp.IntPoly, int]:

@@ -73,11 +73,11 @@ def reduce_monic(p: Sequence, m: Sequence[int]) -> list:
 
 
 def enclose(p: Sequence[Fraction], l: int, h: int, d: int) -> tuple[int, int, int]:
-    """Interval Horner evaluation in integers: {p(x) : l/d <= x <= h/d}, d > 0,
-    lies in [vlo/den, vhi/den].  With p = a/D over a common denominator, each
-    step is the Fraction step times the positive D*d^(deg p - i), so the
-    enclosure is the same.  For l >= 0 the signs of the accumulators pick the
-    extreme endpoint products."""
+    """Interval Horner evaluation in integers: {p(x) : l/d <= x <= h/d}, for
+    0 <= l <= h and d > 0, lies in [vlo/den, vhi/den].  With p = a/D over a
+    common denominator, each step is the Fraction step times the positive
+    D*d^(deg p - i), so the enclosure is the same.  As x >= 0, the signs of
+    the accumulators pick the extreme endpoint products."""
     if not p:
         return 0, 0, 1
     den = lcm(*(c.denominator for c in p))
@@ -85,11 +85,7 @@ def enclose(p: Sequence[Fraction], l: int, h: int, d: int) -> tuple[int, int, in
     dk = 1
     for c in reversed(p):
         a = c.numerator * (den // c.denominator) * dk
-        if l >= 0:
-            alo, ahi = alo * (l if alo >= 0 else h) + a, ahi * (h if ahi >= 0 else l) + a
-        else:
-            prods = (alo * l, alo * h, ahi * l, ahi * h)
-            alo, ahi = min(prods) + a, max(prods) + a
+        alo, ahi = alo * (l if alo >= 0 else h) + a, ahi * (h if ahi >= 0 else l) + a
         dk *= d
     return alo, ahi, den * dk // d
 

@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
     UnknownLetter,
 )
-from .exactnum import AlgebraicNumber, ModulusField, field_from_charpoly
+from .exactnum import AlgebraicNumber, ModulusField
 
 Word = tuple[int, ...]
 
@@ -72,7 +72,7 @@ class Substitution:
         self.abelianization = abelianization(self.rules, n)
         primitivity_index(self.abelianization)  # raises NotPrimitive
         charpoly, self.adjugate = rp.charpoly(self.abelianization)
-        self.field: ModulusField = field_from_charpoly(charpoly)
+        self.field: ModulusField = ModulusField(charpoly)
         self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
 
     # -- basic word machinery -------------------------------------------------

@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "export_dot",
     "export_json",
     "extremal_paths",
-    "field_from_charpoly",
     "gap_profile",
     "hypothesis_check",
     "legal_words",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bratteli.diagram import build_diagram, diagram_from_json, export_json
 from bratteli.errors import BratteliError
-from bratteli.exactnum import field_from_charpoly, parse_algebraic
+from bratteli.exactnum import ModulusField, parse_algebraic
 from bratteli.fixtures import DOUBLING_SPEC, FIBONACCI_SPEC, THUE_MORSE_SPEC
 from bratteli.paths import parse_path
 from bratteli.substitution import parse_spec
@@ -45,7 +45,7 @@ def only_bratteli_errors(parse, text):
 
 @pytest.fixture(scope="module")
 def golden():
-    return field_from_charpoly([-1, -1, 1])
+    return ModulusField([-1, -1, 1])
 
 
 @FUZZ

@@ -17,7 +17,7 @@ from bratteli.errors import (
     SingularSystem,
     UnknownLetter,
 )
-from bratteli.exactnum import AlgebraicNumber, field_from_charpoly
+from bratteli.exactnum import AlgebraicNumber, ModulusField
 from bratteli.fixtures import DOUBLING_SPEC, FIXTURES, doubling, load_fixture
 from bratteli.ratpoly import charpoly
 from bratteli.substitution import (
@@ -275,7 +275,7 @@ def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1
     at lambda but not x - 1 as a vector, the residuals are nonzero vectors
     that vanish at lambda and the exact zero test accepts them; c1 = x^2 - 1
     is phi at lambda and is refused."""
-    f = field_from_charpoly(GOLDEN_TIMES_SQRT2)
+    f = ModulusField(GOLDEN_TIMES_SQRT2)
     columns = [[1, 0, 0], c1, c1]  # entry j of column x is B_(n-1-j)[x][0]
     fake = SimpleNamespace(
         field=f,
