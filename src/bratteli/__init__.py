@@ -16,7 +16,7 @@ from .errors import (
     UnknownLetter,
     UnpairedExtreme,
 )
-from .exactnum import AlgebraicNumber, ModulusField, parse_algebraic
+from .exactnum import AlgebraicNumber, ModulusField
 from .substitution import (
     CollaredLetter,
     CollaredSubstitution,
@@ -24,7 +24,6 @@ from .substitution import (
     Substitution,
     aperiodicity_screen,
     collar_alphabet,
-    collared_substitution,
     legal_words,
     parse_spec,
     perron_lengths,
@@ -37,7 +36,6 @@ from .diagram import (
     VerticalTemplate,
     build_diagram,
     diagram_chains,
-    diagram_from_json,
     export_dot,
     export_json,
     hypothesis_check,
@@ -67,11 +65,9 @@ from .paths import (
 )
 from .analysis import (
     GapProfile,
-    af_region,
     classify_GF,
     escape_depth,
     gap_profile,
-    minimality_horizon,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ position.  On an eventually periodic path this makes the dichotomy exact:
 the puncture stays at bounded distance from a boundary iff the cycle is all
 leftmost or all rightmost edges; otherwise both gaps run to infinity.  The
 gaps are summed as integer vectors over the D of `Substitution.length_vectors`.
+`escape_depth`, public beyond the CLI, is that dichotomy's depth for a G path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from itertools import count, islice
 from typing import Iterator
 
 from ._record import Record
-from .diagram import BratteliDiagram
 from .exactnum import AlgebraicNumber
-from .paths import EventuallyPeriodicPath, PathPrefix, decode
-from .substitution import primitivity_index
+from .paths import EventuallyPeriodicPath, PathPrefix
 
 
 class GapProfile(Record):
@@ -97,16 +96,3 @@ def escape_depth(x: EventuallyPeriodicPath, bound) -> int:
     for depth, (gl, gr) in enumerate(_gaps(x), start=1):
         if depth > first and (depth - first) % step == 0 and gl.compare(b) > 0 and gr.compare(b) > 0:
             return depth
-
-
-def af_region(x: EventuallyPeriodicPath, depth: int) -> list[AlgebraicNumber]:
-    """Exact puncture positions of all tiles of the depth-n patch around the
-    origin: the finite-depth approximation of the tail-equivalence region."""
-    return decode(x.prefix(depth)).puncture_positions()
-
-
-def minimality_horizon(diagram: BratteliDiagram) -> int:
-    """Generations needed for any vertex to connect to every vertex: the
-    primitivity index of the collared abelianization (stationarity makes the
-    starting generation irrelevant)."""
-    return primitivity_index(diagram.csub.collared_abelianization)

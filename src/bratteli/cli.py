@@ -185,10 +185,11 @@ def _prefix_of(path, depth: int):
     return path.prefix(depth) if isinstance(path, EventuallyPeriodicPath) else path
 
 
-# Digits allowed above lambda^(depth-1) in what analyze prints.  A gap at
-# generation n is at most lambda^(n-1) times a tile length, and as every
-# root of the modulus has modulus <= lambda, the coefficients of its
-# representative grow no faster; the margin covers the constant factors.
+# Digits allowed above lambda^(depth-1) in what analyze and rb print.  A gap,
+# or a translation, at generation n is at most lambda^(n-1) times a tile
+# length, and as every root of the modulus has modulus <= lambda, the
+# coefficients of its representative grow no faster; the margin covers the
+# constant factors.
 ANALYZE_DIGIT_MARGIN = 32
 
 # Most digits the per-generation bounds of one analyze may sum to.  The
@@ -197,21 +198,21 @@ ANALYZE_DIGIT_MARGIN = 32
 ANALYZE_MAX_TOTAL_DIGITS = 10**6
 
 
-def _refuse_unprintable(diagram, depth: int) -> None:
-    """Refuse, before any work, a depth whose gaps could print past Python's
-    int-to-str digit limit (its default 4300 where the limit is off), or
-    whose digit bounds, summed over the depth generations, pass
-    ANALYZE_MAX_TOTAL_DIGITS.  Each generation's bound is at most the
-    deepest's, so depth times that one bounds the sum."""
+def _refuse_unprintable(diagram, command: str, depth: int, values: int) -> None:
+    """Refuse, before any work, a depth whose values could print past
+    Python's int-to-str digit limit (its default 4300 where the limit is
+    off), or whose digit bounds, summed over the `values` printed, pass
+    ANALYZE_MAX_TOTAL_DIGITS.  Each value's bound is at most the
+    deepest's, so values times that one bounds the sum."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     digits = diagram.field.lam_power_digits(depth - 1) + ANALYZE_DIGIT_MARGIN
     if digits > limit:
         raise BratteliError(
-            f"analyze at depth {depth} would print numbers of up to {digits} digits, above the limit of {limit}"
+            f"{command} at depth {depth} would print numbers of up to {digits} digits, above the limit of {limit}"
         )
-    if depth * digits > ANALYZE_MAX_TOTAL_DIGITS:
+    if values * digits > ANALYZE_MAX_TOTAL_DIGITS:
         raise BratteliError(
-            f"analyze at depth {depth} would print up to {depth * digits} digits in all,"
+            f"{command} at depth {depth} would print up to {values * digits} digits in all,"
             f" above the limit of {ANALYZE_MAX_TOTAL_DIGITS}"
         )
 
@@ -291,6 +292,7 @@ def cmd_rb(args) -> int:
     y = parse_path(diagram, args.y)
     if not isinstance(x, EventuallyPeriodicPath) or not isinstance(y, EventuallyPeriodicPath):
         raise BratteliError("rb needs eventually periodic paths (add cycles)")
+    _refuse_unprintable(diagram, "rb", max(len(x.pre), len(y.pre)) + 2, 1)  # the translation, formed at p0
     witness = rb_equiv(x, y)
     if witness is None:
         print("not equivalent: None")
@@ -310,7 +312,7 @@ def cmd_analyze(args) -> int:
     diagram = build_diagram(_load(args))
     path = parse_path(diagram, args.x)
     depth = _depth_of(args, path, default=8)
-    _refuse_unprintable(diagram, depth)
+    _refuse_unprintable(diagram, "analyze", depth, depth)
     prof = gap_profile(_prefix_of(path, depth))
     render, dec = _printers()  # a gap whose increment is zero is the previous generation's
     print(f"path: {render_path(path)}")

@@ -74,7 +74,7 @@ from operator import attrgetter
 from ._record import Frozen
 from .errors import DotTooLarge, ParseError
 from .exactnum import AlgebraicNumber
-from .substitution import CollaredSubstitution, Substitution, collared_substitution, parse_spec
+from .substitution import CollaredSubstitution, Substitution
 
 
 class VerticalTemplate(Frozen):
@@ -204,10 +204,8 @@ class BratteliDiagram:
         return self._pairing
 
 
-def build_diagram(source: CollaredSubstitution | Substitution) -> BratteliDiagram:
-    if isinstance(source, Substitution):
-        source = collared_substitution(source)
-    return BratteliDiagram(source)
+def build_diagram(source: Substitution) -> BratteliDiagram:
+    return BratteliDiagram(CollaredSubstitution(source))
 
 
 def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
@@ -482,44 +480,3 @@ def _json_join(items: list[str], pad: str, brackets: str = "[]") -> str:
     """Items indented by pad + 2 spaces, joined as json.dumps(indent=2) joins
     an array (or object) whose closing bracket sits at pad."""
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{pad}{brackets[1]}" if items else brackets
-
-
-def diagram_from_json(text: str) -> BratteliDiagram:
-    """Rebuild a diagram from its JSON export and verify the template lists
-    round-trip identically."""
-    import json
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also a number past int()'s digit limit, or deep nesting
-        raise ParseError(f"bad diagram JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParseError("bad diagram JSON: top level must be an object")
-    spec = _field(payload, "spec", dict)
-    for key in ("vertices", "verticals", "horizontals", "diagrams"):
-        _field(payload, key, list)
-    letters = _field(spec, "letters", list, True, "spec.")
-    rules = _field(spec, "rules", dict, where="spec.")
-    lines = ["letters: " + " ".join(letters)]
-    for name in letters:
-        lines.append(f"rule {name}: " + " ".join(_field(rules, name, list, True, "spec.rules.")))
-    lines.append("collar-names: " + " ".join(_field(spec, "collar-names", list, True, "spec.")))
-    sub = parse_spec("\n".join(lines), check_aperiodicity=False)
-    diagram = build_diagram(sub)
-    rebuilt = json.loads(export_json(diagram))
-    for key in ("vertices", "verticals", "horizontals", "diagrams"):
-        if rebuilt[key] != payload[key]:
-            raise ParseError(f"diagram JSON does not round-trip on {key!r}")
-    return diagram
-
-
-def _field(obj: dict, key: str, kind: type, strings: bool = False, where: str = ""):
-    """obj[key], or a ParseError naming where + key if it is missing or is
-    not a JSON object (kind dict) or array (kind list; of strings if strings)."""
-    name = repr(where + key)
-    if key not in obj:
-        raise ParseError(f"bad diagram JSON: missing key {name}")
-    value = obj[key]
-    if not isinstance(value, kind) or (strings and not all(isinstance(w, str) for w in value)):
-        shape = "an object" if kind is dict else "an array of strings" if strings else "an array"
-        raise ParseError(f"bad diagram JSON: {name} must be {shape}")
-    return value

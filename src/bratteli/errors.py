@@ -12,7 +12,7 @@ class BratteliError(Exception):
 
 
 class ParseError(BratteliError):
-    """Bad input text (substitution spec, path literal, L-polynomial)."""
+    """Bad input text (substitution spec, path literal)."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         loc = ""

@@ -55,17 +55,19 @@ back to exact signs of the value minus m/10^d and (m+1)/10^d.  Values are
 immutable; the field's only mutable state is monotone: the level K, which
 every sign, decimal and digit bound reads and raises, and its index a.  A
 float never enters: every door refuses it (TypeError).
+
+Public beyond the CLI: `AlgebraicNumber.inverse`, the route of `/` and
+negative powers, and `compare`, by which `escape_depth` decides.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd as igcd
 from math import lcm
 
 from . import ratpoly as rp
-from .errors import FieldMismatch, NoRootAboveOne, ParseError
+from .errors import FieldMismatch, NoRootAboveOne
 
 _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to exact floor search
 # sign() bisects up to this level before the gcd + Sturm certificate, which
@@ -100,7 +102,7 @@ class ModulusField:
         lo, hi = Fraction(1), Fraction(1 + max(1, *(abs(c) for c in m[:-1])))
         vlo, vhi = rp.sign_variations(seq, lo), rp.sign_variations(seq, hi)
         if vlo == vhi:
-            raise NoRootAboveOne(f"{render_poly_x(m)} has no real root above 1")
+            raise NoRootAboveOne(f"{_render(m, 'x')} has no real root above 1")
         while vlo - vhi > 1:
             mid = _cut_avoiding_roots(m, lo, hi)
             vmid = rp.sign_variations(seq, mid)
@@ -231,11 +233,7 @@ class ModulusField:
         return ModulusField, (self.modulus,)
 
     def __repr__(self):
-        return f"ModulusField({render_poly_x(self.modulus)}, root in ({self.lo}, {self.hi}])"
-
-
-def render_poly_x(p: rp.Poly) -> str:
-    return _render(p, "x")
+        return f"ModulusField({_render(self.modulus, 'x')}, root in ({self.lo}, {self.hi}])"
 
 
 def _solve_product(num: rp.IntPoly, s: int, m: rp.IntPoly) -> tuple[rp.IntPoly, int]:
@@ -442,14 +440,7 @@ def _sum(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
-# -- L-polynomial text format -------------------------------------------------
-#
-# Lowest degree first, e.g. "1/2 + 1/2*L" for (1 + lambda)/2, "-1 + L^2".
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/0*[1-9]\d*)?)?\s*(?P<star>\*)?\s*(?P<lpart>L(?:\^(?P<exp>\d+))?)?\s*$",
-    re.ASCII,
-)
+# -- text form: lowest degree first, e.g. "1/2 + 1/2*L" for (1 + lambda)/2 --
 
 
 def _render(p: list[Fraction], sym: str) -> str:
@@ -469,39 +460,3 @@ def _render(p: list[Fraction], sym: str) -> str:
     for negative, body in parts[1:]:
         out += (" - " if negative else " + ") + body
     return out
-
-
-def parse_algebraic(field: ModulusField, text: str) -> AlgebraicNumber:
-    """Parse the L-polynomial grammar of AlgebraicNumber.render(); a bad term,
-    or a power of L at or above the modulus degree, is a ParseError naming it."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty algebraic-number literal")
-    # split into signed terms
-    terms: list[str] = []
-    buf = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-*/^" and buf.strip():
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
-    degree = rp.degree(field.modulus)
-    coeffs: dict[int, Fraction] = {}
-    for t in terms:
-        m = _TERM_RE.match(t)
-        bad = f"bad term in algebraic-number literal: {t.strip()!r}"
-        # a coefficient, an L-part or both; a "*" only between the two
-        if not m or not (m["coeff"] or m["lpart"]) or m["star"] and not (m["coeff"] and m["lpart"]):
-            raise ParseError(bad)
-        try:
-            coeff = Fraction(m["coeff"] or 1) * (-1 if m["sign"] == "-" else 1)
-            k = int(m["exp"] or 1) if m["lpart"] else 0
-        except ValueError as exc:  # a number past int()'s digit limit
-            raise ParseError(f"{bad} ({exc})") from exc
-        if k >= degree:  # render() never writes one; refused before a list of k entries
-            raise ParseError(f"{bad} (exponent {k} is not below the modulus degree {degree})")
-        coeffs[k] = coeffs.get(k, Fraction(0)) + coeff
-    n = max(coeffs) + 1
-    return field.element([coeffs.get(i, Fraction(0)) for i in range(n)])

@@ -22,6 +22,10 @@ squares.  The square table makes this automaton deterministic and
 injective, so the two paths are equivalent iff the walk from one of the
 horizontals that link them at generation p0 = max(|pre_x|, |pre_y|) + 2
 returns to that seed (`rb_equiv`).
+
+Public beyond the CLI: `rb_base_member`, the base sets of R_B that the
+paper's criteria test, and `rb_via_generators` and `enumerate_paths`, the
+benchmark's oracle and path sampler.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import lcm
 from ._record import Frozen, Record
 from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk, _cycles
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
-from .exactnum import HALF, AlgebraicNumber
+from .exactnum import AlgebraicNumber
 
 
 # -- finite prefixes --------------------------------------------------------------
@@ -168,10 +172,6 @@ class EventuallyPeriodicPath:
         phase = (len(self.pre) + 2 + shift) % L
         return (best, phase)
 
-    def is_minimal(self) -> bool:
-        d = self.diagram
-        return all(e == d.min_edge_into(d.verticals[e].rng).index for e in self.pre + self.cycle)
-
     def is_maximal(self) -> bool:
         d = self.diagram
         return all(e == d.max_edge_into(d.verticals[e].rng).index for e in self.pre + self.cycle)
@@ -222,14 +222,6 @@ class PatchTile(Frozen):
     def __init__(self, name: str, base: str, collared: bool, left: AlgebraicNumber, right: AlgebraicNumber):
         self._fill(name, base, collared, left, right)
 
-    @property
-    def center(self) -> AlgebraicNumber:
-        return (self.left + self.right).scale(HALF)
-
-    @property
-    def length(self) -> AlgebraicNumber:
-        return self.right - self.left
-
 
 class DecodedPatch(Record):
     """A list of PatchTile, puncture_index the punctured one's; offset u(gamma), the center of the
@@ -244,17 +236,11 @@ class DecodedPatch(Record):
     def word(self) -> str:
         return "".join(t.name for t in self.tiles)
 
-    def base_word(self) -> str:
-        return "".join(t.base for t in self.tiles)
-
     def word_marked(self) -> str:
         out = []
         for i, t in enumerate(self.tiles):
             out.append(t.name + ("̇" if i == self.puncture_index else ""))
         return "".join(out)
-
-    def puncture_positions(self) -> list[AlgebraicNumber]:
-        return [t.center for t in self.tiles]
 
 
 # Most tiles decode and decode_collared build.  The tile count grows like
@@ -509,11 +495,6 @@ class RbWitness(Record):
 
     def __init__(self, n0: int, chain: tuple[int, ...], translation: AlgebraicNumber):
         self.n0, self.chain, self.translation = n0, chain, translation
-
-    def h_at(self, n: int) -> int:
-        if n < self.n0:
-            raise ValueError("witness chain starts at generation n0")
-        return self.chain[(n - self.n0) % len(self.chain)]
 
 
 def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness | None:

@@ -33,10 +33,6 @@ def poly(coeffs: Iterable) -> Poly:
     return p
 
 
-def degree(p: Sequence[Fraction]) -> int:
-    return len(p) - 1
-
-
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
     """p * q of Fraction polynomials with no trailing zero: nor has the product, lc(p) lc(q) != 0."""
     out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []

@@ -306,11 +306,6 @@ class CollaredSubstitution:
         for cl in self.collared_alphabet:
             self.collared_rules[cl.index] = self._expand(cl)
 
-    @cached_property
-    def collared_abelianization(self) -> list[list[int]]:
-        """The abelianization of the collared rules, formed on first use: a build never reads it."""
-        return abelianization(self.collared_rules, len(self.collared_alphabet))
-
     def _expand(self, cl: CollaredLetter) -> tuple[int, ...]:
         base = self.base
         w = base.rules[cl.left] + base.rules[cl.core] + base.rules[cl.right]
@@ -335,10 +330,6 @@ class CollaredSubstitution:
 
     def rule_name(self, index: int) -> str:
         return "".join(self.name_of(y) for y in self.collared_rules[index])
-
-
-def collared_substitution(sub: Substitution) -> CollaredSubstitution:
-    return CollaredSubstitution(sub)
 
 
 # -- spec file grammar ----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from bratteli.diagram import build_diagram
 from bratteli.errors import BratteliError
 from bratteli.fixtures import doubling, load_fixture
+from bratteli.paths import enumerate_paths
 from bratteli.substitution import parse_spec
 
 # Deterministic "random primitive 3-letter substitution": first success of a
@@ -61,6 +62,15 @@ def frozen_bench_specs() -> list[dict]:
 
 # Seeds of the random family that the properties below are also checked on.
 RANDOM_FAMILY_SEEDS = range(20)
+
+
+def nonempty_paths(diagram, pre_limit: int, cycle_limit: int = 2):
+    """enumerate_paths with the cycle bound raised to the shortest vertex
+    cycle where that is longer, so that no diagram's sample is empty (a
+    primitive diagram has a cycle through every vertex)."""
+    while not (paths := enumerate_paths(diagram, pre_limit, cycle_limit)):
+        cycle_limit += 1
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,12 @@ from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
 from bratteli import ratpoly as rp
-from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, _cycle_walk
+from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, _cycle_walk, build_diagram
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.paths import DecodedPatch, PatchTile, _trace, u_of_prefix, vershik_successor
 from bratteli.ratpoly import Poly, mul, poly
-from bratteli.substitution import CollaredLetter, CollaredSubstitution, LetterLayout, _default_name, legal_words
+from bratteli.substitution import CollaredLetter, CollaredSubstitution, LetterLayout, _default_name, legal_words, parse_spec
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -613,6 +613,12 @@ def extremes_by_predecessor_map(diagram, minimal: bool):
     return paths
 
 
+def is_minimal(x) -> bool:
+    """Every edge of x is the leftmost into its range."""
+    d = x.diagram
+    return all(e == d.min_edge_into(d.verticals[e].rng).index for e in x.pre + x.cycle)
+
+
 def pairing_by_diagram_cycles(diagram):
     """The pairing psi by enumerating every simple cycle of composable
     canonical recurrent squares and sorting each cycle's two columns into
@@ -637,8 +643,8 @@ def pairing_by_diagram_cycles(diagram):
             rpath = EventuallyPeriodicPath(
                 diagram, diagram.verticals[right[0]].src, [], right
             )
-            lmin, lmax = lpath.is_minimal(), lpath.is_maximal()
-            rmin, rmax = rpath.is_minimal(), rpath.is_maximal()
+            lmin, lmax = is_minimal(lpath), lpath.is_maximal()
+            rmin, rmax = is_minimal(rpath), rpath.is_maximal()
             if lmin and rmax and not (lmax and rmin):
                 mx, mn = rpath, lpath
             elif rmin and lmax:
@@ -723,7 +729,7 @@ def glued_translation(x, y, witness, depth: int, full_decode: bool = False):
 
     d = x.diagram
     n = max(depth, witness.n0)
-    h = d.horizontals[witness.h_at(n)]
+    h = d.horizontals[witness.chain[(n - witness.n0) % len(witness.chain)]]
     if full_decode:
         px, py = decode(x.prefix(n)), decode(y.prefix(n))
         x_left, x_right = px.left, px.right
@@ -988,6 +994,15 @@ def export_json_by_dumps(diagram: BratteliDiagram) -> str:
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def diagram_from_export(blob: str) -> BratteliDiagram:
+    """The diagram rebuilt from the `spec` section of its JSON export alone."""
+    spec = json.loads(blob)["spec"]
+    lines = ["letters: " + " ".join(spec["letters"])]
+    lines += [f"rule {a}: " + " ".join(spec["rules"][a]) for a in spec["letters"]]
+    lines.append("collar-names: " + " ".join(spec["collar-names"]))
+    return build_diagram(parse_spec("\n".join(lines), check_aperiodicity=False))
 
 
 def layouts_by_offsets(sub) -> dict[int, LetterLayout]:

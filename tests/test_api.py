@@ -40,16 +40,13 @@ PUBLIC_NAMES = [
     "UnpairedExtreme",
     "VerticalTemplate",
     "af_equiv",
-    "af_region",
     "aperiodicity_screen",
     "build_diagram",
     "classify_GF",
     "collar_alphabet",
-    "collared_substitution",
     "decode",
     "decode_collared",
     "diagram_chains",
-    "diagram_from_json",
     "enumerate_paths",
     "escape_depth",
     "export_dot",
@@ -59,9 +56,7 @@ PUBLIC_NAMES = [
     "hypothesis_check",
     "legal_words",
     "load_fixture",
-    "minimality_horizon",
     "pair_extremes",
-    "parse_algebraic",
     "parse_path",
     "parse_spec",
     "patch_size",

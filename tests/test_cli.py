@@ -268,6 +268,14 @@ def test_analyze_unprintable_depth_exits_2_at_once(capsys, tmp_path):
     assert code == 0 and "verdict:" in out
 
 
+def test_rb_unprintable_translation_exits_2_at_once(capsys, monkeypatch):
+    long_x = "root=a; " + "ab bd da " * 7500 + "(ac ca)"  # p0 = 22502: lambda^22501 has 4703 digits
+    monkeypatch.setattr(cli, "rb_equiv", None)  # refused before the decision
+    code, out, err = run(capsys, "rb", "--fixture", "fibonacci", "--x", long_x, "--y", "root=a; (ac ca)")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: rb at depth 22502 would print numbers of up to \d+ digits, above the limit of \d+\n", err)
+
+
 def test_analyze_total_output_bound(capsys, tmp_path, monkeypatch):
     argv = ["analyze", "--fixture", "fibonacci", "--x", "root=a; (ab bd da)", "--depth", "12"]
     code, out, _ = run(capsys, *argv)

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from bratteli import ratpoly as rp
 from bratteli.diagram import export_json
-from bratteli.errors import FieldMismatch, NoRootAboveOne, ParseError
+from bratteli.errors import FieldMismatch, NoRootAboveOne
 from bratteli.exactnum import (
     AlgebraicNumber,
     ModulusField,
     _render,
-    parse_algebraic,
 )
 from bratteli.substitution import parse_spec
 
@@ -161,34 +160,12 @@ def test_zero_and_one_built_once_per_field(fib_field):
     assert fib_field.one.coeffs == fib_field.rational(1).coeffs
 
 
-def test_render_and_parse(fib_field):
+def test_render(fib_field):
     phi = fib_field.lam()
-    val = (phi + 1).scale(Fraction(1, 2))
-    assert val.render() == "1/2 + 1/2*L"
-    assert parse_algebraic(fib_field, "1/2 + 1/2*L").equals(val)
-    assert parse_algebraic(fib_field, "-L").equals(-phi)
-    assert parse_algebraic(fib_field, "2 - 3/2*L").equals(fib_field.rational(2) - phi.scale(Fraction(3, 2)))
+    assert (phi + 1).scale(Fraction(1, 2)).render() == "1/2 + 1/2*L"
+    assert (-phi).render() == "-L"
+    assert (fib_field.rational(2) - phi.scale(Fraction(3, 2))).render() == "2 - 3/2*L"
     assert fib_field.zero.render() == "0"
-    cubic = ModulusField([1, 0, -2, 1])
-    v = cubic.element([0, 0, Fraction(1, 3)])
-    assert parse_algebraic(cubic, v.render()).equals(v)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1/0",  # zero denominator
-        "1 2",  # a space inside a term
-        "2*",  # "*" with nothing after it
-        "*L",  # "*" with nothing before it
-        "L^2",  # exponent at the modulus degree
-        "\u0663",  # a digit outside ASCII
-        pytest.param("1 + L^" + "9" * 5000, id="huge-exponent"),  # past int()'s digit limit
-    ],
-)
-def test_parse_algebraic_refuses_bad_terms(fib_field, text):
-    with pytest.raises(ParseError, match="bad term in algebraic-number literal: '"):
-        parse_algebraic(fib_field, text)
 
 
 def test_lam_power_digits_bounds_the_integer_part(all_diagrams, random_diagrams):
@@ -331,7 +308,7 @@ def reference_sign(a) -> int:
     if not p:
         return 0
     g = gcd(p, f._reduced)
-    if rp.degree(g) >= 1 and rp.count_roots_halfopen(g, f.lo, f.hi) >= 1:
+    if len(g) >= 2 and rp.count_roots_halfopen(g, f.lo, f.hi) >= 1:
         return 0
     k = 0
     while True:
@@ -565,14 +542,6 @@ def test_refined_matches_sturm_bisection(charpolys, k):
     expected = reference_levels(f, k)
     assert interval(f, k) == expected[k]
     assert [interval(f, j) for j in range(k + 1)] == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_parse_render_round_trip(data):
-    f = ModulusField(data.draw(st.sampled_from([GOLDEN, RAND3_CHARPOLY, GOLDEN_TIMES_SQRT2])))
-    x = data.draw(elements(f))
-    assert parse_algebraic(f, x.render()).coeffs == x.coeffs
 
 
 @settings(max_examples=100, deadline=None)

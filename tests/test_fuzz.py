@@ -1,17 +1,12 @@
-"""Mutation fuzz of the four text parsers: whatever a user can type into
+"""Mutation fuzz of the two text parsers: whatever a user can type into
 them, only a BratteliError (exit 2 at the CLI) may come out."""
 
 from __future__ import annotations
 
-import json
-
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bratteli.diagram import build_diagram, diagram_from_json, export_json
 from bratteli.errors import BratteliError
-from bratteli.exactnum import ModulusField, parse_algebraic
 from bratteli.fixtures import DOUBLING_SPEC, FIBONACCI_SPEC, THUE_MORSE_SPEC
 from bratteli.paths import parse_path
 from bratteli.substitution import parse_spec
@@ -43,11 +38,6 @@ def only_bratteli_errors(parse, text):
         pass
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return ModulusField([-1, -1, 1])
-
-
 @FUZZ
 @given(mutated([FIBONACCI_SPEC, THUE_MORSE_SPEC, DOUBLING_SPEC, RAND3_SPEC]))
 def test_parse_spec_fuzz(text):
@@ -61,47 +51,3 @@ def test_parse_spec_fuzz(text):
 def test_parse_path_fuzz(fib, dyadic, text):
     for diagram in (fib, dyadic):
         only_bratteli_errors(lambda t: parse_path(diagram, t), text)
-
-
-@FUZZ
-@given(text=mutated(["1/2 + 1/2*L", "-1 + L", "3/4*L - 2", "0"]))
-def test_parse_algebraic_fuzz(golden, text):
-    only_bratteli_errors(lambda t: parse_algebraic(golden, t), text)
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.text(NOISE, max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(NOISE, max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@st.composite
-def mutated_json(draw, payload):
-    """The payload with one node, picked by a walk from the top, replaced by
-    a small JSON value or removed."""
-    payload = json.loads(json.dumps(payload))
-    node, key = None, None
-    obj = payload
-    while isinstance(obj, (dict, list)) and obj and draw(st.booleans()):
-        node = obj
-        key = draw(st.sampled_from(sorted(obj) if isinstance(obj, dict) else range(len(obj))))
-        obj = obj[key]
-    if node is None:
-        return json.dumps(draw(json_values))
-    if draw(st.booleans()):
-        node[key] = draw(json_values)
-    else:
-        del node[key]
-    return json.dumps(payload)
-
-
-FIB_JSON = json.loads(export_json(build_diagram(parse_spec(FIBONACCI_SPEC))))
-
-
-@FUZZ
-@example("[" * 10**5)  # nested past the recursion limit
-@example('{"spec": ' + "9" * 5000 + "}")  # a number past int()'s digit limit
-@given(mutated_json(FIB_JSON) | mutated([json.dumps(FIB_JSON)]))
-def test_diagram_from_json_fuzz(text):
-    only_bratteli_errors(diagram_from_json, text)

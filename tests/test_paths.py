@@ -13,7 +13,7 @@ from bratteli.exactnum import AlgebraicNumber
 from bratteli.analysis import gap_profile
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from bratteli.fixtures import load_fixture
-from bratteli.substitution import parse_spec
+from bratteli.substitution import abelianization, parse_spec
 from bratteli.paths import (
     MAX_DECODE_TILES,
     TILE_COUNT_CEILING,
@@ -36,6 +36,7 @@ from bratteli.paths import (
     vershik_successor,
 )
 
+from conftest import nonempty_paths
 from oracles import (
     af_equiv_window,
     decode_by_elements,
@@ -43,6 +44,7 @@ from oracles import (
     extremes_by_predecessor_map,
     gaps_by_layout_elements,
     glued_translation,
+    is_minimal,
     pairing_by_diagram_cycles,
     rb_chain_by_all_phases,
     vershik_positions_by_elements,
@@ -77,7 +79,7 @@ def test_decode_fibonacci_word(fib):
     patch = decode(parse_path(fib, "root=a; ac ca ab"))
     assert patch.word() == "adbad"
     assert patch.puncture_index == 0
-    assert patch.base_word() == "01001"
+    assert "".join(t.base for t in patch.tiles) == "01001"
     assert patch.word_marked() == "ȧdbad"
     assert patch.offset.equals(fib.lam)  # u = 1/(2phi)(1 + phi + phi^2) = phi
 
@@ -155,7 +157,7 @@ def test_patch_geometry_matches_the_element_routes(all_diagrams, random_diagrams
     many representatives.  Inside a patch, one object is each tile's right
     end and the next tile's left end."""
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
-        xs = enumerate_paths(d, 1, 2)
+        xs = nonempty_paths(d, 1)
         for x in xs[:: max(1, len(xs) // 3)]:
             for depth in (1, 2, 4):
                 gamma = x.prefix(depth)
@@ -195,7 +197,7 @@ def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, a
 
     monkeypatch.setattr(paths, "u_of_prefix", translation)
     for d in (*all_diagrams.values(), *reducible_diagrams):
-        for x in enumerate_paths(d, 1, 2)[:4]:
+        for x in nonempty_paths(d, 1)[:4]:
             decode(x.prefix(4))
             decode_collared(x.prefix(3))
             gap_profile(x.prefix(8))
@@ -210,7 +212,7 @@ def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, a
 
 def test_decode_collared_fibonacci_root(fib):
     patch = decode_collared(parse_path(fib, "root=a;"))
-    assert patch.base_word() == "001"
+    assert "".join(t.base for t in patch.tiles) == "001"
     assert patch.puncture_index == 1
     assert patch.tiles[1].name == "a" and patch.tiles[1].collared
 
@@ -250,10 +252,11 @@ def test_patch_size_matches_collared_counts(all_diagrams, random_diagrams):
     # count read off the base abelianization equals the collared one's
     for d in (*all_diagrams.values(), *random_diagrams):
         csub = d.csub
+        collared = abelianization(csub.collared_rules, len(d.vertices))
         for x in extremal_paths(d)[0]:
             for n in (1, 2, 5, 9, 60):
                 cl = csub.collared_alphabet[x.vertex_at(n)]
-                core = expanded_length_by_powers(csub.collared_abelianization, cl.index, n - 1)
+                core = expanded_length_by_powers(collared, cl.index, n - 1)
                 sides = sum(expanded_length_by_powers(csub.base.abelianization, y, n - 1) for y in (cl.left, cl.right))
                 assert patch_size(x, depth=n) == min(core, TILE_COUNT_CEILING + 1)
                 assert patch_size(x, collared=True, depth=n) == min(core + sides, TILE_COUNT_CEILING + 1)
@@ -310,7 +313,7 @@ def test_extremal_paths_fibonacci(fib):
     assert sorted(render_path(p) for p in mins) == ["root=a; (ac ca)", "root=c; (ca ac)"]
     assert sorted(render_path(p) for p in maxs) == ["root=b; (bd db)", "root=d; (db bd)"]
     for p in mins:
-        assert p.is_minimal() and not p.is_maximal()
+        assert is_minimal(p) and not p.is_maximal()
     for p in maxs:
         assert p.is_maximal()
 
@@ -401,7 +404,7 @@ def test_vershik_successor_example(fib):
     assert py.puncture_index == px.puncture_index + 1
     step = u_of_prefix(x.prefix(6)) - u_of_prefix(y.prefix(6))
     tiles = (px.tiles[px.puncture_index], px.tiles[px.puncture_index + 1])
-    assert step.equals((tiles[0].length + tiles[1].length).scale(Fraction(1, 2)))
+    assert step.equals((tiles[0].right - tiles[0].left + tiles[1].right - tiles[1].left).scale(Fraction(1, 2)))
 
 
 def orbit_step_checks(diagram, seed_literal, steps, decode_first=3):
@@ -581,8 +584,8 @@ def test_rb_reflexive_symmetric_sample(fib):
 
 
 def _sampled_pairs(diagram, k=200, seed=18):
-    """A seeded sample of k ordered pairs of enumerate_paths(diagram, 2, 2)."""
-    ps = enumerate_paths(diagram, 2, 2)
+    """A seeded sample of k ordered pairs of nonempty_paths(diagram, 2)."""
+    ps = nonempty_paths(diagram, 2)
     pairs = list(product(ps, ps))
     return random.Random(seed).sample(pairs, min(k, len(pairs)))
 
@@ -679,7 +682,7 @@ AMBIGUOUS_NAMES_SPEC = "letters: 0 1\nrule 0: 0 1\nrule 1: 0\ncollar-names: x xy
 def test_rendered_literals_parse_back(all_diagrams, random_diagrams):
     ambiguous = build_diagram(parse_spec(AMBIGUOUS_NAMES_SPEC))
     for d in (*all_diagrams.values(), *random_diagrams, ambiguous):
-        for p in enumerate_paths(d, 3, 3):
+        for p in nonempty_paths(d, 3, 3):
             assert parse_path(d, render_path(p)) == p, render_path(p)
     labels = [ambiguous.edge_label(e) for e in ambiguous.verticals]
     assert "x>yz" in labels and "xy>z" in labels and "xyz" not in labels
@@ -723,7 +726,7 @@ def test_collared_decode_injective_on_prefixes(fib, tm):
         seen = {}
         for g in all_prefixes(diagram, 4):
             pc = decode_collared(g)
-            key = (pc.base_word(), pc.puncture_index)
+            key = ("".join(t.base for t in pc.tiles), pc.puncture_index)
             assert key not in seen, (g, seen[key])
             seen[key] = g
     plain = {}

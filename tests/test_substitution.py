@@ -21,11 +21,12 @@ from bratteli.exactnum import AlgebraicNumber, ModulusField
 from bratteli.fixtures import DOUBLING_SPEC, FIXTURES, doubling, load_fixture
 from bratteli.ratpoly import charpoly
 from bratteli.substitution import (
+    CollaredSubstitution,
     Letter,
     Substitution,
+    abelianization,
     aperiodicity_screen,
     collar_alphabet,
-    collared_substitution,
     legal_words,
     parse_spec,
     perron_lengths,
@@ -130,7 +131,7 @@ square_matrices = st.integers(min_value=1, max_value=7).flatmap(
 @given(square_matrices)
 @example([[1, 1], [1, 0]])
 @example([[1, 0], [0, 1]])
-@example(collared_substitution(load_fixture("fibonacci")).collared_abelianization)
+@example(abelianization(CollaredSubstitution(load_fixture("fibonacci")).collared_rules, 4))
 def test_primitivity_index_oracle(m):
     expected = primitivity_by_powers(m, (len(m) - 1) ** 2 + 1)  # None: not primitive
     if expected is None:
@@ -154,7 +155,7 @@ def substitution_of(m):
 @given(primitive_matrices)
 @example([[1, 1], [1, 0]])
 @example([[2]])
-@example(collared_substitution(load_fixture("thue-morse")).collared_abelianization)
+@example(abelianization(CollaredSubstitution(load_fixture("thue-morse")).collared_rules, 6))
 def test_charpoly_and_adjugate_match_fraction_oracle(m):
     n = len(m)
     coeffs, adjugate = charpoly(m)
@@ -425,19 +426,19 @@ def test_collar_alphabet_single_letter():
 
 
 def test_collared_substitution_fibonacci():
-    csub = collared_substitution(load_fixture("fibonacci"))
+    csub = CollaredSubstitution(load_fixture("fibonacci"))
     rules = {csub.name_of(i): csub.rule_name(i) for i in range(4)}
     assert rules == {"a": "cd", "b": "ad", "c": "ad", "d": "b"}
 
 
 def test_collared_substitution_thue_morse():
-    csub = collared_substitution(load_fixture("thue-morse"))
+    csub = CollaredSubstitution(load_fixture("thue-morse"))
     rules = {csub.name_of(i): csub.rule_name(i) for i in range(6)}
     assert rules == {"a": "bf", "b": "ec", "c": "de", "d": "fa", "e": "bc", "f": "da"}
 
 
 def test_collared_substitution_single_letter():
-    csub = collared_substitution(doubling())
+    csub = CollaredSubstitution(doubling())
     assert csub.rule_name(0) == csub.name_of(0) * 2
 
 

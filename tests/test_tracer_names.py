@@ -77,7 +77,7 @@ def test_tracer_plans_on_a_fresh_import_as_the_harness_makes_it():
 
 
 def test_fresh_interpreter_imports_no_dataclasses_and_every_traced_module():
-    """The CLI's import does not load `dataclasses`, and it loads every
+    """The CLI's import loads neither `dataclasses` nor `json`, and it loads every
     module the tracer wraps."""
     modules = sorted({module for _, module, _ in load_tracer().SPANS})
     code = "import sys, bratteli.cli; print(' '.join(sorted(sys.modules)))"
@@ -85,4 +85,5 @@ def test_fresh_interpreter_imports_no_dataclasses_and_every_traced_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
     assert "dataclasses" not in loaded
+    assert "json" not in loaded
     assert set(modules) <= loaded, set(modules) - loaded
