@@ -17,6 +17,7 @@ from .errors import BratteliError
 from .fixtures import FIXTURES, load_fixture
 from .paths import (
     EventuallyPeriodicPath,
+    af_equiv,
     decode,
     decode_collared,
     extremal_paths,
@@ -286,13 +287,25 @@ def cmd_vershik(args) -> int:
     return 0
 
 
+def _translation_depth(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> int:
+    """The generation whose power of lambda bounds the translation rb prints:
+    p0 = max(|pre_x|, |pre_y|) + 2, where it is formed.  For a tail-equivalent
+    pair the surviving seed is the trivial loop, so the translation sums only
+    the generations up to the last one before p0 at which the two edges
+    differ (1 if none)."""
+    p0 = max(len(x.pre), len(y.pre)) + 2
+    if not af_equiv(x, y):
+        return p0
+    return next((n for n in range(p0 - 1, 1, -1) if x.edge_index_at(n) != y.edge_index_at(n)), 1)
+
+
 def cmd_rb(args) -> int:
     diagram = build_diagram(_load(args))
     x = parse_path(diagram, args.x)
     y = parse_path(diagram, args.y)
     if not isinstance(x, EventuallyPeriodicPath) or not isinstance(y, EventuallyPeriodicPath):
         raise BratteliError("rb needs eventually periodic paths (add cycles)")
-    _refuse_unprintable(diagram, "rb", max(len(x.pre), len(y.pre)) + 2, 1)  # the translation, formed at p0
+    _refuse_unprintable(diagram, "rb", _translation_depth(x, y), 1)
     witness = rb_equiv(x, y)
     if witness is None:
         print("not equivalent: None")

@@ -123,6 +123,7 @@ class BratteliDiagram:
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
         self._pairing = None
+        self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
 
     # -- lookups ---------------------------------------------------------------
 

@@ -21,7 +21,9 @@ two paths' vertices and whose transitions are the zero-residual commutative
 squares.  The square table makes this automaton deterministic and
 injective, so the two paths are equivalent iff the walk from one of the
 horizontals that link them at generation p0 = max(|pre_x|, |pre_y|) + 2
-returns to that seed (`rb_equiv`).
+returns to that seed (`rb_equiv`).  That walk reads only the two tails
+aligned at p0, so each diagram walks each aligned tail pair once and keeps
+its verdict.
 
 Public beyond the CLI: `rb_base_member`, the base sets of R_B that the
 paper's criteria test, and `rb_via_generators` and `enumerate_paths`, the
@@ -519,20 +521,51 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
     +-(l_A + l_B)/2.  Two surviving walks would give the pair two witness
     translations that differ by lambda^(p0-1) (c(h) - c(h')) != 0, a
     period of the tiling, which an aperiodic substitution does not have.
+
+    The verdict and the chain depend only on the two tails aligned at p0:
+    the seeds are read at p0 and the steps at generations above p0, and all
+    of these edges lie in the cycles.  So the walk is memoised on the
+    diagram, keyed by the two cycles each rotated to start with its edge at
+    p0; the memo holds at most one entry, the chain or None, per distinct
+    aligned tail pair queried, and has no eviction and no option.  n0 = p0
+    and the translation are formed per pair.
     """
     _same_diagram(x, y)
     d = x.diagram
     p0 = max(len(x.pre), len(y.pre)) + 2
-    seeds = d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)))
+    key = (_aligned_cycle(x, p0), _aligned_cycle(y, p0))
+    try:
+        chain = d._rb_chains[key]
+    except KeyError:
+        chain = d._rb_chains[key] = _rb_chain(d, *key)
+    if chain is None:
+        return None
+    a0 = rb_base_translation(x.prefix(p0), y.prefix(p0), chain[0])
+    a1 = rb_base_translation(x.prefix(p0 + len(chain)), y.prefix(p0 + len(chain)), chain[0])
+    assert (a0 - a1).is_zero(), "translation must be generation independent"
+    return RbWitness(n0=p0, chain=chain, translation=-a0)
+
+
+def _aligned_cycle(x: EventuallyPeriodicPath, n: int) -> tuple[int, ...]:
+    """x's cycle rotated to start with its edge at generation n, where x is periodic."""
+    r = (n - 2 - len(x.pre)) % len(x.cycle)
+    return x.cycle[r:] + x.cycle[:r]
+
+
+def _rb_chain(d: BratteliDiagram, cx: tuple[int, ...], cy: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The automaton of `rb_equiv` on two tails aligned at p0: cx and cy are the
+    cycles rotated to start at generation p0.  The seeds link the ranges of
+    cx[0] and cy[0], at phase 0; the chain of the surviving seed, or None."""
+    seeds = d.h_by_ends.get((d.verticals[cx[0]].rng, d.verticals[cy[0]].rng))
     if not seeds:
         return None
-    period = lcm(len(x.cycle), len(y.cycle))
+    period = lcm(len(cx), len(cy))
 
     def step(state: tuple[int, int]) -> tuple[int, int] | None:
         phase, h = state
-        n_next = p0 + phase + 1
-        nxt = d.square_table.get((h, x.edge_index_at(n_next), y.edge_index_at(n_next)))
-        return None if nxt is None else ((phase + 1) % period, nxt)
+        phase = (phase + 1) % period
+        nxt = d.square_table.get((h, cx[phase % len(cx)], cy[phase % len(cy)]))
+        return None if nxt is None else (phase, nxt)
 
     chain = None
     for h in seeds:
@@ -541,12 +574,7 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
             assert found[1] == 0, "a surviving walk closes at its seed"
             assert chain is None, "a second surviving seed would give the tiling a period"
             chain = tuple(cur for _, cur in found[0])
-    if chain is None:
-        return None
-    a0 = rb_base_translation(x.prefix(p0), y.prefix(p0), chain[0])
-    a1 = rb_base_translation(x.prefix(p0 + len(chain)), y.prefix(p0 + len(chain)), chain[0])
-    assert (a0 - a1).is_zero(), "translation must be generation independent"
-    return RbWitness(n0=p0, chain=chain, translation=-a0)
+    return chain
 
 
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bratteli import cli
+from bratteli import cli, paths
 from bratteli.cli import main
 from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
 from bratteli.fixtures import FIBONACCI_SPEC
@@ -273,7 +273,39 @@ def test_rb_unprintable_translation_exits_2_at_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "rb_equiv", None)  # refused before the decision
     code, out, err = run(capsys, "rb", "--fixture", "fibonacci", "--x", long_x, "--y", "root=a; (ac ca)")
     assert (code, out) == (2, "")
-    assert re.fullmatch(r"error: rb at depth 22502 would print numbers of up to \d+ digits, above the limit of \d+\n", err)
+    assert re.fullmatch(r"error: rb at depth 22501 would print numbers of up to \d+ digits, above the limit of \d+\n", err)
+
+
+def test_rb_bounds_a_tail_equivalent_pair_where_its_edges_last_differ(capsys, monkeypatch):
+    # p0 = 3002 and lambda^3001 passes 640 digits, but x and x cancel at every generation
+    long_x = "root=a; " + "ab bd da " * 1000 + "(ac ca)"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "rb", "--fixture", "fibonacci", "--x", long_x, "--y", long_x)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "equivalent"
+        assert out.splitlines()[-1] == "translation a(x,y): 0 = 0.000000"
+        monkeypatch.setattr(cli, "rb_equiv", None)  # refused before the decision
+        code, out, err = run(capsys, "rb", "--fixture", "fibonacci", "--x", long_x, "--y", "root=a; (ac ca)")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: rb at depth 3001 would print numbers of up to \d+ digits, above the limit of 640\n", err)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_no_rb_memo_outlives_a_cli_command(capsys, monkeypatch):
+    # each command builds its own diagram, so each one walks the automaton afresh
+    walks = []
+    walk = paths._cycle_walk
+    monkeypatch.setattr(paths, "_cycle_walk", lambda start, step: walks.append(start) or walk(start, step))
+    command = next(c for c in readme_commands() if c.startswith("bratteli rb "))
+    counts = []
+    for _ in range(2):
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert (code, sha256(out.encode()).hexdigest()) == (0, README_SHA256[command])
+        counts.append(len(walks))
+    assert counts[0] > 0 and counts[1] == 2 * counts[0]  # the second call walks as much as the first
 
 
 def test_analyze_total_output_bound(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from bratteli import cli, paths
-from bratteli.diagram import build_diagram
+from bratteli.diagram import BratteliDiagram, build_diagram
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.analysis import gap_profile
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
@@ -590,17 +590,34 @@ def _sampled_pairs(diagram, k=200, seed=18):
     return random.Random(seed).sample(pairs, min(k, len(pairs)))
 
 
+def _aligned_tails(x, y):
+    """The edges of x and of y at generations p0 .. p0 + |cycle| - 1: the pair's
+    aligned tails, which rb_equiv's memo is keyed by."""
+    p0 = max(len(x.pre), len(y.pre)) + 2
+    return tuple(tuple(p.edge_index_at(p0 + k) for k in range(len(p.cycle))) for p in (x, y))
+
+
+def _on(diagram, p):
+    """The path p laid on another diagram of the same collared substitution."""
+    return EventuallyPeriodicPath(diagram, p.root, p.pre, p.cycle)
+
+
 def test_rb_equiv_matches_the_all_phase_oracle(monkeypatch, fib, tm, rand3, random_diagrams):
     # only (n0, chain) is compared; criteria 8 and 9 check the translation
     monkeypatch.setattr(paths, "rb_base_translation", lambda gamma, gamma2, h: gamma.diagram.field.zero)
     equivalent = 0
-    for d in (fib, tm, rand3, *random_diagrams):
-        for x, y in _sampled_pairs(d):
-            w, expected = rb_equiv(x, y), rb_chain_by_all_phases(x, y)
-            assert (w and (w.n0, w.chain)) == expected, (render_path(x), render_path(y))
-            if w is not None:
+    for fixture in (fib, tm, rand3, *random_diagrams):
+        d = BratteliDiagram(fixture.csub)  # shared by the pairs, so its memo stays warm
+        pairs = _sampled_pairs(d)
+        for x, y in pairs:
+            expected = rb_chain_by_all_phases(x, y)
+            cold = BratteliDiagram(d.csub)  # built for this pair: its memo is empty
+            for w in (rb_equiv(x, y), rb_equiv(_on(cold, x), _on(cold, y))):
+                assert (w and (w.n0, w.chain)) == expected, (render_path(x), render_path(y))
+            if expected is not None:
                 equivalent += 1
-                assert w.n0 == max(len(x.pre), len(y.pre)) + 2
+                assert expected[0] == max(len(x.pre), len(y.pre)) + 2
+        assert set(d._rb_chains) == {_aligned_tails(x, y) for x, y in pairs}  # one entry per aligned tail pair
     assert equivalent >= 200
 
 
@@ -609,15 +626,22 @@ def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):
     walk = paths._cycle_walk
     monkeypatch.setattr(paths, "_cycle_walk", lambda start, step: seeds.append(start) or walk(start, step))
     later_phase_seeds = 0
-    for d in (fib, tm, rand3):
+    key_seeds = []  # the phase-0 seeds of each distinct aligned tail pair
+    for fixture in (fib, tm, rand3):
+        d = BratteliDiagram(fixture.csub)  # a memo that no other test has filled
+        keys = set()
         for x, y in _sampled_pairs(d):
             rb_equiv(x, y)
             p0, period = max(len(x.pre), len(y.pre)) + 2, lcm(len(x.cycle), len(y.cycle))
             later_phase_seeds += sum(
                 len(d.h_by_ends.get((x.vertex_at(p0 + phase), y.vertex_at(p0 + phase)), [])) for phase in range(1, period)
             )
+            if _aligned_tails(x, y) not in keys:
+                keys.add(_aligned_tails(x, y))
+                key_seeds += [(0, h.index) for h in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), [])]
     assert seeds and {phase for phase, _ in seeds} == {0}
     assert later_phase_seeds > 0  # a reseeding of phases 1 .. P-1 would walk from these
+    assert sorted(seeds) == sorted(key_seeds)  # each aligned tail pair is walked once
 
 
 def test_square_table_is_injective(all_diagrams, random_diagrams, reducible_diagrams):
