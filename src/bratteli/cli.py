@@ -21,6 +21,7 @@ from .paths import (
     decode,
     decode_collared,
     extremal_paths,
+    pair_extremes,
     parse_path,
     rb_equiv,
     refuse_large_patch,
@@ -251,7 +252,7 @@ def cmd_extremes(args) -> int:
     for p in maxs:
         print(f"  {render_path(p)}")
     print("pairing psi (max -> min):")
-    for mx, mn in diagram.pair_extremes().pairs:
+    for mx, mn in pair_extremes(diagram).pairs:
         print(f"  {render_path(mx)}  ->  {render_path(mn)}")
     return 0
 

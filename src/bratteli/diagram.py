@@ -122,7 +122,7 @@ class BratteliDiagram:
         assert len(self.square_table) == len(self.squares)  # one h_bot per (h_top, e_left, e_right)
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
-        self._pairing = None
+        self._pairing = None  # paths.pair_extremes, formed on first use
         self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
 
     # -- lookups ---------------------------------------------------------------
@@ -196,13 +196,6 @@ class BratteliDiagram:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
         (the left side L of the square equation), formed on demand."""
         return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
-
-    def pair_extremes(self):
-        from .paths import pair_extremes
-
-        if self._pairing is None:
-            self._pairing = pair_extremes(self)
-        return self._pairing
 
 
 def build_diagram(source: Substitution) -> BratteliDiagram:

@@ -8,8 +8,12 @@ for the *value at lambda*:
 
 * Sturm certificate: `ModulusField(charpoly)`, the one way to build a
   field, takes m monic and square-free; one integer Sturm sequence
-  (`ratpoly.sturm_sequence`) bisects from the Cauchy bound until (lo, hi]
-  holds one root, the same (lo, hi] for the same m: m identifies the field;
+  (`ratpoly.sturm_sequence`) bisects from the Cauchy bound at midpoints
+  until (lo, hi] holds one root, the same (lo, hi] for the same m: m
+  identifies the field.  A midpoint at a root of m is harmless: the counts
+  are half-open, so the root goes with the lower half, and a cut that stays
+  an endpoint is lo, a smaller root that the reduced modulus divides out,
+  or hi, lambda itself, an integer that `ratpoly.integer_roots` finds;
 * refinement: the reduced modulus (m with its rational roots other than
   lambda divided out) is square-free, has no rational root and exactly one
   root in (lo, hi], an irrational simple sign change; so bisection keeps
@@ -88,7 +92,7 @@ class ModulusField:
         rational multiple of a monic integer polynomial.  The modulus is its
         square-free part, by exact division with the last entry of its integer
         Sturm sequence; the modulus's own sequence bisects down from the
-        Cauchy bound until (lo, hi] holds exactly one root."""
+        Cauchy bound, at midpoints, until (lo, hi] holds exactly one root."""
         p = rp.integer_primitive(rp.poly(map(_exact, charpoly)))
         if len(p) < 2:
             raise ValueError("charpoly must have degree >= 1")
@@ -104,7 +108,7 @@ class ModulusField:
         if vlo == vhi:
             raise NoRootAboveOne(f"{_render(m, 'x')} has no real root above 1")
         while vlo - vhi > 1:
-            mid = _cut_avoiding_roots(m, lo, hi)
+            mid = (lo + hi) / 2
             vmid = rp.sign_variations(seq, mid)
             if vmid > vhi:
                 lo, vlo = mid, vmid
@@ -263,14 +267,6 @@ def _power_upper(h: int, d: int, n: int) -> tuple[int, int]:
         base = up(base[0] * base[0], 2 * base[1])
         n >>= 1
     return out
-
-
-def _cut_avoiding_roots(m: rp.IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    for den in (2, 3, 5, 7, 11):
-        cut = lo + (hi - lo) / den
-        if rp.eval_scaled(m, cut.numerator, cut.denominator) != 0:
-            return cut
-    raise AssertionError("could not find a cut avoiding roots")  # > deg(m) tries
 
 
 class AlgebraicNumber:

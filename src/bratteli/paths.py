@@ -430,7 +430,10 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     of a chain of squares: read upward from h, the left column is a maximal
     path and the right column a minimal one.  Each column is looked up by
     its normal-form key among the extremal paths, so no path is built twice.
+    The pairing is formed once per diagram and kept in it.
     """
+    if diagram._pairing is not None:
+        return diagram._pairing
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
     mins, maxs = extremal_paths(diagram)
@@ -454,8 +457,8 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if {p.key() for p in pairs.values()} != set(min_set):
         raise UnpairedExtreme("pairing does not cover every minimal path")
-    ordered = [(max_set[k], pairs[k]) for k in sorted(pairs)]
-    return Pairing(pairs=ordered)
+    diagram._pairing = Pairing(pairs=[(max_set[k], pairs[k]) for k in sorted(pairs)])
+    return diagram._pairing
 
 
 def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
@@ -463,7 +466,7 @@ def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
     exactly one tile to the right.  Maximal paths jump through the pairing."""
     d = x.diagram
     if x.is_maximal():
-        return d.pair_extremes().psi(x)
+        return pair_extremes(d).psi(x)
     flat = x.pre + x.cycle
     # index in flat of the lowest edge that is not maximal: the changed edge
     i = next(k for k, ei in enumerate(flat) if ei != d.max_edge_into(d.verticals[ei].rng).index)
@@ -584,7 +587,7 @@ def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> b
     _same_diagram(x, y)
     if af_equiv(x, y):
         return True
-    for mx, mn in x.diagram.pair_extremes().pairs:
+    for mx, mn in pair_extremes(x.diagram).pairs:
         if af_equiv(x, mx) and af_equiv(y, mn):
             return True
         if af_equiv(y, mx) and af_equiv(x, mn):

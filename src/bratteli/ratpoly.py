@@ -147,7 +147,9 @@ def sign_variations(seq: Sequence[Sequence[int]], x) -> int:
     """Sign changes along the sequence at the rational x, zeros skipped.
     For the Sturm sequence of a square-free p, V(a) - V(b) counts the roots
     in (a, b] with no deflation: at a root c, p is skipped and p' has the
-    sign p takes just above c, so V(c) is V just above c."""
+    sign p takes just above c, so V(c) is V just above c.  A bisection may
+    therefore cut at a root: the counts put it in the lower half (a, c], and
+    no cut has to avoid the roots."""
     signs = [v > 0 for v in (eval_scaled(q, x.numerator, x.denominator) for q in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -186,20 +188,19 @@ def integer_roots(m: Sequence[int]) -> list[int]:
     return sorted(roots)
 
 
-def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list[int]]]]:
-    """det(xI - M) and adj(xI - M) of an integer matrix, by Faddeev-LeVerrier.
-
-    Returns the ascending coefficients of the monic characteristic polynomial
-    c_0 + ... + x^n and the integer matrices B_0..B_(n-1) with adj(xI - M) =
-    sum B_k x^(n-1-k): B_0 = I, B_k = M B_(k-1) + c_(n-k) I, c_(n-k) =
-    -tr(M B_(k-1))/k.  Every division is exact: the c's are integers.
-    """
+def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[IntPoly, list[IntPoly]]:
+    """det(xI - M) and column 0 of adj(xI - M) of an integer matrix, by
+    Faddeev-LeVerrier, O(n^4): adj(xI - M) = sum B_k x^(n-1-k), B_0 = I,
+    B_k = M B_(k-1) + c_(n-k) I, c_(n-k) = -tr(M B_(k-1))/k, and only the
+    current B_k is kept.  Returns the ascending coefficients of the monic
+    c_0 + ... + x^n, integers as every division is exact, and for each row r
+    the n ascending coefficients of adj(xI - M)[r][0], B_(n-1-i)[r][0] at x^i."""
     n = len(matrix)
     coeffs = [0] * n + [1]
     b = [[int(i == j) for j in range(n)] for i in range(n)]
-    adjugate = []
+    firsts = []  # column 0 of B_0, B_1, ...
     for k in range(1, n + 1):
-        adjugate.append(b)
+        firsts.append([row[0] for row in b])
         columns = list(zip(*b))
         a = [[sum(map(operator.mul, row, col)) for col in columns] for row in matrix]
         c = -sum(a[i][i] for i in range(n)) // k
@@ -207,7 +208,7 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> tuple[list[int], list[list[list
         for i in range(n):
             a[i][i] += c
         b = a
-    return coeffs, adjugate
+    return coeffs, [list(reversed(entries)) for entries in zip(*firsts)]
 
 
 def solve_fraction_free(columns: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[IntPoly, int]:

@@ -71,7 +71,7 @@ class Substitution:
                 raise EmptyRule(f"empty rule for letter {a.name!r}")
         self.abelianization = abelianization(self.rules, n)
         primitivity_index(self.abelianization)  # raises NotPrimitive
-        charpoly, self.adjugate = rp.charpoly(self.abelianization)
+        charpoly, self.adjugate_column = rp.charpoly(self.abelianization)
         self.field: ModulusField = ModulusField(charpoly)
         self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
 
@@ -173,13 +173,14 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     vectors over one denominator, l(x) = L_x / D.
 
     (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0, so every
-    column of the adjugate is a right eigenvector; its entries are integer
-    polynomials in lambda read off `sub.adjugate`.  For primitive M the
-    adjugate at the Perron root is entrywise positive (Perron-Frobenius), so
-    column 0 divided by its first entry gives the lengths with one inverse,
-    as integer vectors over one denominator D (`ModulusField.ratios`).  All
-    equations are re-checked afterwards, a nonzero residual vector by the
-    exact zero test, and positivity is asserted.
+    column of the adjugate is a right eigenvector.  Column 0, the integer
+    polynomials `sub.adjugate_column` that `rp.charpoly` returns, is the one
+    read: for primitive M it is entrywise positive at the Perron root
+    (Perron-Frobenius), so divided by its first entry it gives the lengths
+    with one inverse, as integer vectors over one denominator D
+    (`ModulusField.ratios`).  All equations are re-checked afterwards, a
+    nonzero residual vector by the exact zero test, and positivity is
+    asserted.
 
     The check of letter x forms the prefix sums and the span lambda l(x)
     of its layout, so each layout is built and checked once per base letter
@@ -187,9 +188,8 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     """
     f = sub.field
     n = len(sub.alphabet)
-    b = sub.adjugate
     try:
-        den, vecs, spans = f.ratios([[b[n - 1 - j][x][0] for j in range(n)] for x in range(n)])
+        den, vecs, spans = f.ratios(sub.adjugate_column)
     except ZeroDivisionError:
         raise SingularSystem("adjugate column vanishes at lambda; modulus/eigenvalue mismatch") from None
     lengths = {x: f.over(vecs[x], den) if x else f.one for x in range(n)}

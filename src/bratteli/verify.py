@@ -17,7 +17,9 @@ from .analysis import classify_GF
 from .diagram import BratteliDiagram, build_diagram, diagram_chains, hypothesis_check
 from .exactnum import HALF
 from .fixtures import load_fixture
-from .paths import af_equiv, decode, extremal_paths, parse_path, render_path, u_of_prefix, vershik_successor
+from .paths import (
+    af_equiv, decode, extremal_paths, pair_extremes, parse_path, render_path, u_of_prefix, vershik_successor,
+)
 
 
 class CheckResult(Record):
@@ -131,7 +133,7 @@ def _pairing(diagram: BratteliDiagram, expected: dict[str, str]):
     for kind, paths, names in zip(("mins", "maxs"), extremal_paths(diagram), (expected.values(), expected)):
         got = sorted(render_path(p) for p in paths)
         _assert(got == sorted(names), f"{kind} {got}")
-    pairing = diagram.pair_extremes()
+    pairing = pair_extremes(diagram)
     _assert(len(pairing.pairs) == len(expected), f"{len(pairing.pairs)} extremal pairs")
     for mx, mn in pairing.pairs:
         _assert(vershik_successor(mx) == mn, "V(max) must be psi(max)")

@@ -18,9 +18,17 @@ from bratteli import ratpoly as rp
 from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, _cycle_walk, build_diagram
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
-from bratteli.paths import DecodedPatch, PatchTile, _trace, u_of_prefix, vershik_successor
+from bratteli.paths import DecodedPatch, EventuallyPeriodicPath, PatchTile, PathPrefix, _trace, u_of_prefix, vershik_successor
 from bratteli.ratpoly import Poly, mul, poly
-from bratteli.substitution import CollaredLetter, CollaredSubstitution, LetterLayout, _default_name, legal_words, parse_spec
+from bratteli.substitution import (
+    CollaredLetter,
+    CollaredSubstitution,
+    LetterLayout,
+    Substitution,
+    _default_name,
+    legal_words,
+    parse_spec,
+)
 
 
 # -- word combinatorics ---------------------------------------------------------
@@ -173,13 +181,14 @@ def inverse_by_adjugate(a: AlgebraicNumber) -> AlgebraicNumber:
     a = num/s, num integral, and A the product by num modulo the reduced
     modulus deflated by gcd(a, m), Cayley-Hamilton gives A^-1 = -B/c_0 from
     the constant terms of det(xI - A) and adj(xI - A) (`ratpoly.charpoly`,
-    O(d^4)), so 1/a is s A^-1 e_0."""
+    O(d^4)), so 1/a is s A^-1 e_0: -s/c_0 times the constant terms of the
+    adjugate's column 0."""
     columns, s = _deflated_product(a)
     n = len(columns)
-    c, adjugate = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
+    c, column = rp.charpoly([[col[i] if i < len(col) else 0 for col in columns] for i in range(n)])
     if not c[0]:
         raise ZeroDivisionError("element not invertible modulo deflated modulus")
-    return a.field.element([Fraction(-s * row[0], c[0]) for row in adjugate[-1]])
+    return a.field.element([Fraction(-s * entry[0], c[0]) for entry in column])
 
 
 def inverse_by_euclid(a: AlgebraicNumber) -> Poly:
@@ -1036,8 +1045,7 @@ def perron_lengths_by_fractions(sub) -> tuple[dict, dict]:
     f = sub.field
     lam = f.lam()
     n = len(sub.alphabet)
-    b = sub.adjugate
-    col = [f.element([b[n - 1 - j][x][0] for j in range(n)]) for x in range(n)]
+    col = [f.element(c) for c in sub.adjugate_column]
     inv = col[0].inverse()
     lengths = {x: col[x] * inv if x else f.one for x in range(n)}
     layouts = {}
@@ -1208,3 +1216,34 @@ def collar_alphabet_by_3words(sub) -> list[CollaredLetter]:
     names = sub.collar_names or [_default_name(i) for i in range(len(triples))]
     named = sorted(zip(names, triples))
     return [CollaredLetter(i, l, c, r, name) for i, (name, (l, c, r)) in enumerate(named)]
+
+
+# -- metamorphic relations: two runs of the library on two specs ---------------
+
+
+def mirror(sub):
+    """The substitution with every rule reversed: it reflects the tiling.
+    Its abelianization, so its field and tile lengths, are sub's."""
+    return Substitution(list(sub.alphabet), {x: w[::-1] for x, w in sub.rules.items()})
+
+
+def mirror_map(d, m):
+    """The path map from the diagram d to m = build_diagram(mirror(base of d)):
+    the vertex (l, c, r) goes to (r, c, l), and the edge at position pos of
+    sigma_c(rng) to the edge at position |sigma_c(rng)| - 1 - pos of the
+    mirrored image.  Returns the map of eventually periodic paths and that of
+    finite prefixes."""
+    vertex = [m.csub.by_triple[r, c, l] for l, c, r in (cl.triple() for cl in d.csub.collared_alphabet)]
+    edge = []
+    for e in d.verticals:
+        f = m.in_edges[vertex[e.rng]][len(d.csub.collared_rules[e.rng]) - 1 - e.pos]
+        assert f.src == vertex[e.src]
+        edge.append(f.index)
+
+    def path(p):
+        return EventuallyPeriodicPath(m, vertex[p.root], [edge[e] for e in p.pre], [edge[e] for e in p.cycle])
+
+    def prefix(gamma):
+        return PathPrefix(m, vertex[gamma.root], [edge[e] for e in gamma.edges])
+
+    return path, prefix

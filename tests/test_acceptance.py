@@ -17,6 +17,7 @@ from bratteli.paths import (
     decode,
     enumerate_paths,
     extremal_paths,
+    pair_extremes,
     parse_path,
     rb_equiv,
     rb_via_generators,
@@ -160,7 +161,7 @@ def test_criterion_07_extremal_paths_and_pairing(fib, tm):
         "root=a; (af fa)", "root=f; (fa af)", "root=c; (ce ec)", "root=e; (ec ce)",
     }
     for diagram, n_pairs in ((fib, 2), (tm, 4)):
-        pairing = diagram.pair_extremes()
+        pairing = pair_extremes(diagram)
         assert len(pairing.pairs) == n_pairs
         seen_max = {render_path(mx) for mx, _ in pairing.pairs}
         seen_min = {render_path(mn) for _, mn in pairing.pairs}
@@ -226,7 +227,7 @@ def test_criterion_09_cocycle(sample_paths, witnesses):
                 assert w.translation.equals(glued_translation(x, y, w, depth))
             n_checked += 1
         # full letter-by-letter layout for the extremal pairs themselves
-        for mx, mn in diagram.pair_extremes().pairs:
+        for mx, mn in pair_extremes(diagram).pairs:
             w = rb_equiv(mx, mn)
             assert w is not None
             for depth in (5, 6, 7, 8):
@@ -266,7 +267,7 @@ TM_SEEDS = [
 
 def test_criterion_10_vershik_first_return(fib, tm):
     for diagram, seeds in ((fib, FIB_SEEDS), (tm, TM_SEEDS)):
-        pairing = diagram.pair_extremes()
+        pairing = pair_extremes(diagram)
         lengths, core = diagram.csub.base.lengths, diagram.csub.core_of
         for literal in seeds:
             x = parse_path(diagram, literal)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import json
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain, islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -432,8 +434,7 @@ def assert_build_routes_match(d: BratteliDiagram):
     assert export_json(d) == oracles.export_json_by_dumps(d)
     sub = d.csub.base
     assert d.csub.collared_alphabet == oracles.collar_alphabet_by_3words(sub)
-    n = len(sub.alphabet)
-    columns = [[sub.adjugate[n - 1 - j][x][0] for j in range(n)] for x in range(n)]
+    columns = sub.adjugate_column
     assert sub.field.ratios(columns) == oracles.ratios_by_element_inverse(sub.field, columns)
 
     def reps(layout, ends=lambda c: c):
@@ -513,6 +514,36 @@ def test_a_build_forms_each_datum_once(monkeypatch):
     assert encoded and made  # the spies do count
 
 
+def test_pair_extremes_is_formed_once_per_diagram(monkeypatch, all_diagrams):
+    """pair_extremes keeps the pairing in the diagram: a second call returns
+    the same object, and a fresh diagram builds each extremal path once
+    however often the Vershik map and rb_via_generators ask for psi."""
+    made = []
+    init = paths.EventuallyPeriodicPath.__init__
+    monkeypatch.setattr(paths.EventuallyPeriodicPath, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    for d in all_diagrams.values():
+        assert paths.pair_extremes(d) is paths.pair_extremes(d)
+        fresh = BratteliDiagram(d.csub)
+        made.clear()
+        pairing = paths.pair_extremes(fresh)
+        for mx, mn in pairing.pairs:
+            assert paths.vershik_successor(mx) is mn and paths.rb_via_generators(mx, mn)
+        assert paths.pair_extremes(fresh) is pairing and len(made) == 2 * len(pairing.pairs)
+
+
+def test_diagram_module_imports_nothing_from_paths():
+    """diagram.py is below paths.py: the pairing lives in paths alone."""
+    sources = set()  # "paths" from `from .paths import f`, ".paths" from `from . import paths`
+    for node in ast.walk(ast.parse(Path(diagram_module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            sources.add(node.module or "")
+            sources.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            sources.update(a.name for a in node.names)
+    assert "substitution" in sources  # the walk does see the relative imports
+    assert not [s for s in sources if "paths" in s.split(".")]
+
+
 # Letter and collar names with a quote, a backslash and a non-ASCII letter.
 ESCAPED_NAMES_SPEC = 'letters: a" b\\é\nrule a": a" b\\é\nrule b\\é: a"\ncollar-names: "p q\\ ré s"\\ü'
 
@@ -545,7 +576,7 @@ def test_down_cycles_match_reachability_and_dfs_references(all_diagrams, random_
         assert d.diagrams == oracles.diagrams_by_reachability(d)
         assert diagram_chains(d) == oracles.diagram_chains_by_dfs(d.diagrams)
         want = oracles.pairing_by_diagram_cycles(d).pairs
-        assert [(mx.key(), mn.key()) for mx, mn in d.pair_extremes().pairs] == [(mx.key(), mn.key()) for mx, mn in want]
+        assert [(mx.key(), mn.key()) for mx, mn in paths.pair_extremes(d).pairs] == [(mx.key(), mn.key()) for mx, mn in want]
     assert count == len(all_diagrams) + len(random_diagrams) + 196
 
 

@@ -784,6 +784,31 @@ def test_modulus_field_rational_root():
     assert f.lam().equals(2) and f.lam().to_decimal(3) == "2.000"
 
 
+@pytest.mark.parametrize(
+    "charpoly, bounds, rational_root, decimal",
+    [
+        ([4, 2, -4, 1], (2, 3), None, "2.732050"),  # (x - 2)(x^2 - 2x - 2): lambda = 1 + sqrt 3
+        ([4, -2, -2, 1], (Fraction(3, 2), 2), 2, "2.000000"),  # (x - 2)(x^2 - 2): lambda = 2
+    ],
+    ids=["smaller-root", "lambda"],
+)
+def test_modulus_field_cuts_at_roots(charpoly, bounds, rational_root, decimal):
+    """The midpoint bisection from (1, 5] cuts at 2, a root of both moduli,
+    and the half-open counts put it in the lower half.  In the first field
+    it ends as lo, a smaller root that the reduced modulus divides out; in
+    the second as hi, lambda itself, found as the rational root."""
+    f = ModulusField(charpoly)
+    assert (f.lo, f.hi) == bounds
+    assert rp.count_roots_halfopen(f._reduced, f.lo, f.hi) == 1
+    assert f.rational_root == rational_root
+    lam = f.lam()
+    assert lam.to_decimal(6) == decimal
+    for a in (lam, lam - 2, lam * lam - 2 * lam - 2, lam * lam - 2, 3 - lam, (lam - 1) / (lam + 1)):
+        expected = reference_sign(a)
+        assert (a.sign(), a.is_zero()) == (expected, expected == 0), a
+        assert a.to_decimal(6) == reference_decimal(a, 6), a
+
+
 # -- the integer kernel against the Fraction Euclid ----------------------------
 
 # (characteristic polynomial, minimal polynomial of its lambda, the cofactor)

@@ -45,6 +45,8 @@ from oracles import (
     gaps_by_layout_elements,
     glued_translation,
     is_minimal,
+    mirror,
+    mirror_map,
     pairing_by_diagram_cycles,
     rb_chain_by_all_phases,
     vershik_positions_by_elements,
@@ -338,7 +340,7 @@ def test_extremal_paths_thue_morse(tm):
 def test_extremal_paths_doubling(dyadic):
     mins, maxs = extremal_paths(dyadic)
     assert len(mins) == 1 and len(maxs) == 1
-    pairing = dyadic.pair_extremes()
+    pairing = pair_extremes(dyadic)
     assert len(pairing.pairs) == 1
     assert pairing.pairs[0] == (maxs[0], mins[0])
 
@@ -353,7 +355,7 @@ def test_extremal_paths_match_predecessor_oracle(all_diagrams, random_diagrams):
 def test_pairing_bijection(all_diagrams, random_diagrams):
     for diagram in (*all_diagrams.values(), *random_diagrams):
         mins, maxs = extremal_paths(diagram)
-        pairing = diagram.pair_extremes()
+        pairing = pair_extremes(diagram)
         assert sorted(render_path(mx) for mx, _ in pairing.pairs) == sorted(
             render_path(p) for p in maxs
         )
@@ -371,7 +373,7 @@ def test_pairing_matches_diagram_cycle_oracle(all_diagrams, random_diagrams):
 
 def test_psi_of_non_maximal_path_is_unpaired(fib):
     with pytest.raises(UnpairedExtreme, match="not a known maximal path"):
-        fib.pair_extremes().psi(parse_path(fib, "root=a; (ac ca)"))
+        pair_extremes(fib).psi(parse_path(fib, "root=a; (ac ca)"))
 
 
 def test_pairing_without_a_recurrent_square_does_not_cover():
@@ -390,7 +392,7 @@ def test_pairing_without_a_recurrent_square_does_not_cover():
 
 def test_vershik_of_max_is_paired_min(fib, tm):
     for diagram in (fib, tm):
-        for mx, mn in diagram.pair_extremes().pairs:
+        for mx, mn in pair_extremes(diagram).pairs:
             assert vershik_successor(mx) == mn
 
 
@@ -619,6 +621,31 @@ def test_rb_equiv_matches_the_all_phase_oracle(monkeypatch, fib, tm, rand3, rand
                 assert expected[0] == max(len(x.pre), len(y.pre)) + 2
         assert set(d._rb_chains) == {_aligned_tails(x, y) for x, y in pairs}  # one entry per aligned tail pair
     assert equivalent >= 200
+
+
+def test_rb_equiv_and_u_are_mirror_symmetric(fib, tm, rand3, random_diagrams, reducible_diagrams):
+    """Reversing every rule reflects the tiling: on the mirrored diagram, in
+    the same field, rb_equiv gives every pair of mapped paths the same verdict
+    and n0 and the negated translation, and u of every mapped prefix is
+    negated.  Pairs of the first 40 paths of enumerate_paths(d, 2, 2) on the
+    fixtures and of 12 nonempty paths on each random and reducible spec."""
+    checked = equivalent = 0
+    for d in (fib, tm, rand3, *random_diagrams, *reducible_diagrams):
+        m = build_diagram(mirror(d.csub.base))
+        assert m.field == d.field
+        path, prefix = mirror_map(d, m)
+        ps = enumerate_paths(d, 2, 2)[:40] if d in (fib, tm, rand3) else nonempty_paths(d, 2)[:12]
+        for i, x in enumerate(ps):
+            for n in (2, 4):
+                assert (u_of_prefix(x.prefix(n)) + u_of_prefix(prefix(x.prefix(n)))).coeffs == ()
+            for y in ps[i:]:
+                w, wm = rb_equiv(x, y), rb_equiv(path(x), path(y))
+                assert (w is None) == (wm is None), (render_path(x), render_path(y))
+                checked += 1
+                if w is not None:
+                    equivalent += 1
+                    assert w.n0 == wm.n0 and (w.translation + wm.translation).coeffs == ()
+    assert checked > 2000 and equivalent > 500
 
 
 def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +39,6 @@ from oracles import (
     charpoly_by_fractions,
     expand_word,
     legal_words_fixed_point,
-    mat_mul,
     perron_lengths_by_elimination,
     perron_lengths_by_fractions,
     primitivity_by_powers,
@@ -158,23 +158,38 @@ def substitution_of(m):
 @example(abelianization(CollaredSubstitution(load_fixture("thue-morse")).collared_rules, 6))
 def test_charpoly_and_adjugate_match_fraction_oracle(m):
     n = len(m)
-    coeffs, adjugate = charpoly(m)
+    coeffs, column = charpoly(m)
     assert coeffs == charpoly_by_fractions(m)
     assert all(type(c) is int for c in coeffs)
-    # (xI - M) adj(xI - M) = det(xI - M) I, power by power of x:
-    # B_0 = I, B_k - M B_(k-1) = c_(n-k) I for k < n, and -M B_(n-1) = c_0 I
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert len(adjugate) == n and adjugate[0] == ident
-    for k in range(1, n + 1):
-        b = adjugate[k] if k < n else [[0] * n for _ in range(n)]
-        mb = mat_mul(m, adjugate[k - 1])
-        assert [[b[i][j] - mb[i][j] for j in range(n)] for i in range(n)] == [
-            [coeffs[n - k] * e for e in row] for row in ident
-        ]
+    assert len(column) == n and all(len(p) == n and all(type(c) is int for c in p) for p in column)
+    # (xI - M) adj(xI - M) e_0 = det(xI - M) e_0 as polynomials in x, row by
+    # row; det(xI - M) is not the zero polynomial, so this determines column 0
+    for i in range(n):
+        row = [0, *column[i]]  # x col_i(x)
+        for j in range(n):
+            for k, c in enumerate(column[j]):
+                row[k] -= m[i][j] * c
+        assert row == (coeffs if i == 0 else [0] * (n + 1))
     if n > 1 or m[0][0] > 1:  # a Perron root above 1
         sub = substitution_of(m)
         expected = perron_lengths_by_elimination(sub)
         assert all(sub.lengths[x].equals(expected[x]) for x in range(n))
+
+
+def test_charpoly_holds_one_adjugate_column():
+    """On the 32-letter chain (rule i: i i+1, rule 0: 0 1 31), what charpoly
+    returns holds under 0.2 MB: column 0 of the adjugate, 32 polynomials of
+    32 integers, where all 32 matrices B_k held 0.74 MB."""
+    n = 32
+    m = abelianization({0: (0, 1, n - 1)} | {i: (i, (i + 1) % n) for i in range(1, n)}, n)
+    tracemalloc.start()
+    try:
+        out = charpoly(m)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 200_000, held
+    assert len(out[1]) == n
 
 
 def test_perron_lengths_match_elimination_oracle(all_diagrams, random_specs):
@@ -227,9 +242,7 @@ def test_split_bisects_and_zero_verticals_need_no_gcd(monkeypatch):
 
 def test_perron_lengths_zero_pivot_is_singular():
     sub = load_fixture("fibonacci")
-    vanishing = SimpleNamespace(
-        field=sub.field, alphabet=sub.alphabet, rules=sub.rules, adjugate=[[[0, 0], [0, 0]]] * 2
-    )
+    vanishing = SimpleNamespace(field=sub.field, alphabet=sub.alphabet, rules=sub.rules, adjugate_column=[[0, 0]] * 2)
     with pytest.raises(SingularSystem):
         perron_lengths(vanishing)
 
@@ -277,13 +290,8 @@ def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1
     that vanish at lambda and the exact zero test accepts them; c1 = x^2 - 1
     is phi at lambda and is refused."""
     f = ModulusField(GOLDEN_TIMES_SQRT2)
-    columns = [[1, 0, 0], c1, c1]  # entry j of column x is B_(n-1-j)[x][0]
-    fake = SimpleNamespace(
-        field=f,
-        alphabet=[None] * 3,
-        rules={0: (0, 1), 1: (0,), 2: (0,)},
-        adjugate=[[[col[2 - k]] for col in columns] for k in range(3)],
-    )
+    rules = {0: (0, 1), 1: (0,), 2: (0,)}
+    fake = SimpleNamespace(field=f, alphabet=[None] * 3, rules=rules, adjugate_column=[[1, 0, 0], c1, c1])
     if not consistent:
         with pytest.raises(SingularSystem, match="residual"):
             perron_lengths(fake)
