@@ -122,8 +122,9 @@ class BratteliDiagram:
         assert len(self.square_table) == len(self.squares)  # one h_bot per (h_top, e_left, e_right)
         self.canonical_squares = [s for s in self.squares if s.canonical]
         self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
-        self._pairing = None  # paths.pair_extremes, formed on first use
+        # the memos of paths hold ints, never paths, so a dropped diagram is freed by reference counting
         self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
+        self._rb_generators = None  # rb_via_generators' tail-key pairs (max, psi(max)), formed on first use
 
     # -- lookups ---------------------------------------------------------------
 

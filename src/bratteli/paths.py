@@ -23,7 +23,9 @@ injective, so the two paths are equivalent iff the walk from one of the
 horizontals that link them at generation p0 = max(|pre_x|, |pre_y|) + 2
 returns to that seed (`rb_equiv`).  That walk reads only the two tails
 aligned at p0, so each diagram walks each aligned tail pair once and keeps
-its verdict.
+its verdict.  psi is formed on demand, and the diagram's two memos, this
+one and the tail-key pairs of `rb_via_generators`, hold ints, never paths:
+a dropped diagram is freed by reference counting.
 
 Public beyond the CLI: `rb_base_member`, the base sets of R_B that the
 paper's criteria test, and `rb_via_generators` and `enumerate_paths`, the
@@ -430,10 +432,9 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     of a chain of squares: read upward from h, the left column is a maximal
     path and the right column a minimal one.  Each column is looked up by
     its normal-form key among the extremal paths, so no path is built twice.
-    The pairing is formed once per diagram and kept in it.
+    Each call forms a fresh pairing, which the diagram does not keep: the
+    diagram's memos hold ints, never paths.
     """
-    if diagram._pairing is not None:
-        return diagram._pairing
     hs = diagram.horizontals
     max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
     mins, maxs = extremal_paths(diagram)
@@ -457,8 +458,7 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if {p.key() for p in pairs.values()} != set(min_set):
         raise UnpairedExtreme("pairing does not cover every minimal path")
-    diagram._pairing = Pairing(pairs=[(max_set[k], pairs[k]) for k in sorted(pairs)])
-    return diagram._pairing
+    return Pairing(pairs=[(max_set[k], pairs[k]) for k in sorted(pairs)])
 
 
 def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
@@ -583,16 +583,15 @@ def _rb_chain(d: BratteliDiagram, cx: tuple[int, ...], cy: tuple[int, ...]) -> t
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:
     """Extended equivalence through the generator presentation: tail
     equivalence, or tail equivalence of the two paths to the two sides of
-    one extremal pair."""
+    one extremal pair.  Tail equivalence is equality of tail keys, so the
+    diagram keeps the generators as the set of pairs (tail_key(mx),
+    tail_key(psi(mx))), formed on the first call: ints, never paths."""
     _same_diagram(x, y)
-    if af_equiv(x, y):
-        return True
-    for mx, mn in pair_extremes(x.diagram).pairs:
-        if af_equiv(x, mx) and af_equiv(y, mn):
-            return True
-        if af_equiv(y, mx) and af_equiv(x, mn):
-            return True
-    return False
+    d = x.diagram
+    if d._rb_generators is None:
+        d._rb_generators = {(mx.tail_key(), mn.tail_key()) for mx, mn in pair_extremes(d).pairs}
+    tx, ty = x.tail_key(), y.tail_key()
+    return tx == ty or (tx, ty) in d._rb_generators or (ty, tx) in d._rb_generators
 
 
 def rb_base_translation(gamma: PathPrefix, gamma2: PathPrefix, h_index: int) -> AlgebraicNumber:

@@ -168,6 +168,8 @@ def test_criterion_07_extremal_paths_and_pairing(fib, tm):
         assert len(seen_max) == n_pairs and len(seen_min) == n_pairs  # bijection
         for mx, mn in pairing.pairs:
             assert vershik_successor(mx) == mn
+            w = rb_equiv(mx, mn)  # psi moves the puncture one tile
+            assert w is not None and (w.translation + diagram.forward_h[mx.root, mn.root].coeff).is_zero()
     ok("criterion 7: extremal path lists, psi bijection, V(max) = psi(max)")
 
 
@@ -280,6 +282,8 @@ def test_criterion_10_vershik_first_return(fib, tm):
                 if was_max:
                     crossings += 1
                     assert y == pairing.psi(x)  # crossing routes through psi
+                    w = rb_equiv(x, y)  # and moves the puncture one tile
+                    assert w is not None and (w.translation + delta).is_zero()
                 else:
                     horizon = max(len(x.pre), len(y.pre)) + len(x.cycle) * len(y.cycle) + 2
                     diffs = [

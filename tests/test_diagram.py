@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
+import weakref
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain, islice
@@ -514,21 +516,55 @@ def test_a_build_forms_each_datum_once(monkeypatch):
     assert encoded and made  # the spies do count
 
 
-def test_pair_extremes_is_formed_once_per_diagram(monkeypatch, all_diagrams):
-    """pair_extremes keeps the pairing in the diagram: a second call returns
-    the same object, and a fresh diagram builds each extremal path once
-    however often the Vershik map and rb_via_generators ask for psi."""
+def test_rb_via_generators_forms_the_extremal_paths_once_per_diagram(monkeypatch, all_diagrams):
+    """rb_via_generators keeps psi on the diagram as tail keys: on a fresh
+    diagram, however often it is asked, the extremal paths are built once,
+    and the kept set holds tuples of ints only.  pair_extremes forms a fresh
+    pairing, equal by value, and the Vershik map of a maximal path is psi."""
     made = []
     init = paths.EventuallyPeriodicPath.__init__
     monkeypatch.setattr(paths.EventuallyPeriodicPath, "__init__", lambda self, *a: made.append(1) or init(self, *a))
     for d in all_diagrams.values():
-        assert paths.pair_extremes(d) is paths.pair_extremes(d)
+        assert paths.pair_extremes(d) == paths.pair_extremes(d)
         fresh = BratteliDiagram(d.csub)
+        pairs = paths.pair_extremes(fresh).pairs
         made.clear()
-        pairing = paths.pair_extremes(fresh)
-        for mx, mn in pairing.pairs:
-            assert paths.vershik_successor(mx) is mn and paths.rb_via_generators(mx, mn)
-        assert paths.pair_extremes(fresh) is pairing and len(made) == 2 * len(pairing.pairs)
+        for _ in range(3):
+            for mx, mn in pairs:
+                assert paths.rb_via_generators(mx, mn) and paths.rb_via_generators(mn, mx)
+                assert paths.rb_via_generators(mx, mx) and paths.rb_via_generators(mn, mn)
+        assert len(made) == 2 * len(pairs)
+        assert fresh._rb_generators and _ints_only(fresh._rb_generators)
+        for mx, mn in pairs:
+            assert paths.vershik_successor(mx) == mn
+
+
+def _ints_only(value) -> bool:
+    if isinstance(value, (set, tuple)):
+        return all(_ints_only(v) for v in value)
+    return type(value) is int
+
+
+def test_a_dropped_diagram_is_freed_by_reference_counting():
+    """Nothing reachable from a diagram holds a path, so the diagram dies on
+    `del` with the cyclic collector off, after every route that keeps a memo
+    on it or hands out paths."""
+    d = build_diagram(load_fixture("fibonacci"))
+    mx, mn = paths.pair_extremes(d).pairs[0]
+    y = paths.vershik_successor(mx)
+    assert y == mn and paths.rb_via_generators(mx, y) and paths.rb_equiv(mx, y) is not None
+    export_json(d)
+    x = paths.parse_path(d, "root=a; (ab bd da)")
+    paths.decode(x.prefix(5))
+    analysis.gap_profile(x.prefix(5))
+    assert analysis.classify_GF(x).kind == "G"
+    ref = weakref.ref(d)
+    gc.disable()
+    try:
+        del d, mx, mn, y, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_diagram_module_imports_nothing_from_paths():

@@ -396,6 +396,17 @@ def test_vershik_of_max_is_paired_min(fib, tm):
             assert vershik_successor(mx) == mn
 
 
+def test_psi_moves_the_puncture_one_tile(all_diagrams, random_diagrams, reducible_diagrams):
+    """Each extremal pair is extended equivalent, and its translation carries
+    the maximal root's tile onto its right neighbour, the minimal root's:
+    a(mx, psi(mx)) = -c(forward horizontal mx.root -> mn.root)."""
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        for mx, mn in pair_extremes(d).pairs:
+            w = rb_equiv(mx, mn)
+            assert w is not None
+            assert (w.translation + d.forward_h[mx.root, mn.root].coeff).is_zero()
+
+
 def test_vershik_successor_example(fib):
     x = parse_path(fib, "root=a; (ac ca)")
     y = vershik_successor(x)
