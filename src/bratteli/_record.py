@@ -1,7 +1,9 @@
 """Plain records: the library's small value types as __slots__ classes.  A record
 lists its fields in __slots__, in constructor order, and sets them in its own
 __init__; the base compares, hashes, prints, copies and pickles by those fields.
-Frozen generates each class's `_fill` once: a straight call per field to its slot setter."""
+Frozen generates each class's `_fill` once: a straight call per field to its slot setter.
+The two path classes are Frozen records too: a field that holds a diagram compares by
+identity, so two paths are equal iff they share the diagram object and the normal form."""
 
 
 class Record:

@@ -6,7 +6,10 @@ is stationary, infinite paths that are eventually periodic are finitely
 describable: a preamble of templates (generations 2 .. p+1) followed by a
 repeating template cycle.  Every object of the worked examples -- extremal
 paths, their pairing, Vershik orbits, the extended-equivalence generators
--- lives in this class.
+-- lives in this class.  Both path classes are immutable records, checked
+only by their constructors, which refuse the first edge that does not compose,
+by generation; two paths are equal iff they have the same diagram object and
+the same normal form.
 
 The pairing psi composes the recurrent commutative diagrams down the
 extremal columns: each cycle of the diagram's map down (forward h_bot to
@@ -45,14 +48,17 @@ from .exactnum import AlgebraicNumber
 # -- finite prefixes --------------------------------------------------------------
 
 
-class PathPrefix:
-    """Root vertex plus vertical templates at generations 2 .. length."""
+class PathPrefix(Frozen):
+    """Root vertex plus vertical templates at generations 2 .. length: an
+    immutable record, equal to another iff both lie on the same diagram
+    object with the same root and edges."""
+
+    __slots__ = ("diagram", "root", "edges")
 
     def __init__(self, diagram: BratteliDiagram, root: int, edges):
-        self.diagram = diagram
-        self.root = root
-        self.edges = tuple(int(e) for e in edges)
-        _composed_range(diagram, root, self.edges)
+        edges = tuple(int(e) for e in edges)
+        _composed_range(diagram, root, edges)
+        self._fill(diagram, root, edges)
 
     @property
     def length(self) -> int:
@@ -68,17 +74,6 @@ class PathPrefix:
 
     def template_at(self, n: int) -> VerticalTemplate:
         return self.diagram.verticals[self.edges[n - 2]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PathPrefix)
-            and self.diagram is other.diagram
-            and self.root == other.root
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((id(self.diagram), self.root, self.edges))
 
     def __repr__(self):
         return f"PathPrefix({render_path(self)})"
@@ -119,27 +114,28 @@ def u_of_prefix(gamma: PathPrefix) -> AlgebraicNumber:
 # -- eventually periodic paths ------------------------------------------------------
 
 
-class EventuallyPeriodicPath:
-    """Preamble (generations 2 .. p+1) followed by a repeating cycle.
+class EventuallyPeriodicPath(Frozen):
+    """Preamble (generations 2 .. p+1) followed by a repeating cycle: an
+    immutable record.
 
     The stored form is normalized: the cycle is primitive and the preamble
     carries no edge that could be absorbed into the cycle, so two objects
-    describe the same infinite path iff their fields are equal.
+    describe the same infinite path iff they lie on the same diagram object
+    and their fields are equal.
     """
+
+    __slots__ = ("diagram", "root", "pre", "cycle")
 
     def __init__(self, diagram: BratteliDiagram, root: int, pre, cycle):
         pre = [int(e) for e in pre]
         cycle = [int(e) for e in cycle]
         if not cycle:
             raise ParseError("eventually periodic path needs a nonempty cycle")
-        pre, cycle = _normalize(pre, cycle)
-        self.diagram = diagram
-        self.root = root
-        self.pre = tuple(pre)
-        self.cycle = tuple(cycle)
+        pre, cycle = map(tuple, _normalize(pre, cycle))
         # composability across preamble, into the cycle, and around it
-        if _composed_range(diagram, root, self.pre + self.cycle) != diagram.verticals[self.cycle[0]].src:
+        if _composed_range(diagram, root, pre + cycle) != diagram.verticals[cycle[0]].src:
             raise ParseError("cycle does not close up")
+        self._fill(diagram, root, pre, cycle)
 
     def key(self):
         return (self.root, self.pre, self.cycle)
@@ -179,16 +175,6 @@ class EventuallyPeriodicPath:
     def is_maximal(self) -> bool:
         d = self.diagram
         return all(e == d.max_edge_into(d.verticals[e].rng).index for e in self.pre + self.cycle)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventuallyPeriodicPath)
-            and self.diagram is other.diagram
-            and self.key() == other.key()
-        )
-
-    def __hash__(self):
-        return hash((id(self.diagram), self.key()))
 
     def __repr__(self):
         return f"EventuallyPeriodicPath({render_path(self)})"
@@ -666,18 +652,14 @@ def parse_path(diagram: BratteliDiagram, text: str):
         if not cycle_part.strip():
             raise ParseError("path literal has an empty cycle '()'")
     pre_tokens = pre_part.split()
-    edges = []
-    v = root
-    for tok in pre_tokens + cycle_part.split():
-        e = _parse_edge_token(diagram, tok, v)
-        edges.append(e.index)
-        v = e.rng
+    # the constructor reports the first edge that does not compose
+    edges = [_parse_edge_token(diagram, tok).index for tok in pre_tokens + cycle_part.split()]
     if not cycle_part.strip():
         return PathPrefix(diagram, root, edges)
     return EventuallyPeriodicPath(diagram, root, edges[: len(pre_tokens)], edges[len(pre_tokens) :])
 
 
-def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> VerticalTemplate:
+def _parse_edge_token(diagram: BratteliDiagram, tok: str) -> VerticalTemplate:
     pos = None
     name = tok
     if "#" in tok:
@@ -688,23 +670,13 @@ def _parse_edge_token(diagram: BratteliDiagram, tok: str, expect_src: int) -> Ve
             pos = int(idx)
         except ValueError as exc:  # a number past int()'s digit limit
             raise ParseError(f"bad position suffix in edge token {tok!r} ({exc})") from exc
-    if ">" in name:
-        srcname, _, rngname = name.partition(">")
-        pair = [(srcname, rngname)]
-    else:
-        pair = diagram.splits(name)
-        if len(pair) != 1:
-            raise ParseError(f"cannot split edge token {tok!r} into two vertex names")
-    srcname, rngname = pair[0]
+    pairs = [tuple(name.split(">", 1))] if ">" in name else diagram.splits(name)
+    if len(pairs) != 1:
+        raise ParseError(f"cannot split edge token {tok!r} into two vertex names")
+    srcname, rngname = pairs[0]
     if srcname not in diagram.vertices or rngname not in diagram.vertices:
         raise ParseError(f"unknown vertex in edge token {tok!r}")
-    src = diagram.vertices.index(srcname)
-    rng = diagram.vertices.index(rngname)
-    if src != expect_src:
-        raise ParseError(
-            f"edge token {tok!r} starts at {srcname}, expected {diagram.vertices[expect_src]}"
-        )
-    return diagram.vertical_by_ends(src, rng, pos)
+    return diagram.vertical_by_ends(diagram.vertices.index(srcname), diagram.vertices.index(rngname), pos)
 
 
 def render_path(p) -> str:

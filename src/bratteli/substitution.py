@@ -237,15 +237,18 @@ def _factors(w: Word, n: int) -> list[Word]:
     return [w[i : i + n] for i in range(len(w) - n + 1)]
 
 
-def aperiodicity_screen(sub: Substitution, limit: int = 12) -> int | None:
-    """Morse-Hedlund screen: return the first n <= limit with p(n) <= n, or
-    None when the screen passes.  A pass is evidence, not a proof.
+_SCREEN_LIMIT = 12  # the longest legal words the aperiodicity screen counts
+
+
+def aperiodicity_screen(sub: Substitution) -> int | None:
+    """Morse-Hedlund screen: return the first n <= _SCREEN_LIMIT with
+    p(n) <= n, or None when the screen passes.  A pass is evidence, not a proof.
 
     `parse_spec` runs it only for integer lambda: a periodic fixed point has
     rational letter frequencies, a rational eigenvector of M for lambda, so
     an irrational lambda is itself a proof of aperiodicity."""
-    top = legal_words(sub, limit)
-    for n in range(1, limit + 1):
+    top = legal_words(sub, _SCREEN_LIMIT)
+    for n in range(1, _SCREEN_LIMIT + 1):
         p_n = len({w[:n] for w in top})  # a legal word of a minimal subshift extends to the right
         if p_n <= n:
             return n

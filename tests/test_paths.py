@@ -10,7 +10,7 @@ import pytest
 from bratteli import cli, paths
 from bratteli.diagram import BratteliDiagram, build_diagram
 from bratteli.exactnum import AlgebraicNumber
-from bratteli.analysis import gap_profile
+from bratteli.analysis import classify_GF, gap_profile
 from bratteli.errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from bratteli.fixtures import load_fixture
 from bratteli.substitution import abelianization, parse_spec
@@ -474,6 +474,23 @@ def test_vershik_orbit_doubling(dyadic):
     assert crossings >= 1
 
 
+def test_vershik_walk_crosses_psi_at_most_once(all_diagrams, random_diagrams, reducible_diagrams):
+    """No Vershik walk reaches a maximal path after psi, so it forms the
+    pairing at most once.  Each vertex has one maximal in-edge, so two
+    maximal paths that agree at one generation agree below it, and a tail
+    class holds at most one maximal path; a non-maximal step keeps the
+    tail, and psi(mx) is minimal; and a minimal and a maximal path with a
+    common tail would use only vertices whose collared rules have one
+    letter, so along that periodic tail sigma would map a letter to a single
+    letter forever, which primitivity with lambda > 1 forbids.  Checked
+    here for 60 steps from every psi(mx)."""
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        for _, x in pair_extremes(d).pairs:
+            for _ in range(61):
+                assert not x.is_maximal(), render_path(x)
+                x = vershik_successor(x)
+
+
 # -- the extended relation -------------------------------------------------------------
 
 
@@ -657,6 +674,38 @@ def test_rb_equiv_and_u_are_mirror_symmetric(fib, tm, rand3, random_diagrams, re
                     equivalent += 1
                     assert w.n0 == wm.n0 and (w.translation + wm.translation).coeffs == ()
     assert checked > 2000 and equivalent > 500
+
+
+def test_decode_gaps_psi_and_gf_are_mirror_symmetric(fib, tm, dyadic, rand3, random_diagrams, reducible_diagrams):
+    """On the sample of the test above, plus doubling, the mirror reflects
+    every patch: the base word reverses, the puncture index i becomes
+    N - 1 - i, tile i spans minus the reversed span of tile N - 1 - i, the
+    offset is negated, and (g_L, g_R) swap at every generation, for the
+    prefixes at depths 2, 3 and 4.  psi pairs the mirrors of d's pairs, each
+    reversed, and classify_GF keeps the kind and swaps the side."""
+    prefixes = 0
+    sides = {"left": "right", "right": "left", None: None}
+    for d in (fib, tm, dyadic, rand3, *random_diagrams, *reducible_diagrams):
+        m = build_diagram(mirror(d.csub.base))
+        path, prefix = mirror_map(d, m)
+        ps = enumerate_paths(d, 2, 2)[:40] if d in (fib, tm, dyadic, rand3) else nonempty_paths(d, 2)[:12]
+        for gamma in dict.fromkeys(x.prefix(n) for x in ps for n in (2, 3, 4)):
+            p, q = decode(gamma), decode(prefix(gamma))
+            n = len(p.tiles)
+            assert [t.base for t in q.tiles] == [t.base for t in reversed(p.tiles)], render_path(gamma)
+            assert q.puncture_index == n - 1 - p.puncture_index
+            for t, u in zip(p.tiles, reversed(q.tiles)):
+                assert (t.left + u.right).is_zero() and (t.right + u.left).is_zero()
+            assert (p.offset + q.offset).is_zero()
+            for (gl, gr), (ml, mr) in zip(gap_profile(gamma).gaps, gap_profile(prefix(gamma)).gaps, strict=True):
+                assert gl.equals(mr) and gr.equals(ml)
+            prefixes += 1
+        assert set(pair_extremes(m).pairs) == {(path(mn), path(mx)) for mx, mn in pair_extremes(d).pairs}
+        for x in ps:
+            v, w = classify_GF(x), classify_GF(path(x))
+            assert (w.kind, w.side) == (v.kind, sides[v.side]), render_path(x)
+            assert w.witness == (v.witness and v.witness[::-1])
+    assert prefixes > 900
 
 
 def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):

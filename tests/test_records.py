@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 
 from bratteli.analysis import GapProfile, GFVerdict
-from bratteli.diagram import DiagramTemplate, HorizontalTemplate, VerticalTemplate
-from bratteli.paths import DecodedPatch, Pairing, PatchTile, RbWitness
+from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate
+from bratteli.errors import ParseError
+from bratteli.paths import DecodedPatch, Pairing, PatchTile, RbWitness, parse_path
 from bratteli.substitution import CollaredLetter, Letter, LetterLayout
 from bratteli.verify import CheckResult
 
@@ -139,3 +140,26 @@ def test_records_of_a_built_diagram_compare_by_value(fib):
         assert CollaredLetter(cl.index, cl.left, cl.core, cl.right, cl.name) == cl
         assert hash(CollaredLetter(cl.index, cl.left, cl.core, cl.right, cl.name)) == hash(cl)
     assert len(set(fib.squares)) == len({s.key() for s in fib.squares}) == len(fib.squares)
+
+
+def test_paths_are_frozen_values(fib):
+    """A path holds its diagram, so it is not plain data for RECORDS: two
+    parses of one literal are equal and hash alike on the same diagram
+    object only, every field refuses assignment and deletion, a copy
+    rebuilds through the constructor, and the constructor is the one
+    composability check of a parsed literal."""
+    other = BratteliDiagram(fib.csub)
+    for literal in ("root=a; ac ca ab", "root=d; dc (ca ac)"):
+        p, q = parse_path(fib, literal), parse_path(fib, literal)
+        assert p == q and p is not q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != parse_path(other, literal) and not p == parse_path(other, literal)
+        for name in type(p).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(q, name))
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == q
+        clone = copy.copy(p)
+        assert type(clone) is type(p) and clone == p and clone is not p and clone.diagram is fib
+    with pytest.raises(ParseError, match="edge ca at generation 3"):
+        parse_path(fib, "root=a; ab ca")
