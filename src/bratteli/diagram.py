@@ -63,6 +63,12 @@ square can compose indefinitely exactly when it is a boundary square whose
 forward h_bot lies on a cycle of down: the census reads each square's kind
 off down's cycles, and those cycles, walked backward, are the chains of
 canonical recurrent diagrams.
+
+The census and its three views (`squares`, `square_table`,
+`canonical_squares`, `diagrams`) are formed together on the first read of
+any one of them, not by the constructor: a command that reads none pays
+nothing for it.  The census does no arithmetic; `verify` checks the square
+equation of every square it lists.
 """
 
 from __future__ import annotations
@@ -117,14 +123,42 @@ class BratteliDiagram:
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
-        self.squares = enumerate_squares(self)
-        self.square_table = {(s.h_top, s.e_left, s.e_right): s.h_bot for s in self.squares}
-        assert len(self.square_table) == len(self.squares)  # one h_bot per (h_top, e_left, e_right)
-        self.canonical_squares = [s for s in self.squares if s.canonical]
-        self.diagrams = [s for s in self.canonical_squares if s.kind == "cyclic"]
         # the memos of paths hold ints, never paths, so a dropped diagram is freed by reference counting
         self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
         self._rb_generators = None  # rb_via_generators' tail-key pairs (max, psi(max)), formed on first use
+
+    # -- the census, formed on first read --------------------------------------
+
+    @functools.cached_property
+    def squares(self) -> list[DiagramTemplate]:
+        """Every commutative square, in scan order."""
+        return self._census("squares")
+
+    @functools.cached_property
+    def square_table(self) -> dict[tuple[int, int, int], int]:
+        """(h_top, e_left, e_right) -> h_bot of each square."""
+        return self._census("square_table")
+
+    @functools.cached_property
+    def canonical_squares(self) -> list[DiagramTemplate]:
+        """The stored orientation of each square and its mirror."""
+        return self._census("canonical_squares")
+
+    @functools.cached_property
+    def diagrams(self) -> list[DiagramTemplate]:
+        """The canonical recurrent squares: the commutative-diagram templates."""
+        return self._census("diagrams")
+
+    def _census(self, name: str):
+        """Form the four views above together, on the first read of any one,
+        and return the one named; the others are cached beside it."""
+        squares = enumerate_squares(self)
+        table = {(s.h_top, s.e_left, s.e_right): s.h_bot for s in squares}
+        assert len(table) == len(squares)  # one h_bot per (h_top, e_left, e_right)
+        canonical = [s for s in squares if s.canonical]
+        diagrams = [s for s in canonical if s.kind == "cyclic"]
+        vars(self).update(squares=squares, square_table=table, canonical_squares=canonical, diagrams=diagrams)
+        return vars(self)[name]
 
     # -- lookups ---------------------------------------------------------------
 

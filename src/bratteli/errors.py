@@ -32,7 +32,15 @@ class EmptyRule(ParseError):
 
 
 class NotPrimitive(BratteliError):
-    pass
+    """No power of the incidence matrix is strictly positive.  Either letter
+    pair[1] occurs in no sigma^n(letter pair[0]), n >= 1, by index, or every
+    letter reaches every letter and pair is None: then period is the gcd,
+    at least 2, of the incidence graph's cycle lengths."""
+
+    def __init__(self, message: str, pair: tuple[int, int] | None = None, period: int | None = None):
+        super().__init__(message)
+        self.pair = pair
+        self.period = period
 
 
 class PeriodicDetected(BratteliError):

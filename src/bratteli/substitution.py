@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, pairwise
+from math import gcd
 from operator import add
 
 from . import ratpoly as rp
@@ -70,7 +71,7 @@ class Substitution:
             if not self.rules[a.id]:
                 raise EmptyRule(f"empty rule for letter {a.name!r}")
         self.abelianization = abelianization(self.rules, n)
-        primitivity_index(self.abelianization)  # raises NotPrimitive
+        primitivity_index(self.abelianization, [a.name for a in self.alphabet])  # raises NotPrimitive
         charpoly, self.adjugate_column = rp.charpoly(self.abelianization)
         self.field: ModulusField = ModulusField(charpoly)
         self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
@@ -114,9 +115,10 @@ def abelianization(rules, n: int) -> list[list[int]]:
     return m
 
 
-def primitivity_index(matrix: list[list[int]]) -> int:
+def primitivity_index(matrix: list[list[int]], names: list[str] | None = None) -> int:
     """Smallest k with M^k strictly positive, searched up to the Wielandt
-    bound (n-1)^2 + 1."""
+    bound (n-1)^2 + 1.  Past it, raises NotPrimitive with its reason, the
+    letters named by names (default: their indices)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
@@ -133,7 +135,32 @@ def primitivity_index(matrix: list[list[int]]) -> int:
         if all(r == full for r in power):
             return k
         power = [_or_selected(r, rows) for r in power]
-    raise NotPrimitive(f"no strictly positive power up to the Wielandt bound {bound}")
+    raise _not_primitive(rows, names or [str(i) for i in range(n)])
+
+
+def _not_primitive(rows: list[int], names: list[str]) -> NotPrimitive:
+    """Why no power is positive, read off the rows' bitmasks: the first pair
+    (a, b) with b outside a's reachability closure, else the period of the
+    strongly connected incidence graph, which is the gcd of its cycle
+    lengths and of level(a) + 1 - level(b) over its arcs a -> b, for the
+    breadth-first levels from letter 0."""
+    n = len(rows)
+    reach = rows  # reach[a]: the letters of sigma^k(a) for some k >= 1
+    while (wider := [r | _or_selected(r, rows) for r in reach]) != reach:
+        reach = wider
+    for a, r in enumerate(reach):
+        b = next((b for b in range(n) if not r >> b & 1), None)
+        if b is not None:
+            return NotPrimitive(f"not primitive: letter {names[b]} occurs in no sigma^n({names[a]})", pair=(a, b))
+    arcs = [[b for b in range(n) if r >> b & 1] for r in rows]
+    level, queue = [0] + [None] * (n - 1), [0]
+    for a in queue:  # the queue grows while it is walked: breadth first
+        for b in arcs[a]:
+            if level[b] is None:
+                level[b] = level[a] + 1
+                queue.append(b)
+    period = gcd(*(level[a] + 1 - level[b] for a in range(n) for b in arcs[a]))
+    return NotPrimitive(f"not primitive: the incidence graph has period {period}", period=period)
 
 
 def _or_selected(mask: int, rows: list[int]) -> int:

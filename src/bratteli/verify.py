@@ -8,9 +8,18 @@ fixture is only a table in `EXPECTED`: check name -> {generic check: the
 value it must find}, built in the fixture's field.  Then come the checks any
 diagram must pass.  The CLI's verify-paper command runs this battery and
 reports one line per check.
+
+Two of those checks are where the square equation is checked: every square
+the census lists, and every opposite pair, is decided on integer vectors
+over one common denominator of the template coefficients, with lambda c(h)
+formed once per horizontal.  A zero vector holds; only a nonzero one goes to
+the exact zero test, which a reducible reduced modulus needs, as it has
+nonzero representatives of 0.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from ._record import Record
 from .analysis import classify_GF
@@ -157,24 +166,40 @@ def _regularity(diagram, _=None):
         _assert(diagram.out_edges[v], f"vertex {diagram.vertices[v]} has no outgoing edge")
 
 
+def _integer_vectors(diagram, coeffs) -> tuple[int, list]:
+    """(den, vectors): den the lcm of the coefficients' denominators, and
+    each coefficient as an integer vector over den."""
+    den = lcm(*(c.denominator for x in coeffs for c in x.coeffs))
+    return den, [diagram.field.numerators(x, den) for x in coeffs]
+
+
+def _vanishes(diagram, vec, den) -> bool:
+    """vec/den = 0.  A zero vector is; any other goes to the exact zero test,
+    since a reducible reduced modulus has nonzero representatives of 0."""
+    return not any(vec) or diagram.field.over(vec, den).is_zero()
+
+
 def _opposites(diagram, _=None):
-    for h in diagram.horizontals:
-        op = diagram.horizontals[h.opposite]
-        _assert(op.opposite == h.index, "opposite pairing is not an involution")
-        _assert((h.coeff + op.coeff).is_zero(), "opposite labels do not cancel")
+    hs = diagram.horizontals
+    den, vecs = _integer_vectors(diagram, [h.coeff for h in hs])
+    for h, vec in zip(hs, vecs):
+        _assert(hs[h.opposite].opposite == h.index, "opposite pairing is not an involution")
+        cancel = [a + b for a, b in zip(vec, vecs[h.opposite])]
+        _assert(_vanishes(diagram, cancel, den), "opposite labels do not cancel")
 
 
 def _residuals(diagram, _=None):
-    # every square's equation by multiplication, once per horizontal: the
-    # census finds the squares by adjacency with no arithmetic, so this is
-    # an independent cross-check
-    lam_c = [diagram.lam * h.coeff for h in diagram.horizontals]
+    # every square's equation in integers over one denominator, lambda c(h)
+    # formed once per horizontal: the census finds the squares by adjacency
+    # with no arithmetic and this reads only their keys, so it is an
+    # independent cross-check
+    vs, hs = diagram.verticals, diagram.horizontals
+    den, vecs = _integer_vectors(diagram, [e.coeff for e in vs] + [h.coeff for h in hs])
+    ev, hv = vecs[: len(vs)], vecs[len(vs) :]
+    lam_hv = [diagram.field.product(v, [0, 1]) for v in hv]
     for s in diagram.squares:
-        ht = diagram.horizontals[s.h_top]
-        el = diagram.verticals[s.e_left]
-        er = diagram.verticals[s.e_right]
-        res = el.coeff + lam_c[s.h_bot] - ht.coeff - er.coeff
-        _assert(res.is_zero(), "nonzero residual")
+        res = [a + b - c - d for a, b, c, d in zip(ev[s.e_left], lam_hv[s.h_bot], hv[s.h_top], ev[s.e_right])]
+        _assert(_vanishes(diagram, res, den), "nonzero residual")
 
 
 def _hypothesis(diagram, _=None):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import ceil, floor, lcm
@@ -342,6 +343,21 @@ def primitivity_by_powers(m, bound: int) -> int | None:
         if all_positive(mat_pow(m, k)):
             return k
     return None
+
+
+def reachable_by_powers(m) -> set[tuple[int, int]]:
+    """The pairs (a, b) with M^k[a][b] > 0 for some 1 <= k <= n: a shortest
+    walk from a to b, or a shortest cycle through a, has at most n arcs."""
+    n = len(m)
+    powers = [mat_pow(m, k) for k in range(1, n + 1)]
+    return {(a, b) for a in range(n) for b in range(n) if any(p[a][b] for p in powers)}
+
+
+def period_by_traces(m) -> int:
+    """The gcd of the lengths k <= n of closed walks, tr M^k > 0: the gcd of
+    the simple cycles' lengths, each at most n."""
+    n = len(m)
+    return math.gcd(*(k for k in range(1, n + 1) if any(mat_pow(m, k)[i][i] for i in range(n))))
 
 
 # -- Perron data by the former Fraction routes -----------------------------------
@@ -1118,6 +1134,29 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemp
                 out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
     kinds = square_kinds_by_reachability(diagram, out)
     return [DiagramTemplate(*k, kind, is_canonical_by_sign(diagram, k)) for k, kind in zip(out, kinds)]
+
+
+def residuals_by_elements(diagram: BratteliDiagram) -> None:
+    """Every square's equation in element arithmetic, lambda * c(h) once per
+    horizontal: the residual check as first written, which raises
+    AssertionError with the message the battery reports."""
+    hs, vs = diagram.horizontals, diagram.verticals
+    lam_c = [diagram.lam * h.coeff for h in hs]
+    for s in diagram.squares:
+        res = vs[s.e_left].coeff + lam_c[s.h_bot] - hs[s.h_top].coeff - vs[s.e_right].coeff
+        if not res.is_zero():
+            raise AssertionError("nonzero residual")
+
+
+def opposites_by_elements(diagram: BratteliDiagram) -> None:
+    """Each horizontal's label and its opposite's cancel, in element
+    arithmetic: the opposite check as first written."""
+    for h in diagram.horizontals:
+        op = diagram.horizontals[h.opposite]
+        if op.opposite != h.index:
+            raise AssertionError("opposite pairing is not an involution")
+        if not (h.coeff + op.coeff).is_zero():
+            raise AssertionError("opposite labels do not cancel")
 
 
 def is_canonical_by_sign(diagram: BratteliDiagram, k: tuple[int, int, int, int]) -> bool:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from bratteli import cli, paths
+from bratteli import diagram as diagram_module
 from bratteli.cli import main
 from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
 from bratteli.fixtures import FIBONACCI_SPEC
@@ -130,6 +131,13 @@ def test_collar_periodic_spec_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "collar", "--spec", str(spec))
     assert code == 2
     assert "periodic" in err
+
+
+def test_not_primitive_spec_exits_2_naming_its_letters(capsys, tmp_path):
+    spec = tmp_path / "reducible.txt"
+    spec.write_text("letters: x y z\nrule x: x y\nrule y: x y\nrule z: z x\n", encoding="utf-8")
+    assert main(["collar", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "error: not primitive: letter z occurs in no sigma^n(x)\n"
 
 
 def test_non_utf8_spec_exits_2(capsys, tmp_path):
@@ -420,6 +428,31 @@ def test_analyze_verdicts(capsys):
     assert "verdict: G" in out
     code, out, _ = run(capsys, "analyze", "--fixture", "fibonacci", "--x", "root=a; ac ca")
     assert "no tail verdict" in out
+
+
+CENSUS_READS = {
+    "collar --fixture fibonacci": 0,
+    'decode --fixture fibonacci --x "root=a; ac ca ab"': 0,
+    'analyze --fixture fibonacci --x "root=a; (ab bd da)"': 0,
+    'vershik --fixture fibonacci --x "root=b; (bd db)" --steps 5': 0,
+    "extremes --fixture thue-morse": 0,
+    "diagram --fixture thue-morse --format dot": 0,
+    'rb --fixture fibonacci --x "root=a; (ac ca)" --y "root=b; (bd db)"': 1,
+    "verify-paper fibonacci": 1,
+    "verify-paper thue-morse": 1,
+    "diagram --fixture fibonacci": 1,
+    "diagram --fixture fibonacci --format json": 1,
+}
+
+
+@pytest.mark.parametrize("command", CENSUS_READS)
+def test_a_command_forms_the_census_only_if_it_reads_it(command, capsys, monkeypatch):
+    calls = []
+    enumerate_squares = diagram_module.enumerate_squares
+    monkeypatch.setattr(diagram_module, "enumerate_squares", lambda d: calls.append(d) or enumerate_squares(d))
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == CENSUS_READS[command]
 
 
 def test_verify_paper(capsys):

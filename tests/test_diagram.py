@@ -368,7 +368,9 @@ def per_collared_letter_reference(csub, usums: dict) -> BratteliDiagram:
         for name in ("build_vertical", "build_horizontal"):
             mp.setattr(diagram_module, name, getattr(oracles, name))
         mp.setattr(diagram_module, "enumerate_squares", lambda d: oracles.enumerate_squares(d, usums))
-        return BratteliDiagram(csub)
+        ref = BratteliDiagram(csub)
+        ref.squares  # the census is formed on first read: read it while the oracle census is patched in
+        return ref
 
 
 def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, random_diagrams, reducible_diagrams):
@@ -562,6 +564,42 @@ def test_a_dropped_diagram_is_freed_by_reference_counting():
     gc.disable()
     try:
         del d, mx, mn, y, x
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+CENSUS = ("squares", "square_table", "canonical_squares", "diagrams")
+
+
+def test_census_is_formed_once_on_first_read(monkeypatch):
+    calls = []
+    enumerate_squares = diagram_module.enumerate_squares
+    monkeypatch.setattr(diagram_module, "enumerate_squares", lambda d: calls.append(d) or enumerate_squares(d))
+    for first in CENSUS:
+        d = build_diagram(load_fixture("thue-morse"))
+        assert calls == [] and not set(CENSUS) & set(vars(d))  # the constructor forms no census
+        view = getattr(d, first)
+        assert calls == [d] and set(CENSUS) <= set(vars(d))  # all four views at once
+        assert getattr(d, first) is view and d.square_table is d.square_table
+        assert len(calls) == 1
+        assert [s.key() for s in d.squares] == sorted(s.key() for s in enumerate_squares(d))
+        assert d.square_table == {(s.h_top, s.e_left, s.e_right): s.h_bot for s in d.squares}
+        assert d.canonical_squares == [s for s in d.squares if s.canonical]
+        assert d.diagrams == [s for s in d.canonical_squares if s.kind == "cyclic"]
+        calls.clear()
+
+
+def test_a_diagram_whose_census_was_never_read_is_freed_by_reference_counting():
+    d = build_diagram(load_fixture("fibonacci"))
+    x = paths.parse_path(d, "root=a; (ab bd da)")
+    paths.decode(x.prefix(5))
+    export_dot(d, 2)
+    assert not set(CENSUS) & set(vars(d))
+    ref = weakref.ref(d)
+    gc.disable()
+    try:
+        del d, x
         assert ref() is None
     finally:
         gc.enable()

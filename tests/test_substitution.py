@@ -41,7 +41,9 @@ from oracles import (
     legal_words_fixed_point,
     perron_lengths_by_elimination,
     perron_lengths_by_fractions,
+    period_by_traces,
     primitivity_by_powers,
+    reachable_by_powers,
     screen_by_factors,
     string_factors,
 )
@@ -113,6 +115,19 @@ def test_not_primitive():
         parse_spec("letters: 0 1\nrule 0: 0\nrule 1: 1", check_aperiodicity=False)
 
 
+@pytest.mark.parametrize(
+    "rules, pair, period, message",
+    [
+        ("rule 0: 0 0 1\nrule 1: 1", (1, 0), None, "letter 0 occurs in no sigma^n(1)"),
+        ("rule 0: 1\nrule 1: 0", None, 2, "the incidence graph has period 2"),
+    ],
+)
+def test_not_primitive_names_its_reason(rules, pair, period, message):
+    with pytest.raises(NotPrimitive) as info:
+        parse_spec("letters: 0 1\n" + rules, check_aperiodicity=False)
+    assert (info.value.pair, info.value.period, str(info.value)) == (pair, period, f"not primitive: {message}")
+
+
 def test_comments_and_blank_lines():
     sub = parse_spec("# comment\nletters: 0 1\n\nrule 0: 0 1  # inline\nrule 1: 0\n")
     assert len(sub.alphabet) == 2
@@ -135,8 +150,14 @@ square_matrices = st.integers(min_value=1, max_value=7).flatmap(
 def test_primitivity_index_oracle(m):
     expected = primitivity_by_powers(m, (len(m) - 1) ** 2 + 1)  # None: not primitive
     if expected is None:
-        with pytest.raises(NotPrimitive):
+        with pytest.raises(NotPrimitive) as info:
             primitivity_index(m)
+        # the reason: the first pair outside the reachability closure, else the period
+        n, reachable = len(m), reachable_by_powers(m)
+        missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in reachable]
+        assert info.value.pair == (missing[0] if missing else None)
+        assert info.value.period == (None if missing else period_by_traces(m))
+        assert missing or info.value.period >= 2
     else:
         assert primitivity_index(m) == expected
 

@@ -4,12 +4,15 @@ arithmetic exact."""
 from __future__ import annotations
 
 import ast
+from copy import copy
 from pathlib import Path
 
+import oracles
 import pytest
 
 from bratteli import verify
 from bratteli.cli import main
+from bratteli.diagram import HorizontalTemplate, VerticalTemplate
 from bratteli.exactnum import AlgebraicNumber
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bratteli"
@@ -69,3 +72,76 @@ def test_no_floats_and_fractions_only_in_the_exact_layer():
                 continue
             if "fractions" in modules:
                 assert path.stem in ("exactnum", "ratpoly"), f"{where}: fractions imported outside exactnum/ratpoly"
+
+
+SQUARE_CHECKS = (verify._residuals, verify._opposites, oracles.residuals_by_elements, oracles.opposites_by_elements)
+
+
+def verdicts(diagram) -> list[bool]:
+    """Whether each of SQUARE_CHECKS passes: the integer checks, then their element references."""
+    out = []
+    for check in SQUARE_CHECKS:
+        try:
+            check(diagram)
+            out.append(True)
+        except AssertionError:
+            out.append(False)
+    return out
+
+
+def shifted(diagram, vertical: int | None = None, horizontal: int | None = None, by=1):
+    """A shallow copy of the diagram with one template's coefficient plus `by`."""
+    out = copy(diagram)
+    if vertical is not None:
+        e = diagram.verticals[vertical]
+        out.verticals = list(diagram.verticals)
+        out.verticals[vertical] = VerticalTemplate(e.index, e.src, e.rng, e.pos, e.coeff + by)
+    if horizontal is not None:
+        h = diagram.horizontals[horizontal]
+        out.horizontals = list(diagram.horizontals)
+        out.horizontals[horizontal] = HorizontalTemplate(h.index, h.src, h.rng, h.coeff + by, h.trivial, h.opposite)
+    return out
+
+
+def test_integer_square_checks_agree_with_element_reference(all_diagrams, random_diagrams, reducible_diagrams):
+    diagrams = (*all_diagrams.values(), *random_diagrams, *reducible_diagrams)
+    assert len(diagrams) == 30
+    for d in diagrams:
+        assert verdicts(d) == [True] * 4
+        s = next(s for s in d.squares if s.e_left != s.e_right)  # not a tail square, so h_top is nontrivial
+        assert not d.horizontals[s.h_top].trivial
+        assert verdicts(shifted(d, vertical=s.e_left)) == [False, True, False, True]
+        assert verdicts(shifted(d, horizontal=s.h_top)) == [False] * 4
+
+
+def test_nonzero_representative_of_zero_goes_to_the_exact_test(reducible_diagrams, monkeypatch):
+    d = reducible_diagrams[0]
+    f = d.field
+    assert f._reduced == [-1, -1, 0, -1, 1]  # (x^2 - x - 1)(x^2 + 1), and lambda = phi
+    zero = f.element([-1, -1, 1])  # x^2 - x - 1: a nonzero representative of 0
+    assert zero.coeffs and zero.is_zero()
+    s = next(s for s in d.squares if s.e_left != s.e_right)
+    spoiled = shifted(d, vertical=s.e_left, by=zero)
+    exact = []
+    is_zero = AlgebraicNumber.is_zero
+    monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda x: exact.append(x) or is_zero(x))
+    verify._residuals(spoiled)
+    assert exact  # the residual vector was nonzero, so the exact test decided it
+    assert verdicts(spoiled) == [True] * 4
+
+
+def test_square_checks_do_no_element_arithmetic(all_diagrams, monkeypatch):
+    for d in all_diagrams.values():
+        d.squares  # the census is formed outside the spy
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        op = getattr(AlgebraicNumber, name)
+        monkeypatch.setattr(AlgebraicNumber, name, lambda *args, op=op, name=name: calls.append(name) or op(*args))
+    d = all_diagrams["fibonacci"]
+    d.lam * d.lam - d.lam + 1
+    assert calls == ["__mul__", "__sub__", "__add__"]  # the spy sees the operators
+    calls.clear()
+    for d in all_diagrams.values():
+        verify._residuals(d)
+        verify._opposites(d)
+    assert calls == []
