@@ -23,6 +23,7 @@ from .paths import (
     extremal_paths,
     pair_extremes,
     parse_path,
+    _rb_refutation,
     rb_equiv,
     refuse_large_patch,
     render_path,
@@ -155,14 +156,13 @@ def cmd_diagram(args) -> int:
     elif args.format == "json":
         text = export_json(diagram)
     else:
-        n_cyclic = len(diagram.diagrams)
         n_h = sum(1 for h in diagram.horizontals if not h.trivial)
         text = (
             f"vertices: {' '.join(diagram.vertices)}\n"
             f"vertical templates: {len(diagram.verticals)}\n"
             f"nontrivial horizontal templates: {n_h}\n"
-            f"commutative squares: {len(diagram.squares)}\n"
-            f"recurrent commutative diagrams: {n_cyclic}\n"
+            f"commutative squares: {_square_count(diagram)}\n"
+            f"recurrent commutative diagrams: {len(diagram.diagrams)}\n"
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -170,6 +170,12 @@ def cmd_diagram(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _square_count(diagram) -> int:
+    """len(diagram.squares) off the canonical view: one fewer per square that is its own mirror."""
+    squares = diagram.canonical_squares
+    return 2 * len(squares) - sum(diagram._mirror_key(s) == s.key() for s in squares)
 
 
 def _depth_of(args, path, default: int | None = None) -> int:
@@ -309,17 +315,30 @@ def cmd_rb(args) -> int:
     _refuse_unprintable(diagram, "rb", _translation_depth(x, y), 1)
     witness = rb_equiv(x, y)
     if witness is None:
-        print("not equivalent: None")
+        _print_refutation(diagram, x, y)
         return 0
     print("equivalent")
     print(f"n0: {witness.n0}")
-    chain = " ".join(
-        f"{diagram.vertices[diagram.horizontals[h].src]}->{diagram.vertices[diagram.horizontals[h].rng]}"
-        for h in witness.chain
-    )
+    chain = " ".join(_horizontal_name(diagram, h) for h in witness.chain)
     print(f"chain (period {len(witness.chain)}): {chain}")
     print(f"translation a(x,y): {witness.translation.render()} = {_dec(witness.translation)}")
     return 0
+
+
+def _horizontal_name(diagram, h: int) -> str:
+    return "->".join(diagram.vertices[v] for v in (diagram.horizontals[h].src, diagram.horizontals[h].rng))
+
+
+def _print_refutation(diagram, x, y) -> None:
+    """rb_equiv's verdict None, then why, in vertex and edge labels."""
+    p0, deaths = _rb_refutation(x, y)
+    links = "x(p0) = {} to y(p0) = {} at p0 = {}".format(*(diagram.vertices[p.vertex_at(p0)] for p in (x, y)), p0)
+    print("not equivalent: None")
+    reason = f"the walk from each horizontal linking {links} dies" if deaths else f"no horizontal links {links}"
+    print(f"reason: {reason}")
+    h, e = functools.partial(_horizontal_name, diagram), lambda i: diagram.edge_label(diagram.verticals[i])
+    for seed, n, (g, ex, ey) in deaths:
+        print(f"  seed {h(seed)}: dies at generation {n}, no square (h, e_x, e_y) = ({h(g)}, {e(ex)}, {e(ey)})")
 
 
 def cmd_analyze(args) -> int:

@@ -36,7 +36,7 @@ exactly three families, read off the rules with no arithmetic:
 a mirror swaps e_left and e_right and reverses both horizontals.  Sorted
 keys are the scan order of `squares` and of the JSON export.
 
-Of a square and its mirror one is stored (`canonical`): the one with
+Of a square and its mirror one is stored (canonical): the one with
 L = c(e_left) + lambda c(h_bot) < 0 <= the mirror's L, else the smaller key
 (h_top forward).  Positive lengths fix these signs per family.  A tail
 square is its own mirror.  With h_bot forward, a boundary square has
@@ -64,11 +64,14 @@ forward h_bot lies on a cycle of down: the census reads each square's kind
 off down's cycles, and those cycles, walked backward, are the chains of
 canonical recurrent diagrams.
 
-The census and its three views (`squares`, `square_table`,
-`canonical_squares`, `diagrams`) are formed together on the first read of
-any one of them, not by the constructor: a command that reads none pays
-nothing for it.  The census does no arithmetic; `verify` checks the square
-equation of every square it lists.
+`enumerate_squares` emits the stored orientation of each square, in scan
+order.  Each view of the census is formed on its own first read from that
+one list, `canonical_squares`: `diagrams`, `square_table` (each key and its
+mirror's, as ints) and `squares` (both orientations, which only `verify`
+reads).  A square is its own mirror iff its mirror's key is its key, not
+iff e_left = e_right: a boundary square at a collared letter adjacent to
+itself whose rule has length 1 has e_left = e_right.  The census does no
+arithmetic; `verify` checks the square equation of every square it lists.
 """
 
 from __future__ import annotations
@@ -127,54 +130,63 @@ class BratteliDiagram:
         self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
         self._rb_generators = None  # rb_via_generators' tail-key pairs (max, psi(max)), formed on first use
 
-    # -- the census, formed on first read --------------------------------------
-
-    @functools.cached_property
-    def squares(self) -> list[DiagramTemplate]:
-        """Every commutative square, in scan order."""
-        return self._census("squares")
-
-    @functools.cached_property
-    def square_table(self) -> dict[tuple[int, int, int], int]:
-        """(h_top, e_left, e_right) -> h_bot of each square."""
-        return self._census("square_table")
+    # -- the census, each view formed on its own first read ---------------------
 
     @functools.cached_property
     def canonical_squares(self) -> list[DiagramTemplate]:
-        """The stored orientation of each square and its mirror."""
-        return self._census("canonical_squares")
+        """The stored orientation of each square and its mirror, in scan order."""
+        return enumerate_squares(self)
 
     @functools.cached_property
     def diagrams(self) -> list[DiagramTemplate]:
         """The canonical recurrent squares: the commutative-diagram templates."""
-        return self._census("diagrams")
+        return [s for s in self.canonical_squares if s.kind == "cyclic"]
 
-    def _census(self, name: str):
-        """Form the four views above together, on the first read of any one,
-        and return the one named; the others are cached beside it."""
-        squares = enumerate_squares(self)
-        table = {(s.h_top, s.e_left, s.e_right): s.h_bot for s in squares}
-        assert len(table) == len(squares)  # one h_bot per (h_top, e_left, e_right)
-        canonical = [s for s in squares if s.canonical]
-        diagrams = [s for s in canonical if s.kind == "cyclic"]
-        vars(self).update(squares=squares, square_table=table, canonical_squares=canonical, diagrams=diagrams)
-        return vars(self)[name]
+    @functools.cached_property
+    def square_table(self) -> dict[tuple[int, int, int], int]:
+        """(h_top, e_left, e_right) -> h_bot of each square, from the keys of
+        each canonical square and its mirror."""
+        keys = [k for s in self.canonical_squares for k in {s.key(), self._mirror_key(s)}]  # one if its own mirror
+        table = {(ht, el, er): hb for ht, el, er, hb in keys}
+        assert len(table) == len(keys)  # one h_bot per (h_top, e_left, e_right)
+        return table
+
+    @functools.cached_property
+    def squares(self) -> list[DiagramTemplate]:
+        """Every commutative square, both orientations, in scan order."""
+        mirror = self._mirror_key
+        mirrors = [DiagramTemplate(*m, s.kind, False) for s in self.canonical_squares if (m := mirror(s)) != s.key()]
+        return sorted(self.canonical_squares + mirrors, key=DiagramTemplate.key)
+
+    def _mirror_key(self, s: DiagramTemplate) -> tuple[int, int, int, int]:
+        """The key of s's mirror: both horizontals reversed, e_left and e_right swapped."""
+        return self.horizontals[s.h_top].opposite, s.e_right, s.e_left, self.horizontals[s.h_bot].opposite
 
     # -- lookups ---------------------------------------------------------------
 
+    @functools.cached_property
+    def out_edges(self) -> dict[int, list[VerticalTemplate]]:
+        out = {v: [] for v in range(len(self.vertices))}
+        for e in self.verticals:
+            out[e.src].append(e)
+        return out
+
+    @functools.cached_property
+    def h_by_ends(self) -> dict[tuple[int, int], list[HorizontalTemplate]]:
+        out = {}
+        for h in self.horizontals:
+            out.setdefault((h.src, h.rng), []).append(h)
+        return out
+
     def _index_templates(self):
-        self.out_edges: dict[int, list[VerticalTemplate]] = {v: [] for v in range(len(self.vertices))}
         self.in_edges: dict[int, list[VerticalTemplate]] = {v: [] for v in range(len(self.vertices))}
         for e in self.verticals:
-            self.out_edges[e.src].append(e)
             self.in_edges[e.rng].append(e)
         for edges in self.in_edges.values():  # build_vertical emits them by (rng, pos)
             assert [e.pos for e in edges] == list(range(len(edges)))
-        self.h_by_ends: dict[tuple[int, int], list[HorizontalTemplate]] = {}
         self.trivial_h: dict[int, HorizontalTemplate] = {}
         self.forward_h: dict[tuple[int, int], HorizontalTemplate] = {}  # src just left of rng
         for h in self.horizontals:
-            self.h_by_ends.setdefault((h.src, h.rng), []).append(h)
             if h.trivial:
                 self.trivial_h[h.src] = h
             elif h.index < h.opposite:
@@ -260,10 +272,10 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
     left(t') = core(t), and the projected 4-word is legal: exactly the pairs
     (w[:3], w[1:]) of the legal 4-words w, walked in (t, t') index order.
-    The template for the ordered pair carries +((len t + len t')/2), its
-    opposite the negation, each formed from the integer length vectors over
-    2D.  Both are built once per pair of core letters and shared, and every
-    trivial loop carries the field's one zero.
+    The template for the ordered pair carries +((len t + len t')/2), formed
+    from the integer length vectors over 2D, and its opposite the negation,
+    coefficient by coefficient.  Both are built once per pair of core letters
+    and shared, and every trivial loop carries the field's one zero.
     """
     base = csub.base
     den, vecs = base.length_vectors
@@ -274,7 +286,8 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
         pm = half_sums.get((x, y))
         if pm is None:
             s = [a + b for a, b in zip(vecs[x], vecs[y])]
-            pm = (base.field.over(s, 2 * den), base.field.over([-c for c in s], 2 * den))
+            plus = base.field.over(s, 2 * den)
+            pm = (plus, AlgebraicNumber(base.field, tuple(-c for c in plus.coeffs)))
             half_sums[x, y] = half_sums[y, x] = pm
         i = len(out)
         out.append(HorizontalTemplate(i, t, u, pm[0], False, i + 1))
@@ -285,28 +298,25 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
 
 
 def enumerate_squares(diagram: BratteliDiagram) -> list[DiagramTemplate]:
-    """All commutative squares in scan order, read off adjacent subtiles (the
-    three families of the module docstring) with no arithmetic; the family a
-    square falls in sets its kind and which orientation is stored."""
+    """The stored orientation of every commutative square, in scan order,
+    read off adjacent subtiles (the three families of the module docstring)
+    with no arithmetic; the family a square falls in sets its kind and which
+    orientation is stored."""
     hs, trivial = diagram.horizontals, diagram.trivial_h
     layouts, core_of = diagram.csub.base.layouts, diagram.csub.core_of
     recurrent = {h for cycle in diagram.down_cycles for h in cycle}
     out = []
-
-    def adjacent(ht, el, er, hb, kind, canonical):  # el.src just left of er.src: the square and its mirror
-        out.append(DiagramTemplate(ht.index, el.index, er.index, hb.index, kind, canonical))
-        out.append(DiagramTemplate(ht.opposite, er.index, el.index, hb.opposite, kind, not canonical))
-
     for v, into in diagram.in_edges.items():
         out.extend(DiagramTemplate(trivial[e.src].index, e.index, e.index, trivial[v].index, "af") for e in into)
         split = layouts[core_of(v)].split
         for el, er in zip(into, into[1:]):
-            ht = diagram.forward_h.get((el.src, er.src))
-            if ht is not None:
-                adjacent(ht, el, er, trivial[v], "transient", er.pos != split)
-    for hb, ht in diagram.down.items():
+            if (ht := diagram.forward_h.get((el.src, er.src))) is not None:  # el.src just left of er.src
+                top, el, er = (ht.index, el, er) if er.pos != split else (ht.opposite, er, el)  # the mirror at the split
+                out.append(DiagramTemplate(top, el.index, er.index, trivial[v].index, "transient"))
+    for hb, ht in diagram.down.items():  # the mirror of the boundary square at each forward h_bot
         kind = "cyclic" if hb in recurrent else "transient"
-        adjacent(hs[ht], diagram.max_edge_into(hs[hb].src), diagram.min_edge_into(hs[hb].rng), hs[hb], kind, False)
+        el, er = diagram.max_edge_into(hs[hb].src), diagram.min_edge_into(hs[hb].rng)
+        out.append(DiagramTemplate(hs[ht].opposite, er.index, el.index, hs[hb].opposite, kind))
     out.sort(key=attrgetter("h_top", "e_left", "e_right", "h_bot"))
     return out
 

@@ -224,6 +224,34 @@ class ModulusField:
         g = rp.gcd(p, self._reduced)
         return len(g) >= 2 and rp.count_roots_halfopen(g, self.lo, self.hi) >= 1, g
 
+    def _sign_at(self, p, k: int) -> int | None:
+        """+1 or -1 if p's enclosure over the level-k interval excludes 0, else None."""
+        vlo, vhi, _ = rp.enclose(p, *self.refined(k))
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        return None
+
+    def _sign(self, p) -> int:
+        """The sign at lambda of a rational or integer polynomial p, by the module
+        docstring's ladder: of an element, and of an integer length vector."""
+        while p and not p[-1]:
+            p = p[:-1]
+        if not p:
+            return 0
+        k = self._level
+        s = self._sign_at(p, k)
+        while s is None and k < _SIGN_LADDER:
+            k += 1
+            s = self._sign_at(p, k)
+        if s is None and self._vanishes(p)[0]:
+            return 0
+        while s is None:
+            k += 1
+            s = self._sign_at(p, k)
+        return s
+
     def lam(self) -> AlgebraicNumber:
         return self.element((0, 1))
 
@@ -347,34 +375,15 @@ class AlgebraicNumber:
     # -- decision procedures ---------------------------------------------------
 
     def _sign_at(self, k: int) -> int | None:
-        """+1 or -1 if the enclosure over the level-k interval excludes 0,
-        None if it does not decide."""
-        vlo, vhi, _ = rp.enclose(self.coeffs, *self.field.refined(k))
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        return None
+        return self.field._sign_at(self.coeffs, k)
 
     def is_zero(self) -> bool:
         """The enclosure at the field's level decides "nonzero" if it can."""
-        p = self.coeffs
-        return not p or len(p) > 1 and self._sign_at(self.field._level) is None and self.field._vanishes(p)[0]
+        p, f = self.coeffs, self.field
+        return not p or len(p) > 1 and f._sign_at(p, f._level) is None and f._vanishes(p)[0]
 
     def sign(self) -> int:
-        if not self.coeffs:
-            return 0
-        k = self.field._level
-        s = self._sign_at(k)
-        while s is None and k < _SIGN_LADDER:
-            k += 1
-            s = self._sign_at(k)
-        if s is None and self.field._vanishes(self.coeffs)[0]:
-            return 0
-        while s is None:
-            k += 1
-            s = self._sign_at(k)
-        return s
+        return self.field._sign(self.coeffs)
 
     def compare(self, other) -> int:
         return (self - other).sign()
@@ -441,7 +450,7 @@ def _sum(p: tuple, q: tuple) -> tuple:
 
 def _render(p: list[Fraction], sym: str) -> str:
     """Fractions or ints, read through their integer numerator and denominator."""
-    parts = []
+    parts = []  # each term with its sign as a separator, " - " or " + "
     for k, c in enumerate(p):
         num, den = c.numerator, c.denominator
         if not num:
@@ -449,10 +458,8 @@ def _render(p: list[Fraction], sym: str) -> str:
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if k:
             mag = ("" if mag == "1" else f"{mag}*") + sym + (f"^{k}" if k > 1 else "")
-        parts.append((num < 0, mag))
+        parts.append(" - " if num < 0 else " + ")
+        parts.append(mag)
     if not parts:
         return "0"
-    out = ("-" if parts[0][0] else "") + parts[0][1]
-    for negative, body in parts[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+    return ("-" if parts[0] == " - " else "") + "".join(parts[1:])

@@ -131,10 +131,12 @@ class EventuallyPeriodicPath(Frozen):
         cycle = [int(e) for e in cycle]
         if not cycle:
             raise ParseError("eventually periodic path needs a nonempty cycle")
+        first, last = cycle[0], cycle[-1]  # as written, for the message
         pre, cycle = map(tuple, _normalize(pre, cycle))
         # composability across preamble, into the cycle, and around it
         if _composed_range(diagram, root, pre + cycle) != diagram.verticals[cycle[0]].src:
-            raise ParseError("cycle does not close up")
+            ends = (diagram.vertices[v] for v in (diagram.verticals[last].rng, diagram.verticals[first].src))
+            raise ParseError("cycle does not close up: it ends at {}, but its first edge starts at {}".format(*ends))
         self._fill(diagram, root, pre, cycle)
 
     def key(self):
@@ -564,6 +566,21 @@ def _rb_chain(d: BratteliDiagram, cx: tuple[int, ...], cy: tuple[int, ...]) -> t
             assert chain is None, "a second surviving seed would give the tiling a period"
             chain = tuple(cur for _, cur in found[0])
     return chain
+
+
+def _rb_refutation(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> tuple[int, list[tuple]]:
+    """Why rb_equiv(x, y) is None, off its memo: p0 and, for each seed h linking
+    x(p0) to y(p0), (h, n, (g, e_x, e_y)): the walk from h dies at generation
+    n, as no square has h_top g, the walk's horizontal at n - 1, and e_left,
+    e_right e_x, e_y, the paths' edges at n.  Each walk dies: there is no chain."""
+    d, p0 = x.diagram, max(len(x.pre), len(y.pre)) + 2
+    deaths = []
+    for seed in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), []):
+        g, n = seed.index, p0 + 1
+        while (nxt := d.square_table.get(triple := (g, x.edge_index_at(n), y.edge_index_at(n)))) is not None:
+            g, n = nxt, n + 1
+        deaths.append((seed.index, n, triple))
+    return p0, deaths
 
 
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:

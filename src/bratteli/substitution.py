@@ -55,6 +55,9 @@ class CollaredLetter(Frozen):
 
 
 class Substitution:
+    """A primitive substitution, its field, layouts and `length_vectors`; the
+    lengths as elements, `lengths`, are formed on first read: a build reads none."""
+
     def __init__(
         self,
         alphabet: list[Letter],
@@ -74,7 +77,13 @@ class Substitution:
         primitivity_index(self.abelianization, [a.name for a in self.alphabet])  # raises NotPrimitive
         charpoly, self.adjugate_column = rp.charpoly(self.abelianization)
         self.field: ModulusField = ModulusField(charpoly)
-        self.lengths, self.layouts, self.length_vectors = perron_lengths(self)
+        self.layouts, self.length_vectors = perron_lengths(self)
+
+    @cached_property
+    def lengths(self) -> dict[int, AlgebraicNumber]:
+        """The tile lengths l(x) = L_x / D, with l(0) = 1."""
+        den, vecs = self.length_vectors
+        return {x: self.field.over(v, den) if x else self.field.one for x, v in enumerate(vecs)}
 
     # -- basic word machinery -------------------------------------------------
 
@@ -194,10 +203,10 @@ class LetterLayout(Frozen):
         self._fill(split, left, right, vertical)
 
 
-def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[int, LetterLayout], tuple[int, list]]:
-    """Exact tile lengths, sum_y M[x][y] l(y) = lambda l(x) with l(0) = 1,
-    the layout of each rule image, and (D, [L_x]): the lengths as integer
-    vectors over one denominator, l(x) = L_x / D.
+def perron_lengths(sub: Substitution) -> tuple[dict[int, LetterLayout], tuple[int, list]]:
+    """The layout of each rule image and (D, [L_x]): the exact tile lengths,
+    sum_y M[x][y] l(y) = lambda l(x) with l(0) = 1, as integer vectors over
+    one denominator, l(x) = L_x / D (as elements: `Substitution.lengths`).
 
     (lambda I - M) adj(lambda I - M) = det(lambda I - M) I = 0, so every
     column of the adjugate is a right eigenvector.  Column 0, the integer
@@ -207,19 +216,17 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
     with one inverse, as integer vectors over one denominator D
     (`ModulusField.ratios`).  All equations are re-checked afterwards, a
     nonzero residual vector by the exact zero test, and positivity is
-    asserted.
+    decided on each L_x by the field's sign ladder (`ModulusField._sign`).
 
     The check of letter x forms the prefix sums and the span lambda l(x)
     of its layout, so each layout is built and checked once per base letter
     (`LetterLayout`), in integer-vector sums: no element arithmetic.
     """
     f = sub.field
-    n = len(sub.alphabet)
     try:
         den, vecs, spans = f.ratios(sub.adjugate_column)
     except ZeroDivisionError:
         raise SingularSystem("adjugate column vanishes at lambda; modulus/eigenvalue mismatch") from None
-    lengths = {x: f.over(vecs[x], den) if x else f.one for x in range(n)}
     layouts = {}
     for x, span in enumerate(spans):
         images = (vecs[y] for y in sub.rules[x])
@@ -234,10 +241,10 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, AlgebraicNumber], dict[
             right=tuple(tuple(t - a for t, a in zip(total, e)) for e in ends[1:]),
             vertical=vertical,
         )
-    for y in range(n):
-        if lengths[y].sign() != 1:
+    for y, vec in enumerate(vecs):  # l(y) = L_y / D with D > 0
+        if f._sign(vec) != 1:
             raise SingularSystem(f"non-positive tile length for letter {y}")
-    return lengths, layouts, (den, vecs)
+    return layouts, (den, vecs)
 
 
 def legal_words(sub: Substitution, n: int) -> set[Word]:

@@ -1107,7 +1107,8 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemp
     h_bot) with exactly zero residual, by the pair sums L and R of the
     module docstring; puts L of each (e_left, h_bot) it forms in `usums`.
     Kinds come from the line-graph reachability and stored orientations from
-    the signs of L, not from the square families."""
+    the signs of L, not from the square families.  Returns the stored
+    orientations, as `diagram.enumerate_squares` does."""
     lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
     for h in diagram.horizontals:
         if h.coeff.coeffs not in lam_c:
@@ -1133,7 +1134,39 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemp
                 assert len(matches) <= 1
                 out.extend((ht.index, el.index, er.index, hb.index) for hb in matches)
     kinds = square_kinds_by_reachability(diagram, out)
-    return [DiagramTemplate(*k, kind, is_canonical_by_sign(diagram, k)) for k, kind in zip(out, kinds)]
+    return [DiagramTemplate(*k, kind) for k, kind in zip(out, kinds) if is_canonical_by_sign(diagram, k)]
+
+
+def census_formed_together(diagram: BratteliDiagram) -> dict:
+    """The census as the diagram formed it before each view was formed on its
+    own: every square in both orientations from the three families, the
+    mirror of each stored one built beside it, sorted, then the table, the
+    canonical list and the recurrent ones from that one list, together."""
+    hs, trivial = diagram.horizontals, diagram.trivial_h
+    layouts, core_of = diagram.csub.base.layouts, diagram.csub.core_of
+    recurrent = {h for cycle in diagram.down_cycles for h in cycle}
+    squares = []
+
+    def adjacent(ht, el, er, hb, kind, canonical):  # el.src just left of er.src: the square and its mirror
+        squares.append(DiagramTemplate(ht.index, el.index, er.index, hb.index, kind, canonical))
+        squares.append(DiagramTemplate(ht.opposite, er.index, el.index, hb.opposite, kind, not canonical))
+
+    for v, into in diagram.in_edges.items():
+        squares.extend(DiagramTemplate(trivial[e.src].index, e.index, e.index, trivial[v].index, "af") for e in into)
+        split = layouts[core_of(v)].split
+        for el, er in zip(into, into[1:]):
+            ht = diagram.forward_h.get((el.src, er.src))
+            if ht is not None:
+                adjacent(ht, el, er, trivial[v], "transient", er.pos != split)
+    for hb, ht in diagram.down.items():
+        kind = "cyclic" if hb in recurrent else "transient"
+        adjacent(hs[ht], diagram.max_edge_into(hs[hb].src), diagram.min_edge_into(hs[hb].rng), hs[hb], kind, False)
+    squares.sort(key=DiagramTemplate.key)
+    table = {(s.h_top, s.e_left, s.e_right): s.h_bot for s in squares}
+    assert len(table) == len(squares)
+    canonical = [s for s in squares if s.canonical]
+    diagrams = [s for s in canonical if s.kind == "cyclic"]
+    return {"squares": squares, "square_table": table, "canonical_squares": canonical, "diagrams": diagrams}
 
 
 def residuals_by_elements(diagram: BratteliDiagram) -> None:

@@ -14,7 +14,7 @@ import pytest
 from bratteli import cli, paths
 from bratteli import diagram as diagram_module
 from bratteli.cli import main
-from bratteli.diagram import MAX_DOT_LINES, dot_line_count, export_dot
+from bratteli.diagram import MAX_DOT_LINES, DiagramTemplate, dot_line_count, export_dot
 from bratteli.fixtures import FIBONACCI_SPEC
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -418,6 +418,53 @@ def test_rb_none(capsys):
     )
     assert code == 0
     assert "None" in out
+
+
+def test_rb_names_the_reason_for_a_no(capsys):
+    code, out, _ = run(capsys, "rb", "--fixture", "fibonacci", "--x", "root=a; (ac ca)", "--y", "root=c; (ca ac)")
+    assert (code, out) == (0, "not equivalent: None\nreason: no horizontal links x(p0) = c to y(p0) = a at p0 = 2\n")
+
+
+def test_readme_rb_refutation_example(capsys):
+    """The README's example of a pair rb refuses prints what the README shows."""
+    example = README.read_text(encoding="utf-8").split("prints its reason:", 1)[1]
+    command, expected = (block.split("\n", 1)[1] for block in example.split("```")[1:4:2])
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert (code, out) == (0, expected)
+    assert "dies at generation" in out
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("root=a; (ac)", "it ends at c, but its first edge starts at a"),
+        ("root=a; ac (ca ab)", "it ends at b, but its first edge starts at c"),
+    ],
+)
+def test_a_cycle_that_does_not_close_names_both_vertices(capsys, literal, message):
+    code, out, err = run(capsys, "decode", "--fixture", "fibonacci", "--x", literal)
+    assert (code, out, err) == (2, "", f"error: cycle does not close up: {message}\n")
+
+
+def test_diagram_text_counts_read_the_canonical_view(monkeypatch, capsys):
+    """`diagram`, as text and as JSON, forms one record per canonical square
+    and no squares or table, and prints the counts it printed from them
+    (`cli._square_count` equals len(squares) on the 30 diagrams and the 196
+    frozen specs: `test_diagram.assert_census_matches_oracle`)."""
+    built, made = [], []
+    build, init = cli.build_diagram, DiagramTemplate.__init__
+    monkeypatch.setattr(cli, "build_diagram", lambda sub: built.append(build(sub)) or built[-1])
+    monkeypatch.setattr(DiagramTemplate, "__init__", lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+    for fixture, squares, diagrams in (("fibonacci", 23, 2), ("thue-morse", 44, 4)):
+        for fmt in ("text", "json"):
+            built.clear()
+            made.clear()
+            code, out, _ = run(capsys, "diagram", "--fixture", fixture, "--format", fmt)
+            (d,) = built
+            assert code == 0 and len(made) == len(d.canonical_squares)
+            assert not {"squares", "square_table"} & set(vars(d))
+            if fmt == "text":
+                assert f"commutative squares: {squares}\nrecurrent commutative diagrams: {diagrams}\n" in out
 
 
 def test_analyze_verdicts(capsys):

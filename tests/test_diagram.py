@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bratteli import analysis
+from bratteli import analysis, cli
 from bratteli import diagram as diagram_module
 from bratteli import paths, substitution, verify
 from bratteli import ratpoly as rp
@@ -573,6 +573,8 @@ CENSUS = ("squares", "square_table", "canonical_squares", "diagrams")
 
 
 def test_census_is_formed_once_on_first_read(monkeypatch):
+    """Each view is formed on its own first read, from the canonical list
+    alone; one enumerate_squares call per diagram forms that list."""
     calls = []
     enumerate_squares = diagram_module.enumerate_squares
     monkeypatch.setattr(diagram_module, "enumerate_squares", lambda d: calls.append(d) or enumerate_squares(d))
@@ -580,14 +582,58 @@ def test_census_is_formed_once_on_first_read(monkeypatch):
         d = build_diagram(load_fixture("thue-morse"))
         assert calls == [] and not set(CENSUS) & set(vars(d))  # the constructor forms no census
         view = getattr(d, first)
-        assert calls == [d] and set(CENSUS) <= set(vars(d))  # all four views at once
-        assert getattr(d, first) is view and d.square_table is d.square_table
-        assert len(calls) == 1
-        assert [s.key() for s in d.squares] == sorted(s.key() for s in enumerate_squares(d))
-        assert d.square_table == {(s.h_top, s.e_left, s.e_right): s.h_bot for s in d.squares}
-        assert d.canonical_squares == [s for s in d.squares if s.canonical]
-        assert d.diagrams == [s for s in d.canonical_squares if s.kind == "cyclic"]
+        assert calls == [d] and set(CENSUS) & set(vars(d)) == {first, "canonical_squares"}
+        assert getattr(d, first) is view
+        for name in CENSUS:
+            assert getattr(d, name) is getattr(d, name)
+        assert calls == [d]
+        assert_census_matches_oracle(d)
         calls.clear()
+
+
+def assert_census_matches_oracle(d: BratteliDiagram):
+    """All four views against the census formed together: keys, kind,
+    canonical flag and order, and the table; and the count `diagram` prints."""
+    want = oracles.census_formed_together(d)
+    for name in ("squares", "canonical_squares", "diagrams"):
+        got = [(s.key(), s.kind, s.canonical) for s in getattr(d, name)]
+        assert got == [(s.key(), s.kind, s.canonical) for s in want[name]], name
+    assert d.square_table == want["square_table"]
+    assert cli._square_count(d) == len(want["squares"])
+
+
+def test_census_views_match_the_census_formed_together(all_diagrams, random_diagrams, reducible_diagrams):
+    """On the 196 frozen bench specs, each built afresh, and the 30 diagrams.
+    Two pool specs have a boundary square with e_left = e_right and h_bot
+    nontrivial, which is not its own mirror: both orientations are listed."""
+    lookalikes = 0
+    for spec in frozen_bench_specs():
+        d = build_diagram(parse_spec(spec["text"], check_aperiodicity=spec.get("check_aperiodicity", True)))
+        assert_census_matches_oracle(d)
+        for s in d.canonical_squares:
+            if s.e_left == s.e_right and not d.horizontals[s.h_bot].trivial:
+                lookalikes += 1
+                assert d._mirror_key(s) != s.key() and s.kind == "transient"
+    assert lookalikes == 2
+    for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
+        assert_census_matches_oracle(d)
+
+
+def test_a_build_forms_no_view_its_reader_does_not_read(monkeypatch):
+    """Build, pair_extremes and export_json on each fixture form one record
+    per canonical square and leave the other views, the lookups only rb and
+    paths read, and the lengths as elements unformed."""
+    made = []
+    init = DiagramTemplate.__init__
+    monkeypatch.setattr(DiagramTemplate, "__init__", lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+    for source in (load_fixture("fibonacci"), load_fixture("thue-morse"), doubling(), parse_spec(RAND3_SPEC)):
+        made.clear()
+        d = build_diagram(source)
+        paths.pair_extremes(d)
+        export_json(d)
+        assert len(made) == len(d.canonical_squares) > 0
+        assert not {"squares", "square_table", "h_by_ends", "out_edges"} & set(vars(d))
+        assert "lengths" not in vars(source)
 
 
 def test_a_diagram_whose_census_was_never_read_is_freed_by_reference_counting():

@@ -737,6 +737,33 @@ def test_square_table_is_injective(all_diagrams, random_diagrams, reducible_diag
         assert len({(el, er, hb) for (_, el, er), hb in d.square_table.items()}) == len(d.square_table)
 
 
+def test_rb_refutation_names_where_each_walk_dies(random_diagrams):
+    """For each pair rb_equiv refuses, on the random family: with no seed,
+    h_by_ends has no horizontal linking x(p0) to y(p0); otherwise the seeds
+    are those horizontals, each walk steps through square_table from its seed
+    to g at generation n - 1, which links x(n - 1) to y(n - 1), and the
+    square_table has no (g, e_x, e_y) for the paths' edges at n."""
+    reasons = set()
+    for d in random_diagrams:
+        for x, y in _sampled_pairs(d, k=60):
+            if rb_equiv(x, y) is not None:
+                continue
+            p0, deaths = paths._rb_refutation(x, y)
+            assert p0 == max(len(x.pre), len(y.pre)) + 2
+            seeds = d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), [])
+            assert [seed for seed, _, _ in deaths] == [h.index for h in seeds]
+            reasons.add("dies" if deaths else "no seed")
+            for seed, n, (g, ex, ey) in deaths:
+                h = seed
+                for m in range(p0 + 1, n):
+                    h = d.square_table[h, x.edge_index_at(m), y.edge_index_at(m)]
+                assert h == g and n > p0
+                assert (d.horizontals[g].src, d.horizontals[g].rng) == (x.vertex_at(n - 1), y.vertex_at(n - 1))
+                assert (ex, ey) == (x.edge_index_at(n), y.edge_index_at(n))
+                assert (g, ex, ey) not in d.square_table
+    assert reasons == {"dies", "no seed"}
+
+
 # -- literals and normal forms ---------------------------------------------------------
 
 

@@ -247,7 +247,7 @@ def test_split_bisects_and_zero_verticals_need_no_gcd(monkeypatch):
     for name in ("fibonacci", "thue-morse", LONG_RULE_SPEC):
         sub = load_fixture(name) if name in FIXTURES else parse_spec(name)
         signs.clear()
-        _, layouts, _ = perron_lengths(sub)
+        layouts, _ = perron_lengths(sub)
         for x, layout in layouts.items():
             mine = [(c, g) for c, g in signs if any(c is v for v in layout.vertical)]
             assert len(mine) <= math.ceil(math.log2(len(sub.rules[x]) + 1)), (name, x)
@@ -268,6 +268,17 @@ def test_perron_lengths_zero_pivot_is_singular():
         perron_lengths(vanishing)
 
 
+@pytest.mark.parametrize("rule2, c2", [((1, 2, 2), [0, -1]), ((2, 2), [0, 0])])
+def test_perron_lengths_refuse_a_length_that_is_not_positive(rule2, c2):
+    """A third letter beside fibonacci's whose eigen-equation at phi holds
+    with l(2) = -phi, or with l(2) = 0 (an all-zero vector): the sign of its
+    integer length vector refuses it."""
+    f = load_fixture("fibonacci").field
+    fake = SimpleNamespace(field=f, rules={0: (0, 1), 1: (0,), 2: rule2}, adjugate_column=[[1, 0], [-1, 1], c2])
+    with pytest.raises(SingularSystem, match="non-positive tile length for letter 2"):
+        perron_lengths(fake)
+
+
 def test_perron_lengths_store_the_element_arithmetic_representatives(
     all_diagrams, random_diagrams, reducible_diagrams
 ):
@@ -278,9 +289,9 @@ def test_perron_lengths_store_the_element_arithmetic_representatives(
     representatives."""
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
         sub = d.csub.base
-        lengths, layouts, (den, _) = perron_lengths(sub)
+        layouts, (den, _) = perron_lengths(sub)
         want_lengths, want_layouts = perron_lengths_by_fractions(sub)
-        assert {x: c.coeffs for x, c in lengths.items()} == {x: c.coeffs for x, c in want_lengths.items()}
+        assert {x: c.coeffs for x, c in sub.lengths.items()} == {x: c.coeffs for x, c in want_lengths.items()}
         assert layouts.keys() == want_layouts.keys()
         for x, want in want_layouts.items():
             got = layouts[x]
@@ -320,9 +331,10 @@ def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1
     tested = []
     is_zero = AlgebraicNumber.is_zero
     monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda self: tested.append(self.coeffs) or is_zero(self))
-    lengths, layouts, (den, _) = perron_lengths(fake)
+    layouts, (den, vecs) = perron_lengths(fake)
     assert ((-1, -1, 1) in tested) == (c1 == [-2, 0, 1])  # letter 0's residual x^2 - x - 1
-    assert lengths[1].coeffs == tuple(rp.poly(c1)) and lengths[1].equals(f.lam() - 1)
+    length = f.over(vecs[1], den)
+    assert length.coeffs == tuple(rp.poly(c1)) and length.equals(f.lam() - 1)
     assert f.over(layouts[0].right[0], den).coeffs == tuple(rp.poly(c1))  # total - ends[1], not lambda l(0) - 1
     assert [c.coeffs for c in layouts[0].vertical] == [c.coeffs for c in perron_lengths_by_fractions(fake)[1][0].vertical]
 

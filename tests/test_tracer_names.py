@@ -37,12 +37,13 @@ def test_tracer_names_resolve():
 
 
 def test_traced_census_counts_and_frozen_fields(all_diagrams):
-    """The tracer's squares note counts len(enumerate_squares(...)), and
-    bench/freeze.py reads out_edges, squares and field._reduced."""
+    """The tracer's squares note counts len(enumerate_squares(...)), the
+    canonical squares, and bench/freeze.py reads out_edges, squares and
+    field._reduced."""
     for name, fixture in all_diagrams.items():
         d = BratteliDiagram(fixture.csub)  # a fresh build, as the tracer times it
-        assert len(enumerate_squares(d)) == len(d.squares) > 0, name
-        assert d.out_edges and d.field._reduced, name
+        assert len(enumerate_squares(d)) == len(d.canonical_squares) > 0, name
+        assert d.out_edges and d.squares and d.field._reduced, name
 
 
 def library_modules() -> dict:
