@@ -273,9 +273,9 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     left(t') = core(t), and the projected 4-word is legal: exactly the pairs
     (w[:3], w[1:]) of the legal 4-words w, walked in (t, t') index order.
     The template for the ordered pair carries +((len t + len t')/2), formed
-    from the integer length vectors over 2D, and its opposite the negation,
-    coefficient by coefficient.  Both are built once per pair of core letters
-    and shared, and every trivial loop carries the field's one zero.
+    from the integer length vectors over 2D, and its opposite that element's
+    negation.  Both are built once per pair of core letters and shared, and
+    every trivial loop carries the field's one zero.
     """
     base = csub.base
     den, vecs = base.length_vectors
@@ -287,7 +287,7 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
         if pm is None:
             s = [a + b for a, b in zip(vecs[x], vecs[y])]
             plus = base.field.over(s, 2 * den)
-            pm = (plus, AlgebraicNumber(base.field, tuple(-c for c in plus.coeffs)))
+            pm = (plus, -plus)
             half_sums[x, y] = half_sums[y, x] = pm
         i = len(out)
         out.append(HorizontalTemplate(i, t, u, pm[0], False, i + 1))
@@ -331,22 +331,6 @@ def _reachable(start, successors) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def _cycle_walk(start, step):
-    """Walk start, step(start), ... until a state repeats.  Returns the walk
-    and the index in it where the cycle starts, or None if step returns
-    None first."""
-    seen: dict = {}
-    walk = []
-    state = start
-    while state not in seen:
-        seen[state] = len(walk)
-        walk.append(state)
-        state = step(state)
-        if state is None:
-            return None
-    return walk, seen[state]
 
 
 def _cycles(starts, step) -> list[list]:

@@ -28,15 +28,16 @@ for the *value at lambda*:
   (`ratpoly.enclose` of those (l, h, d)); an enclosure that excludes 0
   decides "nonzero" and the sign.  Any level is sound: the intervals are
   nested and the evaluation is inclusion-isotone;
-* zero test: when the enclosure contains 0, p(lambda) = 0 iff the integer
-  gcd(p, m) still has the isolated root, decided by an integer Sturm count
-  over (lo, hi] (`ModulusField._vanishes`, for any polynomial p) -- no
-  numerics.  A value zero at lambda always reaches it; `is_zero` runs it
-  at once, a singular division alone, for its gcd;
-* sign: first a ladder, bisecting up from the field's level to at most
-  _SIGN_LADDER, which decides most nonzero values without a gcd; then the
-  certificate, then bisection on up until 0 is excluded (a(lambda) != 0
-  guarantees termination); each level is enclosed once;
+* zero certificate: p(lambda) = 0 iff the integer gcd(p, m) still has the
+  isolated root, by an integer Sturm count over (lo, hi]
+  (`ModulusField._vanishes`, for any polynomial p) -- no numerics; a
+  singular division runs it alone, for its gcd;
+* sign and zero test, one routine (`ModulusField._sign`; `is_zero` is sign
+  0): a ladder bisects up from the field's level to at most _SIGN_LADDER,
+  deciding most nonzero values without a gcd; then the certificate, which
+  every value zero at lambda reaches, then bisection on up until 0 is
+  excluded (a(lambda) != 0 guarantees termination); each level is enclosed
+  once;
 * division: s/num is one fraction-free solve (`ratpoly.solve_fraction_free`)
   with the product by num modulo m, of determinant +-Res(m, num) (m is
   monic): nonsingular proves gcd(num, m) = 1, with no zero test or gcd; only
@@ -74,10 +75,10 @@ from . import ratpoly as rp
 from .errors import FieldMismatch, NoRootAboveOne
 
 _DECIMAL_GUARD = 8  # bisection levels past the grid spacing before switching to exact floor search
-# sign() bisects up to this level before the gcd + Sturm certificate, which
-# costs about five enclosures.  A build-family pass leaves 85 nonzero signs
-# open at the field's level; all but one are decided by level 12, with no more
-# bisection steps in all.  The field keeps its level, so it climbs this once.
+# _sign (every sign and zero test) bisects up to this level before the gcd +
+# Sturm certificate, about five enclosures.  A build-family pass leaves 85
+# nonzero signs open at the field's level; all but one are decided by level
+# 12, with no more bisection steps in all.  The field climbs this once.
 _SIGN_LADDER = 12
 HALF = Fraction(1, 2)  # the factor of every halving scale(), built once rather than parsed per call
 _FRACTION = frozenset({Fraction})  # the one coefficient type of the stored form
@@ -235,7 +236,7 @@ class ModulusField:
 
     def _sign(self, p) -> int:
         """The sign at lambda of a rational or integer polynomial p, by the module
-        docstring's ladder: of an element, and of an integer length vector."""
+        docstring's ladder: of an element (its sign and zero test) and of an integer length vector."""
         while p and not p[-1]:
             p = p[:-1]
         if not p:
@@ -374,13 +375,9 @@ class AlgebraicNumber:
 
     # -- decision procedures ---------------------------------------------------
 
-    def _sign_at(self, k: int) -> int | None:
-        return self.field._sign_at(self.coeffs, k)
-
     def is_zero(self) -> bool:
-        """The enclosure at the field's level decides "nonzero" if it can."""
-        p, f = self.coeffs, self.field
-        return not p or len(p) > 1 and f._sign_at(p, f._level) is None and f._vanishes(p)[0]
+        """Zero at lambda: the sign's one ladder and certificate decide it."""
+        return self.field._sign(self.coeffs) == 0
 
     def sign(self) -> int:
         return self.field._sign(self.coeffs)

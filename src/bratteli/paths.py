@@ -14,8 +14,8 @@ the same normal form.
 The pairing psi composes the recurrent commutative diagrams down the
 extremal columns: each cycle of the diagram's map down (forward h_bot to
 the h_top of its boundary square) pairs its left (maximal) column with its
-right (minimal) one.  Extremal paths, psi and the extended-equivalence
-automaton share one walk to a repeated state.
+right (minimal) one.  Extremal paths and psi share one walk to a repeated
+state.
 
 Tail (AF) equivalence of two eventually periodic paths is decided exactly
 from their normal forms.  The extended relation is decided by running a
@@ -24,7 +24,9 @@ two paths' vertices and whose transitions are the zero-residual commutative
 squares.  The square table makes this automaton deterministic and
 injective, so the two paths are equivalent iff the walk from one of the
 horizontals that link them at generation p0 = max(|pre_x|, |pre_y|) + 2
-returns to that seed (`rb_equiv`).  That walk reads only the two tails
+returns to that seed.  One walker, `_rb_walk`, yields the surviving seed's
+chain, which `rb_equiv` keeps, and where each other walk dies, the CLI's
+reason for a "no" (`_rb_refutation`).  The walk reads only the two tails
 aligned at p0, so each diagram walks each aligned tail pair once and keeps
 its verdict.  psi is formed on demand, and the diagram's two memos, this
 one and the tail-key pairs of `rb_via_generators`, hold ints, never paths:
@@ -40,7 +42,7 @@ from __future__ import annotations
 from math import lcm
 
 from ._record import Frozen, Record
-from .diagram import BratteliDiagram, VerticalTemplate, _cycle_walk, _cycles
+from .diagram import BratteliDiagram, VerticalTemplate, _cycles
 from .errors import IncompatibleHorizontal, ParseError, PatchTooLarge, UnpairedExtreme
 from .exactnum import AlgebraicNumber
 
@@ -528,7 +530,7 @@ def rb_equiv(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> RbWitness 
     try:
         chain = d._rb_chains[key]
     except KeyError:
-        chain = d._rb_chains[key] = _rb_chain(d, *key)
+        chain = d._rb_chains[key] = _rb_walk(d, *key)[0]
     if chain is None:
         return None
     a0 = rb_base_translation(x.prefix(p0), y.prefix(p0), chain[0])
@@ -543,44 +545,40 @@ def _aligned_cycle(x: EventuallyPeriodicPath, n: int) -> tuple[int, ...]:
     return x.cycle[r:] + x.cycle[:r]
 
 
-def _rb_chain(d: BratteliDiagram, cx: tuple[int, ...], cy: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The automaton of `rb_equiv` on two tails aligned at p0: cx and cy are the
-    cycles rotated to start at generation p0.  The seeds link the ranges of
-    cx[0] and cy[0], at phase 0; the chain of the surviving seed, or None."""
-    seeds = d.h_by_ends.get((d.verticals[cx[0]].rng, d.verticals[cy[0]].rng))
-    if not seeds:
-        return None
+def _rb_walk(d: BratteliDiagram, cx: tuple[int, ...], cy: tuple[int, ...]) -> tuple[tuple[int, ...] | None, list[tuple]]:
+    """The automaton of `rb_equiv` on two tails aligned at p0 (cx and cy, the
+    cycles rotated to start at generation p0), walked through square_table
+    from (phase 0, h) for each seed h linking the ranges of cx[0] and cy[0]:
+    the surviving seed's chain or None, and (h, k, (g, e_x, e_y)) for each
+    walk that dies at step k, no square having h_top g and edges e_x, e_y."""
+    chain, deaths = None, []
     period = lcm(len(cx), len(cy))
-
-    def step(state: tuple[int, int]) -> tuple[int, int] | None:
-        phase, h = state
-        phase = (phase + 1) % period
-        nxt = d.square_table.get((h, cx[phase % len(cx)], cy[phase % len(cy)]))
-        return None if nxt is None else (phase, nxt)
-
-    chain = None
-    for h in seeds:
-        found = _cycle_walk((0, h.index), step)
-        if found is not None:
-            assert found[1] == 0, "a surviving walk closes at its seed"
+    for seed in d.h_by_ends.get((d.verticals[cx[0]].rng, d.verticals[cy[0]].rng), ()):
+        seen: dict = {}  # (phase, h) -> step, in walk order
+        state = (0, seed.index)
+        while state not in seen:
+            seen[state] = len(seen)
+            phase = (state[0] + 1) % period
+            triple = (state[1], cx[phase % len(cx)], cy[phase % len(cy)])
+            if (nxt := d.square_table.get(triple)) is None:
+                deaths.append((seed.index, len(seen), triple))
+                break
+            state = (phase, nxt)
+        else:
+            assert seen[state] == 0, "a surviving walk closes at its seed"
             assert chain is None, "a second surviving seed would give the tiling a period"
-            chain = tuple(cur for _, cur in found[0])
-    return chain
+            chain = tuple(h for _, h in seen)
+    return chain, deaths
 
 
 def _rb_refutation(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> tuple[int, list[tuple]]:
-    """Why rb_equiv(x, y) is None, off its memo: p0 and, for each seed h linking
-    x(p0) to y(p0), (h, n, (g, e_x, e_y)): the walk from h dies at generation
-    n, as no square has h_top g, the walk's horizontal at n - 1, and e_left,
-    e_right e_x, e_y, the paths' edges at n.  Each walk dies: there is no chain."""
-    d, p0 = x.diagram, max(len(x.pre), len(y.pre)) + 2
-    deaths = []
-    for seed in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), []):
-        g, n = seed.index, p0 + 1
-        while (nxt := d.square_table.get(triple := (g, x.edge_index_at(n), y.edge_index_at(n)))) is not None:
-            g, n = nxt, n + 1
-        deaths.append((seed.index, n, triple))
-    return p0, deaths
+    """Why rb_equiv(x, y) is None, off its memo: p0 and `_rb_walk`'s deaths,
+    each step k read as the generation n = p0 + k: (h, n, (g, e_x, e_y)), the
+    walk from seed h dies at n, as no square has h_top g and the paths' edges
+    at n.  Each walk dies: there is no chain."""
+    p0 = max(len(x.pre), len(y.pre)) + 2
+    _, deaths = _rb_walk(x.diagram, _aligned_cycle(x, p0), _aligned_cycle(y, p0))
+    return p0, [(seed, p0 + k, triple) for seed, k, triple in deaths]
 
 
 def rb_via_generators(x: EventuallyPeriodicPath, y: EventuallyPeriodicPath) -> bool:

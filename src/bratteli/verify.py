@@ -173,19 +173,13 @@ def _integer_vectors(diagram, coeffs) -> tuple[int, list]:
     return den, [diagram.field.numerators(x, den) for x in coeffs]
 
 
-def _vanishes(diagram, vec, den) -> bool:
-    """vec/den = 0.  A zero vector is; any other goes to the exact zero test,
-    since a reducible reduced modulus has nonzero representatives of 0."""
-    return not any(vec) or diagram.field.over(vec, den).is_zero()
-
-
 def _opposites(diagram, _=None):
     hs = diagram.horizontals
     den, vecs = _integer_vectors(diagram, [h.coeff for h in hs])
     for h, vec in zip(hs, vecs):
         _assert(hs[h.opposite].opposite == h.index, "opposite pairing is not an involution")
         cancel = [a + b for a, b in zip(vec, vecs[h.opposite])]
-        _assert(_vanishes(diagram, cancel, den), "opposite labels do not cancel")
+        _assert(diagram.field.over(cancel, den).is_zero(), "opposite labels do not cancel")
 
 
 def _residuals(diagram, _=None):
@@ -199,7 +193,7 @@ def _residuals(diagram, _=None):
     lam_hv = [diagram.field.product(v, [0, 1]) for v in hv]
     for s in diagram.squares:
         res = [a + b - c - d for a, b, c, d in zip(ev[s.e_left], lam_hv[s.h_bot], hv[s.h_top], ev[s.e_right])]
-        _assert(_vanishes(diagram, res, den), "nonzero residual")
+        _assert(diagram.field.over(res, den).is_zero(), "nonzero residual")
 
 
 def _hypothesis(diagram, _=None):

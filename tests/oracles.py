@@ -16,7 +16,7 @@ from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
 from bratteli import ratpoly as rp
-from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, _cycle_walk, build_diagram
+from bratteli.diagram import BratteliDiagram, DiagramTemplate, HorizontalTemplate, VerticalTemplate, build_diagram
 from bratteli.errors import SingularSystem
 from bratteli.exactnum import AlgebraicNumber
 from bratteli.paths import DecodedPatch, EventuallyPeriodicPath, PatchTile, PathPrefix, _trace, u_of_prefix, vershik_successor
@@ -583,6 +583,22 @@ def diagram_chains_by_dfs(diagrams):
     for s in range(len(diagrams)):
         dfs(s, s, [s], {s})
     return arcs, cycles
+
+
+def _cycle_walk(start, step):
+    """Walk start, step(start), ... until a state repeats.  Returns the walk
+    and the index in it where the cycle starts, or None if step returns
+    None first."""
+    seen: dict = {}
+    walk = []
+    state = start
+    while state not in seen:
+        seen[state] = len(walk)
+        walk.append(state)
+        state = step(state)
+        if state is None:
+            return None
+    return walk, seen[state]
 
 
 def cycles_by_walks(starts, step) -> list[list]:

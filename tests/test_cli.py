@@ -305,8 +305,8 @@ def test_rb_bounds_a_tail_equivalent_pair_where_its_edges_last_differ(capsys, mo
 def test_no_rb_memo_outlives_a_cli_command(capsys, monkeypatch):
     # each command builds its own diagram, so each one walks the automaton afresh
     walks = []
-    walk = paths._cycle_walk
-    monkeypatch.setattr(paths, "_cycle_walk", lambda start, step: walks.append(start) or walk(start, step))
+    walk = paths._rb_walk
+    monkeypatch.setattr(paths, "_rb_walk", lambda d, cx, cy: walks.append((cx, cy)) or walk(d, cx, cy))
     command = next(c for c in readme_commands() if c.startswith("bratteli rb "))
     counts = []
     for _ in range(2):

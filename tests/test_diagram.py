@@ -29,7 +29,7 @@ from bratteli.diagram import (
     export_json,
     hypothesis_check,
 )
-from bratteli.exactnum import AlgebraicNumber, _render
+from bratteli.exactnum import AlgebraicNumber, ModulusField, _render
 from bratteli.fixtures import doubling, load_fixture
 from bratteli.paths import PathPrefix
 from bratteli.substitution import parse_spec
@@ -474,20 +474,24 @@ def test_build_routes_match_replaced_references(all_diagrams, random_diagrams, r
 
 
 def test_build_horizontal_makes_no_element_arithmetic(monkeypatch, all_diagrams, reducible_diagrams):
-    """Each half-sum (l_t + l_u)/2 and its opposite come from the integer
-    length vectors over 2D, with no element sum, scale or negation, and are
+    """Each half-sum (l_t + l_u)/2 comes from the integer length vectors over
+    2D by one ModulusField.over, and its opposite by one negation, once per
+    unordered pair of core letters, with no element sum or scale; both are
     the representatives stored before."""
     for d in (*all_diagrams.values(), *reducible_diagrams):
         den, vecs = d.csub.base.length_vectors
         assert [d.field.over(v, den).coeffs for v in vecs] == [c.coeffs for c in d.csub.base.lengths.values()]
     calls = []
-    for name in ("__add__", "scale", "__neg__"):
-        op = getattr(AlgebraicNumber, name)
-        monkeypatch.setattr(AlgebraicNumber, name, lambda self, *args, _op=op, _name=name: calls.append(_name) or _op(self, *args))
+    for cls, name in ((AlgebraicNumber, "__add__"), (AlgebraicNumber, "scale"), (AlgebraicNumber, "__neg__"), (ModulusField, "over")):
+        op = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *args, _op=op, _name=name: calls.append(_name) or _op(self, *args))
     for d in (*all_diagrams.values(), *reducible_diagrams):
+        calls.clear()
         rebuilt = diagram_module.build_horizontal(d.csub)
         assert [h.coeff.coeffs for h in rebuilt] == [h.coeff.coeffs for h in d.horizontals]
-    assert calls == []
+        core_pairs = {frozenset(w[1:3]) for w in d.csub.base.legal_quads}
+        assert sorted(calls) == sorted(["over", "__neg__"] * len(core_pairs))
+    calls.clear()
     oracles.build_horizontal(all_diagrams["fibonacci"].csub)  # the counter does count
     assert {"__add__", "scale", "__neg__"} <= set(calls)
 

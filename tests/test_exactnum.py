@@ -351,7 +351,7 @@ def test_inverse_solves_first_and_takes_one_gcd_only_when_singular(monkeypatch):
     monkeypatch.setattr(rp, "solve_fraction_free", lambda cols, b: solves.append(len(b)) or solve(cols, b))
     f = ModulusField(GOLDEN)  # fresh, so its level is still 0
     x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
-    assert x._sign_at(f._level) is None  # the enclosure straddles 0
+    assert f._sign_at(x.coeffs, f._level) is None  # the enclosure straddles 0
     inv = x.inverse()
     assert (gcds, solves) == ([], [2]) and (inv * x).equals(1)
     g = ModulusField(GOLDEN_TIMES_SQRT2)  # (x^2 - x - 1)(x^2 - 2)
@@ -424,7 +424,7 @@ def test_sign_bisects_before_the_certificate(monkeypatch):
     monkeypatch.setattr(rp, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
     f = ModulusField(GOLDEN)  # fresh, so its level is still 0
     x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
-    assert x._sign_at(f._level) is None  # the enclosure straddles 0
+    assert f._sign_at(x.coeffs, f._level) is None  # the enclosure straddles 0
     assert x.sign() == -1 and calls == []  # decided by a few bisections, no gcd
     g = ModulusField(GOLDEN_TIMES_SQRT2)
     lam = g.lam()
@@ -446,6 +446,37 @@ def test_refinement_and_enclosed_decisions_construct_no_fraction(monkeypatch):
     assert [interval(f, k) for k in range(65)] == [(Fraction(l, d), Fraction(h, d)) for l, h, d in levels]
     assert 208987641 <= digits <= 208987641 + 4
     assert (sign, decimal) == (-1, reference_decimal(x, 6)) == (-1, "-0.055729")
+
+
+def test_is_zero_bisects_before_the_certificate(monkeypatch):
+    """A value nonzero at lambda but undecided at the field's level is found
+    nonzero by the sign's ladder, as sign() finds it, with no gcd."""
+    calls = []
+    gcd = rp.gcd
+    monkeypatch.setattr(rp, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    f = ModulusField(GOLDEN)  # fresh, so its level is still 0
+    x = f.lam() * 8 - 13  # 8 phi - 13, about -0.056
+    assert f._sign_at(x.coeffs, f._level) is None  # the enclosure straddles 0
+    assert x.is_zero() is False and calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_zero_is_sign_zero(data):
+    """On the golden, rand3 and (x^2 - x - 1)(x^2 - 2) fields, each fresh,
+    the zero test and the sign agree in either order: random values,
+    products, zero, and in the reducible ring nonzero representatives of 0."""
+    charpoly = data.draw(st.sampled_from([GOLDEN, RAND3_CHARPOLY, GOLDEN_TIMES_SQRT2]))
+    f = ModulusField(charpoly)
+    a, b = data.draw(elements(f)), data.draw(elements(f))
+    lam = f.lam()
+    annihilator = lam * lam - lam - 1  # a nonzero representative of 0 in the reducible ring
+    zeros = [annihilator, annihilator * a] if charpoly is GOLDEN_TIMES_SQRT2 else []
+    x = data.draw(st.sampled_from([a, a * b, a - b, f.zero, *zeros]))
+    if data.draw(st.booleans()):
+        assert x.is_zero() == (x.sign() == 0)
+    else:
+        assert (x.sign() == 0) == x.is_zero()
 
 
 @settings(max_examples=40, deadline=None)

@@ -709,9 +709,17 @@ def test_decode_gaps_psi_and_gf_are_mirror_symmetric(fib, tm, dyadic, rand3, ran
 
 
 def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):
-    seeds = []
-    walk = paths._cycle_walk
-    monkeypatch.setattr(paths, "_cycle_walk", lambda start, step: seeds.append(start) or walk(start, step))
+    seeds = []  # (links the tails' vertices at phase 0, h) of each seed, read off the walker's result
+
+    def spy(d, cx, cy):
+        chain, deaths = walk(d, cx, cy)
+        phase_0 = (d.verticals[cx[0]].rng, d.verticals[cy[0]].rng)
+        for h in [h for h, _, _ in deaths] + ([chain[0]] if chain else []):  # a chain starts at its seed
+            seeds.append(((d.horizontals[h].src, d.horizontals[h].rng) == phase_0, h))
+        return chain, deaths
+
+    walk = paths._rb_walk
+    monkeypatch.setattr(paths, "_rb_walk", spy)
     later_phase_seeds = 0
     key_seeds = []  # the phase-0 seeds of each distinct aligned tail pair
     for fixture in (fib, tm, rand3):
@@ -725,10 +733,30 @@ def test_rb_equiv_seeds_only_at_phase_0(monkeypatch, fib, tm, rand3):
             )
             if _aligned_tails(x, y) not in keys:
                 keys.add(_aligned_tails(x, y))
-                key_seeds += [(0, h.index) for h in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), [])]
-    assert seeds and {phase for phase, _ in seeds} == {0}
+                key_seeds += [(True, h.index) for h in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), [])]
+    assert seeds and {at_phase_0 for at_phase_0, _ in seeds} == {True}
     assert later_phase_seeds > 0  # a reseeding of phases 1 .. P-1 would walk from these
     assert sorted(seeds) == sorted(key_seeds)  # each aligned tail pair is walked once
+
+
+def test_rb_walk_yields_the_chain_and_one_death_per_other_seed(fib, tm, dyadic, rand3, random_diagrams, reducible_diagrams):
+    """On the sampled pairs of the four fixtures, the random family and the
+    reducible specs, the walker on each pair's aligned tails gives rb_equiv's
+    chain, exactly one death for every seed but the chain's, and death
+    triples absent from square_table: the dead seeds of equivalent pairs
+    too."""
+    deaths_of_equivalent = 0
+    for d in (fib, tm, dyadic, rand3, *random_diagrams, *reducible_diagrams):
+        for x, y in _sampled_pairs(d):
+            p0 = max(len(x.pre), len(y.pre)) + 2
+            chain, deaths = paths._rb_walk(d, paths._aligned_cycle(x, p0), paths._aligned_cycle(y, p0))
+            w = rb_equiv(x, y)
+            assert chain == (w and w.chain), (render_path(x), render_path(y))
+            seeds = [h.index for h in d.h_by_ends.get((x.vertex_at(p0), y.vertex_at(p0)), [])]
+            assert [seed for seed, _, _ in deaths] == [h for h in seeds if not chain or h != chain[0]]
+            assert all(k >= 1 and triple not in d.square_table for _, k, triple in deaths)
+            deaths_of_equivalent += len(deaths) if chain else 0
+    assert deaths_of_equivalent > 0
 
 
 def test_square_table_is_injective(all_diagrams, random_diagrams, reducible_diagrams):

@@ -74,6 +74,25 @@ def test_no_floats_and_fractions_only_in_the_exact_layer():
                 assert path.stem in ("exactnum", "ratpoly"), f"{where}: fractions imported outside exactnum/ratpoly"
 
 
+def test_exact_arithmetic_stays_in_exactnum_and_ratpoly():
+    """Only exactnum.py and ratpoly.py import fractions, and only exactnum.py
+    calls the AlgebraicNumber constructor: every other module makes elements
+    through the field's factories and the ring operations."""
+    importers, constructors = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "fractions":
+                importers.add(path.name)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "AlgebraicNumber":
+                    constructors.add(path.name)
+    assert importers == {"exactnum.py", "ratpoly.py"}
+    assert constructors == {"exactnum.py"}
+
+
 SQUARE_CHECKS = (verify._residuals, verify._opposites, oracles.residuals_by_elements, oracles.opposites_by_elements)
 
 
