@@ -49,7 +49,6 @@ from .paths import (
     RbWitness,
     af_equiv,
     decode,
-    decode_collared,
     enumerate_paths,
     extremal_paths,
     pair_extremes,

@@ -19,7 +19,6 @@ from .paths import (
     EventuallyPeriodicPath,
     af_equiv,
     decode,
-    decode_collared,
     extremal_paths,
     pair_extremes,
     parse_path,
@@ -231,7 +230,7 @@ def cmd_decode(args) -> int:
     depth = _depth_of(args, path)
     refuse_large_patch(path, args.collared, depth)
     gamma = _prefix_of(path, depth)
-    patch = decode_collared(gamma) if args.collared else decode(gamma)
+    patch = decode(gamma, args.collared)
     render, dec = _printers()  # a tile's right is the next one's left
     print(f"path: {render_path(gamma)}")
     print(f"word: {patch.word_marked()}")

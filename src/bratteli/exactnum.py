@@ -191,6 +191,11 @@ class ModulusField:
         v = [c.numerator * (den // c.denominator) for c in x.coeffs]
         return v + [0] * (len(self._reduced) - 1 - len(v))
 
+    def _integer_vectors(self, xs: list[AlgebraicNumber]) -> tuple[int, list[rp.IntPoly]]:
+        """(den, vectors): den > 0 the lcm of the elements' denominators, and each element's numerators over den."""
+        den = lcm(*(c.denominator for x in xs for c in x.coeffs))
+        return den, [self.numerators(x, den) for x in xs]
+
     def product(self, u: rp.IntPoly, v: rp.IntPoly) -> rp.IntPoly:
         """u * v of nonempty integer vectors, reduced (in integers: the reduced modulus is monic), padded to deg m."""
         r = rp.reduce_monic(rp.int_mul(u, v), self._reduced)

@@ -14,8 +14,9 @@ the same normal form.
 The pairing psi composes the recurrent commutative diagrams down the
 extremal columns: each cycle of the diagram's map down (forward h_bot to
 the h_top of its boundary square) pairs its left (maximal) column with its
-right (minimal) one.  Extremal paths and psi share one walk to a repeated
-state.
+right (minimal) one.  An extremal path is fixed by its root, so psi is read
+off the ends of the horizontals on down's cycles.  One decoder lays out a
+finite path's patch, plain or collared, in one running sum.
 
 Tail (AF) equivalence of two eventually periodic paths is decided exactly
 from their normal forms.  The extended relation is decided by running a
@@ -237,7 +238,7 @@ class DecodedPatch(Record):
         return "".join(out)
 
 
-# Most tiles decode and decode_collared build.  The tile count grows like
+# Most tiles decode builds, plain or collared.  The tile count grows like
 # lambda^depth (fibonacci at depth 40 would be 1.7e8 tiles), so it is computed
 # from the abelianizations first and a larger patch is refused before any
 # tile is allocated.
@@ -262,10 +263,9 @@ def _expanded_length(matrix: list[list[int]], letter: int, steps: int) -> int:
 
 
 def patch_size(path, collared: bool = False, depth: int | None = None) -> int:
-    """Number of tiles of decode, or of decode_collared if collared, of the
-    path's prefix at depth (default: a PathPrefix's length), computed without
-    decoding or building that prefix; TILE_COUNT_CEILING + 1 past the
-    ceiling."""
+    """Number of tiles of decode(prefix, collared) for the path's prefix at
+    depth (default: a PathPrefix's length), computed without decoding or
+    building that prefix; TILE_COUNT_CEILING + 1 past the ceiling."""
     csub = path.diagram.csub
     depth = path.length if depth is None else depth
     cl = csub.collared_alphabet[path.vertex_at(depth)]
@@ -303,74 +303,50 @@ def _trace(gamma: PathPrefix) -> tuple[list[int], int]:
     return word, idx
 
 
-def _lay_out(csub, word, collared: bool, start: list[int], left: AlgebraicNumber) -> list[PatchTile]:
-    """Tiles of a generation-1 word laid end to end rightward from left, the element
-    of the integer vector start over 2D (collared letters of csub if collared, else
-    letters of its base); a tile's right is the next one's left."""
-    base = csub.base
-    den, vecs = base.length_vectors
-    tiles = []
-    for w in word:
-        if collared:
-            cl = csub.collared_alphabet[w]
-            name, core = cl.name, cl.core
-        else:
-            name, core = base.alphabet[w].name, w
-        start = [s + 2 * c for s, c in zip(start, vecs[core])]  # a running integer sum
-        right = base.field.over(start, 2 * den)
-        tiles.append(PatchTile(name, base.alphabet[core].name, collared, left, right))
-        left = right
-    return tiles
-
-
-def decode(gamma: PathPrefix) -> DecodedPatch:
+def decode(gamma: PathPrefix, collared: bool = False) -> DecodedPatch:
     """The generation-1 patch carried by a finite path: the full expansion
-    of its top vertex, with the puncture tile centered at 0 and the core
-    supertile centered at u(gamma).  Raises PatchTooLarge above
-    MAX_DECODE_TILES tiles.  The tile ends are sums of the integer length
-    vectors over 2D (`Substitution.length_vectors`), the patch's ends u(gamma)
-    -/+ lambda^(n-1) l(top)/2 by an integer product; zero tests match the two."""
-    refuse_large_patch(gamma, False, gamma.length)
+    of its top vertex or, if collared, of its whole 3-tile collar (the two
+    contexts through the plain substitution, undecorated), with the puncture
+    tile centered at 0 and the core supertile at u(gamma).  Raises
+    PatchTooLarge above MAX_DECODE_TILES tiles.  The letters are laid out
+    from the patch's left end in one running sum of the integer length
+    vectors over 2D (`Substitution.length_vectors`); the core's ends are
+    checked against u(gamma) -/+ lambda^(n-1) l(top)/2, an integer product,
+    by zero tests."""
+    refuse_large_patch(gamma, collared, gamma.length)
     d = gamma.diagram
     csub = d.csub
-    den, vecs = csub.base.length_vectors
-    word, idx = _trace(gamma)
-    start = [-c for c in vecs[csub.core_of(word[idx])]]  # the patch's left end: the puncture center is 0
-    for w in word[:idx]:
-        start = [s - 2 * c for s, c in zip(start, vecs[csub.core_of(w)])]
-    tiles = _lay_out(csub, word, True, start, d.field.over(start, 2 * den))
-    offset = u_of_prefix(gamma)
-    top = gamma.top_vertex()
-    half = d.field.product(vecs[csub.core_of(top)], [0] * (gamma.length - 1) + [1])  # lambda^(n-1) l(top) / 2, over 2D
-    u = d.field.numerators(offset, 2 * den)
-    left = d.field.over([a - b for a, b in zip(u, half)], 2 * den)
-    right = d.field.over([a + b for a, b in zip(u, half)], 2 * den)
-    assert (tiles[0].left - left).is_zero(), "supertile does not sit at u(gamma)"
-    assert (tiles[-1].right - right).is_zero()
-    return DecodedPatch(tiles, idx, offset, top, gamma.length, left, right)
-
-
-def decode_collared(gamma: PathPrefix) -> DecodedPatch:
-    """Like decode, but expands the whole 3-tile collar of the top vertex; the contexts
-    expand through the plain substitution, stay undecorated and are laid out from the
-    ends of decode's patch.  Raises PatchTooLarge above MAX_DECODE_TILES tiles."""
-    refuse_large_patch(gamma, True, gamma.length)
-    csub = gamma.diagram.csub
     base = csub.base
     den, vecs = base.length_vectors
-    core = decode(gamma)
-    cl = csub.collared_alphabet[gamma.top_vertex()]
-    left_word, right_word = (cl.left,), (cl.right,)
-    for _ in range(gamma.length - 1):
-        left_word, right_word = base.apply(left_word), base.apply(right_word)
-    start = base.field.numerators(core.left, 2 * den)
-    for w in left_word:
-        start = [s - 2 * c for s, c in zip(start, vecs[w])]
-    left_tiles = _lay_out(csub, left_word, False, start, base.field.over(start, 2 * den))
-    right_tiles = _lay_out(csub, right_word, False, base.field.numerators(core.right, 2 * den), core.right)
-    tiles = left_tiles + core.tiles + right_tiles
-    idx = len(left_word) + core.puncture_index
-    return DecodedPatch(tiles, idx, core.offset, core.top_vertex, gamma.length, tiles[0].left, tiles[-1].right)
+    word, idx = _trace(gamma)
+    top = csub.collared_alphabet[gamma.top_vertex()]
+    letters = [(cl.name, cl.core, True) for cl in (csub.collared_alphabet[w] for w in word)]  # (name, core, collared)
+    first = 0  # the core's first letter
+    if collared:
+        contexts = [(top.left,), (top.right,)]
+        for _ in range(gamma.length - 1):
+            contexts = [base.apply(w) for w in contexts]
+        left_context, right_context = ([(base.alphabet[x].name, x, False) for x in w] for w in contexts)
+        first, idx = len(left_context), idx + len(left_context)
+        letters = left_context + letters + right_context
+    start = [-c for c in vecs[letters[idx][1]]]  # the patch's left end: the puncture center is 0
+    for _, x, _ in letters[:idx]:
+        start = [s - 2 * c for s, c in zip(start, vecs[x])]
+    left = d.field.over(start, 2 * den)
+    tiles = []
+    for name, x, decorated in letters:
+        start = [s + 2 * c for s, c in zip(start, vecs[x])]  # a running integer sum
+        right = d.field.over(start, 2 * den)
+        tiles.append(PatchTile(name, base.alphabet[x].name, decorated, left, right))
+        left = right
+    offset = u_of_prefix(gamma)
+    half = d.field.product(vecs[top.core], [0] * (gamma.length - 1) + [1])  # lambda^(n-1) l(top) / 2, over 2D
+    u = d.field.numerators(offset, 2 * den)
+    core_left = d.field.over([a - b for a, b in zip(u, half)], 2 * den)
+    core_right = d.field.over([a + b for a, b in zip(u, half)], 2 * den)
+    assert (tiles[first].left - core_left).is_zero(), "supertile does not sit at u(gamma)"
+    assert (tiles[first + len(word) - 1].right - core_right).is_zero()
+    return DecodedPatch(tiles, idx, offset, top.index, gamma.length, tiles[0].left, tiles[-1].right)
 
 
 # -- extremal paths and the Vershik map ----------------------------------------------
@@ -417,38 +393,31 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     commutative diagrams down the extremal columns.
 
     diagram.down(h), for a forward horizontal h, is the top horizontal of
-    the square (h_top, max edge into h.src, min edge into h.rng, h): the
-    boundary square at h.  Each h on one of diagram.down_cycles is one phase
-    of a chain of squares: read upward from h, the left column is a maximal
-    path and the right column a minimal one.  Each column is looked up by
-    its normal-form key among the extremal paths, so no path is built twice.
-    Each call forms a fresh pairing, which the diagram does not keep: the
-    diagram's memos hold ints, never paths.
+    the boundary square at h, (h_top, max edge into h.src, min edge into
+    h.rng, h).  With f(w) = pick(w).src, down(h).src = f_max(h.src) and
+    down(h).rng = f_min(h.rng), so for h on a cycle of down of length k,
+    f_max^k fixes h.src and f_min^k fixes h.rng.  Read upward from h, the
+    squares' left column is a maximal path rooted at h.src and the right
+    column a minimal one rooted at h.rng.  An extremal path runs on the
+    cycles of its f, on which f is a bijection, so each vertex on such a
+    cycle roots exactly one: the columns are the extremal paths rooted at
+    h.src and h.rng, and psi maps the root h.src to h.rng.  Each call forms
+    a fresh pairing from `extremal_paths`, which the diagram does not keep:
+    the diagram's memos hold ints, never paths.
     """
     hs = diagram.horizontals
-    max_in, min_in = diagram.max_edge_into, diagram.min_edge_into
     mins, maxs = extremal_paths(diagram)
-    min_set = {p.key(): p for p in mins}
-    max_set = {p.key(): p for p in maxs}
-    pairs: dict = {}
-
-    def key(root, cycle):  # EventuallyPeriodicPath(diagram, root, [], cycle).key()
-        return root, (), tuple(_normalize([], cycle)[1])
-
+    min_of = {p.root: p for p in mins}
+    psi: dict[int, int] = {}  # root of a maximal path -> root of its minimal partner
     for cycle in diagram.down_cycles:
-        for i, h in enumerate(cycle):
-            column = [hs[g] for g in reversed(cycle[i:] + cycle[:i])]
-            mx = key(hs[h].src, [max_in(g.src).index for g in column])
-            mn = min_set.get(key(hs[h].rng, [min_in(g.rng).index for g in column]))
-            if mx not in max_set or mn is None:
-                raise UnpairedExtreme("cycle column is not one of the extremal paths")
-            if pairs.setdefault(mx, mn) is not mn:
+        for h in cycle:
+            if psi.setdefault(hs[h].src, hs[h].rng) != hs[h].rng:
                 raise UnpairedExtreme("maximal path paired twice inconsistently")
-    if set(pairs) != set(max_set):
+    if set(psi) != {p.root for p in maxs}:
         raise UnpairedExtreme("pairing does not cover every maximal path")
-    if {p.key() for p in pairs.values()} != set(min_set):
+    if set(psi.values()) != set(min_of):
         raise UnpairedExtreme("pairing does not cover every minimal path")
-    return Pairing(pairs=[(max_set[k], pairs[k]) for k in sorted(pairs)])
+    return Pairing(pairs=[(mx, min_of[psi[mx.root]]) for mx in maxs])
 
 
 def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:

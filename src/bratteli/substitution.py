@@ -13,6 +13,7 @@ its border.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, pairwise
@@ -214,9 +215,9 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, LetterLayout], tuple[in
     read: for primitive M it is entrywise positive at the Perron root
     (Perron-Frobenius), so divided by its first entry it gives the lengths
     with one inverse, as integer vectors over one denominator D
-    (`ModulusField.ratios`).  All equations are re-checked afterwards, a
-    nonzero residual vector by the exact zero test, and positivity is
-    decided on each L_x by the field's sign ladder (`ModulusField._sign`).
+    (`ModulusField.ratios`).  All equations are re-checked afterwards, and
+    each residual vector and each L_x is decided by the field's sign ladder
+    (`ModulusField._sign`): a residual must be zero, a length positive.
 
     The check of letter x forms the prefix sums and the span lambda l(x)
     of its layout, so each layout is built and checked once per base letter
@@ -232,7 +233,7 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, LetterLayout], tuple[in
         images = (vecs[y] for y in sub.rules[x])
         ends = list(accumulate(images, lambda u, v: tuple(map(add, u, v)), initial=(0,) * len(span)))
         total = ends[-1]
-        if list(total) != span and not f.over([t - s for t, s in zip(total, span)], den).is_zero():
+        if f._sign([t - s for t, s in zip(total, span)]):
             raise SingularSystem("eigen-equation residual nonzero")
         vertical = tuple(f.over([s - a - b for s, a, b in zip(span, lo, hi)], 2 * den) for lo, hi in pairwise(ends))
         layouts[x] = LetterLayout(
@@ -377,6 +378,7 @@ class CollaredSubstitution:
 #   collar-names: a d b c        # optional, order = deterministic collar order
 #
 # UTF-8 (one leading byte-order mark is skipped), line oriented, '#' starts a comment.
+_TOKEN = re.compile(r"\S+")  # a token of a directive's value, as str.split() finds it
 
 
 def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
@@ -395,9 +397,9 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
             continue
         if ":" not in line:
             raise ParseError("expected 'key: value'", line=lineno, column=len(line))
-        key, _, value = line.partition(":")
-        key = key.strip()
-        tokens = value.split()
+        key = line.partition(":")[0]
+        words = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line, len(key) + 1)]  # (token, its column)
+        key, tokens = key.strip(), [tok for tok, _ in words]
         if key == "letters":
             if letters is not None:
                 raise ParseError("duplicate letters line", line=lineno)
@@ -421,9 +423,8 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
             if not tokens:
                 raise EmptyRule(f"rule for {name!r} is empty", line=lineno)
             img = []
-            for tok in tokens:
+            for tok, col in words:
                 if tok not in by_name:
-                    col = line.index(tok) + 1
                     raise UnknownLetter(f"unknown letter {tok!r}", line=lineno, column=col)
                 img.append(by_name[tok])
             rules[lid] = tuple(img)
@@ -431,9 +432,8 @@ def parse_spec(text: str, check_aperiodicity: bool = True) -> Substitution:
         elif key == "collar-names":
             if collar_names is not None:
                 raise ParseError("duplicate collar-names line", line=lineno)
-            for tok in tokens:
+            for tok, col in words:
                 if any(ch in tok for ch in ";()|#>"):  # a vertex name in path literals
-                    col = line.index(tok, line.index(":")) + 1
                     raise ParseError(f"collar name {tok!r} contains a path delimiter (;()|#>)", line=lineno, column=col)
             collar_names = tokens
         else:

@@ -12,14 +12,14 @@ reports one line per check.
 Two of those checks are where the square equation is checked: every square
 the census lists, and every opposite pair, is decided on integer vectors
 over one common denominator of the template coefficients, with lambda c(h)
-formed once per horizontal.  A zero vector holds; only a nonzero one goes to
-the exact zero test, which a reducible reduced modulus needs, as it has
+formed once per horizontal.  Each vector is decided by the field's one sign
+routine (`ModulusField._sign`), as the denominator is positive: a zero
+vector holds at once, with no element formed, and only a nonzero one goes
+to the exact zero test, which a reducible reduced modulus needs, as it has
 nonzero representatives of 0.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from ._record import Record
 from .analysis import classify_GF
@@ -166,20 +166,13 @@ def _regularity(diagram, _=None):
         _assert(diagram.out_edges[v], f"vertex {diagram.vertices[v]} has no outgoing edge")
 
 
-def _integer_vectors(diagram, coeffs) -> tuple[int, list]:
-    """(den, vectors): den the lcm of the coefficients' denominators, and
-    each coefficient as an integer vector over den."""
-    den = lcm(*(c.denominator for x in coeffs for c in x.coeffs))
-    return den, [diagram.field.numerators(x, den) for x in coeffs]
-
-
 def _opposites(diagram, _=None):
     hs = diagram.horizontals
-    den, vecs = _integer_vectors(diagram, [h.coeff for h in hs])
+    _, vecs = diagram.field._integer_vectors([h.coeff for h in hs])
     for h, vec in zip(hs, vecs):
         _assert(hs[h.opposite].opposite == h.index, "opposite pairing is not an involution")
         cancel = [a + b for a, b in zip(vec, vecs[h.opposite])]
-        _assert(diagram.field.over(cancel, den).is_zero(), "opposite labels do not cancel")
+        _assert(diagram.field._sign(cancel) == 0, "opposite labels do not cancel")
 
 
 def _residuals(diagram, _=None):
@@ -188,12 +181,12 @@ def _residuals(diagram, _=None):
     # with no arithmetic and this reads only their keys, so it is an
     # independent cross-check
     vs, hs = diagram.verticals, diagram.horizontals
-    den, vecs = _integer_vectors(diagram, [e.coeff for e in vs] + [h.coeff for h in hs])
+    _, vecs = diagram.field._integer_vectors([e.coeff for e in vs] + [h.coeff for h in hs])
     ev, hv = vecs[: len(vs)], vecs[len(vs) :]
     lam_hv = [diagram.field.product(v, [0, 1]) for v in hv]
     for s in diagram.squares:
         res = [a + b - c - d for a, b, c, d in zip(ev[s.e_left], lam_hv[s.h_bot], hv[s.h_top], ev[s.e_right])]
-        _assert(diagram.field.over(res, den).is_zero(), "nonzero residual")
+        _assert(diagram.field._sign(res) == 0, "nonzero residual")
 
 
 def _hypothesis(diagram, _=None):

@@ -820,7 +820,7 @@ def escape_depth_by_profiles(x, bound) -> int:
 
 # -- patch geometry by element arithmetic -------------------------------------------
 #
-# decode, decode_collared, the gap walk and the Vershik positions as they were
+# decode, plain and collared, the gap walk and the Vershik positions as they were
 # before the patch geometry was summed as integer vectors: every tile end, gap
 # and position is a chain of element sums and products.  The package must give
 # the same coefficient tuples.
@@ -864,8 +864,8 @@ def decode_by_elements(gamma) -> DecodedPatch:
 
 
 def decode_collared_by_elements(gamma) -> DecodedPatch:
-    """decode_collared around decode_by_elements, the contexts laid out from
-    the core's ends less the summed width of the left context."""
+    """decode(gamma, collared=True) around decode_by_elements, the contexts
+    laid out from the core's ends less the summed width of the left context."""
     csub = gamma.diagram.csub
     base = csub.base
     core = decode_by_elements(gamma)

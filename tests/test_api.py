@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "classify_GF",
     "collar_alphabet",
     "decode",
-    "decode_collared",
     "diagram_chains",
     "enumerate_paths",
     "escape_depth",

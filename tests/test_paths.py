@@ -21,7 +21,6 @@ from bratteli.paths import (
     PathPrefix,
     af_equiv,
     decode,
-    decode_collared,
     enumerate_paths,
     extremal_paths,
     pair_extremes,
@@ -166,7 +165,7 @@ def test_patch_geometry_matches_the_element_routes(all_diagrams, random_diagrams
                 got, want = decode(gamma), decode_by_elements(gamma)
                 assert patch_reps(got) == patch_reps(want), render_path(gamma)
                 assert all(t.right is u.left for t, u in zip(got.tiles, got.tiles[1:]))
-                assert patch_reps(decode_collared(gamma)) == patch_reps(decode_collared_by_elements(gamma))
+                assert patch_reps(decode(gamma, collared=True)) == patch_reps(decode_collared_by_elements(gamma))
             gaps = [(gl.coeffs, gr.coeffs) for gl, gr in gap_profile(x.prefix(7)).gaps]
             walk = gaps_by_layout_elements(x)
             assert gaps == [(gl.coeffs, gr.coeffs) for gl, gr in (next(walk) for _ in range(7))]
@@ -175,7 +174,7 @@ def test_patch_geometry_matches_the_element_routes(all_diagrams, random_diagrams
 
 
 def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, all_diagrams, reducible_diagrams):
-    """decode, decode_collared, gap_profile and the vershik command make no
+    """decode, plain and collared, gap_profile and the vershik command make no
     element product, power or sum outside u_of_prefix, which the offset
     still reads."""
     calls, inside = [], []
@@ -201,7 +200,7 @@ def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, a
     for d in (*all_diagrams.values(), *reducible_diagrams):
         for x in nonempty_paths(d, 1)[:4]:
             decode(x.prefix(4))
-            decode_collared(x.prefix(3))
+            decode(x.prefix(3), collared=True)
             gap_profile(x.prefix(8))
     for fixture, literal in (("fibonacci", "root=b; (bd db)"), ("thue-morse", "root=b; (be eb)")):
         assert cli.main(["vershik", "--fixture", fixture, "--x", literal, "--steps", "12"]) == 0
@@ -213,7 +212,7 @@ def test_patch_geometry_makes_no_element_products_or_sums(monkeypatch, capsys, a
 
 
 def test_decode_collared_fibonacci_root(fib):
-    patch = decode_collared(parse_path(fib, "root=a;"))
+    patch = decode(parse_path(fib, "root=a;"), collared=True)
     assert "".join(t.base for t in patch.tiles) == "001"
     assert patch.puncture_index == 1
     assert patch.tiles[1].name == "a" and patch.tiles[1].collared
@@ -222,10 +221,10 @@ def test_decode_collared_fibonacci_root(fib):
 def test_decode_collared_nesting(fib, tm):
     for diagram, literal in ((fib, "root=a; ac ca ab"), (tm, "root=a; ad dc cb")):
         full = parse_path(diagram, literal)
-        bigger = decode_collared(full)
+        bigger = decode(full, collared=True)
         big_pos = {(t.base, t.left.render(), t.right.render()) for t in bigger.tiles}
         for n in range(1, full.length):
-            smaller = decode_collared(PathPrefix(diagram, full.root, full.edges[: n - 1]))
+            smaller = decode(PathPrefix(diagram, full.root, full.edges[: n - 1]), collared=True)
             for t in smaller.tiles:
                 assert (t.base, t.left.render(), t.right.render()) in big_pos
 
@@ -233,10 +232,19 @@ def test_decode_collared_nesting(fib, tm):
 def test_decode_collared_single_letter(dyadic):
     gamma = parse_path(dyadic, "root=a; aa#0 aa#1")
     plain = decode(gamma)
-    collared = decode_collared(gamma)
+    collared = decode(gamma, collared=True)
     # one supertile of padding on each side
     assert len(collared.tiles) == 3 * len(plain.tiles)
     assert collared.puncture_index == len(plain.tiles) + plain.puncture_index
+
+
+def test_collared_decode_sizes_its_patch_once(monkeypatch, fib):
+    calls = []
+    size = paths.patch_size
+    monkeypatch.setattr(paths, "patch_size", lambda *args: calls.append(args) or size(*args))
+    gamma = parse_path(fib, "root=a; ac ca ab")
+    decode(gamma, True)
+    assert calls == [(gamma, True, gamma.length)]
 
 
 def test_patch_size_matches_decode(fib, tm):
@@ -246,7 +254,7 @@ def test_patch_size_matches_decode(fib, tm):
             for n in range(1, 13):
                 gamma = x.prefix(n)
                 assert patch_size(gamma) == len(decode(gamma).tiles)
-                assert patch_size(gamma, collared=True) == len(decode_collared(gamma).tiles)
+                assert patch_size(gamma, collared=True) == len(decode(gamma, collared=True).tiles)
 
 
 def test_patch_size_matches_collared_counts(all_diagrams, random_diagrams):
@@ -273,11 +281,11 @@ def expanded_length_by_powers(matrix, letter: int, steps: int) -> int:
 
 def test_decode_refuses_large_patch(fib):
     gamma = parse_path(fib, "root=a; (ab bd da)").prefix(40)
-    for fn, collared in ((decode, False), (decode_collared, True)):
+    for collared in (False, True):
         tiles = patch_size(gamma, collared)
         assert tiles > MAX_DECODE_TILES
         with pytest.raises(PatchTooLarge, match=f"depth 40 .* {tiles} tiles, .* limit of {MAX_DECODE_TILES}$"):
-            fn(gamma)
+            decode(gamma, collared)
 
 
 # -- tail equivalence --------------------------------------------------------------
@@ -388,6 +396,31 @@ def test_pairing_without_a_recurrent_square_does_not_cover():
     diagram.down_cycles = [cycle for cycle in diagram.down_cycles if lost.h_bot not in cycle]
     with pytest.raises(UnpairedExtreme, match="does not cover"):
         pair_extremes(diagram)
+
+
+def test_pairing_refuses_a_maximal_root_paired_twice():
+    """Two down cycles through the maximal root d that end at two minimal
+    roots, b and c, pair d twice."""
+    diagram = build_diagram(load_fixture("fibonacci"))
+    hs = diagram.horizontals
+    assert [(diagram.vertices[hs[h].src], diagram.vertices[hs[h].rng]) for h in (6, 8)] == [("d", "b"), ("d", "c")]
+    diagram.down_cycles = [[6], [8]]
+    with pytest.raises(UnpairedExtreme, match="^maximal path paired twice inconsistently$"):
+        pair_extremes(diagram)
+
+
+def test_pairing_builds_each_extremal_path_once(monkeypatch, all_diagrams, random_diagrams, reducible_diagrams):
+    """pair_extremes reads psi off the roots: the only normal forms it makes
+    are the path constructors' own, one per extremal path."""
+    diagrams = (*all_diagrams.values(), *random_diagrams, *reducible_diagrams)
+    extremes = [sum(map(len, extremal_paths(d))) for d in diagrams]
+    calls = []
+    normalize = paths._normalize
+    monkeypatch.setattr(paths, "_normalize", lambda pre, cycle: calls.append(1) or normalize(pre, cycle))
+    for d, n in zip(diagrams, extremes):
+        calls.clear()
+        pair_extremes(d)
+        assert len(calls) == n
 
 
 def test_vershik_of_max_is_paired_min(fib, tm):
@@ -891,7 +924,7 @@ def test_collared_decode_injective_on_prefixes(fib, tm):
     for diagram in (fib, tm):
         seen = {}
         for g in all_prefixes(diagram, 4):
-            pc = decode_collared(g)
+            pc = decode(g, collared=True)
             key = ("".join(t.base for t in pc.tiles), pc.puncture_index)
             assert key not in seen, (g, seen[key])
             seen[key] = g

@@ -329,8 +329,8 @@ def test_perron_lengths_decide_a_nonzero_residual_vector_exactly(monkeypatch, c1
             perron_lengths(fake)
         return
     tested = []
-    is_zero = AlgebraicNumber.is_zero
-    monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda self: tested.append(self.coeffs) or is_zero(self))
+    vanishes = ModulusField._vanishes
+    monkeypatch.setattr(ModulusField, "_vanishes", lambda field, p: tested.append(tuple(p)) or vanishes(field, p))
     layouts, (den, vecs) = perron_lengths(fake)
     assert ((-1, -1, 1) in tested) == (c1 == [-2, 0, 1])  # letter 0's residual x^2 - x - 1
     length = f.over(vecs[1], den)
@@ -533,6 +533,24 @@ def test_collar_names_refuse_path_delimiters(name):
     with pytest.raises(ParseError, match="path delimiter") as exc:
         parse_spec(text)
     assert (exc.value.line, exc.value.column) == (4, len("collar-names: d ") + 1)
+
+
+@pytest.mark.parametrize(
+    "text, error, token, line, column",
+    [
+        ("letters: 10 1\nrule 10: 1 0\nrule 1: 10", UnknownLetter, "0", 2, 12),  # '0' is inside 'rule 10' too
+        ("letters: ab a\nrule ab: a ab b\nrule a: ab", UnknownLetter, "b", 2, 15),  # and inside 'ab'
+        ("letters: 0 1\nrule 0: 0 1\nrule 1: 0\ncollar-names: a( b c d", ParseError, "a(", 4, 15),
+        ("letters: 0 1\nrule 0: 0 1\nrule 1: 0\ncollar-names: b0  0\tb0) c", ParseError, "b0)", 4, 21),
+    ],
+)
+def test_spec_errors_point_at_the_token(text, error, token, line, column):
+    """The column of a bad rule letter or collar name is its token's own
+    offset, not that of the first substring of the line that matches it."""
+    with pytest.raises(error, match=f"{token!r}".replace("(", r"\(").replace(")", r"\)")) as exc:
+        parse_spec(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert text.splitlines()[line - 1][column - 1 :].split()[0] == token
 
 
 def test_perron_lengths_positive(rand3):

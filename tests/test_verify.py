@@ -13,7 +13,7 @@ import pytest
 from bratteli import verify
 from bratteli.cli import main
 from bratteli.diagram import HorizontalTemplate, VerticalTemplate
-from bratteli.exactnum import AlgebraicNumber
+from bratteli.exactnum import AlgebraicNumber, ModulusField
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bratteli"
 
@@ -75,10 +75,11 @@ def test_no_floats_and_fractions_only_in_the_exact_layer():
 
 
 def test_exact_arithmetic_stays_in_exactnum_and_ratpoly():
-    """Only exactnum.py and ratpoly.py import fractions, and only exactnum.py
+    """Only exactnum.py and ratpoly.py import fractions or read an element's
+    stored form (.coeffs, .numerator, .denominator), and only exactnum.py
     calls the AlgebraicNumber constructor: every other module makes elements
     through the field's factories and the ring operations."""
-    importers, constructors = set(), set()
+    importers, constructors, readers = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names):
@@ -89,7 +90,10 @@ def test_exact_arithmetic_stays_in_exactnum_and_ratpoly():
                 func = node.func
                 if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "AlgebraicNumber":
                     constructors.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr in ("coeffs", "numerator", "denominator"):
+                readers.add(path.name)
     assert importers == {"exactnum.py", "ratpoly.py"}
+    assert readers == {"exactnum.py", "ratpoly.py"}
     assert constructors == {"exactnum.py"}
 
 
@@ -142,11 +146,27 @@ def test_nonzero_representative_of_zero_goes_to_the_exact_test(reducible_diagram
     s = next(s for s in d.squares if s.e_left != s.e_right)
     spoiled = shifted(d, vertical=s.e_left, by=zero)
     exact = []
-    is_zero = AlgebraicNumber.is_zero
-    monkeypatch.setattr(AlgebraicNumber, "is_zero", lambda x: exact.append(x) or is_zero(x))
+    vanishes = ModulusField._vanishes
+    monkeypatch.setattr(ModulusField, "_vanishes", lambda field, p: exact.append(vanishes(field, p)) or exact[-1])
     verify._residuals(spoiled)
-    assert exact  # the residual vector was nonzero, so the exact test decided it
+    assert any(zero for zero, _ in exact)  # the residual vector was nonzero, so the certificate decided it
     assert verdicts(spoiled) == [True] * 4
+
+
+def test_square_checks_form_no_element(all_diagrams, monkeypatch):
+    """Each vector of the two square checks goes to the field's sign routine
+    as integers: neither check builds an AlgebraicNumber."""
+    for d in all_diagrams.values():
+        d.squares  # the census is formed outside the spy
+    made = []
+    init = AlgebraicNumber.__init__
+    monkeypatch.setattr(AlgebraicNumber, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    for d in all_diagrams.values():
+        verify._residuals(d)
+        verify._opposites(d)
+    assert made == []
+    all_diagrams["fibonacci"].field.over([1, 1], 2)
+    assert made  # the spy does count
 
 
 def test_square_checks_do_no_element_arithmetic(all_diagrams, monkeypatch):
