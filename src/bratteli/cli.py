@@ -264,8 +264,8 @@ def cmd_extremes(args) -> int:
 
 def _vershik_walk(diagram, path: EventuallyPeriodicPath, steps: int):
     """(x, its successor, delta, position) per Vershik step from path: delta = (l_t + l_u)/2
-    is the forward horizontal's coefficient from x's root to the successor's, one element
-    per pair of core letters, and the position sums it as an integer vector over 2D."""
+    is the forward horizontal's coefficient from x's root to the successor's, read through
+    the diagram's element view, and the position sums it as an integer vector over 2D."""
     csub, f = diagram.csub, diagram.field
     den, vecs = csub.base.length_vectors
     pos = [0] * len(vecs[0])
@@ -273,7 +273,7 @@ def _vershik_walk(diagram, path: EventuallyPeriodicPath, steps: int):
         nxt = vershik_successor(path)
         t, u = csub.core_of(path.root), csub.core_of(nxt.root)
         pos = [p + a + b for p, a, b in zip(pos, vecs[t], vecs[u])]
-        yield path, nxt, diagram.forward_h[path.root, nxt.root].coeff, f.over(pos, 2 * den)
+        yield path, nxt, diagram.elements[diagram.forward_h[path.root, nxt.root].coeff], f.over(pos, 2 * den)
         path = nxt
 
 

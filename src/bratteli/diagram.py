@@ -16,7 +16,12 @@ incident and whose labels satisfy, after dividing out lambda^(n-2),
 
 A collar adds combinatorics, not geometry, so a vertical coefficient
 depends only on (core of its range, position) and a horizontal one on its
-two cores; templates with one key share one coefficient object.
+two cores; templates with one key share one coefficient object.  Every
+coefficient is a signed half-sum of tile lengths, so it is kept as an
+integer vector over the diagram's one denominator `den` = 2D, D that of
+the length vectors: the build and the exports form no element.  Ring
+arithmetic reads elements through `elements`, one read-only mapping from
+each distinct coefficient vector to its element, formed on first read.
 
 Each coefficient is the displacement from its source's tile centre to its
 range's, so both sides of the equation measure from A = e_left.src, placed
@@ -78,30 +83,35 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Mapping
+from itertools import chain
 from operator import attrgetter
+from types import MappingProxyType
 
 from ._record import Frozen
 from .errors import DotTooLarge, ParseError
-from .exactnum import AlgebraicNumber
+from .exactnum import AlgebraicNumber, render_vector
 from .substitution import CollaredSubstitution, Substitution
 
 
 class VerticalTemplate(Frozen):
     """Subtile src (generation n-1) at position pos in the rule image of the
-    supertile rng (generation n); realized label u(e^n) = coeff * lambda^(n-2)."""
+    supertile rng (generation n); realized label u(e^n) = c * lambda^(n-2),
+    c = coeff/den, coeff an integer vector over the diagram's den."""
 
     __slots__ = ("index", "src", "rng", "pos", "coeff")
 
-    def __init__(self, index: int, src: int, rng: int, pos: int, coeff: AlgebraicNumber):
+    def __init__(self, index: int, src: int, rng: int, pos: int, coeff: tuple[int, ...]):
         self._fill(index, src, rng, pos, coeff)
 
 
 class HorizontalTemplate(Frozen):
-    """Realized label u(h^n) = coeff * lambda^(n-1); opposite indexes the reversed edge (itself if trivial)."""
+    """Realized label u(h^n) = c * lambda^(n-1), c = coeff/den, coeff an integer
+    vector over the diagram's den; opposite indexes the reversed edge (itself if trivial)."""
 
     __slots__ = ("index", "src", "rng", "coeff", "trivial", "opposite")
 
-    def __init__(self, index: int, src: int, rng: int, coeff: AlgebraicNumber, trivial: bool, opposite: int):
+    def __init__(self, index: int, src: int, rng: int, coeff: tuple[int, ...], trivial: bool, opposite: int):
         self._fill(index, src, rng, coeff, trivial, opposite)
 
 
@@ -122,13 +132,29 @@ class BratteliDiagram:
         self.csub = csub
         self.vertices = [cl.name for cl in csub.collared_alphabet]
         self.field = csub.base.field
-        self.lam = self.field.lam()
+        self.den = 2 * csub.base.length_vectors[0]  # every template coefficient is an integer vector over it
         self.verticals = build_vertical(csub)
         self.horizontals = build_horizontal(csub)
         self._index_templates()
         # the memos of paths hold ints, never paths, so a dropped diagram is freed by reference counting
         self._rb_chains: dict = {}  # aligned tail pair -> rb_equiv's chain or None, filled on demand
         self._rb_generators = None  # rb_via_generators' tail-key pairs (max, psi(max)), formed on first use
+
+    # -- elements, formed on first read -----------------------------------------
+
+    @functools.cached_property
+    def lam(self) -> AlgebraicNumber:
+        return self.field.lam()
+
+    @functools.cached_property
+    def elements(self) -> Mapping[tuple[int, ...], AlgebraicNumber]:
+        """Read-only: each distinct template coefficient vector -> its element,
+        over(vector, den), one element per distinct vector."""
+        vectors = {t.coeff for t in chain(self.verticals, self.horizontals)}
+        return MappingProxyType({v: self.field.over(v, self.den) for v in vectors})
+
+    def __getstate__(self):  # a copy or pickle forms its own element view: a read-only mapping does not pickle
+        return {k: v for k, v in vars(self).items() if k != "elements"}
 
     # -- the census, each view formed on its own first read ---------------------
 
@@ -242,7 +268,8 @@ class BratteliDiagram:
     def square_usum(self, s: DiagramTemplate) -> AlgebraicNumber:
         """Base coefficient of u(e_left) + u(h_bot) at the lambda^(n-2) scale
         (the left side L of the square equation), formed on demand."""
-        return self.verticals[s.e_left].coeff + self.lam * self.horizontals[s.h_bot].coeff
+        c = self.elements
+        return c[self.verticals[s.e_left].coeff] + self.lam * c[self.horizontals[s.h_bot].coeff]
 
 
 def build_diagram(source: Substitution) -> BratteliDiagram:
@@ -254,8 +281,9 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
 
     Base-scale layout: the generation-n supertile of w spans
     lambda * len(w) with its subtiles at generation-(n-1) sizes; the
-    coefficient is supertile center minus subtile center (u(e) = -a), one
-    shared object per (core(w), position) from `Substitution.layouts`.
+    coefficient is supertile center minus subtile center (u(e) = -a), the
+    integer vector over 2D that `Substitution.layouts` keeps, one shared
+    object per (core(w), position).
     """
     layouts = csub.base.layouts
     out = []
@@ -272,28 +300,27 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     (t, t') is adjacent (t immediately left of t') when right(t) = core(t'),
     left(t') = core(t), and the projected 4-word is legal: exactly the pairs
     (w[:3], w[1:]) of the legal 4-words w, walked in (t, t') index order.
-    The template for the ordered pair carries +((len t + len t')/2), formed
-    from the integer length vectors over 2D, and its opposite that element's
-    negation.  Both are built once per pair of core letters and shared, and
-    every trivial loop carries the field's one zero.
+    The template for the ordered pair carries +((len t + len t')/2), the sum
+    of the two integer length vectors, over 2D, and its opposite the negated
+    vector.  Both are built once per pair of core letters and shared, and
+    every trivial loop carries one zero vector: no element is formed.
     """
     base = csub.base
-    den, vecs = base.length_vectors
+    _, vecs = base.length_vectors
     index = csub.by_triple
-    half_sums: dict[tuple[int, int], tuple[AlgebraicNumber, AlgebraicNumber]] = {}
+    half_sums: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     out: list[HorizontalTemplate] = []
     for t, u, x, y in sorted((index[w[:3]], index[w[1:]], w[1], w[2]) for w in base.legal_quads):
         pm = half_sums.get((x, y))
         if pm is None:
-            s = [a + b for a, b in zip(vecs[x], vecs[y])]
-            plus = base.field.over(s, 2 * den)
-            pm = (plus, -plus)
-            half_sums[x, y] = half_sums[y, x] = pm
+            plus = tuple(a + b for a, b in zip(vecs[x], vecs[y]))
+            pm = half_sums[x, y] = half_sums[y, x] = plus, tuple(-c for c in plus)
         i = len(out)
         out.append(HorizontalTemplate(i, t, u, pm[0], False, i + 1))
         out.append(HorizontalTemplate(i + 1, u, t, pm[1], False, i))
+    zero = (0,) * len(vecs[0])
     for t in range(len(index)):
-        out.append(HorizontalTemplate(len(out), t, t, base.field.zero, True, len(out)))
+        out.append(HorizontalTemplate(len(out), t, t, zero, True, len(out)))
     return out
 
 
@@ -417,7 +444,7 @@ def export_dot(diagram: BratteliDiagram, depth: int) -> str:
         raise DotTooLarge(depth, count, MAX_DOT_LINES)
     lines = ["digraph bratteli {", "  rankdir=TB;", '  root [shape=point label=""];']
     names = diagram.vertices
-    render = functools.cache(AlgebraicNumber.render)  # once per shared coefficient object
+    render = functools.cache(lambda c: render_vector(c, diagram.den))  # once per distinct coefficient
 
     def node(v, gen):
         return f'"{names[v]}_{gen}"'
@@ -456,12 +483,12 @@ def export_json(diagram: BratteliDiagram) -> str:
     written below, indent 2, "[]" for an empty array, strings escaped to
     ASCII as json.dumps escapes them, and a trailing newline.  With `indent`
     json.dumps runs its pure-Python encoder, so the fixed schema is written
-    directly: each distinct string is encoded once, each coefficient object
-    rendered once, each record is one f-string."""
+    directly: each distinct string is encoded once, each distinct coefficient
+    vector rendered once, each record is one f-string."""
     import json  # here, not at the top: most commands never load it
     base = diagram.csub.base
     q = functools.cache(json.dumps)
-    coeff = functools.cache(lambda c: q(c.render()))  # once per shared coefficient object
+    coeff = functools.cache(lambda c: q(render_vector(c, diagram.den)))  # once per distinct coefficient
     v = [q(name) for name in diagram.vertices]
 
     def strings(values, pad):

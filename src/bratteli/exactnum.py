@@ -48,8 +48,12 @@ An element is stored as a tuple of Fractions with no trailing zero, reduced
 modulo the reduced modulus (canonical in the desk-scale cases; correctness
 never relies on it), and the constructor takes only that form.  The one way
 in is `ModulusField.element`, one reduction: every factory, scalar operand
-and product.  Integer vectors over one denominator (`ratios`, `numerators`,
-`product`, each inverse) go in by `over`.  Sums and scaling keep the form.
+and product.  Integer vectors over one denominator go in by `over`: each
+inverse, the tile lengths, decoded tile ends and the diagram's element view
+of its template coefficients, read on first use.  Sums and scaling keep the
+form.  `render_vector` writes an integer vector over a denominator as the
+text of its element, with no element formed: the exports write the template
+coefficients, integer vectors, through it.
 
 Decimal output is floor truncation (-phi prints as -1.618034), monotone with
 compare().  It refines up from the field's level until the enclosure
@@ -107,7 +111,7 @@ class ModulusField:
         lo, hi = Fraction(1), Fraction(1 + max(1, *(abs(c) for c in m[:-1])))
         vlo, vhi = rp.sign_variations(seq, lo), rp.sign_variations(seq, hi)
         if vlo == vhi:
-            raise NoRootAboveOne(f"{_render(m, 'x')} has no real root above 1")
+            raise NoRootAboveOne(f"{render_vector(m, 1, 'x')} has no real root above 1")
         while vlo - vhi > 1:
             mid = (lo + hi) / 2
             vmid = rp.sign_variations(seq, mid)
@@ -191,11 +195,6 @@ class ModulusField:
         v = [c.numerator * (den // c.denominator) for c in x.coeffs]
         return v + [0] * (len(self._reduced) - 1 - len(v))
 
-    def _integer_vectors(self, xs: list[AlgebraicNumber]) -> tuple[int, list[rp.IntPoly]]:
-        """(den, vectors): den > 0 the lcm of the elements' denominators, and each element's numerators over den."""
-        den = lcm(*(c.denominator for x in xs for c in x.coeffs))
-        return den, [self.numerators(x, den) for x in xs]
-
     def product(self, u: rp.IntPoly, v: rp.IntPoly) -> rp.IntPoly:
         """u * v of nonempty integer vectors, reduced (in integers: the reduced modulus is monic), padded to deg m."""
         r = rp.reduce_monic(rp.int_mul(u, v), self._reduced)
@@ -271,7 +270,7 @@ class ModulusField:
         return ModulusField, (self.modulus,)
 
     def __repr__(self):
-        return f"ModulusField({_render(self.modulus, 'x')}, root in ({self.lo}, {self.hi}])"
+        return f"ModulusField({render_vector(self.modulus, 1, 'x')}, root in ({self.lo}, {self.hi}])"
 
 
 def _solve_product(num: rp.IntPoly, s: int, m: rp.IntPoly) -> tuple[rp.IntPoly, int]:
@@ -424,7 +423,7 @@ class AlgebraicNumber:
     # -- text form -------------------------------------------------------------
 
     def render(self) -> str:
-        return _render(list(self.coeffs), "L")
+        return _render([(c.numerator, c.denominator) for c in self.coeffs], "L")
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -450,11 +449,17 @@ def _sum(p: tuple, q: tuple) -> tuple:
 # -- text form: lowest degree first, e.g. "1/2 + 1/2*L" for (1 + lambda)/2 --
 
 
-def _render(p: list[Fraction], sym: str) -> str:
-    """Fractions or ints, read through their integer numerator and denominator."""
+def render_vector(vec, den: int, sym: str = "L") -> str:
+    """The text of the element vec/den, for an integer vector vec and an
+    integer den > 0, each coefficient reduced by its gcd with den: the text
+    `over(vec, den).render()` gives, with no element formed."""
+    return _render([(c // (g := igcd(c, den)), den // g) for c in vec], sym)
+
+
+def _render(p: list[tuple[int, int]], sym: str) -> str:
+    """(numerator, denominator) pairs in lowest terms, denominator > 0."""
     parts = []  # each term with its sign as a separator, " - " or " + "
-    for k, c in enumerate(p):
-        num, den = c.numerator, c.denominator
+    for k, (num, den) in enumerate(p):
         if not num:
             continue
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"

@@ -106,10 +106,11 @@ def u_of_prefix(gamma: PathPrefix) -> AlgebraicNumber:
     """Exact translation label: sum of c_e * lambda^(i-2) over the prefix
     (the root edge contributes 0)."""
     d = gamma.diagram
+    c = d.elements
     total = d.field.zero
     power = d.field.one
     for ei in gamma.edges:
-        total = total + d.verticals[ei].coeff * power
+        total = total + c[d.verticals[ei].coeff] * power
         power = power * d.lam
     return total
 
@@ -371,8 +372,17 @@ def _extremes(diagram: BratteliDiagram, minimal: bool) -> list[EventuallyPeriodi
     cycle of f; going up the path runs backward through the cycle from v."""
     pick = diagram.min_edge_into if minimal else diagram.max_edge_into
     cycles = _cycles(range(len(diagram.vertices)), lambda w: pick(w).src)
-    orbit = {v: c[k:] + c[:k] for c in cycles for k, v in enumerate(c)}  # v on a cycle -> v, f(v), ...
-    return [EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit[v])]) for v in sorted(orbit)]
+    return [_extremal_path(diagram, v, pick) for v in sorted(v for c in cycles for v in c)]
+
+
+def _extremal_path(diagram: BratteliDiagram, v: int, pick) -> EventuallyPeriodicPath:
+    """The extremal path rooted at v, a vertex on a cycle of f(w) = pick(w).src:
+    its edges are pick of the orbit v, f(v), ... read backward."""
+    orbit = [v]
+    while (w := pick(orbit[-1]).src) != v:
+        orbit.append(w)
+        assert len(orbit) <= len(diagram.vertices), "the root lies on a cycle of f"
+    return EventuallyPeriodicPath(diagram, v, [], [pick(u).index for u in reversed(orbit)])
 
 
 class Pairing(Record):
@@ -401,18 +411,13 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     column a minimal one rooted at h.rng.  An extremal path runs on the
     cycles of its f, on which f is a bijection, so each vertex on such a
     cycle roots exactly one: the columns are the extremal paths rooted at
-    h.src and h.rng, and psi maps the root h.src to h.rng.  Each call forms
-    a fresh pairing from `extremal_paths`, which the diagram does not keep:
-    the diagram's memos hold ints, never paths.
+    h.src and h.rng, and psi maps the root h.src to h.rng (`_psi_roots`).
+    Each call forms a fresh pairing from `extremal_paths`, which the diagram
+    does not keep: the diagram's memos hold ints, never paths.
     """
-    hs = diagram.horizontals
     mins, maxs = extremal_paths(diagram)
     min_of = {p.root: p for p in mins}
-    psi: dict[int, int] = {}  # root of a maximal path -> root of its minimal partner
-    for cycle in diagram.down_cycles:
-        for h in cycle:
-            if psi.setdefault(hs[h].src, hs[h].rng) != hs[h].rng:
-                raise UnpairedExtreme("maximal path paired twice inconsistently")
+    psi = _psi_roots(diagram)
     if set(psi) != {p.root for p in maxs}:
         raise UnpairedExtreme("pairing does not cover every maximal path")
     if set(psi.values()) != set(min_of):
@@ -420,12 +425,28 @@ def pair_extremes(diagram: BratteliDiagram) -> Pairing:
     return Pairing(pairs=[(mx, min_of[psi[mx.root]]) for mx in maxs])
 
 
+def _psi_roots(diagram: BratteliDiagram) -> dict[int, int]:
+    """psi on roots: h.src -> h.rng for each horizontal h on a cycle of down,
+    the root of a maximal path -> the root of its minimal partner."""
+    hs = diagram.horizontals
+    psi: dict[int, int] = {}
+    for cycle in diagram.down_cycles:
+        for h in cycle:
+            if psi.setdefault(hs[h].src, hs[h].rng) != hs[h].rng:
+                raise UnpairedExtreme("maximal path paired twice inconsistently")
+    return psi
+
+
 def vershik_successor(x: EventuallyPeriodicPath) -> EventuallyPeriodicPath:
     """Successor in the left-to-right edge order; the decoded puncture moves
-    exactly one tile to the right.  Maximal paths jump through the pairing."""
+    exactly one tile to the right.  A maximal path jumps through the pairing:
+    psi(x) is the minimal path rooted at psi of x's root, the only one built."""
     d = x.diagram
     if x.is_maximal():
-        return pair_extremes(d).psi(x)
+        root = _psi_roots(d).get(x.root)
+        if root is None:
+            raise UnpairedExtreme("pairing does not cover every maximal path")
+        return _extremal_path(d, root, d.min_edge_into)
     flat = x.pre + x.cycle
     # index in flat of the lowest edge that is not maximal: the changed edge
     i = next(k for k, ei in enumerate(flat) if ei != d.max_edge_into(d.verticals[ei].rng).index)
@@ -579,7 +600,7 @@ def rb_base_translation(gamma: PathPrefix, gamma2: PathPrefix, h_index: int) -> 
             f"{d.vertices[gamma.top_vertex()]} to {d.vertices[gamma2.top_vertex()]}"
         )
     n = gamma.length
-    return u_of_prefix(gamma) - u_of_prefix(gamma2) + h.coeff * d.lam ** (n - 1)
+    return u_of_prefix(gamma) - u_of_prefix(gamma2) + d.elements[h.coeff] * d.lam ** (n - 1)
 
 
 def rb_base_member(

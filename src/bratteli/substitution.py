@@ -188,15 +188,16 @@ class LetterLayout(Frozen):
     """sigma(x) laid out at base scale: the supertile of x spans lambda * l(x),
     centered at 0, with the tiles of sigma(x) end to end inside it, over the
     positions i of sigma(x): left[i], right[i], the lengths before and after
-    i, are integer vectors over D; the element vertical[i], supertile center
-    minus tile i's, strictly decreases, by (l_i + l_(i+1))/2 from i to i + 1.
-    split counts the tiles whose center lies at or left of the supertile's:
-    the i with vertical[i] >= 0.
+    i, are integer vectors over D; vertical[i], supertile center minus tile
+    i's, an integer vector over 2D, strictly decreases, by (l_i + l_(i+1))/2
+    from i to i + 1.  split counts the tiles whose center lies at or left of
+    the supertile's: the i with vertical[i] >= 0.
 
     One pass of prefix sums ends (ends[0] = 0, ends[i+1] = ends[i] + l_i)
-    gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] and vertical[i] =
-    (lambda l(x) - ends[i] - ends[i+1])/2, as integer vectors over D (2D);
-    `split` is bisected on sign(): at most ceil(log2(|sigma(x)| + 1)) signs."""
+    gives left[i] = ends[i], right[i] = ends[-1] - ends[i+1] over D and
+    vertical[i] = lambda l(x) - ends[i] - ends[i+1] over 2D; `split` is
+    bisected on the field's sign of the vectors (2D > 0): at most
+    ceil(log2(|sigma(x)| + 1)) signs, and no element is formed."""
 
     __slots__ = ("split", "left", "right", "vertical")
 
@@ -221,7 +222,7 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, LetterLayout], tuple[in
 
     The check of letter x forms the prefix sums and the span lambda l(x)
     of its layout, so each layout is built and checked once per base letter
-    (`LetterLayout`), in integer-vector sums: no element arithmetic.
+    (`LetterLayout`), in integer-vector sums: no element is formed.
     """
     f = sub.field
     try:
@@ -235,9 +236,9 @@ def perron_lengths(sub: Substitution) -> tuple[dict[int, LetterLayout], tuple[in
         total = ends[-1]
         if f._sign([t - s for t, s in zip(total, span)]):
             raise SingularSystem("eigen-equation residual nonzero")
-        vertical = tuple(f.over([s - a - b for s, a, b in zip(span, lo, hi)], 2 * den) for lo, hi in pairwise(ends))
+        vertical = tuple(tuple(s - a - b for s, a, b in zip(span, lo, hi)) for lo, hi in pairwise(ends))
         layouts[x] = LetterLayout(
-            split=bisect_left(vertical, True, key=lambda c: c.sign() < 0),  # first negative
+            split=bisect_left(vertical, True, key=lambda v: f._sign(v) < 0),  # first negative
             left=tuple(ends[:-1]),
             right=tuple(tuple(t - a for t, a in zip(total, e)) for e in ends[1:]),
             vertical=vertical,

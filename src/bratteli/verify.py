@@ -10,13 +10,15 @@ diagram must pass.  The CLI's verify-paper command runs this battery and
 reports one line per check.
 
 Two of those checks are where the square equation is checked: every square
-the census lists, and every opposite pair, is decided on integer vectors
-over one common denominator of the template coefficients, with lambda c(h)
-formed once per horizontal.  Each vector is decided by the field's one sign
-routine (`ModulusField._sign`), as the denominator is positive: a zero
-vector holds at once, with no element formed, and only a nonzero one goes
-to the exact zero test, which a reducible reduced modulus needs, as it has
-nonzero representatives of 0.
+the census lists, and every opposite pair, is decided on the template
+coefficients as they are kept, integer vectors over the diagram's one
+denominator, with lambda c(h) formed once per horizontal as an integer
+product.  Each vector is decided by the field's one sign routine
+(`ModulusField._sign`), as the denominator is positive: a zero vector holds
+at once, with no element formed, and only a nonzero one goes to the exact
+zero test, which a reducible reduced modulus needs, as it has nonzero
+representatives of 0.  The checks that compare labels with a fixture's
+table read elements through the diagram's element view.
 """
 
 from __future__ import annotations
@@ -86,15 +88,15 @@ def _labels(what: str, got: dict, expected: dict):
 
 
 def _verticals(diagram: BratteliDiagram, expected: dict):
-    _labels("vertical edges", {diagram.edge_label(e): e.coeff for e in diagram.verticals}, expected)
+    _labels("vertical edges", {diagram.edge_label(e): diagram.elements[e.coeff] for e in diagram.verticals}, expected)
 
 
 def _patches(diagram: BratteliDiagram, expected: dict):
     """The positively oriented template of each legal adjacency, keyed leftname+rightname."""
     patches = {}
     for h in diagram.horizontals:
-        if not h.trivial and h.coeff.sign() > 0:
-            patches[diagram.vertices[h.src] + diagram.vertices[h.rng]] = h.coeff
+        if not h.trivial and diagram.field._sign(h.coeff) > 0:
+            patches[diagram.vertices[h.src] + diagram.vertices[h.rng]] = diagram.elements[h.coeff]
     _labels("patches", patches, expected)
 
 
@@ -168,21 +170,18 @@ def _regularity(diagram, _=None):
 
 def _opposites(diagram, _=None):
     hs = diagram.horizontals
-    _, vecs = diagram.field._integer_vectors([h.coeff for h in hs])
-    for h, vec in zip(hs, vecs):
+    for h in hs:
         _assert(hs[h.opposite].opposite == h.index, "opposite pairing is not an involution")
-        cancel = [a + b for a, b in zip(vec, vecs[h.opposite])]
+        cancel = [a + b for a, b in zip(h.coeff, hs[h.opposite].coeff)]
         _assert(diagram.field._sign(cancel) == 0, "opposite labels do not cancel")
 
 
 def _residuals(diagram, _=None):
-    # every square's equation in integers over one denominator, lambda c(h)
-    # formed once per horizontal: the census finds the squares by adjacency
-    # with no arithmetic and this reads only their keys, so it is an
+    # every square's equation in integers over the diagram's one denominator,
+    # lambda c(h) formed once per horizontal: the census finds the squares by
+    # adjacency with no arithmetic and this reads only their keys, so it is an
     # independent cross-check
-    vs, hs = diagram.verticals, diagram.horizontals
-    _, vecs = diagram.field._integer_vectors([e.coeff for e in vs] + [h.coeff for h in hs])
-    ev, hv = vecs[: len(vs)], vecs[len(vs) :]
+    ev, hv = [e.coeff for e in diagram.verticals], [h.coeff for h in diagram.horizontals]
     lam_hv = [diagram.field.product(v, [0, 1]) for v in hv]
     for s in diagram.squares:
         res = [a + b - c - d for a, b, c, d in zip(ev[s.e_left], lam_hv[s.h_bot], hv[s.h_top], ev[s.e_right])]

@@ -791,7 +791,7 @@ def glued_translation(x, y, witness, depth: int, full_decode: bool = False):
         # same supertile: overlay supports
         y_left_glued = x_left
     else:
-        sgn = h.coeff.sign()
+        sgn = d.elements[h.coeff].sign()
         assert sgn != 0
         if sgn > 0:
             y_left_glued = x_right  # y sits immediately to the right
@@ -925,9 +925,17 @@ def vershik_positions_by_elements(x, steps: int) -> list[tuple]:
 # arithmetic per base letter: every collared letter redoes its own layout,
 # every horizontal its own half-sum, and the census sums and zero-tests per
 # template index.  The package must give the same templates, squares, square
-# sums L and gaps, representative for representative.
+# sums L and gaps, representative for representative.  Each coefficient is
+# formed as an element and stored as the package stores it, an integer vector
+# over 2D.
 
 _HALF = Fraction(1, 2)
+
+
+def _vector(x: AlgebraicNumber, den: int) -> tuple[int, ...]:
+    """x as an integer vector over den, padded as the package pads it; den must clear x's denominators."""
+    assert all(den % c.denominator == 0 for c in x.coeffs)
+    return tuple(x.field.numerators(x, den))
 
 
 def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
@@ -939,6 +947,7 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
     """
     f = csub.base.field
     lam = f.lam()
+    den = 2 * csub.base.length_vectors[0]
     out = []
     for w, rule in sorted(csub.collared_rules.items()):
         total = lam * csub.base.lengths[csub.core_of(w)]
@@ -950,7 +959,7 @@ def build_vertical(csub: CollaredSubstitution) -> list[VerticalTemplate]:
         for pos, u in enumerate(rule):
             center = cum + csub.base.lengths[csub.core_of(u)].scale(_HALF)
             out.append(
-                VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=-center)
+                VerticalTemplate(index=len(out), src=u, rng=w, pos=pos, coeff=_vector(-center, den))
             )
             cum = cum + csub.base.lengths[csub.core_of(u)]
     return out
@@ -966,6 +975,7 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     """
     base = csub.base
     f = base.field
+    den = 2 * base.length_vectors[0]
     legal4 = legal_words(base, 4)
     letters = csub.collared_alphabet
     out: list[HorizontalTemplate] = []
@@ -973,7 +983,7 @@ def build_horizontal(csub: CollaredSubstitution) -> list[HorizontalTemplate]:
     def emit(src, rng, coeff, trivial, opposite):
         out.append(
             HorizontalTemplate(
-                index=len(out), src=src, rng=rng, coeff=coeff, trivial=trivial, opposite=opposite
+                index=len(out), src=src, rng=rng, coeff=_vector(coeff, den), trivial=trivial, opposite=opposite
             )
         )
 
@@ -1007,7 +1017,7 @@ def export_json_by_dumps(diagram: BratteliDiagram) -> str:
     csub = diagram.csub
     base = csub.base
     scan_order = {cl.triple(): cl.name for cl in csub.collared_alphabet}
-    render = functools.cache(AlgebraicNumber.render)
+    render = functools.cache(lambda c: diagram.elements[c].render())
     payload = {
         "spec": {
             "letters": [a.name for a in base.alphabet],
@@ -1125,10 +1135,11 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemp
     Kinds come from the line-graph reachability and stored orientations from
     the signs of L, not from the square families.  Returns the stored
     orientations, as `diagram.enumerate_squares` does."""
+    c = diagram.elements
     lam_c: dict[tuple, AlgebraicNumber] = {}  # lambda * c, once per distinct coefficient
     for h in diagram.horizontals:
-        if h.coeff.coeffs not in lam_c:
-            lam_c[h.coeff.coeffs] = diagram.lam * h.coeff
+        if h.coeff not in lam_c:
+            lam_c[h.coeff] = diagram.lam * c[h.coeff]
     out = []
     for ht in diagram.horizontals:
         rsums: dict[int, AlgebraicNumber] = {}  # e_right -> c(h_top) + c(e_right)
@@ -1139,12 +1150,12 @@ def enumerate_squares(diagram: BratteliDiagram, usums: dict) -> list[DiagramTemp
                     continue
                 rsum = rsums.get(er.index)
                 if rsum is None:
-                    rsum = rsums[er.index] = ht.coeff + er.coeff
+                    rsum = rsums[er.index] = c[ht.coeff] + c[er.coeff]
                 matches = []
                 for hb in cands:
                     lsum = usums.get((el.index, hb.index))
                     if lsum is None:
-                        lsum = usums[el.index, hb.index] = el.coeff + lam_c[hb.coeff.coeffs]
+                        lsum = usums[el.index, hb.index] = c[el.coeff] + lam_c[hb.coeff]
                     if lsum.equals(rsum):
                         matches.append(hb)
                 assert len(matches) <= 1
@@ -1189,10 +1200,10 @@ def residuals_by_elements(diagram: BratteliDiagram) -> None:
     """Every square's equation in element arithmetic, lambda * c(h) once per
     horizontal: the residual check as first written, which raises
     AssertionError with the message the battery reports."""
-    hs, vs = diagram.horizontals, diagram.verticals
-    lam_c = [diagram.lam * h.coeff for h in hs]
+    hs, vs, c = diagram.horizontals, diagram.verticals, diagram.elements
+    lam_c = [diagram.lam * c[h.coeff] for h in hs]
     for s in diagram.squares:
-        res = vs[s.e_left].coeff + lam_c[s.h_bot] - hs[s.h_top].coeff - vs[s.e_right].coeff
+        res = c[vs[s.e_left].coeff] + lam_c[s.h_bot] - c[hs[s.h_top].coeff] - c[vs[s.e_right].coeff]
         if not res.is_zero():
             raise AssertionError("nonzero residual")
 
@@ -1204,7 +1215,7 @@ def opposites_by_elements(diagram: BratteliDiagram) -> None:
         op = diagram.horizontals[h.opposite]
         if op.opposite != h.index:
             raise AssertionError("opposite pairing is not an involution")
-        if not (h.coeff + op.coeff).is_zero():
+        if not (diagram.elements[h.coeff] + diagram.elements[op.coeff]).is_zero():
             raise AssertionError("opposite labels do not cancel")
 
 
@@ -1218,7 +1229,8 @@ def is_canonical_by_sign(diagram: BratteliDiagram, k: tuple[int, int, int, int])
     if mk == k:
         return True
     sgn, msgn = (
-        (diagram.verticals[e].coeff + diagram.lam * hs[h].coeff).sign() for e, h in ((el, hb), (er, mk[3]))
+        (diagram.elements[diagram.verticals[e].coeff] + diagram.lam * diagram.elements[hs[h].coeff]).sign()
+        for e, h in ((el, hb), (er, mk[3]))
     )
     if sgn < 0 <= msgn:
         return True

@@ -49,7 +49,7 @@ def rules_by_name(diagram):
 
 
 def coeffs_by_label(diagram):
-    return {diagram.edge_label(e): e.coeff for e in diagram.verticals}
+    return {diagram.edge_label(e): diagram.elements[e.coeff] for e in diagram.verticals}
 
 
 def test_criterion_01_fibonacci_collaring(fib):
@@ -80,8 +80,8 @@ def test_criterion_03_fibonacci_horizontal_labels(fib):
     phi = fib.lam
     patches = {}
     for h in fib.horizontals:
-        if not h.trivial and h.coeff.sign() > 0:
-            patches[fib.vertices[h.src] + fib.vertices[h.rng]] = h.coeff
+        if not h.trivial and fib.elements[h.coeff].sign() > 0:
+            patches[fib.vertices[h.src] + fib.vertices[h.rng]] = fib.elements[h.coeff]
     assert set(patches) == {"ba", "ad", "db", "cd", "dc"}
     assert patches["ba"].equals(1)
     for name in ("ad", "db", "cd", "dc"):
@@ -90,7 +90,7 @@ def test_criterion_03_fibonacci_horizontal_labels(fib):
     # the opposite edge carries the negated label
     for h in fib.horizontals:
         if not h.trivial:
-            assert (h.coeff + fib.horizontals[h.opposite].coeff).is_zero()
+            assert (fib.elements[h.coeff] + fib.elements[fib.horizontals[h.opposite].coeff]).is_zero()
     ok("criterion 3: Fibonacci horizontal adjacencies {ba,ad,db,cd,dc}, |c| in {1, phi/2}")
 
 
@@ -105,10 +105,10 @@ def test_criterion_04_commutative_diagrams(fib, tm):
         lam = diagram.lam
         for s in diagram.squares:
             res = (
-                diagram.verticals[s.e_left].coeff
-                + lam * diagram.horizontals[s.h_bot].coeff
-                - diagram.horizontals[s.h_top].coeff
-                - diagram.verticals[s.e_right].coeff
+                diagram.elements[diagram.verticals[s.e_left].coeff]
+                + lam * diagram.elements[diagram.horizontals[s.h_bot].coeff]
+                - diagram.elements[diagram.horizontals[s.h_top].coeff]
+                - diagram.elements[diagram.verticals[s.e_right].coeff]
             )
             assert res.is_zero()
     # scaling law at n = 2..6: realized sums match the published powers
@@ -145,7 +145,7 @@ def test_criterion_06_thue_morse_labels(tm):
         assert got[name].equals(tm.field.rational(-HALF)), name
     for h in tm.horizontals:
         if not h.trivial:
-            assert h.coeff.equals(1) or h.coeff.equals(-1)
+            assert tm.elements[h.coeff].equals(1) or tm.elements[h.coeff].equals(-1)
     ok("criterion 6: Thue-Morse vertical labels +-1/2, horizontal |c| = 1")
 
 
@@ -169,7 +169,7 @@ def test_criterion_07_extremal_paths_and_pairing(fib, tm):
         for mx, mn in pairing.pairs:
             assert vershik_successor(mx) == mn
             w = rb_equiv(mx, mn)  # psi moves the puncture one tile
-            assert w is not None and (w.translation + diagram.forward_h[mx.root, mn.root].coeff).is_zero()
+            assert w is not None and (w.translation + diagram.elements[diagram.forward_h[mx.root, mn.root].coeff]).is_zero()
     ok("criterion 7: extremal path lists, psi bijection, V(max) = psi(max)")
 
 
@@ -221,7 +221,7 @@ def test_criterion_09_cocycle(sample_paths, witnesses):
                 a_n = -(
                     u_of_prefix(x.prefix(n))
                     - u_of_prefix(y.prefix(n))
-                    + h.coeff * lam ** (n - 1)
+                    + diagram.elements[h.coeff] * lam ** (n - 1)
                 )
                 assert a_n.equals(w.translation)
             # glued-patch oracle from interval geometry at depths 5..8
@@ -328,7 +328,7 @@ def test_criterion_12_structural_invariants(all_diagrams):
     for name, diagram in all_diagrams.items():
         # opposite-edge cancellation
         for h in diagram.horizontals:
-            assert (h.coeff + diagram.horizontals[h.opposite].coeff).is_zero()
+            assert (diagram.elements[h.coeff] + diagram.elements[diagram.horizontals[h.opposite].coeff]).is_zero()
         # regularity
         for v in range(len(diagram.vertices)):
             assert diagram.in_edges[v] and diagram.out_edges[v]

@@ -29,17 +29,17 @@ from bratteli.diagram import (
     export_json,
     hypothesis_check,
 )
-from bratteli.exactnum import AlgebraicNumber, ModulusField, _render
-from bratteli.fixtures import doubling, load_fixture
+from bratteli.exactnum import AlgebraicNumber, ModulusField, render_vector
+from bratteli.fixtures import DOUBLING_SPEC, FIBONACCI_SPEC, THUE_MORSE_SPEC, doubling, load_fixture
 from bratteli.paths import PathPrefix
 from bratteli.substitution import parse_spec
 
-from conftest import RAND3_SPEC, frozen_bench_specs, nonempty_paths
+from conftest import RAND3_SPEC, REDUCIBLE_MODULUS_SPECS, frozen_bench_specs, nonempty_paths
 from oracles import paths_through, recurrent_squares_by_definition
 
 
 def coeffs_by_label(diagram):
-    return {diagram.edge_label(e): e.coeff for e in diagram.verticals}
+    return {diagram.edge_label(e): diagram.elements[e.coeff] for e in diagram.verticals}
 
 
 def test_fibonacci_vertical_labels(fib):
@@ -68,7 +68,7 @@ def test_thue_morse_vertical_labels(tm):
 def test_doubling_vertical_labels_layout_oracle(dyadic):
     # oracle: two unit tiles in a length-2 supertile centered at 0 have
     # centers -1/2 and +1/2; the label is the negated center
-    got = {e.pos: e.coeff for e in dyadic.verticals}
+    got = {e.pos: dyadic.elements[e.coeff] for e in dyadic.verticals}
     assert got[0].equals(Fraction(1, 2))
     assert got[1].equals(Fraction(-1, 2))
 
@@ -77,7 +77,7 @@ def test_fibonacci_horizontal_set(fib):
     patches = {
         fib.vertices[h.src] + fib.vertices[h.rng]
         for h in fib.horizontals
-        if not h.trivial and h.coeff.sign() > 0
+        if not h.trivial and fib.elements[h.coeff].sign() > 0
     }
     assert patches == {"ba", "ad", "db", "cd", "dc"}
     phi = fib.lam
@@ -87,10 +87,10 @@ def test_fibonacci_horizontal_set(fib):
         pair = fib.vertices[h.src] + fib.vertices[h.rng]
         expected = 1 if pair in ("ba", "ab") else None
         if expected:
-            assert h.coeff.equals(1) or h.coeff.equals(-1)
+            assert fib.elements[h.coeff].equals(1) or fib.elements[h.coeff].equals(-1)
         else:
             half_phi = phi.scale(Fraction(1, 2))
-            assert h.coeff.equals(half_phi) or h.coeff.equals(-half_phi)
+            assert fib.elements[h.coeff].equals(half_phi) or fib.elements[h.coeff].equals(-half_phi)
     assert sum(1 for h in fib.horizontals if not h.trivial) == 10
     assert sum(1 for h in fib.horizontals if h.trivial) == 4
 
@@ -99,12 +99,12 @@ def test_thue_morse_horizontal_set(tm):
     patches = {
         tm.vertices[h.src] + tm.vertices[h.rng]
         for h in tm.horizontals
-        if not h.trivial and h.coeff.sign() > 0
+        if not h.trivial and tm.elements[h.coeff].sign() > 0
     }
     assert patches == {"ab", "bc", "cd", "de", "ef", "fe", "fa", "da", "bf", "ec"}
     for h in tm.horizontals:
         if not h.trivial:
-            assert h.coeff.equals(1) or h.coeff.equals(-1)
+            assert tm.elements[h.coeff].equals(1) or tm.elements[h.coeff].equals(-1)
 
 
 def test_opposites_cancel(all_diagrams):
@@ -113,7 +113,7 @@ def test_opposites_cancel(all_diagrams):
             op = diagram.horizontals[h.opposite]
             assert op.src == h.rng and op.rng == h.src
             assert op.opposite == h.index
-            assert (h.coeff + op.coeff).is_zero()
+            assert (diagram.elements[h.coeff] + diagram.elements[op.coeff]).is_zero()
             if h.trivial:
                 assert op is h
 
@@ -132,7 +132,7 @@ def test_layout_consistency(all_diagrams):
 def brute_force_squares(diagram):
     """Independent quadruple scan with sign-based residual check."""
     found = set()
-    lam = diagram.lam
+    lam, c = diagram.lam, diagram.elements
     for ht in diagram.horizontals:
         for el in diagram.verticals:
             for er in diagram.verticals:
@@ -141,7 +141,7 @@ def brute_force_squares(diagram):
                 for hb in diagram.horizontals:
                     if hb.src != el.rng or hb.rng != er.rng:
                         continue
-                    res = el.coeff + lam * hb.coeff - ht.coeff - er.coeff
+                    res = c[el.coeff] + lam * c[hb.coeff] - c[ht.coeff] - c[er.coeff]
                     if res.sign() == 0:
                         found.add((ht.index, el.index, er.index, hb.index))
     return found
@@ -207,12 +207,12 @@ def test_thue_morse_diagram_census(tm):
 
 def test_scaling_law(fib, tm):
     for diagram in (fib, tm):
-        lam = diagram.lam
+        lam, c = diagram.lam, diagram.elements
         for n in range(2, 7):
             p = lam ** (n - 2)
             for s in diagram.diagrams:
-                lhs = (diagram.verticals[s.e_left].coeff + lam * diagram.horizontals[s.h_bot].coeff) * p
-                rhs = (diagram.horizontals[s.h_top].coeff + diagram.verticals[s.e_right].coeff) * p
+                lhs = (c[diagram.verticals[s.e_left].coeff] + lam * c[diagram.horizontals[s.h_bot].coeff]) * p
+                rhs = (c[diagram.horizontals[s.h_top].coeff] + c[diagram.verticals[s.e_right].coeff]) * p
                 assert (lhs - rhs).is_zero()
 
 
@@ -377,11 +377,11 @@ def test_shared_arithmetic_matches_per_collared_letter_reference(all_diagrams, r
     for d in (*all_diagrams.values(), *random_diagrams, *reducible_diagrams):
         usums = {}
         ref = per_collared_letter_reference(d.csub, usums)
-        assert [(e.src, e.rng, e.pos, e.coeff.coeffs) for e in d.verticals] == [
-            (e.src, e.rng, e.pos, e.coeff.coeffs) for e in ref.verticals
+        assert [(e.src, e.rng, e.pos, d.elements[e.coeff].coeffs) for e in d.verticals] == [
+            (e.src, e.rng, e.pos, ref.elements[e.coeff].coeffs) for e in ref.verticals
         ]
-        assert [(h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in d.horizontals] == [
-            (h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in ref.horizontals
+        assert [(h.src, h.rng, d.elements[h.coeff].coeffs, h.trivial, h.opposite) for h in d.horizontals] == [
+            (h.src, h.rng, ref.elements[h.coeff].coeffs, h.trivial, h.opposite) for h in ref.horizontals
         ]
         assert [s.key() for s in d.squares] == [s.key() for s in ref.squares]
         assert [(s.kind, s.canonical) for s in d.squares] == [(s.kind, s.canonical) for s in ref.squares]
@@ -411,7 +411,7 @@ def test_coefficients_shared_per_base_letter(all_diagrams, random_diagrams):
         horizontal = {}
         for h in d.horizontals:
             if h.trivial:
-                assert h.coeff is d.field.zero
+                assert h.coeff is d.trivial_h[0].coeff and not any(h.coeff)  # one zero vector
             else:
                 key = (frozenset((core(h.src), core(h.rng))), h.index < h.opposite)
                 assert horizontal.setdefault(key, h.coeff) is h.coeff
@@ -441,20 +441,22 @@ def assert_build_routes_match(d: BratteliDiagram):
     columns = sub.adjugate_column
     assert sub.field.ratios(columns) == oracles.ratios_by_element_inverse(sub.field, columns)
 
-    def reps(layout, ends=lambda c: c):
-        return layout.split, *([c.coeffs for c in cs] for cs in (map(ends, layout.left), map(ends, layout.right), layout.vertical))
+    def reps(layout, ends=lambda c: c, centres=lambda c: c):
+        parts = (map(ends, layout.left), map(ends, layout.right), map(centres, layout.vertical))
+        return layout.split, *([c.coeffs for c in cs] for cs in parts)
 
     den = sub.length_vectors[0]
-    assert {x: reps(lay, lambda v: sub.field.over(v, den)) for x, lay in sub.layouts.items()} == {
+    over = sub.field.over
+    assert {x: reps(lay, lambda v: over(v, den), lambda v: over(v, 2 * den)) for x, lay in sub.layouts.items()} == {
         x: reps(lay) for x, lay in oracles.layouts_by_offsets(sub).items()
     }
-    assert [(h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in d.horizontals] == [
-        (h.src, h.rng, h.coeff.coeffs, h.trivial, h.opposite) for h in oracles.build_horizontal(d.csub)
+    assert [(h.src, h.rng, h.coeff, h.trivial, h.opposite) for h in d.horizontals] == [
+        (h.src, h.rng, h.coeff, h.trivial, h.opposite) for h in oracles.build_horizontal(d.csub)
     ]
-    coeffs = {id(c): c for c in chain((t.coeff for t in (*d.verticals, *d.horizontals)), sub.lengths.values())}
+    coeffs = {id(c): c for c in chain(d.elements.values(), sub.lengths.values())}
     for c in coeffs.values():
         assert c.render() == oracles.render_by_fractions(c.coeffs, "L")
-    assert _render(d.field.modulus, "x") == oracles.render_by_fractions(d.field.modulus, "x")
+    assert render_vector(d.field.modulus, 1, "x") == oracles.render_by_fractions(d.field.modulus, "x")
 
 
 # Modulus x^4 - x^2 - 2x - 1 = (x^2 - x - 1)(x^2 + x + 1): with no rational
@@ -474,10 +476,9 @@ def test_build_routes_match_replaced_references(all_diagrams, random_diagrams, r
 
 
 def test_build_horizontal_makes_no_element_arithmetic(monkeypatch, all_diagrams, reducible_diagrams):
-    """Each half-sum (l_t + l_u)/2 comes from the integer length vectors over
-    2D by one ModulusField.over, and its opposite by one negation, once per
-    unordered pair of core letters, with no element sum or scale; both are
-    the representatives stored before."""
+    """Each half-sum (l_t + l_u)/2 is the sum of the integer length vectors,
+    over 2D, and its opposite the negated vector: no ModulusField.over, no
+    negation, element sum or scale."""
     for d in (*all_diagrams.values(), *reducible_diagrams):
         den, vecs = d.csub.base.length_vectors
         assert [d.field.over(v, den).coeffs for v in vecs] == [c.coeffs for c in d.csub.base.lengths.values()]
@@ -488,9 +489,8 @@ def test_build_horizontal_makes_no_element_arithmetic(monkeypatch, all_diagrams,
     for d in (*all_diagrams.values(), *reducible_diagrams):
         calls.clear()
         rebuilt = diagram_module.build_horizontal(d.csub)
-        assert [h.coeff.coeffs for h in rebuilt] == [h.coeff.coeffs for h in d.horizontals]
-        core_pairs = {frozenset(w[1:3]) for w in d.csub.base.legal_quads}
-        assert sorted(calls) == sorted(["over", "__neg__"] * len(core_pairs))
+        assert [h.coeff for h in rebuilt] == [h.coeff for h in d.horizontals]
+        assert calls == []
     calls.clear()
     oracles.build_horizontal(all_diagrams["fibonacci"].csub)  # the counter does count
     assert {"__add__", "scale", "__neg__"} <= set(calls)
@@ -520,6 +520,34 @@ def test_a_build_forms_each_datum_once(monkeypatch):
         pairing = paths.pair_extremes(d)
         assert len(made) == len(mins) + len(maxs) == 2 * len(pairing.pairs)
     assert encoded and made  # the spies do count
+
+
+def test_a_build_forms_only_the_fields_zero_and_one(monkeypatch, random_specs):
+    """parse_spec, build_diagram, pair_extremes and export_json on the four
+    fixtures, the 20 random and the 6 reducible specs form two elements per
+    spec, the field's zero and one, and call neither ModulusField.over nor
+    AlgebraicNumber.render; export_json renders each distinct coefficient
+    vector once."""
+    specs = [(FIBONACCI_SPEC, True), (THUE_MORSE_SPEC, True), (DOUBLING_SPEC, False), (RAND3_SPEC, True)]
+    specs += [(text, True) for text in (*random_specs, *REDUCIBLE_MODULUS_SPECS)]
+    assert len(specs) == 30
+    made, calls, rendered = [], [], []
+    init, over, render = AlgebraicNumber.__init__, ModulusField.over, AlgebraicNumber.render
+    render_vector = diagram_module.render_vector
+    monkeypatch.setattr(AlgebraicNumber, "__init__", lambda self, field, c: made.append(c) or init(self, field, c))
+    monkeypatch.setattr(ModulusField, "over", lambda self, *a: calls.append("over") or over(self, *a))
+    monkeypatch.setattr(AlgebraicNumber, "render", lambda self: calls.append("render") or render(self))
+    monkeypatch.setattr(diagram_module, "render_vector", lambda v, den: rendered.append(v) or render_vector(v, den))
+    for text, screen in specs:
+        made.clear()
+        rendered.clear()
+        d = build_diagram(parse_spec(text, check_aperiodicity=screen))
+        paths.pair_extremes(d)
+        export_json(d)
+        assert made == [(), (Fraction(1),)] and calls == []
+        assert sorted(rendered) == sorted({t.coeff for t in (*d.verticals, *d.horizontals)})
+    d.field.over([1], 1).render()
+    assert len(made) == 3 and calls == ["over", "render"]  # the spies do count
 
 
 def test_rb_via_generators_forms_the_extremal_paths_once_per_diagram(monkeypatch, all_diagrams):
@@ -556,6 +584,7 @@ def test_a_dropped_diagram_is_freed_by_reference_counting():
     `del` with the cyclic collector off, after every route that keeps a memo
     on it or hands out paths."""
     d = build_diagram(load_fixture("fibonacci"))
+    assert d.elements and d.lam.sign() == 1  # the element view and lambda, each formed on first read
     mx, mn = paths.pair_extremes(d).pairs[0]
     y = paths.vershik_successor(mx)
     assert y == mn and paths.rb_via_generators(mx, y) and paths.rb_equiv(mx, y) is not None

@@ -58,7 +58,7 @@ def h_index(diagram, srcname, rngname, sign):
             not h.trivial
             and diagram.vertices[h.src] == srcname
             and diagram.vertices[h.rng] == rngname
-            and h.coeff.sign() == sign
+            and diagram.elements[h.coeff].sign() == sign
         ):
             return h.index
     raise AssertionError(f"no horizontal {srcname}->{rngname} with sign {sign}")
@@ -429,6 +429,23 @@ def test_vershik_of_max_is_paired_min(fib, tm):
             assert vershik_successor(mx) == mn
 
 
+def test_vershik_successor_of_a_maximal_path_reads_one_root(monkeypatch, all_diagrams, random_diagrams, reducible_diagrams):
+    """On every maximal path of the 30 diagrams the successor is psi of it,
+    read off the root map of down's cycles, without listing the extremal paths."""
+    diagrams = (*all_diagrams.values(), *random_diagrams, *reducible_diagrams)
+    assert len(diagrams) == 30
+    calls = []
+    listed = paths.extremal_paths
+    monkeypatch.setattr(paths, "extremal_paths", lambda d: calls.append(d) or listed(d))
+    for d in diagrams:
+        pairing = pair_extremes(d)
+        assert calls == [d]  # the spy does count
+        calls.clear()
+        for mx, _ in pairing.pairs:
+            assert mx.is_maximal() and vershik_successor(mx) == pairing.psi(mx)
+        assert calls == []
+
+
 def test_psi_moves_the_puncture_one_tile(all_diagrams, random_diagrams, reducible_diagrams):
     """Each extremal pair is extended equivalent, and its translation carries
     the maximal root's tile onto its right neighbour, the minimal root's:
@@ -437,7 +454,7 @@ def test_psi_moves_the_puncture_one_tile(all_diagrams, random_diagrams, reducibl
         for mx, mn in pair_extremes(d).pairs:
             w = rb_equiv(mx, mn)
             assert w is not None
-            assert (w.translation + d.forward_h[mx.root, mn.root].coeff).is_zero()
+            assert (w.translation + d.elements[d.forward_h[mx.root, mn.root].coeff]).is_zero()
 
 
 def test_vershik_successor_example(fib):
@@ -611,7 +628,7 @@ def test_rb_base_translation(fib):
     h_minus = h_index(fib, "d", "c", -1)
     a2 = rb_base_translation(gamma, gamma2, h_minus)
     # flipping h negates its contribution exactly
-    hval = fib.horizontals[h_plus].coeff * fib.lam
+    hval = fib.elements[fib.horizontals[h_plus].coeff] * fib.lam
     assert (a - a2).equals(hval.scale(2))
     # trivial case
     triv = fib.trivial_h[gamma.top_vertex()].index
@@ -936,6 +953,42 @@ def test_collared_decode_injective_on_prefixes(fib, tm):
         collisions += key in plain
         plain[key] = g
     assert collisions > 0  # the collar is what separates them
+
+
+# Seeds of the random family whose collared patches collide, with the number
+# of colliding prefixes at depth 3.  Each substitution maps two letters to one
+# image: seed 3 has sigma(1) = sigma(2), seed 10 sigma(0) = sigma(2).  Seed 15
+# also repeats an image, sigma(0) = sigma(1), and shows no collision.
+COLLIDING_SEEDS = {3: 11, 10: 4}
+
+
+def collared_collisions(diagram, depth: int) -> int:
+    """Prefixes of the given depth whose collared patch an earlier prefix already decoded to."""
+    seen, collisions = set(), 0
+    for g in all_prefixes(diagram, depth):
+        pc = decode(g, collared=True)
+        key = ("".join(t.base for t in pc.tiles), pc.puncture_index)
+        collisions += key in seen
+        seen.add(key)
+    return collisions
+
+
+def test_collared_decode_injective_on_the_random_and_reducible_families(random_diagrams, reducible_diagrams):
+    """Border forcing at depth 3 on the 20 random and 6 reducible diagrams:
+    distinct prefixes give distinct collared patches on 24 of them.  On the
+    two colliding seeds two letters share one rule image, so the collared
+    letters no longer force the border there."""
+    for seed, d in enumerate(random_diagrams):
+        images = list(d.csub.base.rules.values())
+        assert collared_collisions(d, 3) == COLLIDING_SEEDS.get(seed, 0), seed
+        if seed in COLLIDING_SEEDS:
+            assert len(set(images)) < len(images), seed
+    for d in reducible_diagrams:
+        assert collared_collisions(d, 3) == 0
+    d = random_diagrams[3]
+    x, y = (decode(parse_path(d, text), collared=True) for text in ("root=a; ae ec", "root=a; ae eg"))
+    assert ("".join(t.base for t in x.tiles), x.puncture_index) == ("201222012220122", 7)
+    assert ("".join(t.base for t in y.tiles), y.puncture_index) == ("201222012220122", 7)
 
 
 def test_enumerate_paths_dedup(fib):

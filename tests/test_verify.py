@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 from copy import copy
+from itertools import zip_longest
 from pathlib import Path
 
 import oracles
@@ -112,17 +113,22 @@ def verdicts(diagram) -> list[bool]:
     return out
 
 
-def shifted(diagram, vertical: int | None = None, horizontal: int | None = None, by=1):
-    """A shallow copy of the diagram with one template's coefficient plus `by`."""
+def shifted(diagram, vertical: int | None = None, horizontal: int | None = None, by=(1,)):
+    """A shallow copy of the diagram with one template's coefficient plus the
+    integer polynomial `by` (lowest degree first): its vector plus den * by."""
+
+    def plus(c):
+        return tuple(a + diagram.den * b for a, b in zip_longest(c, by, fillvalue=0))
+
     out = copy(diagram)
     if vertical is not None:
         e = diagram.verticals[vertical]
         out.verticals = list(diagram.verticals)
-        out.verticals[vertical] = VerticalTemplate(e.index, e.src, e.rng, e.pos, e.coeff + by)
+        out.verticals[vertical] = VerticalTemplate(e.index, e.src, e.rng, e.pos, plus(e.coeff))
     if horizontal is not None:
         h = diagram.horizontals[horizontal]
         out.horizontals = list(diagram.horizontals)
-        out.horizontals[horizontal] = HorizontalTemplate(h.index, h.src, h.rng, h.coeff + by, h.trivial, h.opposite)
+        out.horizontals[horizontal] = HorizontalTemplate(h.index, h.src, h.rng, plus(h.coeff), h.trivial, h.opposite)
     return out
 
 
@@ -144,7 +150,7 @@ def test_nonzero_representative_of_zero_goes_to_the_exact_test(reducible_diagram
     zero = f.element([-1, -1, 1])  # x^2 - x - 1: a nonzero representative of 0
     assert zero.coeffs and zero.is_zero()
     s = next(s for s in d.squares if s.e_left != s.e_right)
-    spoiled = shifted(d, vertical=s.e_left, by=zero)
+    spoiled = shifted(d, vertical=s.e_left, by=(-1, -1, 1))
     exact = []
     vanishes = ModulusField._vanishes
     monkeypatch.setattr(ModulusField, "_vanishes", lambda field, p: exact.append(vanishes(field, p)) or exact[-1])
